@@ -169,7 +169,6 @@ def _check_a7(threads: int) -> tuple[bool, str]:
     law = make_stable_offspring(0.5, 1.0)
     grid = np.logspace(2, 5, 13)
     errs = np.array([1.0 - 0.5 * t * asymptotics.local_ratio_measured(law, t) for t in grid])
-    slope, r2 = np.polyfit(np.log(grid), np.log(np.abs(errs)), 1)[0], None
     le = np.log(np.abs(errs))
     lx = np.log(grid)
     fit = np.polyfit(lx, le, 1)

@@ -3,8 +3,8 @@
 Covers the invariant generating functions of the plain system (M), of the
 transient immigration system (U and its ratio-limit normalization pi), the
 survivor-conditioned GF and its limit, the relative local-probability measure,
-the exact tail-functional balance behind the survival expansion, and
-measured-versus-predicted convergence rates.
+the survival and local-probability expansions, and measured convergence
+rates.
 
 Conventions used throughout, for the critical offspring family
 f(s) = (1-s)^(1+nu) L(1/(1-s)) with immigration h(s) = -(1-s)^delta l(1/(1-s)):
@@ -28,8 +28,8 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from . import karamata, series as fps
-from .karamata import Normalizer, RatioSV, SlowlyVarying, lambda_tail
+from . import series as fps
+from .karamata import Normalizer, RatioSV, lambda_tail
 from .kolmogorov import (
     gf_derivative,
     immigration_gf,
@@ -48,9 +48,6 @@ __all__ = [
     "invariant_series",
     "stable_invariant_coeffs",
     "survival_expansion",
-    "balance_residuals",
-    "BalanceResult",
-    "local_ratio_predicted",
     "local_ratio_measured",
     "slow_variation_report",
     "limit_gf",
@@ -58,11 +55,8 @@ __all__ = [
     "scaled_gf_convergence",
     "ratio_limit_gf",
     "ratio_limit_series",
-    "scaling_constant",
-    "ScalingResult",
     "conditioned_gf",
     "ConditionedResult",
-    "relative_local_gf",
     "relative_measure_series",
     "invariance_residual",
     "partial_sum_report",
@@ -87,7 +81,6 @@ class InvariantMeasure:
     tag: str
     coeffs: np.ndarray
     note: str = ""
-    gf: Callable[[float], float] | None = None
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=float)
@@ -150,7 +143,7 @@ def invariant_gf(f_law: OffspringLaw, s: float, method: str = "auto") -> float:
         return invariant_gf_via_tail(f_law, s)
     if s == 0.0:
         return 0.0
-    val, err = quad(lambda x: 1.0 / f_law.f(x), 0.0, s, **_QUAD_OPTS)
+    val, err = quad(lambda x: 1.0 / f_law.value(x), 0.0, s, **_QUAD_OPTS)
     if err > 1e-8 * max(1.0, abs(val)):
         raise RuntimeError(f"quadrature failure near s={s}: reported error {err}")
     return val
@@ -165,11 +158,9 @@ def invariant_gf_via_tail(f_law: OffspringLaw, s: float) -> float:
 
 def invariant_series(f_law: OffspringLaw, N: int) -> InvariantMeasure:
     """Coefficients mu_j of M by integrating the reciprocal series of f."""
-    recip = fps.reciprocal(f_law.f_series(N))
+    recip = fps.reciprocal(f_law.as_series(N))
     m = fps.integrate_series(recip).coeffs[: N + 1]
-    return InvariantMeasure(
-        tag="M", coeffs=m, note="reciprocal-series route", gf=lambda s: invariant_gf(f_law, s)
-    )
+    return InvariantMeasure(tag="M", coeffs=m, note="reciprocal-series route")
 
 
 def stable_invariant_coeffs(nu: float, a0: float, N: int) -> np.ndarray:
@@ -183,7 +174,7 @@ def stable_invariant_coeffs(nu: float, a0: float, N: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Survival probability expansion and the exact balance behind it.
+# Survival and local-probability expansions.
 
 
 def survival_expansion(nu: float, a0: float, normalizer: Normalizer | Callable, t: float) -> float:
@@ -198,51 +189,6 @@ def survival_expansion(nu: float, a0: float, normalizer: Normalizer | Callable, 
         raise ValueError("t must be positive")
     n_t = normalizer(t)
     return n_t / (nu * t) ** (1.0 / nu) * (1.0 + math.log(a0 * nu * t) / (nu**3 * t))
-
-
-@dataclass(frozen=True)
-class BalanceResult:
-    lhs: float
-    residual_exact: float
-    residual_asymptotic: float
-
-
-def balance_residuals(
-    f_law: OffspringLaw, L: SlowlyVarying, t: float, s: float, tol: float = 1e-10
-) -> BalanceResult:
-    """Residuals of the tail-functional balance along the gap flow.
-
-    The exact identity
-    ``1/Lambda(R(t;s)) - 1/Lambda(1-s) = nu t - integral_0^t sigma(R(u;s)) du``
-    holds for any differentiable slowly varying factor, with
-    ``sigma(y) = nu - y Lambda'(y)/Lambda(y)`` equal to the elasticity of L at
-    1/y.  ``residual_exact`` measures it directly (solver plus quadrature
-    error only); ``residual_asymptotic`` compares the left side against
-    ``nu t - (1/nu) ln(Lambda(1-s) nu t)``, whose gap is the slowly growing
-    correction term.
-    """
-    from .kolmogorov import _advance_floats
-
-    nu = _nu(f_law)
-    if t == 0.0:
-        return BalanceResult(lhs=0.0, residual_exact=0.0, residual_asymptotic=0.0)
-
-    def rhs(y):
-        r, _ = y
-        return (-f_law.f_from_gap(r), L.elasticity(1.0 / r))
-
-    (r, integral), _ = _advance_floats(rhs, (1.0 - s, 0.0), t, tol, (0.0, tol * 1e-2))
-    lhs = 1.0 / lambda_tail(L, nu, r) - 1.0 / lambda_tail(L, nu, 1.0 - s)
-    residual_exact = lhs - nu * t + integral
-    residual_asym = lhs - (nu * t - math.log(lambda_tail(L, nu, 1.0 - s) * nu * t) / nu)
-    return BalanceResult(lhs=lhs, residual_exact=residual_exact, residual_asymptotic=residual_asym)
-
-
-def local_ratio_predicted(nu: float, a0: float, t: float) -> float:
-    """Expansion of p_1(t)/q(t): (1/(a0 nu t)) (1 + ln(a0 nu t) / (nu^2 t))."""
-    if a0 * nu * t <= 1.0:
-        raise ValueError("need a0 nu t > 1")
-    return (1.0 + math.log(a0 * nu * t) / (nu**2 * t)) / (a0 * nu * t)
 
 
 def local_ratio_measured(f_law: OffspringLaw, t: float, tol: float = 1e-10) -> float:
@@ -351,16 +297,11 @@ def limit_gf_series(
     """
     g = _require_transient_limit(regime, ratio)
     b0 = _tail_gap_integral(ratio, g, 1.0)
-    quot = fps.mul(h_law.h_series(N), fps.reciprocal(f_law.f_series(N)))
+    quot = fps.mul(h_law.as_series(N), fps.reciprocal(f_law.as_series(N)))
     log_u = fps.integrate_series(-quot).coeffs[: N + 1].copy()
     log_u[0] = 1.0 + b0
     u = fps.exp_series(Series(log_u))
-    return InvariantMeasure(
-        tag="U",
-        coeffs=u.coeffs,
-        note="exp of integrated -h/f anchored at the limit constant",
-        gf=lambda s: limit_gf(regime, ratio, s),
-    )
+    return InvariantMeasure(tag="U", coeffs=u.coeffs, note="exp of integrated -h/f anchored at the limit constant")
 
 
 def scaled_gf_convergence(
@@ -419,7 +360,7 @@ def ratio_limit_gf(f_law: OffspringLaw, h_law: ImmigrationLaw, s: float) -> floa
         raise ValueError("s must lie in [0, 1)")
     if s == 0.0:
         return 1.0
-    val, err = quad(lambda y: h_law.h(y) / f_law.f(y), 0.0, s, **_QUAD_OPTS)
+    val, err = quad(lambda y: h_law.value(y) / f_law.value(y), 0.0, s, **_QUAD_OPTS)
     if err > 1e-9 * max(1.0, abs(val)):
         raise RuntimeError(f"quadrature failure near s={s}")
     return math.exp(-val)
@@ -427,45 +368,10 @@ def ratio_limit_gf(f_law: OffspringLaw, h_law: ImmigrationLaw, s: float) -> floa
 
 def ratio_limit_series(f_law: OffspringLaw, h_law: ImmigrationLaw, N: int) -> InvariantMeasure:
     """Coefficients pi_j with pi_0 = 1 exactly."""
-    quot = fps.mul(h_law.h_series(N), fps.reciprocal(f_law.f_series(N)))
+    quot = fps.mul(h_law.as_series(N), fps.reciprocal(f_law.as_series(N)))
     log_pi = fps.integrate_series(-quot).coeffs[: N + 1]
     pi = fps.exp_series(Series(log_pi))
-    return InvariantMeasure(
-        tag="pi",
-        coeffs=pi.coeffs,
-        note="exp of integrated -h/f",
-        gf=lambda s: ratio_limit_gf(f_law, h_law, s),
-    )
-
-
-@dataclass(frozen=True)
-class ScalingResult:
-    u0: float
-    J_mu: float
-    residual: float
-
-
-def scaling_constant(
-    f_law: OffspringLaw,
-    h_law: ImmigrationLaw,
-    regime: RegimeParams,
-    ratio: RatioSV,
-    t: float,
-    tol: float = 1e-10,
-) -> ScalingResult:
-    """u_0 = exp{1 + B(0)} and the finite-time defect J_mu(t).
-
-    J_mu(t) is the tail-gap integral truncated at 1/q(t); the residual reports
-    e^(T(t)) p_00(t) - u_0 (1 - J_mu(t)), whose magnitude is second order in
-    J_mu for the shipped families.
-    """
-    g = _require_transient_limit(regime, ratio)
-    u0 = math.exp(1.0 + _tail_gap_integral(ratio, g, 1.0))
-    q = solve_gf(f_law, t, 0.0, tol).R
-    j_mu = _tail_gap_integral(ratio, g, 1.0 / q)
-    sol = immigration_gf(f_law, h_law, 0, t, 0.0, tol)
-    scaled_p00 = math.exp(q ** (-g) + sol.G)
-    return ScalingResult(u0=u0, J_mu=j_mu, residual=scaled_p00 - u0 * (1.0 - j_mu))
+    return InvariantMeasure(tag="pi", coeffs=pi.coeffs, note="exp of integrated -h/f")
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +405,6 @@ def conditioned_gf(f_law: OffspringLaw, t: float, s: float, tol: float = 1e-10) 
     m = invariant_gf(f_law, s)
     error = slack / m - 1.0 if m != 0.0 else 0.0
     return ConditionedResult(value=value, slack=slack, error=error)
-
-
-def relative_local_gf(f_law: OffspringLaw, t: float, s: float, tol: float = 1e-10) -> float:
-    """(q(t)/p_1(t)) times the conditioned GF; converges to a0 M(s)."""
-    q = solve_gf(f_law, t, 0.0, tol).R
-    p1 = gf_derivative(f_law, t, 0.0, tol)
-    return (q / p1) * conditioned_gf(f_law, t, s, tol).value
 
 
 def relative_measure_series(f_law: OffspringLaw, N: int) -> InvariantMeasure:

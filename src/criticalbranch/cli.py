@@ -24,7 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__, asymptotics, karamata, montecarlo
-from .kolmogorov import immigration_gf, solve_gf
+from .kolmogorov import _MAX_ORDER, immigration_gf, solve_gf
 from .laws import classify, immigration_from_config, offspring_from_config
 
 __all__ = ["main", "SchemaError", "figure_rows", "report_rows", "FIGURE_PRESETS"]
@@ -116,30 +116,6 @@ def _validate(obj, schema, path="$"):
     else:
         if isinstance(obj, bool) or not isinstance(obj, schema):
             raise SchemaError(f"wrong type at {path}: expected {schema}")
-
-
-def _law_fields(kind: str, cfg: dict, path: str, required: tuple[str, ...]) -> None:
-    for f in required:
-        if f not in cfg:
-            raise SchemaError(f"missing required key at {path}.{f}")
-
-
-def _build_offspring(cfg: dict, path="$.offspring"):
-    kind = cfg["kind"]
-    needed = {"canonical": ("nu", "a0"), "perturbed": ("nu", "a0", "rho", "p"), "finite": ("rates",)}
-    if kind not in needed:
-        raise SchemaError(f"unknown offspring kind at {path}.kind")
-    _law_fields(kind, cfg, path, needed[kind])
-    return offspring_from_config(cfg)
-
-
-def _build_immigration(cfg: dict, path="$.immigration"):
-    kind = cfg["kind"]
-    needed = {"canonical": ("delta", "c"), "perturbed": ("delta", "c", "kappa"), "finite": ("rates",)}
-    if kind not in needed:
-        raise SchemaError(f"unknown immigration kind at {path}.kind")
-    _law_fields(kind, cfg, path, needed[kind])
-    return immigration_from_config(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +218,13 @@ def report_rows():
 # Subcommand handlers.
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise SchemaError(f"non-finite number {text} in config")
+    return value
+
+
 def _load_config(args, command) -> dict:
     if args.config is None:
         if command in ("verify", "report"):
@@ -250,7 +233,7 @@ def _load_config(args, command) -> dict:
             return {}
         raise SchemaError(f"{command} requires --config")
     try:
-        cfg = json.loads(Path(args.config).read_text())
+        cfg = json.loads(Path(args.config).read_text(), parse_constant=_finite_float, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from None
     _validate(cfg, _SCHEMAS[command])
@@ -260,8 +243,8 @@ def _load_config(args, command) -> dict:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args, "simulate")
     started = time.perf_counter()
-    offspring = _build_offspring(cfg["offspring"])
-    immigration = _build_immigration(cfg["immigration"]) if "immigration" in cfg else None
+    offspring = offspring_from_config(cfg["offspring"])
+    immigration = immigration_from_config(cfg["immigration"]) if "immigration" in cfg else None
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     sim_cfg = montecarlo.SimConfig(
         offspring=offspring,
@@ -291,8 +274,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_solve(args) -> int:
     cfg = _load_config(args, "solve")
     started = time.perf_counter()
-    offspring = _build_offspring(cfg["offspring"])
-    immigration = _build_immigration(cfg["immigration"]) if "immigration" in cfg else None
+    offspring = offspring_from_config(cfg["offspring"])
+    immigration = immigration_from_config(cfg["immigration"]) if "immigration" in cfg else None
     tol = cfg.get("tol", 1e-10)
     rows = []
     for t in cfg["t"]:
@@ -315,9 +298,11 @@ def _cmd_solve(args) -> int:
 def _cmd_invariant(args) -> int:
     cfg = _load_config(args, "invariant")
     started = time.perf_counter()
-    offspring = _build_offspring(cfg["offspring"])
-    immigration = _build_immigration(cfg["immigration"]) if "immigration" in cfg else None
+    offspring = offspring_from_config(cfg["offspring"])
+    immigration = immigration_from_config(cfg["immigration"]) if "immigration" in cfg else None
     N = cfg["order"]
+    if not 0 <= N <= _MAX_ORDER:
+        raise SchemaError(f"order must lie in [0, {_MAX_ORDER}] at $.order, got {N}")
     rows = []
     for tag in cfg["measures"]:
         if tag == "M":
@@ -356,6 +341,10 @@ def _cmd_figure_data(args) -> int:
         if "t_start" in cfg or "t_stop" in cfg or "t_step" in cfg:
             t0, t1 = cfg.get("t_start", 5.0), cfg.get("t_stop", 100.0)
             dt = cfg.get("t_step", 0.5)
+            if not dt > 0.0:
+                raise SchemaError(f"t_step must be positive at $.t_step, got {dt}")
+            if t1 < t0:
+                raise SchemaError(f"t_stop must not precede t_start at $.t_stop, got {t1} < {t0}")
             t_grid = [t0 + dt * k for k in range(int(round((t1 - t0) / dt)) + 1)]
         jobs = [(cfg["nu"], cfg["a0"], cfg.get("normalizer", "half-log"), t_grid)]
     else:
@@ -438,7 +427,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (SchemaError, ValueError) as exc:
+    except (ValueError, montecarlo.InsufficientEventsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

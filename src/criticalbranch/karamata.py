@@ -1,18 +1,16 @@
-"""Slowly varying functions with quantified remainders.
+"""Slowly varying functions of the shipped law families.
 
-Provides a closed family of slowly varying forms (constant, logarithmic and
-power corrections, tabulated), the tail functional ``Lambda(y) = y^nu L(1/y)``,
-the implicit time normalizer used by the survival-probability expansion, and
-probe-based estimation of remainder limits and ratio limits.  Arbitrary user
-callables are deliberately excluded so each form's remainder is available in
-closed form.
+Provides the two slowly varying forms the laws produce (constant and power
+corrected), the tail functional ``Lambda(y) = y^nu L(1/y)``, the two preset
+time normalizers of the survival-probability figures, and the ratio of two
+factors with its limit at infinity.  Arbitrary user callables are
+deliberately excluded so each form's limit is available in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -20,102 +18,38 @@ __all__ = [
     "SlowlyVarying",
     "Normalizer",
     "RatioSV",
-    "DivergenceError",
-    "FixedPointError",
-    "InapplicableError",
     "constant",
-    "log_corrected",
     "power_corrected",
-    "log_power_corrected",
-    "from_table",
-    "from_config",
     "lambda_tail",
-    "remainder_limit",
-    "solve_normalizer",
     "ratio_of",
-    "shift_residuals",
-    "limit_gap_report",
-    "GapReport",
 ]
-
-_PROBES = (1.0e4, 1.0e5, 1.0e6)
-
-
-class DivergenceError(RuntimeError):
-    """Probe values grow decade over decade; no finite remainder limit."""
-
-
-class FixedPointError(RuntimeError):
-    """Normalizer fixed-point iteration failed to settle."""
-
-
-class InapplicableError(ValueError):
-    """The requested check is undefined for this form (zero remainder)."""
 
 
 @dataclass(frozen=True)
 class SlowlyVarying:
     """One member of the closed family of slowly varying functions.
 
-    Forms: ``constant`` c; ``log`` 1 + alpha/ln(x+1); ``power``
-    c(1 + rho/x^p); ``log-power`` 1 + alpha ln(x+1)/x^p; ``table`` log-linear
-    interpolation of sampled values.  ``elasticity`` is the canonical
-    remainder x L'(x)/L(x).
+    Forms: ``constant`` c; ``power`` c(1 + rho/x^p).
     """
 
     form: str
     c: float = 1.0
-    alpha: float = 0.0
     rho: float = 0.0
     p: float = 0.0
-    xs: tuple = ()
-    ys: tuple = ()
 
     def value(self, x):
         if self.form == "constant":
             return self.c * np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else self.c
-        if self.form == "log":
-            return 1.0 + self.alpha / np.log(np.asarray(x, dtype=float) + 1.0) if np.ndim(x) else 1.0 + self.alpha / math.log(x + 1.0)
-        if self.form == "power":
-            if np.ndim(x):
-                return self.c * (1.0 + self.rho * np.asarray(x, dtype=float) ** (-self.p))
-            return self.c * (1.0 + self.rho * x ** (-self.p))
-        if self.form == "log-power":
-            if np.ndim(x):
-                xv = np.asarray(x, dtype=float)
-                return 1.0 + self.alpha * np.log(xv + 1.0) * xv ** (-self.p)
-            return 1.0 + self.alpha * math.log(x + 1.0) * x ** (-self.p)
-        lx = np.log(np.asarray(x, dtype=float))
-        out = np.interp(lx, np.log(np.asarray(self.xs)), np.asarray(self.ys))
-        return out if np.ndim(x) else float(out)
+        if np.ndim(x):
+            return self.c * (1.0 + self.rho * np.asarray(x, dtype=float) ** (-self.p))
+        return self.c * (1.0 + self.rho * x ** (-self.p))
 
     __call__ = value
-
-    def elasticity(self, x: float) -> float:
-        """x L'(x) / L(x), the infinitesimal remainder of the form."""
-        if self.form == "constant":
-            return 0.0
-        if self.form == "log":
-            l = math.log(x + 1.0)
-            return -self.alpha * x / ((x + 1.0) * l * l * (1.0 + self.alpha / l))
-        if self.form == "power":
-            u = self.rho * x ** (-self.p)
-            return -self.p * u / (1.0 + u)
-        if self.form == "log-power":
-            l = math.log(x + 1.0)
-            u = self.alpha * l * x ** (-self.p)
-            return (self.alpha * x ** (-self.p) * (x / (x + 1.0)) - self.p * u) / (1.0 + u)
-        h = 1e-4 * x
-        return x * (self.value(x + h) - self.value(x - h)) / (2.0 * h * self.value(x))
 
     @property
     def limit(self) -> float:
         """Value at infinity."""
-        if self.form in ("constant", "power"):
-            return self.c
-        if self.form in ("log", "log-power"):
-            return 1.0
-        return float(self.ys[-1])
+        return self.c
 
 
 def constant(c: float) -> SlowlyVarying:
@@ -124,44 +58,10 @@ def constant(c: float) -> SlowlyVarying:
     return SlowlyVarying("constant", c=c)
 
 
-def log_corrected(alpha: float) -> SlowlyVarying:
-    return SlowlyVarying("log", alpha=alpha)
-
-
 def power_corrected(c: float, rho: float, p: float) -> SlowlyVarying:
     if c <= 0.0 or p <= 0.0:
         raise ValueError("power form needs c > 0 and p > 0")
     return SlowlyVarying("power", c=c, rho=rho, p=p)
-
-
-def log_power_corrected(alpha: float, p: float) -> SlowlyVarying:
-    if p <= 0.0:
-        raise ValueError("log-power form needs p > 0")
-    return SlowlyVarying("log-power", alpha=alpha, p=p)
-
-
-def from_table(xs, ys) -> SlowlyVarying:
-    xs = tuple(float(x) for x in xs)
-    ys = tuple(float(y) for y in ys)
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise ValueError("table form needs matching vectors of length >= 2")
-    if any(y <= 0.0 for y in ys):
-        raise ValueError("table values must be positive")
-    return SlowlyVarying("table", xs=xs, ys=ys)
-
-
-def from_config(cfg: dict) -> SlowlyVarying:
-    """Build from the JSON fragment {"form": ..., ...}."""
-    form = cfg.get("form")
-    if form == "constant":
-        return constant(cfg["c"])
-    if form == "log":
-        return log_corrected(cfg["alpha"])
-    if form == "power":
-        return power_corrected(cfg["c"], cfg["rho"], cfg["p"])
-    if form == "table":
-        return from_table(cfg["xs"], cfg["ys"])
-    raise ValueError(f"unknown slowly varying form {form!r}")
 
 
 def lambda_tail(L: SlowlyVarying, nu: float, y: float) -> float:
@@ -169,68 +69,21 @@ def lambda_tail(L: SlowlyVarying, nu: float, y: float) -> float:
     return y ** nu * L.value(1.0 / y)
 
 
-def remainder_limit(L: SlowlyVarying, nu: float) -> tuple[float, bool]:
-    """Estimate lim x^nu (L(2x)/L(x) - 1), with a convergence flag.
-
-    Declared forms with an analytic limit short-circuit the probes.  Probe
-    values growing by more than 10% at every decade step raise
-    :class:`DivergenceError`.
-    """
-    if L.form == "constant":
-        return 0.0, True
-    if L.form == "power":
-        if L.p > nu + 1e-12:
-            return 0.0, True
-        if abs(L.p - nu) <= 1e-12:
-            return L.rho * (2.0 ** (-nu) - 1.0), True
-        raise DivergenceError(
-            f"power remainder with p={L.p} decays slower than x^-{nu}"
-        )
-    r = [x ** nu * (L.value(2.0 * x) / L.value(x) - 1.0) for x in _PROBES]
-    if abs(r[1]) > 1.1 * abs(r[0]) and abs(r[2]) > 1.1 * abs(r[1]):
-        raise DivergenceError(f"remainder probes grow per decade: {r}")
-    d1, d2 = r[1] - r[0], r[2] - r[1]
-    if d2 == d1:
-        return r[2], True
-    extrapolated = r[2] - d2 * d2 / (d2 - d1)
-    return extrapolated, abs(extrapolated - r[2]) <= abs(r[2]) + 1e-30
-
-
-def solve_normalizer(L: SlowlyVarying, nu: float, t: float) -> float:
-    """Fixed point of N = [L((nu t)^{1/nu} / N)]^{-1/nu} at a given t.
-
-    The solution satisfies N^nu L((nu t)^{1/nu} / N) = 1 to 1e-12.
-    """
-    if t <= 0.0:
-        raise ValueError("normalizer requires t > 0")
-    base = (nu * t) ** (1.0 / nu)
-    n = L.value(base) ** (-1.0 / nu)
-    for _ in range(100):
-        n_next = L.value(base / n) ** (-1.0 / nu)
-        if abs(n_next - n) < 1e-12:
-            return n_next
-        n = n_next
-    raise FixedPointError(f"no fixed point after 100 iterations at t={t}")
-
-
 @dataclass(frozen=True)
 class Normalizer:
     """Evaluator for the slowly varying time normalizer N(t).
 
-    ``fixed-point`` instances solve the defining property at each t; the two
-    preset shapes used for plotting are stored verbatim as expressions.
+    The two preset shapes used for plotting, ``half-log`` and ``log-power``,
+    are stored verbatim as expressions.
     """
 
     kind: str
     nu: float = 1.0
-    L: SlowlyVarying | None = None
 
     def __call__(self, t: float) -> float:
         if self.kind == "half-log":
             return 1.0 + 0.5 / math.log(t + 1.0)
-        if self.kind == "log-power":
-            return 1.0 + math.log(t + 1.0) / t ** self.nu
-        return solve_normalizer(self.L, self.nu, t)
+        return 1.0 + math.log(t + 1.0) / t ** self.nu
 
     @staticmethod
     def half_log() -> "Normalizer":
@@ -239,10 +92,6 @@ class Normalizer:
     @staticmethod
     def log_power(nu: float) -> "Normalizer":
         return Normalizer("log-power", nu=nu)
-
-    @staticmethod
-    def fixed_point(L: SlowlyVarying, nu: float) -> "Normalizer":
-        return Normalizer("fixed-point", nu=nu, L=L)
 
 
 @dataclass(frozen=True)
@@ -258,66 +107,5 @@ class RatioSV:
 
 
 def ratio_of(Lf: SlowlyVarying, Lh: SlowlyVarying) -> RatioSV:
-    """Ratio evaluator Lh/Lf with its limit estimated or taken analytically."""
-    if Lf.form != "table" and Lh.form != "table":
-        c = Lh.limit / Lf.limit
-    else:
-        vals = [Lh.value(x) / Lf.value(x) for x in _PROBES]
-        d1, d2 = vals[1] - vals[0], vals[2] - vals[1]
-        c = vals[2] if d2 == d1 else vals[2] - d2 * d2 / (d2 - d1)
-    return RatioSV(numerator=Lh, denominator=Lf, C_L=c)
-
-
-def shift_residuals(
-    L: SlowlyVarying,
-    nu: float,
-    K: Callable[[float], float],
-    ys: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
-) -> list[tuple[float, float]]:
-    """Residual of L(1/phi(y)) = L(1/y) (1 + K(y) w(1/y)) for phi = y - y K(y).
-
-    ``w`` is the declared elasticity remainder.  K must vanish at 0 and keep
-    phi inside (0, y).
-    """
-    out = []
-    for y in ys:
-        k = K(y)
-        phi = y - y * k
-        if not 0.0 < phi <= y:
-            raise ValueError(f"phi(y) must lie in (0, y]; got {phi} at y={y}")
-        lhs = L.value(1.0 / phi)
-        rhs = L.value(1.0 / y) * (1.0 + k * L.elasticity(1.0 / y))
-        out.append((y, lhs - rhs))
-    return out
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Probe report for the scaled gap (limit - L(t)) * p * t^p / limit."""
-
-    probes: tuple[float, ...]
-    values: tuple[float, ...]
-    estimate: float
-    converged: bool
-    passes: bool
-
-
-def limit_gap_report(L: SlowlyVarying, index: float) -> GapReport:
-    """Check that (limit - L(t)) * index * t^index / limit stabilizes at 1.
-
-    Raises :class:`InapplicableError` when the remainder limit is zero, as
-    for the constant form.  A diverging remainder probe does not abort the
-    report; the drift simply shows up as a failed convergence flag.
-    """
-    try:
-        lam, _ = remainder_limit(L, index)
-    except DivergenceError:
-        lam = math.inf
-    if lam == 0.0:
-        raise InapplicableError("zero remainder limit; gap check is undefined")
-    lim = L.limit
-    probes = (1e3, 1e4, 1e5, 1e6)
-    vals = tuple((lim - L.value(t)) * index * t ** index / lim for t in probes)
-    converged = abs(vals[-1] - vals[-2]) <= 0.02 * max(1.0, abs(vals[-1]))
-    passes = converged and abs(vals[-1] - 1.0) <= 0.05
-    return GapReport(probes=probes, values=vals, estimate=vals[-1], converged=converged, passes=passes)
+    """Ratio evaluator Lh/Lf with its limit taken analytically."""
+    return RatioSV(numerator=Lh, denominator=Lf, C_L=Lh.limit / Lf.limit)

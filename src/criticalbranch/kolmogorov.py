@@ -23,19 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laws import ImmigrationLaw, OffspringLaw
-from .series import Series, _exp_coeffs, _pow_coeffs, _reciprocal_coeffs
+from .series import Series, _exp_coeffs, _pow_coeffs
 
 __all__ = [
     "TransitionSolution",
     "StepUnderflowError",
-    "InfiniteMomentError",
     "solve_gf",
     "closed_form_gf",
     "solve_gf_series",
     "gf_derivative",
     "immigration_gf",
     "immigration_gf_series",
-    "population_mean",
 ]
 
 SCALAR_RTOL = 1e-10
@@ -54,34 +52,21 @@ class StepUnderflowError(RuntimeError):
         self.t_reached = t_reached
 
 
-class InfiniteMomentError(ValueError):
-    """First moment requested for an immigration law with infinite mean."""
-
-
 @dataclass(frozen=True)
 class TransitionSolution:
     """Solution bundle for one (t, s) or one (t, series) solve.
 
-    F is the GF value (or its truncated series), R = 1 - F the survival gap,
-    tau = 1/R.  G is present for immigration solves; P carries F^i exp(G).
+    F is the GF value (or its truncated series), R = 1 - F the survival gap.
+    G is present for immigration solves; P carries F^i exp(G).
     """
 
     t: float
     s: float | None
     F: float | Series
     R: float | Series
-    tau: float | Series
     G: float | Series | None = None
     P: float | Series | None = None
-    dFds: float | None = None
     steps: int = 0
-
-    @property
-    def p_coeffs(self) -> np.ndarray:
-        """Coefficient vector p_j(t) in series mode."""
-        if not isinstance(self.F, Series):
-            raise ValueError("coefficients only exist for series-mode solutions")
-        return self.F.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +187,13 @@ def _advance_array(rhs, y0, t_end, rtol, atol):
 # Scalar solves.
 
 
+def _check_time(t: float) -> None:
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+
+
 def _check_scalar_args(t: float, s: float) -> None:
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    _check_time(t)
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must lie in [0, 1], got {s}")
 
@@ -216,10 +205,10 @@ def solve_gf(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) 
         raise ValueError("tol must be positive")
     r0 = 1.0 - s
     if r0 == 0.0 or t == 0.0:
-        return TransitionSolution(t=t, s=s, F=s, R=r0, tau=math.inf if r0 == 0.0 else 1.0 / r0)
-    rhs = lambda y: (-f_law.f_from_gap(y[0]),)
+        return TransitionSolution(t=t, s=s, F=s, R=r0)
+    rhs = lambda y: (-f_law.from_gap(y[0]),)
     (r,), steps = _advance_floats(rhs, (r0,), t, tol, (0.0,))
-    return TransitionSolution(t=t, s=s, F=1.0 - r, R=r, tau=1.0 / r, steps=steps)
+    return TransitionSolution(t=t, s=s, F=1.0 - r, R=r, steps=steps)
 
 
 def closed_form_gf(nu: float, a0: float, t: float, s: float) -> TransitionSolution:
@@ -228,9 +217,9 @@ def closed_form_gf(nu: float, a0: float, t: float, s: float) -> TransitionSoluti
         raise ValueError("closed form applies to the canonical stable family only")
     _check_scalar_args(t, s)
     if s == 1.0:
-        return TransitionSolution(t=t, s=s, F=1.0, R=0.0, tau=math.inf)
+        return TransitionSolution(t=t, s=s, F=1.0, R=0.0)
     r = ((1.0 - s) ** (-nu) + a0 * nu * t) ** (-1.0 / nu)
-    return TransitionSolution(t=t, s=s, F=1.0 - r, R=r, tau=1.0 / r)
+    return TransitionSolution(t=t, s=s, F=1.0 - r, R=r)
 
 
 def gf_derivative(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) -> float:
@@ -243,7 +232,7 @@ def gf_derivative(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_R
 
     def rhs(y):
         r, v = y
-        return (-f_law.f_from_gap(r), f_law.fprime_from_gap(r) * v)
+        return (-f_law.from_gap(r), f_law.fprime_from_gap(r) * v)
 
     (r, v), _ = _advance_floats(rhs, (1.0 - s, 1.0), t, tol, (0.0, 0.0))
     return v
@@ -267,19 +256,15 @@ def immigration_gf(
     _check_scalar_args(t, s)
     r0 = 1.0 - s
     if t == 0.0 or r0 == 0.0:
-        return TransitionSolution(
-            t=t, s=s, F=s, R=r0, tau=math.inf if r0 == 0.0 else 1.0 / r0, G=0.0, P=s ** i if i else 1.0
-        )
+        return TransitionSolution(t=t, s=s, F=s, R=r0, G=0.0, P=s ** i if i else 1.0)
 
     def rhs(y):
         r, _ = y
-        return (-f_law.f_from_gap(r), h_law.h_from_gap(r))
+        return (-f_law.from_gap(r), h_law.from_gap(r))
 
     (r, g), steps = _advance_floats(rhs, (r0, 0.0), t, tol, (0.0, min(tol * 1e-2, SCALAR_ATOL)))
     f = 1.0 - r
-    return TransitionSolution(
-        t=t, s=s, F=f, R=r, tau=1.0 / r, G=g, P=(f ** i) * math.exp(g), steps=steps
-    )
+    return TransitionSolution(t=t, s=s, F=f, R=r, G=g, P=(f ** i) * math.exp(g), steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +288,7 @@ def _gap_to_solution(t, r, g=None, i=0, steps=0) -> TransitionSolution:
     f = -r.copy()
     f[0] = 1.0 - r[0]
     F = Series(f)
-    sol_kwargs = dict(t=t, s=None, F=F, R=Series(r), tau=Series(_reciprocal_coeffs(r)), steps=steps)
+    sol_kwargs = dict(t=t, s=None, F=F, R=Series(r), steps=steps)
     if g is not None:
         eg = _exp_coeffs(g)
         p = eg if i == 0 else np.convolve(_pow_coeffs(f, float(i)), eg)[: f.size]
@@ -316,12 +301,11 @@ def solve_gf_series(
 ) -> TransitionSolution:
     """Coefficients p_j(t) of F(t;s) to order N, by the coefficient-space ODE."""
     _check_order(N)
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    _check_time(t)
     r0 = _series_init(N)
     if t == 0.0:
         return _gap_to_solution(0.0, r0)
-    rhs = lambda r: -f_law.f_from_gap_coeffs(r)
+    rhs = lambda r: -f_law.from_gap_coeffs(r)
     r, steps = _advance_array(rhs, r0, t, tol, min(tol * 1e-2, SERIES_ATOL))
     return _gap_to_solution(t, r, steps=steps)
 
@@ -336,8 +320,9 @@ def immigration_gf_series(
 ) -> TransitionSolution:
     """Coefficient vector of F^i exp(G) to order N; row i of the transition law."""
     _check_order(N)
-    if i < 0 or t < 0.0:
-        raise ValueError("need i >= 0 and t >= 0")
+    _check_time(t)
+    if i < 0:
+        raise ValueError("initial state must be nonnegative")
     n1 = N + 1
     y0 = np.concatenate([_series_init(N), np.zeros(n1)])
     if t == 0.0:
@@ -345,24 +330,8 @@ def immigration_gf_series(
 
     def rhs(y):
         r = y[:n1]
-        return np.concatenate([-f_law.f_from_gap_coeffs(r), h_law.h_from_gap_coeffs(r)])
+        return np.concatenate([-f_law.from_gap_coeffs(r), h_law.from_gap_coeffs(r)])
 
     y, steps = _advance_array(rhs, y0, t, tol, min(tol * 1e-2, SERIES_ATOL))
     return _gap_to_solution(t, y[:n1], y[n1:], i=i, steps=steps)
 
-
-def population_mean(h_law: ImmigrationLaw, criticality: float, t: float) -> float:
-    """Mean population of the immigration system started empty.
-
-    Requires a finite immigration mean; heavy-tailed laws (delta < 1) raise
-    :class:`InfiniteMomentError`.
-    """
-    hp = h_law.hprime1
-    if not math.isfinite(hp):
-        raise InfiniteMomentError("immigration law has infinite mean increment")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    a = criticality
-    if a == 0.0:
-        return hp * t
-    return hp * (math.exp(a * t) - 1.0) / a

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import karamata
+from . import karamata, series
 
 __all__ = [
     "OffspringLaw",
@@ -61,64 +61,59 @@ def _terms_rates(terms: tuple[tuple[float, float], ...], J: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class OffspringLaw:
-    """Branching rates a_j and the generating function f(s).
+def _finite_terms(rates: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """Centered terms of the polynomial sum_j rates_j s^j; the constant term is zero."""
+    terms = []
+    for m in range(1, rates.size):
+        g = (-1.0) ** m * sum(rates[j] * math.comb(j, m) for j in range(m, rates.size))
+        if abs(g) > 1e-15:
+            terms.append((g, float(m)))
+    return tuple(terms)
 
-    ``terms`` stores f in the centered form ``sum_m c_m (1-s)^{beta_m}``,
-    which evaluates stably arbitrarily close to s = 1.
+
+@dataclass(frozen=True)
+class CenteredLaw:
+    """A rate generating function in the centered form ``sum_m c_m (1-s)^{beta_m}``.
+
+    The centered form evaluates stably arbitrarily close to s = 1, and its
+    series coefficients are the rates.
     """
 
     kind: str
     terms: tuple[tuple[float, float], ...]
+
+    def value(self, s: float) -> float:
+        return self.from_gap(1.0 - s)
+
+    def from_gap(self, r):
+        """The generating function at 1 - r; stable for r near 0."""
+        return sum(c * r ** b for c, b in self.terms)
+
+    def from_gap_coeffs(self, r: np.ndarray) -> np.ndarray:
+        """Series coefficients of the generating function at 1 - R(s), given those of R."""
+        out = np.zeros_like(r)
+        for c, b in self.terms:
+            out += c * series._pow_coeffs(r, b)
+        return out
+
+    def rates_up_to(self, J: int) -> np.ndarray:
+        """Rates 0..J, the series coefficients of the generating function."""
+        return _terms_rates(self.terms, J)
+
+    def as_series(self, N: int) -> series.Series:
+        return series.Series(self.rates_up_to(N))
+
+
+@dataclass(frozen=True)
+class OffspringLaw(CenteredLaw):
+    """Branching rates a_j and the generating function f(s)."""
+
     nu: float | None
     a0: float
     a1: float
 
-    # -- evaluation ---------------------------------------------------------
-
-    def f(self, s: float) -> float:
-        return self.f_from_gap(1.0 - s)
-
-    def f_from_gap(self, r):
-        """f(1 - r); stable for r near 0."""
-        return sum(c * r ** b for c, b in self.terms)
-
-    def fprime(self, s: float) -> float:
-        return self.fprime_from_gap(1.0 - s)
-
     def fprime_from_gap(self, r):
         return -sum(c * b * r ** (b - 1.0) for c, b in self.terms)
-
-    def f_from_gap_coeffs(self, r: np.ndarray) -> np.ndarray:
-        """Series coefficients of f(1 - R(s)) given the coefficients of R."""
-        from .series import _pow_coeffs
-
-        out = np.zeros_like(r)
-        for c, b in self.terms:
-            out += c * _pow_coeffs(r, b)
-        return out
-
-    def fprime_from_gap_coeffs(self, r: np.ndarray) -> np.ndarray:
-        from .series import _pow_coeffs
-
-        out = np.zeros_like(r)
-        for c, b in self.terms:
-            out -= c * b * _pow_coeffs(r, b - 1.0)
-        return out
-
-    # -- coefficients -------------------------------------------------------
-
-    def rates_up_to(self, J: int) -> np.ndarray:
-        """Rates a_0..a_J; a_j are the series coefficients of f."""
-        return _terms_rates(self.terms, J)
-
-    def f_series(self, N: int):
-        from .series import Series
-
-        return Series(self.rates_up_to(N))
-
-    # -- summary quantities -------------------------------------------------
 
     @property
     def lifetime_mean(self) -> float:
@@ -148,37 +143,12 @@ class OffspringLaw:
 
 
 @dataclass(frozen=True)
-class ImmigrationLaw:
+class ImmigrationLaw(CenteredLaw):
     """Immigration rates b_k and the generating function h(s) <= 0 on [0,1)."""
 
-    kind: str
-    terms: tuple[tuple[float, float], ...]
     delta: float
     c: float
     kappa: float = 0.0
-
-    def h(self, s: float) -> float:
-        return self.h_from_gap(1.0 - s)
-
-    def h_from_gap(self, r):
-        return sum(c * r ** b for c, b in self.terms)
-
-    def h_from_gap_coeffs(self, r: np.ndarray) -> np.ndarray:
-        from .series import _pow_coeffs
-
-        out = np.zeros_like(r)
-        for c, b in self.terms:
-            out += c * _pow_coeffs(r, b)
-        return out
-
-    def rates_up_to(self, K: int) -> np.ndarray:
-        """Rates b_0..b_K; b_k are the series coefficients of h."""
-        return _terms_rates(self.terms, K)
-
-    def h_series(self, N: int):
-        from .series import Series
-
-        return Series(self.rates_up_to(N))
 
     @property
     def b0(self) -> float:
@@ -263,15 +233,10 @@ def make_finite_offspring(rates) -> OffspringLaw:
         raise ValueError("rates a_j must be nonnegative for j != 1")
     if abs(a.sum()) > 1e-12 * np.abs(a).sum():
         raise ValueError("rates must balance: sum_j a_j = 0")
-    terms = []
-    for m in range(1, a.size):
-        g = (-1.0) ** m * sum(a[j] * math.comb(j, m) for j in range(m, a.size))
-        if abs(g) > 1e-15:
-            terms.append((g, float(m)))
     critical = abs(a @ np.arange(a.size)) <= 1e-12 * np.abs(a).sum()
     return OffspringLaw(
         kind="finite",
-        terms=tuple(terms),
+        terms=_finite_terms(a),
         nu=1.0 if critical else None,
         a0=float(a[0]),
         a1=float(a[1]),
@@ -308,14 +273,7 @@ def make_finite_immigration(rates) -> ImmigrationLaw:
         raise ValueError("need b_0 < 0 and b_k >= 0 for k >= 1")
     if abs(b.sum()) > 1e-12 * np.abs(b).sum():
         raise ValueError("rates must balance: b_0 = -sum_k b_k")
-    terms = []
-    for m in range(1, b.size):
-        g = (-1.0) ** m * sum(b[j] * math.comb(j, m) for j in range(m, b.size))
-        if abs(g) > 1e-15:
-            terms.append((g, float(m)))
-    return ImmigrationLaw(
-        kind="finite", terms=tuple(terms), delta=1.0, c=float(-b[0]), kappa=0.0
-    )
+    return ImmigrationLaw(kind="finite", terms=_finite_terms(b), delta=1.0, c=float(-b[0]), kappa=0.0)
 
 
 def classify(f_law: OffspringLaw, h_law: ImmigrationLaw) -> RegimeParams:
@@ -336,23 +294,35 @@ def classify(f_law: OffspringLaw, h_law: ImmigrationLaw) -> RegimeParams:
     )
 
 
-def offspring_from_config(cfg: dict) -> OffspringLaw:
+# Config dispatch: kind -> (builder, required keys in argument order).
+_OFFSPRING_KINDS = {
+    "canonical": (make_stable_offspring, ("nu", "a0")),
+    "perturbed": (make_perturbed_offspring, ("nu", "a0", "rho", "p")),
+    "finite": (make_finite_offspring, ("rates",)),
+}
+_IMMIGRATION_KINDS = {
+    "canonical": (make_stable_immigration, ("delta", "c")),
+    "perturbed": (make_stable_immigration, ("delta", "c", "kappa")),
+    "finite": (make_finite_immigration, ("rates",)),
+}
+
+
+def _from_config(cfg: dict, kinds: dict, what: str):
     kind = cfg.get("kind")
-    if kind == "canonical":
-        return make_stable_offspring(cfg["nu"], cfg["a0"])
-    if kind == "perturbed":
-        return make_perturbed_offspring(cfg["nu"], cfg["a0"], cfg["rho"], cfg["p"])
-    if kind == "finite":
-        return make_finite_offspring(cfg["rates"])
-    raise ValueError(f"unknown offspring kind {kind!r}")
+    if kind not in kinds:
+        raise ValueError(f"unknown {what} kind {kind!r} at $.{what}.kind")
+    build, keys = kinds[kind]
+    for key in keys:
+        if key not in cfg:
+            raise ValueError(f"missing required key at $.{what}.{key}")
+    return build(*(cfg[key] for key in keys))
+
+
+def offspring_from_config(cfg: dict) -> OffspringLaw:
+    """Offspring law from its JSON fragment ``{"kind": ..., ...}``."""
+    return _from_config(cfg, _OFFSPRING_KINDS, "offspring")
 
 
 def immigration_from_config(cfg: dict) -> ImmigrationLaw:
-    kind = cfg.get("kind")
-    if kind == "canonical":
-        return make_stable_immigration(cfg["delta"], cfg["c"])
-    if kind == "perturbed":
-        return make_stable_immigration(cfg["delta"], cfg["c"], cfg["kappa"])
-    if kind == "finite":
-        return make_finite_immigration(cfg["rates"])
-    raise ValueError(f"unknown immigration kind {kind!r}")
+    """Immigration law from its JSON fragment ``{"kind": ..., ...}``."""
+    return _from_config(cfg, _IMMIGRATION_KINDS, "immigration")

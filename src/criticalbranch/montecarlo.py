@@ -66,6 +66,10 @@ class SimConfig:
             raise ValueError("need at least one replica")
         if self.cap < 1:
             raise ValueError("population cap must be positive")
+        if self.cap > _CDF_BOUND:
+            # a uniform past the sampler table jumps by the bound; only a cap within the bound
+            # turns that jump into a capped path
+            raise ValueError(f"population cap must not exceed the sampler table bound {_CDF_BOUND}")
         g = tuple(float(t) for t in self.grid)
         if any(t < 0 for t in g) or list(g) != sorted(g):
             raise ValueError("grid must be sorted and nonnegative")

@@ -13,20 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_ORDER = 256
-
 __all__ = [
-    "DEFAULT_ORDER",
     "Series",
-    "constant",
-    "identity",
     "mul",
     "compose",
     "exp_series",
-    "log_series",
     "integrate_series",
-    "differentiate_series",
-    "eval_at",
     "reciprocal",
     "power",
     "taylor_shift",
@@ -78,20 +70,6 @@ class Series:
         return Series(self.coeffs * other)
 
     __rmul__ = __mul__
-
-
-def constant(value: float, order: int = DEFAULT_ORDER) -> Series:
-    c = np.zeros(order + 1)
-    c[0] = value
-    return Series(c)
-
-
-def identity(order: int = DEFAULT_ORDER) -> Series:
-    """The series of s itself."""
-    c = np.zeros(order + 1)
-    if order >= 1:
-        c[1] = 1.0
-    return Series(c)
 
 
 def mul(a: Series, b: Series) -> Series:
@@ -153,20 +131,6 @@ def exp_series(g: Series) -> Series:
     return Series(_exp_coeffs(g.coeffs))
 
 
-def log_series(e: Series) -> Series:
-    """log(e) for a series with positive constant term."""
-    c = e.coeffs
-    if c[0] <= 0.0:
-        raise ValueError("log of a series requires a positive constant term")
-    n = c.size
-    g = np.empty(n)
-    g[0] = math.log(c[0])
-    for k in range(1, n):
-        s = np.dot(np.arange(1, k) * g[1:k], c[k - 1 : 0 : -1]) if k > 1 else 0.0
-        g[k] = (k * c[k] - s) / (k * c[0])
-    return Series(g)
-
-
 def integrate_series(g: Series) -> Series:
     """Term-wise antiderivative with zero constant term; order grows by one."""
     c = g.coeffs
@@ -174,24 +138,6 @@ def integrate_series(g: Series) -> Series:
     out[0] = 0.0
     out[1:] = c / np.arange(1, c.size + 1)
     return Series(out)
-
-
-def differentiate_series(g: Series) -> Series:
-    """Term-wise derivative; order drops by one."""
-    c = g.coeffs
-    if c.size == 1:
-        return Series(np.zeros(1))
-    return Series(c[1:] * np.arange(1, c.size))
-
-
-def eval_at(g: Series, s: float) -> float:
-    """Horner evaluation of the truncation at |s| <= 1."""
-    if abs(s) > 1.0:
-        raise ValueError("evaluation point must satisfy |s| <= 1")
-    acc = 0.0
-    for c in g.coeffs[::-1]:
-        acc = acc * s + c
-    return float(acc)
 
 
 def _reciprocal_coeffs(a: np.ndarray) -> np.ndarray:

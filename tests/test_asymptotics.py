@@ -5,13 +5,14 @@ import pytest
 
 from criticalbranch import asymptotics as asy
 from criticalbranch import karamata as km
+from criticalbranch.cli import figure_rows
 from criticalbranch import (
     classify,
     make_perturbed_offspring,
     make_stable_immigration,
     make_stable_offspring,
 )
-from criticalbranch.kolmogorov import closed_form_gf, solve_gf
+from criticalbranch.kolmogorov import closed_form_gf, immigration_gf, solve_gf
 
 HALF = make_stable_offspring(0.5, 1.0)
 BINARY = make_stable_offspring(1.0, 1.0)
@@ -67,27 +68,6 @@ class TestSurvivalExpansion:
             assert abs((nu * t) ** (1.0 / nu) * q - 1.0) <= 2.0 / (nu**2 * t)
 
 
-class TestBalanceResiduals:
-    def test_canonical_is_exact(self):
-        L = HALF.slowly_varying()
-        res = asy.balance_residuals(HALF, L, 20.0, 0.3)
-        assert abs(res.residual_exact) <= 1e-9
-        # with a flat factor the drift term vanishes and lhs equals nu t
-        assert res.lhs == pytest.approx(0.5 * 20.0, abs=1e-7)
-
-    def test_time_zero(self):
-        res = asy.balance_residuals(HALF, HALF.slowly_varying(), 0.0, 0.3)
-        assert res.residual_exact == 0.0 and res.residual_asymptotic == 0.0
-
-    def test_power_corrected_factor(self):
-        law = make_perturbed_offspring(0.5, 1.0, rho=0.3, p=0.5)
-        L = law.slowly_varying()
-        for t in (5.0, 50.0, 500.0):
-            res = asy.balance_residuals(law, L, t, 0.2)
-            assert abs(res.residual_exact) <= 1e-8
-            assert abs(res.residual_asymptotic) <= 5.0 * math.log(t + 2.0)
-
-
 class TestLocalRatio:
     def test_unit_index_measured_closed_form(self):
         for t in (5.0, 50.0):
@@ -96,9 +76,9 @@ class TestLocalRatio:
             assert measured * t == pytest.approx(1.0, abs=2.0 / t)
 
     def test_predicted_factor_at_figure_point(self):
-        # 1 + ln(a0 nu t)/(nu^2 t) at (0.2, 0.9, 50) is 1 + ln(9)/2
-        got = asy.local_ratio_predicted(0.2, 0.9, 50.0)
-        assert got * (0.9 * 0.2 * 50.0) == pytest.approx(1.0 + math.log(9.0) / 2.0, abs=1e-12)
+        # the plotted p1/q is (1 + ln(a0 nu t)/(nu^2 t)) / (a0 nu t); at (0.2, 0.9, 50) the factor is 1 + ln(9)/2
+        ((_, q, p1),) = figure_rows(0.2, 0.9, "half-log", [50.0])
+        assert p1 / q * (0.9 * 0.2 * 50.0) == pytest.approx(1.0 + math.log(9.0) / 2.0, abs=1e-12)
 
     def test_large_time_agreement(self):
         t = 1e4
@@ -190,34 +170,46 @@ class TestRatioLimit:
         assert series.coeffs[1] == pytest.approx(0.1, abs=1e-14)
 
 
+def tail_defect(ratio, t):
+    """J_mu(t): the tail-gap integral truncated at 1/q(t)."""
+    return asy._tail_gap_integral(ratio, abs(REGIME.gamma), 1.0 / solve_gf(HALF, t, 0.0).R)
+
+
+def scaled_p00(h_law, t):
+    """e^(T(t)) p_00(t), the scaled probability of an empty population."""
+    q = solve_gf(HALF, t, 0.0).R
+    return math.exp(q ** (-abs(REGIME.gamma)) + immigration_gf(HALF, h_law, 0, t, 0.0).G)
+
+
 class TestScalingConstant:
+    # u_0 = U(0) = exp{1 + B(0)}; at finite t the scaled p_00 equals
+    # u_0 (1 - J_mu(t)) up to second order in the defect J_mu(t)
     def test_canonical_values(self):
-        res = asy.scaling_constant(HALF, IMM, REGIME, RATIO, 100.0)
-        assert res.u0 == pytest.approx(math.e, abs=1e-14)
-        assert res.J_mu == 0.0
-        assert abs(res.residual) <= 1e-8
+        u0 = asy.limit_gf(REGIME, RATIO, 0.0)
+        assert u0 == pytest.approx(math.e, abs=1e-14)
+        assert tail_defect(RATIO, 100.0) == 0.0
+        assert abs(scaled_p00(IMM, 100.0) - u0) <= 1e-8
 
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.7])
     def test_measure_factorization_identity(self, s):
-        u0 = asy.scaling_constant(HALF, IMM, REGIME, RATIO, 10.0).u0
+        u0 = asy.limit_gf(REGIME, RATIO, 0.0)
         assert u0 * asy.ratio_limit_gf(HALF, IMM, s) == pytest.approx(
             asy.limit_gf(REGIME, RATIO, s), abs=1e-10
         )
 
     def test_perturbed_constant_and_defect_scaling(self):
-        res = asy.scaling_constant(HALF, IMM_PERTURBED, REGIME, RATIO_PERTURBED, 100.0)
-        assert res.u0 == pytest.approx(math.exp(1.0 - 0.25 / REGIME.mu), rel=1e-10)
+        u0 = asy.limit_gf(REGIME, RATIO_PERTURBED, 0.0)
+        assert u0 == pytest.approx(math.exp(1.0 - 0.25 / REGIME.mu), rel=1e-10)
         # defect scales like q(t)^mu; fitted exponent within 10%
         ts = [50.0, 200.0, 800.0, 3200.0]
-        js, qs = [], []
-        for t in ts:
-            js.append(abs(asy.scaling_constant(HALF, IMM_PERTURBED, REGIME, RATIO_PERTURBED, t).J_mu))
-            qs.append(solve_gf(HALF, t, 0.0).R)
+        js = [abs(tail_defect(RATIO_PERTURBED, t)) for t in ts]
+        qs = [solve_gf(HALF, t, 0.0).R for t in ts]
         slope = np.polyfit(np.log(qs), np.log(js), 1)[0]
         assert slope == pytest.approx(REGIME.mu, rel=0.1)
         # residual is second order in the defect
+        residual = scaled_p00(IMM_PERTURBED, 100.0) - u0 * (1.0 - tail_defect(RATIO_PERTURBED, 100.0))
         x = 0.8333333333333333 * qs[0] ** REGIME.mu
-        assert abs(res.residual) <= res.u0 * x**2
+        assert abs(residual) <= u0 * x**2
 
 
 class TestConditionedGf:
@@ -245,12 +237,17 @@ class TestConditionedGf:
         assert slope == pytest.approx(-1.0, abs=0.1)
 
 
+def relative_local_gf(f_law, t, s):
+    """(q(t)/p_1(t)) times the conditioned GF; converges to a0 M(s)."""
+    return asy.conditioned_gf(f_law, t, s).value / asy.local_ratio_measured(f_law, t)
+
+
 class TestRelativeLocalGf:
     def test_vanishes_at_origin(self):
-        assert asy.relative_local_gf(BINARY, 5.0, 0.0) == 0.0
+        assert relative_local_gf(BINARY, 5.0, 0.0) == 0.0
 
     def test_unit_index_limit(self):
-        got = asy.relative_local_gf(BINARY, 1000.0, 0.5)
+        got = relative_local_gf(BINARY, 1000.0, 0.5)
         want = BINARY.a0 * asy.invariant_gf(BINARY, 0.5)
         assert got == pytest.approx(want, rel=5e-3)
 

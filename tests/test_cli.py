@@ -211,3 +211,56 @@ class TestFlags:
         lines = (tmp_path / "figure_nu0.5_a01.0_log-power.csv").read_text().splitlines()
         assert len(lines) == 3 + 6
         assert lines[3].split(",")[0] == "5"
+
+
+def assert_one_line_error(code, capsys, needle):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, literal):
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0}, "t": [%s], "s": [0.5]}' % literal
+        )
+        code = run_cli("solve", "--config", str(path), "--out", str(tmp_path))
+        assert_one_line_error(code, capsys, literal)
+        assert not (tmp_path / "solve.csv").exists()
+
+    @pytest.mark.parametrize(
+        "grid,path",
+        [({"t_step": 0}, "$.t_step"), ({"t_step": -0.5}, "$.t_step"), ({"t_start": 10, "t_stop": 5}, "$.t_stop")],
+    )
+    def test_figure_grid_rejected(self, tmp_path, capsys, grid, path):
+        config = write_config(tmp_path, {"nu": 0.5, "a0": 1.0, **grid})
+        code = run_cli("figure-data", "--config", config, "--out", str(tmp_path))
+        assert_one_line_error(code, capsys, path)
+        assert not list(tmp_path.glob("figure_*.csv"))
+
+    def test_ratio_without_denominator_paths(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            {
+                "offspring": {"kind": "finite", "rates": [1.0, -2.0, 1.0]},
+                "immigration": {"kind": "finite", "rates": [-1.0, 1.0]},
+                "grid": [50.0],
+                "replicas": 200,
+                "seed": 16,
+                "estimators": [{"kind": "ratio", "t": 50.0, "j": 1}],
+            },
+        )
+        code = run_cli("simulate", "--config", config, "--out", str(tmp_path))
+        assert_one_line_error(code, capsys, "below 100")
+
+    @pytest.mark.parametrize("order", [-3, 1025])
+    def test_invariant_order_bounded(self, tmp_path, capsys, order):
+        config = write_config(
+            tmp_path,
+            {"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0}, "measures": ["M"], "order": order},
+        )
+        code = run_cli("invariant", "--config", config, "--out", str(tmp_path))
+        assert_one_line_error(code, capsys, "$.order")

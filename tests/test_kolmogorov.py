@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,16 +13,13 @@ from criticalbranch import (
     make_stable_offspring,
 )
 from criticalbranch.kolmogorov import (
-    InfiniteMomentError,
     closed_form_gf,
     gf_derivative,
     immigration_gf,
     immigration_gf_series,
-    population_mean,
     solve_gf,
     solve_gf_series,
 )
-from criticalbranch.series import eval_at
 
 
 HALF = make_stable_offspring(0.5, 1.0)
@@ -45,6 +43,9 @@ class TestSolveGf:
             solve_gf(HALF, 1.0, 1.5)
         with pytest.raises(ValueError):
             solve_gf(HALF, 1.0, 0.5, tol=0.0)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                solve_gf(HALF, t, 0.5)
 
 
 class TestClosedForm:
@@ -76,11 +77,11 @@ class TestSeriesMode:
     def test_eval_matches_scalar(self):
         sol = solve_gf_series(HALF, 10.0, 256)
         scalar = solve_gf(HALF, 10.0, 0.5).F
-        assert abs(eval_at(sol.F, 0.5) - scalar) < 1e-8
+        assert abs(polyval(0.5, sol.F.coeffs) - scalar) < 1e-8
 
     def test_eval_at_zero_is_extinction_probability(self):
         sol = solve_gf_series(HALF, 3.0, 64)
-        assert abs(eval_at(sol.F, 0.0) - solve_gf(HALF, 3.0, 0.0).F) < 1e-8
+        assert abs(polyval(0.0, sol.F.coeffs) - solve_gf(HALF, 3.0, 0.0).F) < 1e-8
 
     def test_coefficients_are_probabilities(self):
         sol = solve_gf_series(HALF, 2.0, 128)
@@ -143,27 +144,7 @@ class TestImmigrationGf:
         h_law = make_stable_immigration(0.4, 0.1)
         sol = immigration_gf_series(HALF, h_law, 0, 1.0, 64)
         scalar = immigration_gf(HALF, h_law, 0, 1.0, 0.5)
-        assert abs(eval_at(sol.P, 0.5) - scalar.P) < 1e-8
-
-
-class TestPopulationMean:
-    def test_critical_linear_growth(self):
-        h_law = make_stable_immigration(1.0, 1.0)
-        assert population_mean(h_law, 0.0, 3.0) == pytest.approx(3.0)
-
-    def test_time_zero(self):
-        h_law = make_stable_immigration(1.0, 2.0)
-        assert population_mean(h_law, 0.0, 0.0) == 0.0
-
-    def test_noncritical_branch(self):
-        h_law = make_finite_immigration([-1.0, 1.0])
-        a = -0.5
-        assert population_mean(h_law, a, 2.0) == pytest.approx((math.exp(-1.0) - 1.0) / a)
-
-    def test_heavy_tail_raises(self):
-        h_law = make_stable_immigration(0.4, 0.1)
-        with pytest.raises(InfiniteMomentError):
-            population_mean(h_law, 0.0, 1.0)
+        assert abs(polyval(0.5, sol.P.coeffs) - scalar.P) < 1e-8
 
 
 class TestFlowIdentities:
@@ -178,8 +159,8 @@ class TestFlowIdentities:
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.7])
     @pytest.mark.parametrize("t", [0.5, 2.0, 10.0])
     def test_forward_equation_residual(self, s, t):
-        f_of_F = HALF.f(solve_gf(HALF, t, s).F)
-        rhs = HALF.f(s) * gf_derivative(HALF, t, s)
+        f_of_F = HALF.value(solve_gf(HALF, t, s).F)
+        rhs = HALF.value(s) * gf_derivative(HALF, t, s)
         assert abs(f_of_F - rhs) <= 1e-6
 
     def test_invariant_gf_shift(self):

@@ -13,6 +13,7 @@ from criticalbranch import (
     make_stable_immigration,
     make_stable_offspring,
 )
+from criticalbranch.laws import immigration_from_config, offspring_from_config
 
 
 class TestStableOffspring:
@@ -20,7 +21,7 @@ class TestStableOffspring:
         law = make_stable_offspring(1.0, 1.0)
         rates = law.rates_up_to(6)
         assert np.allclose(rates, [1.0, -2.0, 1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
-        assert law.f(0.25) == pytest.approx(0.75**2)
+        assert law.value(0.25) == pytest.approx(0.75**2)
 
     def test_half_index_coefficients(self):
         # a2 = binom(1.5, 2), a3 = a2 * (2 - 1 - 0.5) / 3
@@ -31,7 +32,7 @@ class TestStableOffspring:
 
     def test_figure_preset_parameters(self):
         law = make_stable_offspring(0.2, 0.9)
-        assert law.f(0.5) == pytest.approx(0.9 * 0.5**1.2)
+        assert law.value(0.5) == pytest.approx(0.9 * 0.5**1.2)
         assert law.criticality == 0.0
 
     def test_domain_errors(self):
@@ -109,7 +110,7 @@ class TestFiniteLaws:
     def test_binary_critical_centered_form(self):
         law = make_finite_offspring([1.0, -2.0, 1.0])
         assert law.nu == 1.0
-        assert law.f_from_gap(0.25) == pytest.approx(0.25**2)
+        assert law.from_gap(0.25) == pytest.approx(0.25**2)
 
     def test_immigration_balance_required(self):
         with pytest.raises(ValueError):
@@ -118,7 +119,7 @@ class TestFiniteLaws:
     def test_single_arrival_mean(self):
         law = make_finite_immigration([-1.0, 1.0])
         assert law.hprime1 == pytest.approx(1.0)
-        assert law.h(0.0) == pytest.approx(-1.0)
+        assert law.value(0.0) == pytest.approx(-1.0)
 
 
 class TestClassify:
@@ -150,12 +151,33 @@ class TestPerturbedOffspring:
     def test_matches_component_sum(self):
         law = make_perturbed_offspring(0.5, 1.0, rho=0.3, p=0.5)
         r = 0.2
-        assert law.f_from_gap(r) == pytest.approx(r**1.5 + 0.3 * r**2)
+        assert law.from_gap(r) == pytest.approx(r**1.5 + 0.3 * r**2)
         assert law.slowly_varying().value(5.0) == pytest.approx(1.0 + 0.3 * 5.0**-0.5)
 
     def test_still_critical(self):
         law = make_perturbed_offspring(0.5, 1.0, rho=0.3, p=0.5)
         assert law.criticality == 0.0
+
+
+class TestFromConfig:
+    def test_builds_the_declared_law(self):
+        fragment = {"kind": "perturbed", "nu": 0.5, "a0": 1.0, "rho": 0.3, "p": 0.5}
+        assert offspring_from_config(fragment) == make_perturbed_offspring(0.5, 1.0, 0.3, 0.5)
+        fragment = {"kind": "perturbed", "delta": 0.4, "c": 0.1, "kappa": 0.25}
+        assert immigration_from_config(fragment) == make_stable_immigration(0.4, 0.1, 0.25)
+
+    @pytest.mark.parametrize(
+        "build,fragment,path",
+        [
+            (offspring_from_config, {"kind": "perturbed", "nu": 0.5, "a0": 1.0, "rho": 0.3}, "$.offspring.p"),
+            (immigration_from_config, {"kind": "canonical", "delta": 0.4}, "$.immigration.c"),
+            (immigration_from_config, {"kind": "stable", "delta": 0.4, "c": 0.1}, "$.immigration.kind"),
+        ],
+    )
+    def test_errors_name_the_key(self, build, fragment, path):
+        with pytest.raises(ValueError) as info:
+            build(fragment)
+        assert str(info.value).endswith(path)
 
 
 @given(
@@ -170,5 +192,5 @@ def test_canonical_coefficients_nonnegative(nu, a0):
     assert rates[1] < 0.0
     assert np.all(rates[2:] >= -1e-14)
     # generating function vanishes at 1 and stays positive below it
-    assert law.f_from_gap(0.0) == 0.0
-    assert law.f(0.9) > 0.0
+    assert law.from_gap(0.0) == 0.0
+    assert law.value(0.9) > 0.0

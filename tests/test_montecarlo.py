@@ -84,6 +84,9 @@ class TestSimulate:
             mc.SimConfig(offspring=HALF, immigration=None, grid=(2.0, 1.0), replicas=10, seed=1)
         with pytest.raises(ValueError):
             mc.SimConfig(offspring=HALF, immigration=None, grid=(1.0,), replicas=10, seed=1, cap=0)
+        # a cap past the sampler table would let an overflowing draw through uncapped
+        with pytest.raises(ValueError, match="table bound"):
+            mc.SimConfig(offspring=HALF, immigration=None, grid=(1.0,), replicas=10, seed=1, cap=mc._CDF_BOUND + 1)
 
 
 class TestEstimate:

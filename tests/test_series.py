@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyder
 
 from criticalbranch import series as fps
 from criticalbranch.series import Series
@@ -23,7 +24,7 @@ def test_mul_polynomials():
     one_plus = Series(np.array([1.0, 1.0, 0.0]))
     one_minus = Series(np.array([1.0, -1.0, 0.0]))
     assert np.allclose(fps.mul(one_plus, one_minus).coeffs, [1.0, 0.0, -1.0])
-    s = fps.identity(4)
+    s = Series(np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
     assert np.allclose(fps.mul(s, s).coeffs, [0.0, 0.0, 1.0, 0.0, 0.0])
 
 
@@ -41,8 +42,8 @@ def test_sqrt_square_matches_binomial_oracle():
 
 
 def test_compose_constant_inner():
-    expo = fps.exp_series(fps.identity(6))
-    zero = fps.constant(0.0, 6)
+    expo = fps.exp_series(Series(np.array([0.0, 1.0, 0, 0, 0, 0, 0])))
+    zero = Series(np.zeros(7))
     out = fps.compose(expo, zero)
     assert np.allclose(out.coeffs, [1.0, 0, 0, 0, 0, 0, 0])
 
@@ -72,8 +73,8 @@ def test_compose_shift_identity_through_the_flow():
 
 
 def test_exp_series_examples():
-    assert np.allclose(fps.exp_series(fps.constant(0.0, 5)).coeffs, [1, 0, 0, 0, 0, 0])
-    got = fps.exp_series(fps.identity(4)).coeffs
+    assert np.allclose(fps.exp_series(Series(np.zeros(6))).coeffs, [1, 0, 0, 0, 0, 0])
+    got = fps.exp_series(Series(np.array([0.0, 1.0, 0.0, 0.0, 0.0]))).coeffs
     assert np.allclose(got, [1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0])
 
 
@@ -87,30 +88,21 @@ def test_exp_of_tail_power_series():
 
 def test_exp_series_overflow_guard():
     with pytest.raises(OverflowError):
-        fps.exp_series(fps.constant(701.0, 4))
+        fps.exp_series(Series(np.array([701.0, 0.0, 0.0, 0.0, 0.0])))
 
 
 def test_integrate_differentiate():
     g = Series(np.array([1.0, 1.0, 1.0]))
-    assert np.allclose(fps.differentiate_series(g).coeffs, [1.0, 2.0])
-    assert np.allclose(fps.integrate_series(fps.constant(1.0, 0)).coeffs, [0.0, 1.0])
+    assert np.allclose(polyder(fps.integrate_series(g).coeffs), g.coeffs)
+    assert np.allclose(fps.integrate_series(Series(np.ones(1))).coeffs, [0.0, 1.0])
     assert fps.integrate_series(g).order == g.order + 1
-    assert fps.differentiate_series(g).order == g.order - 1
 
 
 def test_integrate_of_derivative_restores_tail():
     g = Series(np.array([3.0, -1.0, 2.0, 0.5]))
-    back = fps.integrate_series(fps.differentiate_series(g))
+    back = fps.integrate_series(Series(polyder(g.coeffs)))
     assert np.allclose(back.coeffs[1:4], g.coeffs[1:4])
     assert back[0] == 0.0
-
-
-def test_eval_at_constant_and_geometric():
-    assert fps.eval_at(fps.constant(7.0, 3), 0.3) == 7.0
-    geom = Series(np.ones(61))
-    assert abs(fps.eval_at(geom, 0.5) - 2.0) < 1e-12
-    with pytest.raises(ValueError):
-        fps.eval_at(geom, 1.5)
 
 
 def test_reciprocal_geometric():
@@ -151,15 +143,8 @@ def test_mul_associative_to_tolerance(a, b, c):
 @given(small_series)
 @settings(max_examples=60)
 def test_compose_with_identity(a):
-    out = fps.compose(a, fps.identity(a.order))
+    identity = np.zeros(a.order + 1)
+    identity[1:2] = 1.0
+    out = fps.compose(a, Series(identity))
     assert np.allclose(out.coeffs, a.coeffs, rtol=1e-12, atol=1e-12)
 
-
-@given(
-    st.lists(st.floats(min_value=-0.5, max_value=0.5, allow_nan=False), min_size=1, max_size=10)
-)
-@settings(max_examples=60)
-def test_exp_log_round_trip(xs):
-    g = Series(np.array([1.5] + xs))
-    back = fps.log_series(fps.exp_series(g))
-    assert np.max(np.abs(back.coeffs - g.coeffs)) < 1e-11
