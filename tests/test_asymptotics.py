@@ -68,6 +68,53 @@ class TestSurvivalExpansion:
             assert abs((nu * t) ** (1.0 / nu) * q - 1.0) <= 2.0 / (nu**2 * t)
 
 
+def balance_lhs(L, nu, r, s):
+    """1/Lambda(R(t;s)) - 1/Lambda(1-s) for the gap R(t;s) = r."""
+    return 1.0 / km.lambda_tail(L, nu, r) - 1.0 / km.lambda_tail(L, nu, 1.0 - s)
+
+
+def drift_integral(f_law, L, t, s, nodes=16):
+    """integral_0^t sigma(R(u;s)) du with sigma(y) = -p u/(1+u), u = rho y^p.
+
+    sigma is the elasticity of the power form L at 1/y; composite
+    Gauss-Legendre on decade panels, each node a separate gap solve.
+    """
+    edges = [0.0] + [e for e in (0.1, 1.0, 10.0, 100.0) if e < t] + [t]
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        for xi, wi in zip(x, w):
+            r = solve_gf(f_law, 0.5 * (b - a) * xi + 0.5 * (a + b), s, tol=1e-12).R
+            u = L.rho * r**L.p
+            total += 0.5 * (b - a) * wi * (-L.p * u / (1.0 + u))
+    return total
+
+
+class TestBalanceResiduals:
+    # 1/Lambda(R(t;s)) - 1/Lambda(1-s) = nu t - integral_0^t sigma(R(u;s)) du
+
+    def test_canonical_is_exact(self):
+        # with a flat factor the drift term vanishes and the left side is nu t
+        L = HALF.slowly_varying()
+        lhs = balance_lhs(L, 0.5, solve_gf(HALF, 20.0, 0.3, tol=1e-10).R, 0.3)
+        assert abs(lhs - 0.5 * 20.0) <= 1e-9
+
+    def test_time_zero(self):
+        L = HALF.slowly_varying()
+        assert balance_lhs(L, 0.5, solve_gf(HALF, 0.0, 0.3).R, 0.3) == 0.0
+
+    def test_power_corrected_factor(self):
+        law = make_perturbed_offspring(0.5, 1.0, rho=0.3, p=0.5)
+        L = law.slowly_varying()
+        nu, s = 0.5, 0.2
+        for t in (5.0, 50.0, 500.0):
+            lhs = balance_lhs(L, nu, solve_gf(law, t, s, tol=1e-12).R, s)
+            assert abs(lhs - nu * t + drift_integral(law, L, t, s)) <= 1e-8
+            # the slowly growing correction nu t - (1/nu) ln(Lambda(1-s) nu t)
+            asym = nu * t - math.log(km.lambda_tail(L, nu, 1.0 - s) * nu * t) / nu
+            assert abs(lhs - asym) <= 5.0 * math.log(t + 2.0)
+
+
 class TestLocalRatio:
     def test_unit_index_measured_closed_form(self):
         for t in (5.0, 50.0):

@@ -147,6 +147,32 @@ class TestImmigrationGf:
         assert abs(polyval(0.5, sol.P.coeffs) - scalar.P) < 1e-8
 
 
+def immigration_mean(f_law, h_law, t, eps=1e-7):
+    """Mean population from the empty state: dG/ds at s = 1 by a one-sided difference."""
+    return -immigration_gf(f_law, h_law, 0, t, 1.0 - eps, tol=1e-12).G / eps
+
+
+class TestPopulationMean:
+    # E Z(t) = h'(1) (e^{a t} - 1) / a, and h'(1) t for a critical law (a = 0)
+
+    def test_critical_linear_growth(self):
+        h_law = make_stable_immigration(1.0, 1.0)
+        assert BINARY.criticality == 0.0
+        assert immigration_mean(BINARY, h_law, 3.0) == pytest.approx(h_law.hprime1 * 3.0)
+        assert h_law.hprime1 == 1.0
+
+    def test_time_zero(self):
+        h_law = make_stable_immigration(1.0, 2.0)
+        assert immigration_mean(BINARY, h_law, 0.0) == 0.0
+
+    def test_noncritical_branch(self):
+        f_law = make_finite_offspring([0.75, -1.0, 0.25])
+        h_law = make_finite_immigration([-1.0, 1.0])
+        a = f_law.criticality
+        assert a == -0.5
+        assert immigration_mean(f_law, h_law, 2.0) == pytest.approx((math.exp(-1.0) - 1.0) / a)
+
+
 class TestFlowIdentities:
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.7])
     def test_semigroup_property(self, s):

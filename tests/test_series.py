@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.polynomial import polyder
+from numpy.polynomial.polynomial import polyder, polyval
 
 from criticalbranch import series as fps
 from criticalbranch.series import Series
@@ -105,6 +105,12 @@ def test_integrate_of_derivative_restores_tail():
     assert back[0] == 0.0
 
 
+def test_eval_at_constant_and_geometric():
+    assert polyval(0.3, Series(np.array([7.0, 0.0, 0.0, 0.0])).coeffs) == 7.0
+    geom = fps.reciprocal(Series(np.array([1.0, -1.0] + [0.0] * 59)))
+    assert abs(polyval(0.5, geom.coeffs) - 2.0) < 1e-12
+
+
 def test_reciprocal_geometric():
     rec = fps.reciprocal(Series(np.array([1.0, -1.0, 0.0, 0.0])))
     assert np.allclose(rec.coeffs, np.ones(4))
@@ -148,3 +154,16 @@ def test_compose_with_identity(a):
     out = fps.compose(a, Series(identity))
     assert np.allclose(out.coeffs, a.coeffs, rtol=1e-12, atol=1e-12)
 
+
+
+@given(
+    st.lists(st.floats(min_value=-0.5, max_value=0.5, allow_nan=False), min_size=1, max_size=10)
+)
+@settings(max_examples=60)
+def test_exp_log_round_trip(xs):
+    # log E = ln E_0 + integral of E'/E, built from the reciprocal and the antiderivative
+    g = Series(np.array([1.5] + xs))
+    e = fps.exp_series(g).coeffs
+    dlog = fps.mul(Series(polyder(e)), fps.reciprocal(Series(e)))
+    back = fps.integrate_series(dlog) + math.log(e[0])
+    assert np.max(np.abs(back.coeffs - g.coeffs)) < 1e-11
