@@ -24,7 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__, asymptotics, karamata, montecarlo
-from .kolmogorov import _MAX_ORDER, immigration_gf, solve_gf
+from .kolmogorov import _MAX_ORDER, StepUnderflowError, immigration_gf, solve_gf
 from .laws import classify, immigration_from_config, offspring_from_config
 
 __all__ = ["main", "SchemaError", "figure_rows", "report_rows", "FIGURE_PRESETS"]
@@ -225,6 +225,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _float_safe_int(text: str) -> int:
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise SchemaError(f"integer literal of {len(text)} digits in config overflows a float") from None
+    return value
+
+
 def _load_config(args, command) -> dict:
     if args.config is None:
         if command in ("verify", "report"):
@@ -233,7 +242,12 @@ def _load_config(args, command) -> dict:
             return {}
         raise SchemaError(f"{command} requires --config")
     try:
-        cfg = json.loads(Path(args.config).read_text(), parse_constant=_finite_float, parse_float=_finite_float)
+        cfg = json.loads(
+            Path(args.config).read_text(),
+            parse_constant=_finite_float,
+            parse_float=_finite_float,
+            parse_int=_float_safe_int,
+        )
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from None
     _validate(cfg, _SCHEMAS[command])
@@ -337,6 +351,10 @@ def _cmd_figure_data(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg:
+        if not 0.0 < cfg["nu"] <= 1.0:
+            raise SchemaError(f"nu must lie in (0, 1] at $.nu, got {cfg['nu']}")
+        if not cfg["a0"] > 0.0:
+            raise SchemaError(f"a0 must be positive at $.a0, got {cfg['a0']}")
         t_grid = None
         if "t_start" in cfg or "t_stop" in cfg or "t_step" in cfg:
             t0, t1 = cfg.get("t_start", 5.0), cfg.get("t_stop", 100.0)
@@ -427,7 +445,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, montecarlo.InsufficientEventsError) as exc:
+    except (ValueError, montecarlo.InsufficientEventsError, StepUnderflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

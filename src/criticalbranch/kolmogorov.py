@@ -94,7 +94,8 @@ def _advance_floats(rhs, y0, t_end, rtol, atols):
     ``atols`` is per component.  The leading component is the survival gap,
     strictly positive along the flow, so its absolute floor can be zero for
     pure relative control; auxiliary components that start at zero need a
-    positive floor.
+    positive floor.  A step with a non-positive gap at any stage is rejected
+    and retried at half the step size.
     """
     y = tuple(y0)
     t = 0.0
@@ -110,47 +111,64 @@ def _advance_floats(rhs, y0, t_end, rtol, atols):
         h = min(h, t_end - t)
         if h < _MIN_STEP:
             raise StepUnderflowError(t)
+        # a stage with a non-positive gap rejects the step before rhs sees it
         y2 = tuple(v + h * _A21 * a for v, a in zip(y, k1))
+        if not y2[0] > 0.0:
+            h *= 0.5
+            continue
         k2 = rhs(y2)
         y3 = tuple(v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2))
+        if not y3[0] > 0.0:
+            h *= 0.5
+            continue
         k3 = rhs(y3)
         y4 = tuple(
             v + h * (_A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)
         )
+        if not y4[0] > 0.0:
+            h *= 0.5
+            continue
         k4 = rhs(y4)
         y5 = tuple(
             v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
             for v, a, b, c, d in zip(y, k1, k2, k3, k4)
         )
+        if not y5[0] > 0.0:
+            h *= 0.5
+            continue
         k5 = rhs(y5)
         y6 = tuple(
             v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
             for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
         )
+        if not y6[0] > 0.0:
+            h *= 0.5
+            continue
         k6 = rhs(y6)
         ynew = tuple(
             v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
             for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)
         )
+        if not ynew[0] > 0.0:
+            h *= 0.5
+            continue
         k7 = rhs(ynew)
         err = 0.0
         for v, w, a, c, d, e, f, g in zip(ynew, atols, k1, k3, k4, k5, k6, k7):
             e_i = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
             err = max(err, abs(e_i) / (w + rtol * abs(v)))
-        if err <= 1.0 and ynew[0] > 0.0:
+        if err <= 1.0:
             t += h
             y = ynew
             k1 = k7
             steps += 1
         factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
-        if ynew[0] <= 0.0:
-            factor = min(factor, 0.5)
         h *= min(5.0, max(0.2, factor))
     return y, steps
 
 
 def _advance_array(rhs, y0, t_end, rtol, atol):
-    """Same stepper on a coefficient-vector state."""
+    """Same stepper on a coefficient-vector state; the gap is its constant term."""
     y = np.array(y0, dtype=float)
     t = 0.0
     if t_end == 0.0:
@@ -162,23 +180,45 @@ def _advance_array(rhs, y0, t_end, rtol, atol):
         h = min(h, t_end - t)
         if h < _MIN_STEP:
             raise StepUnderflowError(t)
-        k2 = rhs(y + h * _A21 * k1)
-        k3 = rhs(y + h * (_A31 * k1 + _A32 * k2))
-        k4 = rhs(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = rhs(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = rhs(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+        # a stage with a non-positive gap rejects the step before rhs sees it
+        y2 = y + h * _A21 * k1
+        if not y2[0] > 0.0:
+            h *= 0.5
+            continue
+        k2 = rhs(y2)
+        y3 = y + h * (_A31 * k1 + _A32 * k2)
+        if not y3[0] > 0.0:
+            h *= 0.5
+            continue
+        k3 = rhs(y3)
+        y4 = y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
+        if not y4[0] > 0.0:
+            h *= 0.5
+            continue
+        k4 = rhs(y4)
+        y5 = y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+        if not y5[0] > 0.0:
+            h *= 0.5
+            continue
+        k5 = rhs(y5)
+        y6 = y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+        if not y6[0] > 0.0:
+            h *= 0.5
+            continue
+        k6 = rhs(y6)
         ynew = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        if not ynew[0] > 0.0:
+            h *= 0.5
+            continue
         k7 = rhs(ynew)
         e = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
         err = np.max(np.abs(e) / (atol + rtol * np.abs(ynew)))
-        if err <= 1.0 and ynew[0] > 0.0:
+        if err <= 1.0:
             t += h
             y = ynew
             k1 = k7
             steps += 1
         factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
-        if ynew[0] <= 0.0:
-            factor = min(factor, 0.5)
         h *= min(5.0, max(0.2, factor))
     return y, steps
 

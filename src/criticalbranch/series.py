@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.blas import dtrsv
 
 __all__ = [
     "Series",
@@ -23,6 +25,8 @@ __all__ = [
     "power",
     "taylor_shift",
 ]
+
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -157,18 +161,38 @@ def reciprocal(a: Series) -> Series:
 
 
 def _pow_coeffs(w: np.ndarray, alpha: float) -> np.ndarray:
-    """Coefficients of w(s)**alpha for w with positive constant term."""
+    """Coefficients of w(s)**alpha for w with positive constant term.
+
+    Differentiating p = w**alpha gives p' w = alpha w' p; its order-(k-1)
+    coefficient is row k of a lower-triangular system in the p_j,
+
+        sum_{j<=k} w_{k-j} ((1 + alpha) j - alpha k) p_j = 0,   k >= 1,
+
+    with diagonal k w_0.  It is solved by forward substitution in blocks of
+    ``_BLOCK`` unknowns: the solved prefix enters a block through two
+    convolutions of w, against p_j and against j p_j, and the block's own
+    triangle is one BLAS solve.  Same flops as row-by-row substitution, in
+    O(_BLOCK * N) memory.
+    """
     w0 = w[0]
     if w0 <= 0.0:
         raise ValueError("fractional power requires a positive constant term")
     n = w.size
     p = np.empty(n)
     p[0] = w0 ** alpha
-    mw = np.arange(1, n) * w[1:]
-    for k in range(1, n):
-        t1 = np.dot(mw[:k], p[k - 1 :: -1])
-        t2 = np.dot(np.arange(1, k) * p[1:k], w[k - 1 : 0 : -1]) if k > 1 else 0.0
-        p[k] = (alpha * t1 - t2) / (k * w0)
+    k = np.arange(n, dtype=float)
+    u = np.zeros(2 * _BLOCK - 1)
+    u[_BLOCK - 1 : _BLOCK - 1 + min(n, _BLOCK)] = w[:_BLOCK]
+    upper = sliding_window_view(u, _BLOCK)[:, ::-1].T  # upper[j, k] = w_{k-j}, zero below the diagonal
+    for m in range(1, n, _BLOCK):
+        e = min(m + _BLOCK, n)
+        km = k[m:e]
+        prefix_p = np.convolve(w[1:e], p[:m], "valid")
+        prefix_jp = np.convolve(w[1:e], k[:m] * p[:m], "valid")
+        rhs = alpha * km * prefix_p - (1.0 + alpha) * prefix_jp
+        # Built transposed so that tri.T is the Fortran-ordered lower triangle BLAS reads without a copy.
+        tri = upper[: e - m, : e - m] * ((1.0 + alpha) * km[:, None] - alpha * km)
+        p[m:e] = dtrsv(tri.T, rhs, lower=1)
     return p
 
 

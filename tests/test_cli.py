@@ -98,6 +98,16 @@ class TestSolve:
         assert float(f_printed) == pytest.approx(1.0 - 1.0 / 36.0, abs=1e-9)
         assert len(f_printed.replace("0.", "")) >= 16
 
+    def test_loose_tolerance_far_horizon(self, tmp_path):
+        # large steps overshoot the gap below zero at inner stages; those steps are retried
+        config = write_config(
+            tmp_path,
+            {"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0}, "t": [100.0], "s": [0.0], "tol": 0.5},
+        )
+        assert run_cli("solve", "--config", config, "--out", str(tmp_path)) == 0
+        r_printed = (tmp_path / "solve.csv").read_text().splitlines()[3].split(",")[3]
+        assert float(r_printed) == pytest.approx(1.0 / 51.0**2, rel=0.2)
+
 
 class TestInvariant:
     def test_measure_coefficients(self, tmp_path):
@@ -264,3 +274,36 @@ class TestInputErrors:
         )
         code = run_cli("invariant", "--config", config, "--out", str(tmp_path))
         assert_one_line_error(code, capsys, "$.order")
+
+    def test_step_underflow(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            {"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0}, "t": [10.0], "s": [0.5], "tol": 1e-300},
+        )
+        code = run_cli("solve", "--config", config, "--out", str(tmp_path))
+        assert_one_line_error(code, capsys, "step size underflow")
+        assert not (tmp_path / "solve.csv").exists()
+
+    @pytest.mark.parametrize(
+        "law,path",
+        [
+            ({"nu": 0.0, "a0": 1.0}, "$.nu"),
+            ({"nu": 1.5, "a0": 1.0}, "$.nu"),
+            ({"nu": 0.5, "a0": -1.0}, "$.a0"),
+            ({"nu": 0.5, "a0": 0}, "$.a0"),
+        ],
+    )
+    def test_figure_law_rejected(self, tmp_path, capsys, law, path):
+        config = write_config(tmp_path, law)
+        code = run_cli("figure-data", "--config", config, "--out", str(tmp_path))
+        assert_one_line_error(code, capsys, path)
+        assert not list(tmp_path.glob("figure_*.csv"))
+
+    def test_integer_overflowing_float_rejected(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0}, "t": [1%s], "s": [0.5]}' % ("0" * 400)
+        )
+        code = run_cli("solve", "--config", str(path), "--out", str(tmp_path))
+        assert_one_line_error(code, capsys, "overflows a float")
+        assert not (tmp_path / "solve.csv").exists()

@@ -47,6 +47,13 @@ class TestSolveGf:
             with pytest.raises(ValueError, match="finite"):
                 solve_gf(HALF, t, 0.5)
 
+    def test_step_through_negative_gap_stage_is_retried(self):
+        # at tol=0.5 the first large steps drive inner stages below R = 0,
+        # where f = R^(3/2) is complex; those steps are rejected and halved
+        sol = solve_gf(HALF, 100.0, 0.0, tol=0.5)
+        assert isinstance(sol.R, float)
+        assert sol.R == pytest.approx(closed_form_gf(0.5, 1.0, 100.0, 0.0).R, rel=0.2)
+
 
 class TestClosedForm:
     def test_half_index_gap(self):
@@ -139,6 +146,11 @@ class TestImmigrationGf:
         base = immigration_gf(HALF, h_law, 0, 3.0, 0.4)
         two = immigration_gf(HALF, h_law, 2, 3.0, 0.4)
         assert two.P == pytest.approx(base.F**2 * base.P, abs=1e-12)
+
+    def test_series_step_through_negative_gap_stage_is_retried(self):
+        sol = immigration_gf_series(HALF, make_stable_immigration(0.4, 0.1), 0, 100.0, 32, tol=0.5)
+        assert np.all(np.isfinite(sol.P.coeffs))
+        assert sol.R[0] == pytest.approx(closed_form_gf(0.5, 1.0, 100.0, 0.0).R, rel=0.2)
 
     def test_series_coefficients_sum_to_scalar(self):
         h_law = make_stable_immigration(0.4, 0.1)

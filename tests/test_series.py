@@ -116,12 +116,69 @@ def test_reciprocal_geometric():
     assert np.allclose(rec.coeffs, np.ones(4))
 
 
+def _pow_coeffs_rowwise(w, alpha):
+    """Reference: the row-by-row recurrence k w_0 p_k = sum_{j<k} (alpha (k-j) - j) w_{k-j} p_j."""
+    n = w.size
+    p = np.empty(n)
+    p[0] = w[0] ** alpha
+    mw = np.arange(1, n) * w[1:]
+    for k in range(1, n):
+        t1 = np.dot(mw[:k], p[k - 1 :: -1])
+        t2 = np.dot(np.arange(1, k) * p[1:k], w[k - 1 : 0 : -1]) if k > 1 else 0.0
+        p[k] = (alpha * t1 - t2) / (k * w[0])
+    return p
+
+
 def test_power_matches_binomial_oracle():
     base = Series(np.array([1.0, -1.0] + [0.0] * 30))
     for alpha in (0.5, -0.5, 1.7, -2.0):
         got = fps.power(base, alpha).coeffs
         want = binomial_coeffs(alpha, 31)
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+# orders on both sides of the 64-row block edges, and the largest order a solve accepts
+@pytest.mark.parametrize("order", [63, 64, 65, 129, 1024])
+def test_power_matches_binomial_oracle_across_blocks(order):
+    base = Series(np.array([1.0, -1.0] + [0.0] * (order - 1)))
+    for alpha in (0.5, -0.5, 1.7, -2.0):
+        got = fps.power(base, alpha).coeffs
+        want = binomial_coeffs(alpha, order)
+        assert got.size == order + 1
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-12
+
+
+def test_power_of_constant_series():
+    assert fps.power(Series(np.array([4.0])), 0.5).coeffs.tolist() == [2.0]
+
+
+@pytest.mark.parametrize("w0", [0.0, -1.0])
+def test_power_rejects_nonpositive_constant_term(w0):
+    with pytest.raises(ValueError, match="positive constant term"):
+        fps.power(Series(np.array([w0, 1.0, 0.5])), 0.5)
+
+
+@st.composite
+def power_inputs(draw):
+    # |w_k| <= w_0 r^k with r <= 1/2 keeps w free of zeros in the unit disk,
+    # where both recurrences are stable and must agree to rounding
+    n = draw(st.integers(min_value=1, max_value=300))
+    w0 = draw(st.floats(min_value=0.1, max_value=2.0))
+    r = draw(st.floats(min_value=0.01, max_value=0.5))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    alpha = draw(st.one_of(st.sampled_from([1.0, 2.0, 3.0, 4.0]), st.floats(min_value=-2.0, max_value=3.0)))
+    w = w0 * np.random.default_rng(seed).uniform(-1.0, 1.0, n) * r ** np.arange(n)
+    w[0] = w0
+    return w, alpha
+
+
+@given(power_inputs())
+@settings(max_examples=120, deadline=None)
+def test_blocked_power_matches_rowwise_recurrence(case):
+    w, alpha = case
+    got = fps._pow_coeffs(w, alpha)
+    want = _pow_coeffs_rowwise(w, alpha)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 small_series = st.lists(
