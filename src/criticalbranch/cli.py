@@ -4,8 +4,9 @@ Subcommands: ``simulate``, ``solve``, ``invariant``, ``verify``,
 ``figure-data``, ``report``.  Configs are single JSON files validated against
 a closed schema (unknown keys are rejected with their path).  Every output
 CSV starts with ``#`` comment lines carrying the config hash and seed, and a
-JSON provenance sidecar records the effective config, library versions, and
-wall time.  Floating-point cells print with 17 significant digits so a fixed
+JSON provenance sidecar records the effective config, library versions, wall
+time and, for ``simulate``, a ``diagnostics`` block of engine counters.
+Floating-point cells print with 17 significant digits so a fixed
 (config, seed, platform) triple reproduces files byte for byte.
 """
 
@@ -144,7 +145,9 @@ def _write_csv(path: Path, command: str, cfg_hash: str, seed, columns, rows) -> 
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_provenance(path: Path, command: str, cfg: dict, cfg_hash: str, seed, wall: float) -> None:
+def _write_provenance(
+    path: Path, command: str, cfg: dict, cfg_hash: str, seed, wall: float, diagnostics: dict | None = None
+) -> None:
     payload = {
         "command": command,
         "config_hash": cfg_hash,
@@ -158,6 +161,8 @@ def _write_provenance(path: Path, command: str, cfg: dict, cfg_hash: str, seed, 
         },
         "wall_time_s": wall,
     }
+    if diagnostics is not None:
+        payload["diagnostics"] = diagnostics
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -280,8 +285,14 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "simulate.csv", "simulate", h, seed,
                ("estimator", "j", "t", "value", "stderr", "replicas", "capped"), rows)
+    diagnostics = {
+        "events": obs.events,
+        "straggler_events": obs.straggler_events,
+        "capped_paths": int(obs.capped.sum()),
+        "table_size": obs.table_size,
+    }
     _write_provenance(out / "simulate.provenance.json", "simulate", effective, h, seed,
-                      time.perf_counter() - started)
+                      time.perf_counter() - started, diagnostics)
     return 0
 
 
@@ -291,6 +302,8 @@ def _cmd_solve(args) -> int:
     offspring = offspring_from_config(cfg["offspring"])
     immigration = immigration_from_config(cfg["immigration"]) if "immigration" in cfg else None
     tol = cfg.get("tol", 1e-10)
+    if not tol > 0.0:
+        raise SchemaError(f"tol must be positive at $.tol, got {tol}")
     rows = []
     for t in cfg["t"]:
         for s in cfg["s"]:

@@ -232,6 +232,11 @@ def _check_time(t: float) -> None:
         raise ValueError(f"t must be finite and nonnegative, got {t}")
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def _check_scalar_args(t: float, s: float) -> None:
     _check_time(t)
     if not 0.0 <= s <= 1.0:
@@ -241,8 +246,7 @@ def _check_scalar_args(t: float, s: float) -> None:
 def solve_gf(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) -> TransitionSolution:
     """F(t;s) by the embedded pair on dR/dt = -f(1-R), R(0) = 1-s."""
     _check_scalar_args(t, s)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     r0 = 1.0 - s
     if r0 == 0.0 or t == 0.0:
         return TransitionSolution(t=t, s=s, F=s, R=r0)
@@ -265,6 +269,7 @@ def closed_form_gf(nu: float, a0: float, t: float, s: float) -> TransitionSoluti
 def gf_derivative(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) -> float:
     """dF/ds via the variational equation V' = f'(F) V, V(0) = 1."""
     _check_scalar_args(t, s)
+    _check_tol(tol)
     if s == 1.0:
         raise ValueError("derivative is evaluated on [0, 1)")
     if t == 0.0:
@@ -294,6 +299,7 @@ def immigration_gf(
     if i < 0:
         raise ValueError("initial state must be nonnegative")
     _check_scalar_args(t, s)
+    _check_tol(tol)
     r0 = 1.0 - s
     if t == 0.0 or r0 == 0.0:
         return TransitionSolution(t=t, s=s, F=s, R=r0, G=0.0, P=s ** i if i else 1.0)
@@ -342,6 +348,7 @@ def solve_gf_series(
     """Coefficients p_j(t) of F(t;s) to order N, by the coefficient-space ODE."""
     _check_order(N)
     _check_time(t)
+    _check_tol(tol)
     r0 = _series_init(N)
     if t == 0.0:
         return _gap_to_solution(0.0, r0)
@@ -361,6 +368,7 @@ def immigration_gf_series(
     """Coefficient vector of F^i exp(G) to order N; row i of the transition law."""
     _check_order(N)
     _check_time(t)
+    _check_tol(tol)
     if i < 0:
         raise ValueError("initial state must be nonnegative")
     n1 = N + 1

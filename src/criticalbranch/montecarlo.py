@@ -10,8 +10,17 @@ Paths are advanced in vectorized rounds across fixed-size chunks.  Each chunk
 draws from its own stream spawned from (seed, chunk index), so results are
 bit-for-bit reproducible for a given (config, seed) and chunks can run on any
 number of workers with a deterministic merge by index.  Once a chunk is down
-to a handful of straggler paths the engine switches to a scalar loop, which
+to a handful of straggler paths the engine advances them one at a time, which
 keeps rare high-population excursions from stalling the vectorized rounds.
+Without immigration a straggler's jump chain is a random walk stopped at 0
+(the Lamperti representation), so it advances in numpy blocks of events that
+consume the stream exactly as the per-event loop would: same uniforms, same
+order, same arithmetic, hence the same paths.  With immigration stragglers
+run the per-event loop.
+
+The jump samplers' tables grow on demand but never past cap + 2 entries: a
+larger jump caps the path whatever its exact size, so every uncapped path is
+sampled exactly with memory bounded by the cap.
 
 Capped paths (population above the safety cap) are frozen, counted, and
 excluded by the estimators; the count is always reported, never dropped.
@@ -43,6 +52,9 @@ CHUNK = 8192
 _SCALAR_SWITCH = 4
 _CDF_BOUND = 10_000_000
 _CDF_START = 1024
+# a straggler walk draws blocks of this many events, doubling up to the max
+_WALK_START = 32
+_WALK_MAX = 4096
 
 
 class InsufficientEventsError(RuntimeError):
@@ -92,30 +104,46 @@ class Estimate:
 
 @dataclass(frozen=True)
 class PathObservations:
-    """Recorded populations, one row per path, one column per grid time."""
+    """Recorded populations, one row per path, one column per grid time.
+
+    ``events`` counts every jump, ``straggler_events`` those made after a
+    chunk left its vectorized rounds, and ``table_size`` is the largest
+    sampler table built, in entries.
+    """
 
     grid: tuple[float, ...]
     states: np.ndarray
     capped: np.ndarray
+    events: int
+    straggler_events: int
+    table_size: int
 
 
 class _Sampler:
     """Inverse-CDF sampler over a jump-size pmf with a growing prefix table.
 
-    The table doubles on demand up to the memory bound; a uniform falling
-    beyond the bound maps to the bound itself, which exceeds any admissible
-    cap and therefore only ever marks the path as capped.
+    The table covers jump sizes 0..horizon and doubles on demand while the
+    horizon stays below ``limit``; a uniform falling beyond the table maps to
+    horizon + 1.  Table entries do not depend on the horizon, so every jump
+    within the table is exact.  Simulation sets limit = cap + 1 (at most the
+    memory bound): any jump past it caps the path, so an overflowing draw only
+    ever marks a path capped.
     """
 
-    def __init__(self, pmf_up_to, start: int = _CDF_START):
+    def __init__(self, pmf_up_to, limit: int = _CDF_BOUND):
         self._pmf_up_to = pmf_up_to
-        self._horizon = start
-        self._cdf = np.cumsum(pmf_up_to(start))
+        self._limit = limit
+        self._horizon = min(_CDF_START, limit)
+        self._cdf = np.cumsum(pmf_up_to(self._horizon))
         self._cdf_list = None
 
+    @property
+    def table_size(self) -> int:
+        return self._cdf.size
+
     def _extend_for(self, vmax: float) -> None:
-        while self._cdf[-1] <= vmax and self._horizon < _CDF_BOUND:
-            self._horizon = min(2 * self._horizon, _CDF_BOUND)
+        while self._cdf[-1] <= vmax and self._horizon < self._limit:
+            self._horizon = min(2 * self._horizon, self._limit)
             self._cdf = np.cumsum(self._pmf_up_to(self._horizon))
             self._cdf_list = None
 
@@ -161,12 +189,14 @@ def sample_offspring(f_law: OffspringLaw, u: float) -> int:
     return _Sampler(_offspring_pmf(f_law)).draw_one(u)
 
 
-def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.ndarray]:
+def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.ndarray, int, int, int]:
     rng = np.random.default_rng(seed_seq)
-    off = _Sampler(_offspring_pmf(cfg.offspring))
-    imm = _Sampler(_immigration_pmf(cfg.immigration)) if cfg.immigration is not None else None
+    limit = min(cfg.cap + 1, _CDF_BOUND)
+    off = _Sampler(_offspring_pmf(cfg.offspring), limit)
+    imm = _Sampler(_immigration_pmf(cfg.immigration), limit) if cfg.immigration is not None else None
     rb = -cfg.offspring.a1
     ri = -cfg.immigration.b0 if cfg.immigration is not None else 0.0
+    cap = cfg.cap
 
     n = np.full(n_paths, cfg.start, dtype=np.int64)
     t = np.zeros(n_paths)
@@ -174,11 +204,12 @@ def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.n
     out = np.empty((n_paths, len(cfg.grid)), dtype=np.int64)
 
     random = rng.random
+    bits = rng.bit_generator
     log1p = math.log1p
 
-    def advance_scalar(lane: int, horizon: float) -> None:
+    def advance_scalar(lane: int, horizon: float) -> int:
         ni, ti = int(n[lane]), float(t[lane])
-        cap = cfg.cap
+        events = 0
         while True:
             rate = ni * rb + ri
             if rate <= 0.0 or ti >= horizon:
@@ -188,6 +219,7 @@ def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.n
                 ti = horizon
                 break
             u2 = random()
+            events += 1
             pb = ni * rb / rate
             if u2 < pb:
                 ni += off.draw_one(u2 / pb) - 1
@@ -197,7 +229,54 @@ def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.n
                 capped[lane] = True
                 break
         n[lane], t[lane] = ni, ti
+        return events
 
+    def advance_walk(lane: int, horizon: float) -> int:
+        """advance_scalar without immigration, a block of events per numpy pass.
+
+        There every event is a branching (pb = 1) and the jump chain is the walk
+        n_k = n_{k-1} + X_k - 1 with times t_k = t_{k-1} + E_k / (rb n_{k-1}).
+        A block draws the uniforms in the loop's order (clock, jump, clock, ...),
+        redoes its arithmetic with sequential cumsums, finds the event where the
+        loop stops, and rewinds the stream to just past the last uniform the
+        loop would have consumed.
+        """
+        ni, ti = int(n[lane]), float(t[lane])
+        events, size = 0, _WALK_START
+        while ni > 0 and ti < horizon:
+            state = bits.state
+            u = random(2 * size)
+            # math.log1p as in the loop: np.log1p differs from it in the last ulp
+            clock = np.array([-log1p(-v) for v in u[0::2].tolist()])
+            n_after = ni + np.cumsum(off.draw(u[1::2]) - 1)
+            n_before = np.concatenate(([ni], n_after[:-1]))
+            # an infinite rate past extinction keeps division by zero out of the unused tail
+            rate = np.where(n_before > 0, n_before * rb, math.inf)
+            t_after = np.cumsum(np.concatenate(([ti], clock / rate)))[1:]
+            stop = (t_after >= horizon) | (n_after <= 0) | (n_after > cap)
+            k = int(stop.argmax())
+            if not stop[k]:
+                events += size
+                ni, ti = int(n_after[-1]), float(t_after[-1])
+                size = min(2 * size, _WALK_MAX)
+                continue
+            if t_after[k] > horizon:
+                # the clock overshoots: the loop stops before drawing this jump
+                used, ti = 2 * k + 1, horizon
+                ni = int(n_after[k - 1]) if k else ni
+                events += k
+            else:
+                used, ni, ti = 2 * k + 2, int(n_after[k]), float(t_after[k])
+                events += k + 1
+                capped[lane] = ni > cap
+            bits.state = state
+            bits.advance(used)
+            break
+        n[lane], t[lane] = ni, ti
+        return events
+
+    straggler = advance_walk if ri == 0.0 else advance_scalar
+    events = straggler_events = 0
     for gi, g in enumerate(cfg.grid):
         # working set of lane indices still needing events before g
         rate = n * rb + ri
@@ -210,6 +289,7 @@ def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.n
             fired = t_next <= g
             t[work] = np.where(fired, t_next, g)
             fi = work[fired]
+            events += fi.size
             if fi.size:
                 u2 = rng.random(fi.size)
                 pb = n[fi] * rb / rate_w[fired]
@@ -220,15 +300,16 @@ def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.n
                 ii = fi[~branch]
                 if ii.size:
                     n[ii] += imm.draw((u2[~branch] - pb[~branch]) / (1.0 - pb[~branch]))
-                capped[fi[n[fi] > cfg.cap]] = True
+                capped[fi[n[fi] > cap]] = True
                 still = ~capped[fi] & (n[fi] * rb + ri > 0.0)
                 work = fi[still]
             else:
                 work = fi
         for lane in work:
-            advance_scalar(int(lane), g)
+            straggler_events += straggler(int(lane), g)
         out[:, gi] = n
-    return out, capped
+    table_size = max(off.table_size, imm.table_size if imm is not None else 0)
+    return out, capped, events + straggler_events, straggler_events, table_size
 
 
 def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
@@ -243,9 +324,14 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
             parts = list(pool.map(lambda a: _run_chunk(cfg, a[0], a[1]), zip(seqs, sizes)))
     else:
         parts = [_run_chunk(cfg, sq, sz) for sq, sz in zip(seqs, sizes)]
-    states = np.concatenate([p[0] for p in parts], axis=0)
-    capped = np.concatenate([p[1] for p in parts])
-    return PathObservations(grid=cfg.grid, states=states, capped=capped)
+    return PathObservations(
+        grid=cfg.grid,
+        states=np.concatenate([p[0] for p in parts], axis=0),
+        capped=np.concatenate([p[1] for p in parts]),
+        events=sum(p[2] for p in parts),
+        straggler_events=sum(p[3] for p in parts),
+        table_size=max(p[4] for p in parts),
+    )
 
 
 def _grid_index(cfg: SimConfig, t: float) -> int:

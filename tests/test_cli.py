@@ -144,6 +144,27 @@ class TestSimulate:
         value = float(lines[3].split(",")[3])
         assert value == pytest.approx(1.0 / 3.0, abs=0.04)
 
+    def test_provenance_carries_engine_diagnostics(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            {
+                "offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0},
+                "immigration": {"kind": "canonical", "delta": 0.4, "c": 0.1},
+                "grid": [50.0],
+                "replicas": 2000,
+                "cap": 200,
+                "seed": 8,
+                "estimators": [{"kind": "p", "t": 50.0, "j": 0}],
+            },
+        )
+        assert run_cli("simulate", "--config", config, "--out", str(tmp_path)) == 0
+        diag = json.loads((tmp_path / "simulate.provenance.json").read_text())["diagnostics"]
+        assert set(diag) == {"events", "straggler_events", "capped_paths", "table_size"}
+        assert diag["table_size"] <= 202
+        assert diag["events"] >= diag["straggler_events"] > 0
+        capped = int((tmp_path / "simulate.csv").read_text().splitlines()[3].split(",")[6])
+        assert diag["capped_paths"] == capped > 0
+
     def test_zero_replicas_rejected(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -298,6 +319,22 @@ class TestInputErrors:
         code = run_cli("figure-data", "--config", config, "--out", str(tmp_path))
         assert_one_line_error(code, capsys, path)
         assert not list(tmp_path.glob("figure_*.csv"))
+
+    @pytest.mark.parametrize("tol", [0, -1])
+    def test_solve_tol_must_be_positive(self, tmp_path, capsys, tol):
+        config = write_config(
+            tmp_path,
+            {
+                "offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0},
+                "immigration": {"kind": "canonical", "delta": 0.4, "c": 0.1},
+                "t": [1.0],
+                "s": [0.5],
+                "tol": tol,
+            },
+        )
+        code = run_cli("solve", "--config", config, "--out", str(tmp_path))
+        assert_one_line_error(code, capsys, "$.tol")
+        assert not (tmp_path / "solve.csv").exists()
 
     def test_integer_overflowing_float_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -159,6 +159,24 @@ class TestImmigrationGf:
         assert abs(polyval(0.5, sol.P.coeffs) - scalar.P) < 1e-8
 
 
+_IMM = make_stable_immigration(0.4, 0.1)
+_SOLVERS = {
+    "solve_gf": lambda tol: solve_gf(HALF, 1.0, 0.5, tol=tol),
+    "gf_derivative": lambda tol: gf_derivative(HALF, 1.0, 0.5, tol=tol),
+    "immigration_gf": lambda tol: immigration_gf(HALF, _IMM, 0, 1.0, 0.5, tol=tol),
+    "solve_gf_series": lambda tol: solve_gf_series(HALF, 1.0, 8, tol=tol),
+    "immigration_gf_series": lambda tol: immigration_gf_series(HALF, _IMM, 0, 1.0, 8, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+def test_every_solver_rejects_bad_tol(solver, tol):
+    # tol = 0 divides by a zero error floor or never finishes; tol < 0 runs unchecked
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        _SOLVERS[solver](tol)
+
+
 def immigration_mean(f_law, h_law, t, eps=1e-7):
     """Mean population from the empty state: dG/ds at s = 1 by a one-sided difference."""
     return -immigration_gf(f_law, h_law, 0, t, 1.0 - eps, tol=1e-12).G / eps

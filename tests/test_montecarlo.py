@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -87,6 +88,115 @@ class TestSimulate:
         # a cap past the sampler table would let an overflowing draw through uncapped
         with pytest.raises(ValueError, match="table bound"):
             mc.SimConfig(offspring=HALF, immigration=None, grid=(1.0,), replicas=10, seed=1, cap=mc._CDF_BOUND + 1)
+
+
+def _reference_chunk(cfg, seed_seq, n_paths):
+    """The per-event engine: vectorized rounds, then a scalar loop per straggler.
+
+    Returns the states, the capped flags, and the jump counts (all, and those of
+    the scalar loop).
+
+    Its tables are bounded at 16 (cap + 1), well past the engine's cap + 1, so
+    agreement also checks that the engine's bound changes no uncapped path.
+    """
+    rng = np.random.default_rng(seed_seq)
+    limit = min(16 * (cfg.cap + 1), mc._CDF_BOUND)
+    off = mc._Sampler(mc._offspring_pmf(cfg.offspring), limit)
+    imm = mc._Sampler(mc._immigration_pmf(cfg.immigration), limit) if cfg.immigration is not None else None
+    rb = -cfg.offspring.a1
+    ri = -cfg.immigration.b0 if cfg.immigration is not None else 0.0
+    n = np.full(n_paths, cfg.start, dtype=np.int64)
+    t = np.zeros(n_paths)
+    capped = np.zeros(n_paths, dtype=bool)
+    out = np.empty((n_paths, len(cfg.grid)), dtype=np.int64)
+    events = [0, 0]
+
+    def advance_scalar(lane, horizon):
+        ni, ti = int(n[lane]), float(t[lane])
+        while True:
+            rate = ni * rb + ri
+            if rate <= 0.0 or ti >= horizon:
+                break
+            ti += -math.log1p(-rng.random()) / rate
+            if ti > horizon:
+                ti = horizon
+                break
+            u2 = rng.random()
+            events[1] += 1
+            pb = ni * rb / rate
+            if u2 < pb:
+                ni += off.draw_one(u2 / pb) - 1
+            else:
+                ni += imm.draw_one((u2 - pb) / (1.0 - pb))
+            if ni > cfg.cap:
+                capped[lane] = True
+                break
+        n[lane], t[lane] = ni, ti
+
+    for gi, g in enumerate(cfg.grid):
+        work = np.nonzero(~capped & (t < g) & (n * rb + ri > 0.0))[0]
+        while work.size > 4:
+            rate_w = n[work] * rb + ri
+            t_next = t[work] - np.log1p(-rng.random(work.size)) / rate_w
+            fired = t_next <= g
+            t[work] = np.where(fired, t_next, g)
+            fi = work[fired]
+            events[0] += fi.size
+            if fi.size:
+                u2 = rng.random(fi.size)
+                pb = n[fi] * rb / rate_w[fired]
+                branch = u2 < pb
+                if branch.any():
+                    n[fi[branch]] += off.draw(u2[branch] / pb[branch]) - 1
+                if (~branch).any():
+                    n[fi[~branch]] += imm.draw((u2[~branch] - pb[~branch]) / (1.0 - pb[~branch]))
+                capped[fi[n[fi] > cfg.cap]] = True
+                work = fi[~capped[fi] & (n[fi] * rb + ri > 0.0)]
+            else:
+                work = fi
+        for lane in work:
+            advance_scalar(int(lane), g)
+        out[:, gi] = n
+    return out, capped, events[0] + events[1], events[1]
+
+
+class TestStreamExact:
+    """The engine realizes exactly the paths of the per-event loop.
+
+    Uncapped states and capped flags must agree bit for bit; a capped path's
+    frozen state depends on the table bound and is never read.
+    """
+
+    @pytest.mark.parametrize(
+        "cfg,threads",
+        [
+            pytest.param(mc.SimConfig(HALF, None, (1.0, 10.0, 50.0, 100.0), 3000, 21), 1, id="half-t100-grid"),
+            pytest.param(mc.SimConfig(HALF, None, (100.0,), 10_000, 22, cap=50), 1, id="cap50"),
+            pytest.param(mc.SimConfig(HALF, None, (0.0, 5.0, 20.0), 5000, 23), 1, id="grid-with-0"),
+            pytest.param(mc.SimConfig(BINARY, None, (2.0, 20.0), 10_000, 24), 1, id="binary"),
+            pytest.param(mc.SimConfig(HALF, HEAVY_IMM, (50.0,), 4000, 25, cap=200), 1, id="pair-cap200"),
+            pytest.param(mc.SimConfig(HALF, None, (10.0,), 20_000, 26), 2, id="threads2"),
+        ],
+    )
+    def test_matches_per_event_loop(self, cfg, threads):
+        obs = mc.simulate(cfg, threads=threads)
+        seqs = np.random.SeedSequence(cfg.seed).spawn(-(-cfg.replicas // mc.CHUNK))
+        parts = [_reference_chunk(cfg, sq, min(mc.CHUNK, cfg.replicas - c * mc.CHUNK)) for c, sq in enumerate(seqs)]
+        states = np.concatenate([p[0] for p in parts])
+        capped = np.concatenate([p[1] for p in parts])
+        assert np.array_equal(obs.capped, capped)
+        assert np.array_equal(obs.states[~capped], states[~capped])
+        assert obs.events == sum(p[2] for p in parts)
+        assert obs.straggler_events == sum(p[3] for p in parts) > 0
+
+    def test_bounded_table_agrees_below_its_bound(self):
+        rng = np.random.default_rng(27)
+        u = np.concatenate([rng.random(100_000), 1.0 - rng.random(1000) * 1e-4])
+        pmf = mc._immigration_pmf(HEAVY_IMM)
+        wide, bounded = mc._Sampler(pmf, 1 << 16).draw(u), mc._Sampler(pmf, 201).draw(u)
+        inside = wide <= 201
+        assert np.array_equal(bounded[inside], wide[inside])
+        assert np.all(bounded[~inside] == 202) and (~inside).any()
 
 
 class TestEstimate:
