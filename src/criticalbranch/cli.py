@@ -33,6 +33,11 @@ __all__ = ["main", "SchemaError", "figure_rows", "report_rows", "FIGURE_PRESETS"
 FIGURE_PRESETS = ((0.2, 0.9), (0.9, 0.2))
 _FIGURE_NORMALIZERS = ("half-log", "log-power")
 ENV_THREADS = "CRITICALBRANCH_THREADS"
+# input bounds: simulate allocates a replicas x grid state array up front, and
+# figure-data builds its whole t grid in memory
+MAX_REPLICAS = 10**6
+MAX_GRID = 100
+MAX_FIGURE_ROWS = 10**5
 
 
 class SchemaError(ValueError):
@@ -186,8 +191,17 @@ def figure_rows(nu: float, a0: float, normalizer: str, t_grid=None):
         t_grid = [5.0 + 0.5 * k for k in range(191)]
     rows = []
     for t in t_grid:
-        q = asymptotics.survival_expansion(nu, a0, n_fn, t)
-        p1 = q * (1.0 + math.log(a0 * nu * t) / (nu**2 * t)) / (a0 * nu * t)
+        x = a0 * nu * t
+        if t > 0.0 and not 0.0 < x < math.inf:
+            raise ValueError(f"a0 nu t = {x} at t={t} leaves the float range at $.a0")
+        try:
+            q = asymptotics.survival_expansion(nu, a0, n_fn, t)
+        except ArithmeticError:  # (nu t)^(1/nu) left the float range
+            q = math.nan
+        p1 = q * (1.0 + math.log(x) / (nu**2 * t)) / x
+        if not (math.isfinite(q) and math.isfinite(p1)):
+            key = "$.a0" if math.isfinite(q) else "$.nu"
+            raise ValueError(f"expansion not finite at t={t} (q={q}, p1={p1}), out of range at {key}")
         rows.append((t, q, p1))
     return rows
 
@@ -261,6 +275,10 @@ def _load_config(args, command) -> dict:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args, "simulate")
+    if cfg["replicas"] > MAX_REPLICAS:
+        raise SchemaError(f"replicas must not exceed {MAX_REPLICAS} at $.replicas, got {cfg['replicas']}")
+    if len(cfg["grid"]) > MAX_GRID:
+        raise SchemaError(f"grid must have at most {MAX_GRID} points at $.grid, got {len(cfg['grid'])}")
     started = time.perf_counter()
     offspring = offspring_from_config(cfg["offspring"])
     immigration = immigration_from_config(cfg["immigration"]) if "immigration" in cfg else None
@@ -274,6 +292,9 @@ def _cmd_simulate(args) -> int:
         start=cfg.get("start"),
         cap=cfg.get("cap", 10**6),
     )
+    for i, spec in enumerate(cfg["estimators"]):
+        if not 0 <= spec.get("j", 0) <= sim_cfg.cap:
+            raise SchemaError(f"j must lie in [0, cap={sim_cfg.cap}] at $.estimators[{i}].j, got {spec['j']}")
     obs = montecarlo.simulate(sim_cfg, threads=args.threads)
     rows = []
     for spec in cfg["estimators"]:
@@ -376,7 +397,10 @@ def _cmd_figure_data(args) -> int:
                 raise SchemaError(f"t_step must be positive at $.t_step, got {dt}")
             if t1 < t0:
                 raise SchemaError(f"t_stop must not precede t_start at $.t_stop, got {t1} < {t0}")
-            t_grid = [t0 + dt * k for k in range(int(round((t1 - t0) / dt)) + 1)]
+            n = (t1 - t0) / dt
+            if not n < MAX_FIGURE_ROWS:
+                raise SchemaError(f"(t_stop - t_start)/t_step must stay below {MAX_FIGURE_ROWS} at $.t_step")
+            t_grid = [t0 + dt * k for k in range(int(round(n)) + 1)]
         jobs = [(cfg["nu"], cfg["a0"], cfg.get("normalizer", "half-log"), t_grid)]
     else:
         jobs = [(nu, a0, nf, None) for nu, a0 in FIGURE_PRESETS for nf in _FIGURE_NORMALIZERS]

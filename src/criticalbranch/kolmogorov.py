@@ -9,7 +9,9 @@ With immigration the augmented state carries G(t;s) = integral_0^t h(F(u;s)) du,
 so that the population GF from i ancestors is F^i exp(G).  Series-mode solves
 integrate the whole coefficient vector of R (and G) at once; the coefficient
 recurrences for fractional powers keep the right-hand side exact at the stored
-truncation order.
+truncation order.  One Dormand-Prince 5(4) stepper serves both modes: its state
+is a tuple whose components are floats in a scalar solve and coefficient
+vectors in a series solve.
 
 Solvers are pure functions of (law, t, s, tol); grid sweeps can run
 concurrently without shared state.
@@ -41,14 +43,15 @@ SCALAR_ATOL = 1e-12
 SERIES_RTOL = 1e-9
 SERIES_ATOL = 1e-11
 _MIN_STEP = 1e-12
+_MAX_TRIES = 200_000
 _MAX_ORDER = 1024
 
 
 class StepUnderflowError(RuntimeError):
-    """Adaptive step fell below the floor; carries the time reached."""
+    """Adaptive solve stopped progressing; carries the time reached."""
 
-    def __init__(self, t_reached: float):
-        super().__init__(f"step size underflow at t={t_reached!r}")
+    def __init__(self, t_reached: float, reason: str = "step size underflow"):
+        super().__init__(f"{reason} at t={float(t_reached)!r}")
         self.t_reached = t_reached
 
 
@@ -88,44 +91,49 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 
-def _advance_floats(rhs, y0, t_end, rtol, atols):
-    """Integrate a tuple-of-floats state from 0 to t_end; returns (y, steps).
+def _advance(rhs, y0, t_end, rtol, atols):
+    """Integrate a tuple state from 0 to t_end; returns (y, steps).
 
-    ``atols`` is per component.  The leading component is the survival gap,
-    strictly positive along the flow, so its absolute floor can be zero for
-    pure relative control; auxiliary components that start at zero need a
-    positive floor.  A step with a non-positive gap at any stage is rejected
-    and retried at half the step size.
+    The components are all floats or all coefficient vectors, and ``atols``
+    holds one absolute floor per component.  The leading component is the
+    survival gap (for a vector, its constant term), strictly positive along
+    the flow, so its absolute floor can be zero for pure relative control;
+    auxiliary components that start at zero need a positive floor.  A step
+    with a non-positive gap at any stage is rejected and retried at half the
+    step size.  A step below ``_MIN_STEP``, or a solve still short of t_end
+    after ``_MAX_TRIES`` attempts, raises StepUnderflowError.
     """
     y = tuple(y0)
     t = 0.0
     if t_end == 0.0:
         return y, 0
-    f0 = rhs(y)
-    scale = max(abs(v) for v in y) + 1.0
-    dscale = max(abs(v) for v in f0) + 1e-30
+    vec = y[0].__class__ is np.ndarray
+    k1 = rhs(y)
+    scale = max(abs(v).max() if vec else abs(v) for v in y) + 1.0
+    dscale = max(abs(v).max() if vec else abs(v) for v in k1) + 1e-30
     h = min(t_end, 0.1 * scale / dscale, 1.0)
     steps = 0
-    k1 = f0
-    while t < t_end:
+    for _ in range(_MAX_TRIES):
+        if not t < t_end:
+            break
         h = min(h, t_end - t)
         if h < _MIN_STEP:
             raise StepUnderflowError(t)
         # a stage with a non-positive gap rejects the step before rhs sees it
         y2 = tuple(v + h * _A21 * a for v, a in zip(y, k1))
-        if not y2[0] > 0.0:
+        if not (y2[0][0] if vec else y2[0]) > 0.0:
             h *= 0.5
             continue
         k2 = rhs(y2)
         y3 = tuple(v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2))
-        if not y3[0] > 0.0:
+        if not (y3[0][0] if vec else y3[0]) > 0.0:
             h *= 0.5
             continue
         k3 = rhs(y3)
         y4 = tuple(
             v + h * (_A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)
         )
-        if not y4[0] > 0.0:
+        if not (y4[0][0] if vec else y4[0]) > 0.0:
             h *= 0.5
             continue
         k4 = rhs(y4)
@@ -133,7 +141,7 @@ def _advance_floats(rhs, y0, t_end, rtol, atols):
             v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
             for v, a, b, c, d in zip(y, k1, k2, k3, k4)
         )
-        if not y5[0] > 0.0:
+        if not (y5[0][0] if vec else y5[0]) > 0.0:
             h *= 0.5
             continue
         k5 = rhs(y5)
@@ -141,7 +149,7 @@ def _advance_floats(rhs, y0, t_end, rtol, atols):
             v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
             for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
         )
-        if not y6[0] > 0.0:
+        if not (y6[0][0] if vec else y6[0]) > 0.0:
             h *= 0.5
             continue
         k6 = rhs(y6)
@@ -149,14 +157,17 @@ def _advance_floats(rhs, y0, t_end, rtol, atols):
             v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
             for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)
         )
-        if not ynew[0] > 0.0:
+        if not (ynew[0][0] if vec else ynew[0]) > 0.0:
             h *= 0.5
             continue
         k7 = rhs(ynew)
         err = 0.0
         for v, w, a, c, d, e, f, g in zip(ynew, atols, k1, k3, k4, k5, k6, k7):
             e_i = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
-            err = max(err, abs(e_i) / (w + rtol * abs(v)))
+            q = abs(e_i) / (w + rtol * abs(v))
+            q = q.max() if vec else q
+            if not q <= err:
+                err = q if q == q else math.inf  # a NaN estimate rejects and shrinks
         if err <= 1.0:
             t += h
             y = ynew
@@ -164,62 +175,8 @@ def _advance_floats(rhs, y0, t_end, rtol, atols):
             steps += 1
         factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
-    return y, steps
-
-
-def _advance_array(rhs, y0, t_end, rtol, atol):
-    """Same stepper on a coefficient-vector state; the gap is its constant term."""
-    y = np.array(y0, dtype=float)
-    t = 0.0
-    if t_end == 0.0:
-        return y, 0
-    k1 = rhs(y)
-    h = min(t_end, 0.1 * (np.abs(y).max() + 1.0) / (np.abs(k1).max() + 1e-30), 1.0)
-    steps = 0
-    while t < t_end:
-        h = min(h, t_end - t)
-        if h < _MIN_STEP:
-            raise StepUnderflowError(t)
-        # a stage with a non-positive gap rejects the step before rhs sees it
-        y2 = y + h * _A21 * k1
-        if not y2[0] > 0.0:
-            h *= 0.5
-            continue
-        k2 = rhs(y2)
-        y3 = y + h * (_A31 * k1 + _A32 * k2)
-        if not y3[0] > 0.0:
-            h *= 0.5
-            continue
-        k3 = rhs(y3)
-        y4 = y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
-        if not y4[0] > 0.0:
-            h *= 0.5
-            continue
-        k4 = rhs(y4)
-        y5 = y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
-        if not y5[0] > 0.0:
-            h *= 0.5
-            continue
-        k5 = rhs(y5)
-        y6 = y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
-        if not y6[0] > 0.0:
-            h *= 0.5
-            continue
-        k6 = rhs(y6)
-        ynew = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        if not ynew[0] > 0.0:
-            h *= 0.5
-            continue
-        k7 = rhs(ynew)
-        e = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        err = np.max(np.abs(e) / (atol + rtol * np.abs(ynew)))
-        if err <= 1.0:
-            t += h
-            y = ynew
-            k1 = k7
-            steps += 1
-        factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
+    if t < t_end:
+        raise StepUnderflowError(t, f"no progress in {_MAX_TRIES} step attempts")
     return y, steps
 
 
@@ -251,7 +208,7 @@ def solve_gf(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) 
     if r0 == 0.0 or t == 0.0:
         return TransitionSolution(t=t, s=s, F=s, R=r0)
     rhs = lambda y: (-f_law.from_gap(y[0]),)
-    (r,), steps = _advance_floats(rhs, (r0,), t, tol, (0.0,))
+    (r,), steps = _advance(rhs, (r0,), t, tol, (0.0,))
     return TransitionSolution(t=t, s=s, F=1.0 - r, R=r, steps=steps)
 
 
@@ -279,7 +236,7 @@ def gf_derivative(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_R
         r, v = y
         return (-f_law.from_gap(r), f_law.fprime_from_gap(r) * v)
 
-    (r, v), _ = _advance_floats(rhs, (1.0 - s, 1.0), t, tol, (0.0, 0.0))
+    (r, v), _ = _advance(rhs, (1.0 - s, 1.0), t, tol, (0.0, 0.0))
     return v
 
 
@@ -308,7 +265,7 @@ def immigration_gf(
         r, _ = y
         return (-f_law.from_gap(r), h_law.from_gap(r))
 
-    (r, g), steps = _advance_floats(rhs, (r0, 0.0), t, tol, (0.0, min(tol * 1e-2, SCALAR_ATOL)))
+    (r, g), steps = _advance(rhs, (r0, 0.0), t, tol, (0.0, min(tol * 1e-2, SCALAR_ATOL)))
     f = 1.0 - r
     return TransitionSolution(t=t, s=s, F=f, R=r, G=g, P=(f ** i) * math.exp(g), steps=steps)
 
@@ -352,8 +309,8 @@ def solve_gf_series(
     r0 = _series_init(N)
     if t == 0.0:
         return _gap_to_solution(0.0, r0)
-    rhs = lambda r: -f_law.from_gap_coeffs(r)
-    r, steps = _advance_array(rhs, r0, t, tol, min(tol * 1e-2, SERIES_ATOL))
+    rhs = lambda y: (-f_law.from_gap_coeffs(y[0]),)
+    (r,), steps = _advance(rhs, (r0,), t, tol, (min(tol * 1e-2, SERIES_ATOL),))
     return _gap_to_solution(t, r, steps=steps)
 
 
@@ -371,15 +328,15 @@ def immigration_gf_series(
     _check_tol(tol)
     if i < 0:
         raise ValueError("initial state must be nonnegative")
-    n1 = N + 1
-    y0 = np.concatenate([_series_init(N), np.zeros(n1)])
+    r0, g0 = _series_init(N), np.zeros(N + 1)
     if t == 0.0:
-        return _gap_to_solution(0.0, y0[:n1], y0[n1:], i=i)
+        return _gap_to_solution(0.0, r0, g0, i=i)
 
     def rhs(y):
-        r = y[:n1]
-        return np.concatenate([-f_law.from_gap_coeffs(r), h_law.from_gap_coeffs(r)])
+        r, _ = y
+        return (-f_law.from_gap_coeffs(r), h_law.from_gap_coeffs(r))
 
-    y, steps = _advance_array(rhs, y0, t, tol, min(tol * 1e-2, SERIES_ATOL))
-    return _gap_to_solution(t, y[:n1], y[n1:], i=i, steps=steps)
+    atol = min(tol * 1e-2, SERIES_ATOL)
+    (r, g), steps = _advance(rhs, (r0, g0), t, tol, (atol, atol))
+    return _gap_to_solution(t, r, g, i=i, steps=steps)
 

@@ -344,3 +344,53 @@ class TestInputErrors:
         code = run_cli("solve", "--config", str(path), "--out", str(tmp_path))
         assert_one_line_error(code, capsys, "overflows a float")
         assert not (tmp_path / "solve.csv").exists()
+
+    @pytest.mark.parametrize("immigration", [None, {"kind": "canonical", "delta": 0.4, "c": 0.1}])
+    def test_far_horizon_solve_fails_fast(self, tmp_path, capsys, immigration):
+        # past t ~ 1e103 the rate R^(3/2) is subnormal and the step shrinks without end
+        payload = {"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0}, "t": [1e300], "s": [0.5]}
+        if immigration is not None:
+            payload["immigration"] = immigration
+        code = run_cli("solve", "--config", write_config(tmp_path, payload), "--out", str(tmp_path))
+        assert_one_line_error(code, capsys, "no progress")
+        assert not (tmp_path / "solve.csv").exists()
+
+    @pytest.mark.parametrize(
+        "law,path",
+        [({"nu": 0.001, "a0": 1.0}, "$.nu"), ({"nu": 0.01, "a0": 1e-300}, "$.a0")],
+    )
+    def test_figure_expansion_out_of_float_range(self, tmp_path, capsys, law, path):
+        config = write_config(tmp_path, law)
+        code = run_cli("figure-data", "--config", config, "--out", str(tmp_path))
+        assert_one_line_error(code, capsys, path)
+        assert not list(tmp_path.glob("figure_*.csv"))
+
+    # each value is one past its bound (cli.MAX_REPLICAS, cli.MAX_GRID, cap) and
+    # is rejected before the simulation allocates anything
+    @pytest.mark.parametrize(
+        "change,path",
+        [
+            ({"replicas": 10**6 + 1}, "$.replicas"),
+            ({"grid": [0.01 * k for k in range(101)]}, "$.grid"),
+            ({"estimators": [{"kind": "survival", "t": 0.0}, {"kind": "p", "t": 0.0, "j": -1}]}, "$.estimators[1].j"),
+            ({"cap": 50, "estimators": [{"kind": "p", "t": 0.0, "j": 51}]}, "$.estimators[0].j"),
+        ],
+    )
+    def test_simulate_bounds(self, tmp_path, capsys, change, path):
+        payload = {
+            "offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0},
+            "grid": [0.0],
+            "replicas": 10,
+            "estimators": [{"kind": "survival", "t": 0.0}],
+            **change,
+        }
+        code = run_cli("simulate", "--config", write_config(tmp_path, payload), "--out", str(tmp_path))
+        assert_one_line_error(code, capsys, path)
+        assert not (tmp_path / "simulate.csv").exists()
+
+    def test_figure_row_count_bounded(self, tmp_path, capsys):
+        # 95 / 5e-4 = 190,000 rows, past the bound of 1e5
+        config = write_config(tmp_path, {"nu": 0.5, "a0": 1.0, "t_start": 5.0, "t_stop": 100.0, "t_step": 5e-4})
+        code = run_cli("figure-data", "--config", config, "--out", str(tmp_path))
+        assert_one_line_error(code, capsys, "$.t_step")
+        assert not list(tmp_path.glob("figure_*.csv"))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from criticalbranch import (
     make_stable_immigration,
     make_stable_offspring,
 )
+from criticalbranch import kolmogorov
 from criticalbranch.kolmogorov import (
+    StepUnderflowError,
     closed_form_gf,
     gf_derivative,
     immigration_gf,
@@ -175,6 +178,41 @@ def test_every_solver_rejects_bad_tol(solver, tol):
     # tol = 0 divides by a zero error floor or never finishes; tol < 0 runs unchecked
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         _SOLVERS[solver](tol)
+
+
+class TestStepper:
+    def test_far_horizon_matches_closed_form(self):
+        sol = solve_gf(HALF, 1e100, 0.0)
+        assert sol.R == pytest.approx(closed_form_gf(0.5, 1.0, 1e100, 0.0).R, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [lambda t: solve_gf(HALF, t, 0.5), lambda t: immigration_gf(HALF, _IMM, 0, t, 0.5)],
+        ids=["solve_gf", "immigration_gf"],
+    )
+    def test_stalled_far_horizon_solve_fails_fast(self, solve):
+        # past t ~ 1e103 the rate R^(3/2) is subnormal, the error estimate is
+        # rounding noise and the step shrinks without end; the attempt budget
+        # ends the solve
+        started = time.perf_counter()
+        with pytest.raises(StepUnderflowError, match="no progress"):
+            solve(1e300)
+        assert time.perf_counter() - started < 30.0
+
+    def test_nan_error_estimate_rejects_the_step(self):
+        # a NaN in any component must shrink the step, never accept it
+        rhs = lambda y: (-y[0], np.full(3, math.nan))
+        with pytest.raises(StepUnderflowError, match="step size underflow"):
+            kolmogorov._advance(rhs, (np.ones(3), np.zeros(3)), 1.0, 1e-9, (1e-11, 1e-11))
+
+    def test_series_and_scalar_states_share_the_stepper(self):
+        # a vector state of one coefficient advances exactly as the float state
+        rhs_f = lambda y: (-HALF.from_gap(y[0]), _IMM.from_gap(y[0]))
+        rhs_v = lambda y: tuple(np.array([v]) for v in rhs_f((y[0][0], y[1][0])))
+        (r, g), steps = kolmogorov._advance(rhs_f, (0.5, 0.0), 7.0, 1e-10, (0.0, 1e-12))
+        (rv, gv), steps_v = kolmogorov._advance(rhs_v, (np.array([0.5]), np.zeros(1)), 7.0, 1e-10, (0.0, 1e-12))
+        assert (rv[0], gv[0], steps_v) == (r, g, steps)
+
 
 
 def immigration_mean(f_law, h_law, t, eps=1e-7):
