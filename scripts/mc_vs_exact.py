@@ -23,7 +23,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--replicas", type=int, default=50_000)
     parser.add_argument("--seed", type=int, default=2024)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     half = make_stable_offspring(0.5, 1.0)
@@ -33,15 +32,15 @@ def main() -> int:
 
     rows = []
     cfg = mc.SimConfig(offspring=half, immigration=None, grid=(10.0,), replicas=args.replicas, seed=args.seed)
-    est = mc.estimate(cfg, "survival", 10.0, threads=args.threads)
+    est = mc.estimate(cfg, "survival", 10.0)
     rows.append(("survival(10), stable offspring", est, 1.0 / 36.0))
 
     cfg = mc.SimConfig(offspring=binary, immigration=arrivals, grid=(3.0,), replicas=args.replicas, seed=args.seed + 1)
-    est = mc.estimate(cfg, "mean", 3.0, threads=args.threads)
+    est = mc.estimate(cfg, "mean", 3.0)
     rows.append(("mean(3), unit arrivals", est, 3.0))
 
     cfg = mc.SimConfig(offspring=half, immigration=heavy, grid=(1.0,), replicas=args.replicas, seed=args.seed + 2)
-    est = mc.estimate(cfg, "p", 1.0, j=0, threads=args.threads)
+    est = mc.estimate(cfg, "p", 1.0, j=0)
     oracle_p00 = uniformized_transition(build_generator(half, heavy, 128), 1.0)[0, 0]
     rows.append(("p_00(1), heavy immigration", est, float(oracle_p00)))
 

@@ -1,6 +1,7 @@
 """Acceptance suite: the eleven checks gating a release.
 
-Each check is a pure function returning a :class:`CheckResult`; the CLI
+Each check is a pure function returning ``(passed, detail)``, which
+:func:`run_one` times and wraps in a :class:`CheckResult`; the CLI
 ``verify`` subcommand and the pytest acceptance module both run these.
 Tolerances are fixed here, not configurable, so a green run means the same
 thing everywhere.  Checks that include a runtime budget fail when the budget
@@ -59,7 +60,7 @@ def _perturbed_pair():
     return f_law, h_law
 
 
-def _check_a1(threads: int) -> tuple[bool, str]:
+def _check_a1() -> tuple[bool, str]:
     started = time.perf_counter()
     worst = 0.0
     for nu, a0, s, t in _A1_GRID:
@@ -72,7 +73,7 @@ def _check_a1(threads: int) -> tuple[bool, str]:
     return ok, f"max |solver - closed form| = {worst:.3e} over {len(_A1_GRID)} points in {elapsed:.2f}s (budget 5s)"
 
 
-def _check_a2(threads: int) -> tuple[bool, str]:
+def _check_a2() -> tuple[bool, str]:
     worst = 0.0
     for nu, a0, s, t in _A1_GRID:
         law = make_stable_offspring(nu, a0)
@@ -82,7 +83,7 @@ def _check_a2(threads: int) -> tuple[bool, str]:
     return worst <= 1e-8, f"max shift-identity residual = {worst:.3e} (tol 1e-8)"
 
 
-def _check_a3(threads: int) -> tuple[bool, str]:
+def _check_a3() -> tuple[bool, str]:
     started = time.perf_counter()
     systems = [
         (make_finite_offspring([1.0, -2.0, 1.0]), make_finite_immigration([-1.0, 1.0])),
@@ -100,7 +101,7 @@ def _check_a3(threads: int) -> tuple[bool, str]:
     return ok, f"max |oracle - series| = {worst:.3e} for j<=20 in {elapsed:.1f}s (budget 60s)"
 
 
-def _check_a4(threads: int) -> tuple[bool, str]:
+def _check_a4() -> tuple[bool, str]:
     f_law, h_law = _canonical_pair()
     regime = classify(f_law, h_law)
     ratio = karamata.ratio_of(f_law.slowly_varying(), h_law.slowly_varying())
@@ -127,7 +128,7 @@ def _check_a4(threads: int) -> tuple[bool, str]:
     )
 
 
-def _check_a5(threads: int) -> tuple[bool, str]:
+def _check_a5() -> tuple[bool, str]:
     results = []
     for (f_law, h_law), n, tol in ((_canonical_pair(), 64, 1e-6), (_perturbed_pair(), 32, 1e-4)):
         regime = classify(f_law, h_law)
@@ -142,7 +143,7 @@ def _check_a5(threads: int) -> tuple[bool, str]:
     )
 
 
-def _check_a6(threads: int) -> tuple[bool, str]:
+def _check_a6() -> tuple[bool, str]:
     f_law, h_law = _canonical_pair()
     gen = oracle.build_generator(f_law, h_law, 512)
     row = oracle.uniformized_transition(gen, 50.0)[0]
@@ -155,7 +156,7 @@ def _check_a6(threads: int) -> tuple[bool, str]:
     return worst <= 0.01, f"max |p_0j(50)/p_00(50) - pi_j| = {worst:.3e} for j<=10 (tol 0.01 absolute)"
 
 
-def _check_a7(threads: int) -> tuple[bool, str]:
+def _check_a7() -> tuple[bool, str]:
     # survival expansion error bound, canonical closed forms
     worst_margin = -math.inf
     for nu in (0.2, 0.5, 0.9, 1.0):
@@ -185,7 +186,7 @@ def _check_a7(threads: int) -> tuple[bool, str]:
     )
 
 
-def _check_a8(threads: int) -> tuple[bool, str]:
+def _check_a8() -> tuple[bool, str]:
     law = make_stable_offspring(0.5, 1.0)
     slack_100 = asymptotics.conditioned_gf(law, 100.0, 0.5).slack
     value_ok = abs(slack_100 - 0.8024) <= 1e-4
@@ -203,14 +204,14 @@ def _check_a8(threads: int) -> tuple[bool, str]:
     )
 
 
-def _check_a9(threads: int) -> tuple[bool, str]:
+def _check_a9() -> tuple[bool, str]:
     started = time.perf_counter()
     details = []
 
     # survival at t=10, canonical offspring, single ancestor
     law = make_stable_offspring(0.5, 1.0)
     cfg = montecarlo.SimConfig(offspring=law, immigration=None, grid=(10.0,), replicas=100_000, seed=20240801)
-    est = montecarlo.estimate(cfg, "survival", 10.0, threads=threads)
+    est = montecarlo.estimate(cfg, "survival", 10.0)
     q_true = 1.0 / 36.0
     ok1 = abs(est.value - q_true) <= 3.0 * est.se
     details.append(f"q_hat(10) = {est.value:.5f} +/- {est.se:.5f} vs 1/36 (cover: {ok1})")
@@ -219,7 +220,7 @@ def _check_a9(threads: int) -> tuple[bool, str]:
     f_bin = make_finite_offspring([1.0, -2.0, 1.0])
     h_one = make_finite_immigration([-1.0, 1.0])
     cfg2 = montecarlo.SimConfig(offspring=f_bin, immigration=h_one, grid=(3.0,), replicas=100_000, seed=20240802)
-    est2 = montecarlo.estimate(cfg2, "mean", 3.0, threads=threads)
+    est2 = montecarlo.estimate(cfg2, "mean", 3.0)
     ok2 = abs(est2.value - 3.0) <= 3.0 * est2.se
     details.append(f"mean(3) = {est2.value:.4f} +/- {est2.se:.4f} vs 3 (cover: {ok2})")
 
@@ -228,7 +229,7 @@ def _check_a9(threads: int) -> tuple[bool, str]:
     cfg3 = montecarlo.SimConfig(
         offspring=f_law, immigration=h_law, grid=(50.0,), replicas=10_000, seed=20240803, cap=200
     )
-    est3 = montecarlo.estimate(cfg3, "ratio", 50.0, j=1, threads=threads)
+    est3 = montecarlo.estimate(cfg3, "ratio", 50.0, j=1)
     pi1 = float(asymptotics.ratio_limit_series(f_law, h_law, 4).coeffs[1])
     ok3 = abs(est3.value - pi1) <= 3.0 * est3.se
     details.append(f"ratio(1,50) = {est3.value:.4f} +/- {est3.se:.4f} vs pi_1 = {pi1:.4f} (cover: {ok3})")
@@ -238,7 +239,7 @@ def _check_a9(threads: int) -> tuple[bool, str]:
     return ok, "; ".join(details) + f"; total {elapsed:.1f}s (budget 120s)"
 
 
-def _check_a10(threads: int) -> tuple[bool, str]:
+def _check_a10() -> tuple[bool, str]:
     bit_ok = True
     for nu, a0 in FIGURE_PRESETS:
         for nf in ("half-log", "log-power"):
@@ -255,7 +256,7 @@ def _check_a10(threads: int) -> tuple[bool, str]:
     return ok, f"figure rows bit-identical to direct evaluation: {bit_ok}; summary table rows = {len(rows)}"
 
 
-def _check_a11(threads: int) -> tuple[bool, str]:
+def _check_a11() -> tuple[bool, str]:
     law = make_stable_offspring(0.5, 1.0)
     report = asymptotics.partial_sum_report(law, [10_000])
     ratio = float(report.values[-1] / (10_000**0.5 / (0.25 * math.gamma(0.5))))
@@ -280,12 +281,12 @@ _CHECKS = [
 CHECK_IDS = tuple(ident for ident, _, _ in _CHECKS)
 
 
-def run_one(ident: str, threads: int = 1) -> CheckResult:
+def run_one(ident: str) -> CheckResult:
     for cid, desc, fn in _CHECKS:
         if cid == ident:
             started = time.perf_counter()
             try:
-                passed, detail = fn(threads)
+                passed, detail = fn()
             except Exception as exc:  # a crashed check is a failed check
                 passed, detail = False, f"raised {type(exc).__name__}: {exc}"
             return CheckResult(cid, desc, passed, detail, time.perf_counter() - started)
@@ -293,8 +294,9 @@ def run_one(ident: str, threads: int = 1) -> CheckResult:
 
 
 def run(idents=None, threads: int = 1) -> list[CheckResult]:
+    """Run the named checks (all by default) in order; ``threads`` is accepted and ignored."""
     wanted = list(idents) if idents else list(CHECK_IDS)
     unknown = [w for w in wanted if w not in CHECK_IDS]
     if unknown:
         raise ValueError(f"unknown check ids: {unknown}")
-    return [run_one(w, threads) for w in wanted]
+    return [run_one(w) for w in wanted]

@@ -87,10 +87,6 @@ class InvariantMeasure:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def series(self) -> Series:
-        return Series(self.coeffs)
-
 
 @dataclass(frozen=True)
 class RateReport:
@@ -129,17 +125,15 @@ def _nu(f_law: OffspringLaw) -> float:
 # Invariant GF of the plain system.
 
 
-def invariant_gf(f_law: OffspringLaw, s: float, method: str = "auto") -> float:
+def invariant_gf(f_law: OffspringLaw, s: float) -> float:
     """M(s) = integral_0^s dx / f(x); M(0) = 0.
 
-    The canonical family dispatches to the exact tail form unless
-    ``method="quad"`` forces adaptive quadrature.
+    The canonical family takes the exact tail form; every other law takes
+    adaptive quadrature.
     """
     if not 0.0 <= s < 1.0:
         raise ValueError("s must lie in [0, 1)")
-    if method not in ("auto", "quad", "closed"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed" or (method == "auto" and f_law.kind == "canonical-stable"):
+    if f_law.kind == "canonical-stable":
         return invariant_gf_via_tail(f_law, s)
     if s == 0.0:
         return 0.0
@@ -191,14 +185,12 @@ def survival_expansion(nu: float, a0: float, normalizer: Normalizer | Callable, 
     return n_t / (nu * t) ** (1.0 / nu) * (1.0 + math.log(a0 * nu * t) / (nu**3 * t))
 
 
-def local_ratio_measured(f_law: OffspringLaw, t: float, tol: float = 1e-10) -> float:
+def local_ratio_measured(f_law: OffspringLaw, t: float) -> float:
     """Measured p_1(t)/q(t) from the variational and gap solves."""
-    return gf_derivative(f_law, t, 0.0, tol) / solve_gf(f_law, t, 0.0, tol).R
+    return gf_derivative(f_law, t, 0.0) / solve_gf(f_law, t, 0.0).R
 
 
-def slow_variation_report(
-    f_law: OffspringLaw, t_grid, tol: float = 1e-10
-) -> RateReport:
+def slow_variation_report(f_law: OffspringLaw, t_grid) -> RateReport:
     """Slow variation of (nu t)^(1 + 1/nu) p_1(t) a0: consecutive-grid ratios.
 
     The grid is meant to double; each adjacent pair contributes one ratio row
@@ -210,7 +202,7 @@ def slow_variation_report(
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("grid must be strictly increasing")
     vals = np.array(
-        [(nu * ti) ** (1.0 + 1.0 / nu) * gf_derivative(f_law, ti, 0.0, tol) * a0 for ti in t]
+        [(nu * ti) ** (1.0 + 1.0 / nu) * gf_derivative(f_law, ti, 0.0) * a0 for ti in t]
     )
     ratios = vals[1:] / vals[:-1] if t.size > 1 else np.empty(0)
     errors = np.abs(ratios - 1.0)
@@ -311,7 +303,6 @@ def scaled_gf_convergence(
     ratio: RatioSV,
     t_grid,
     s: float,
-    tol: float = 1e-10,
 ) -> RateReport:
     """Relative error of e^(T(t)) P(t;s) against U(s) over a time grid.
 
@@ -325,8 +316,8 @@ def scaled_gf_convergence(
     log_u = math.log(limit_gf(regime, ratio, s))
     errs = np.empty(t.size)
     for k, tk in enumerate(t):
-        q = solve_gf(f_law, tk, 0.0, tol).R
-        sol = immigration_gf(f_law, h_law, 0, tk, s, tol)
+        q = solve_gf(f_law, tk, 0.0).R
+        sol = immigration_gf(f_law, h_law, 0, tk, s)
         errs[k] = math.expm1(q ** (-g) + sol.G - log_u)
     slope, r2 = _fit_loglog(t, errs)
     flat = _ratio_is_flat(ratio)
@@ -387,7 +378,7 @@ class ConditionedResult:
     error: float
 
 
-def conditioned_gf(f_law: OffspringLaw, t: float, s: float, tol: float = 1e-10) -> ConditionedResult:
+def conditioned_gf(f_law: OffspringLaw, t: float, s: float) -> ConditionedResult:
     """GF of the population conditioned on survival: 1 - R(t;s)/q(t).
 
     ``slack`` is nu t times the value; it approaches M(s) from below with a
@@ -396,10 +387,10 @@ def conditioned_gf(f_law: OffspringLaw, t: float, s: float, tol: float = 1e-10) 
     nu = _nu(f_law)
     if t <= 0.0:
         raise ValueError("conditioning requires t > 0")
-    q = solve_gf(f_law, t, 0.0, tol).R
+    q = solve_gf(f_law, t, 0.0).R
     if q <= 0.0:
         raise ZeroDivisionError("survival probability underflowed")
-    r = solve_gf(f_law, t, s, tol).R
+    r = solve_gf(f_law, t, s).R
     value = 1.0 - r / q
     slack = nu * t * value
     m = invariant_gf(f_law, s)

@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -32,7 +31,6 @@ __all__ = ["main", "SchemaError", "figure_rows", "report_rows", "FIGURE_PRESETS"
 
 FIGURE_PRESETS = ((0.2, 0.9), (0.9, 0.2))
 _FIGURE_NORMALIZERS = ("half-log", "log-power")
-ENV_THREADS = "CRITICALBRANCH_THREADS"
 # input bounds: simulate allocates a replicas x grid state array up front, and
 # figure-data builds its whole t grid in memory
 MAX_REPLICAS = 10**6
@@ -295,7 +293,7 @@ def _cmd_simulate(args) -> int:
     for i, spec in enumerate(cfg["estimators"]):
         if not 0 <= spec.get("j", 0) <= sim_cfg.cap:
             raise SchemaError(f"j must lie in [0, cap={sim_cfg.cap}] at $.estimators[{i}].j, got {spec['j']}")
-    obs = montecarlo.simulate(sim_cfg, threads=args.threads)
+    obs = montecarlo.simulate(sim_cfg)
     rows = []
     for spec in cfg["estimators"]:
         est = montecarlo.estimate(sim_cfg, spec["kind"], spec["t"], spec.get("j"), obs=obs)
@@ -437,7 +435,7 @@ def _cmd_verify(args) -> int:
 
     cfg = _load_config(args, "verify")
     wanted = args.checks.split(",") if args.checks else cfg.get("checks")
-    results = acceptance.run(wanted, threads=args.threads)
+    results = acceptance.run(wanted)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -465,12 +463,10 @@ def main(argv=None) -> int:
         p.add_argument("--config", type=str, default=None, help="path to a JSON config")
         p.add_argument("--out", type=str, default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--threads", type=int, default=None, help="worker count (0 = auto)")
+        p.add_argument("--threads", type=int, default=None, help="accepted and ignored; runs are serial")
         if name == "verify":
             p.add_argument("--checks", type=str, default=None, help="comma-separated check ids")
     args = parser.parse_args(argv)
-    if args.threads is None:
-        args.threads = int(os.environ.get(ENV_THREADS, "1"))
 
     handlers = {
         "simulate": _cmd_simulate,

@@ -12,8 +12,7 @@ The canonical stable families realize ``f(s) = a0 (1-s)^(1+nu)`` and
 fractional binomial coefficients come from the multiplicative recurrence,
 never from Gamma-function quotients.
 
-Everything here is immutable after construction and safe to share across
-threads.
+Everything here is immutable after construction.
 """
 
 from __future__ import annotations
@@ -118,11 +117,6 @@ class OffspringLaw(CenteredLaw):
     @property
     def lifetime_mean(self) -> float:
         return 1.0 / (-self.a1)
-
-    @property
-    def criticality(self) -> float:
-        """f'(1-); zero for critical laws."""
-        return self.fprime_from_gap(0.0)
 
     def slowly_varying(self) -> karamata.SlowlyVarying:
         """The factor L with f(s) = (1-s)^(1+nu) L(1/(1-s)).

@@ -7,11 +7,11 @@ jump-chain law is sampled without any tail approximation.  No leaping of any
 kind is applied; bias would contaminate the asymptotic-rate checks downstream.
 
 Paths are advanced in vectorized rounds across fixed-size chunks.  Each chunk
-draws from its own stream spawned from (seed, chunk index), so results are
-bit-for-bit reproducible for a given (config, seed) and chunks can run on any
-number of workers with a deterministic merge by index.  Once a chunk is down
-to a handful of straggler paths the engine advances them one at a time, which
-keeps rare high-population excursions from stalling the vectorized rounds.
+draws from its own stream spawned from (seed, chunk index) and the chunks run
+in index order, so results are bit-for-bit reproducible for a given
+(config, seed).  Once a chunk is down to a handful of straggler paths the
+engine advances them one at a time, which keeps rare high-population
+excursions from stalling the vectorized rounds.
 Without immigration a straggler's jump chain is a random walk stopped at 0
 (the Lamperti representation), so it advances in numpy blocks of events that
 consume the stream exactly as the per-event loop would: same uniforms, same
@@ -29,9 +29,7 @@ excluded by the estimators; the count is always reported, never dropped.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +41,6 @@ __all__ = [
     "Estimate",
     "PathObservations",
     "InsufficientEventsError",
-    "sample_offspring",
     "simulate",
     "estimate",
 ]
@@ -182,13 +179,6 @@ def _immigration_pmf(law: ImmigrationLaw):
     return pmf
 
 
-def sample_offspring(f_law: OffspringLaw, u: float) -> int:
-    """Offspring count for a single uniform variate in [0, 1)."""
-    if not 0.0 <= u < 1.0:
-        raise ValueError("u must lie in [0, 1)")
-    return _Sampler(_offspring_pmf(f_law)).draw_one(u)
-
-
 def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.ndarray, int, int, int]:
     rng = np.random.default_rng(seed_seq)
     limit = min(cfg.cap + 1, _CDF_BOUND)
@@ -313,17 +303,13 @@ def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.n
 
 
 def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
-    """Run all replicas; identical (config, seed) gives identical output."""
+    """Run all replicas, chunk by chunk; identical (config, seed) gives identical output.
+
+    ``threads`` is accepted and ignored: the chunks always run serially.
+    """
     n_chunks = (cfg.replicas + CHUNK - 1) // CHUNK
     seqs = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
-    sizes = [min(CHUNK, cfg.replicas - c * CHUNK) for c in range(n_chunks)]
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda a: _run_chunk(cfg, a[0], a[1]), zip(seqs, sizes)))
-    else:
-        parts = [_run_chunk(cfg, sq, sz) for sq, sz in zip(seqs, sizes)]
+    parts = [_run_chunk(cfg, sq, min(CHUNK, cfg.replicas - c * CHUNK)) for c, sq in enumerate(seqs)]
     return PathObservations(
         grid=cfg.grid,
         states=np.concatenate([p[0] for p in parts], axis=0),
@@ -346,7 +332,6 @@ def estimate(
     kind: str,
     t: float,
     j: int | None = None,
-    threads: int = 1,
     obs: PathObservations | None = None,
 ) -> Estimate:
     """Plug-in estimator over uncapped paths.
@@ -356,7 +341,7 @@ def estimate(
     count at 0, delta-method standard error).
     """
     if obs is None:
-        obs = simulate(cfg, threads=threads)
+        obs = simulate(cfg)
     col = obs.states[~obs.capped, _grid_index(cfg, t)]
     n_used = col.size
     n_capped = int(obs.capped.sum())

@@ -39,7 +39,7 @@ def build_generator(
     f_law: OffspringLaw, h_law: ImmigrationLaw | None, n_max: int
 ) -> TruncatedGenerator:
     """Generator of the truncated chain; clipped jump rates are logged, not
-    renormalized (renormalizing would bias criticality)."""
+    renormalized (renormalizing would bias the mean offspring count)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     size = n_max + 1

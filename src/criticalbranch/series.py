@@ -46,34 +46,8 @@ class Series:
     def order(self) -> int:
         return self.coeffs.size - 1
 
-    def __len__(self) -> int:
-        return self.coeffs.size
-
-    def __getitem__(self, j: int) -> float:
-        return float(self.coeffs[j])
-
-    def __add__(self, other: "Series | float") -> "Series":
-        if isinstance(other, Series):
-            n = min(self.order, other.order)
-            return Series(self.coeffs[: n + 1] + other.coeffs[: n + 1])
-        c = self.coeffs.copy()
-        c[0] += other
-        return Series(c)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Series | float") -> "Series":
-        return self + (-other if not isinstance(other, Series) else Series(-other.coeffs))
-
     def __neg__(self) -> "Series":
         return Series(-self.coeffs)
-
-    def __mul__(self, other: "Series | float") -> "Series":
-        if isinstance(other, Series):
-            return mul(self, other)
-        return Series(self.coeffs * other)
-
-    __rmul__ = __mul__
 
 
 def mul(a: Series, b: Series) -> Series:

@@ -11,7 +11,7 @@ from criticalbranch import acceptance
 
 @pytest.mark.parametrize("ident", acceptance.CHECK_IDS)
 def test_acceptance_criterion(ident):
-    result = acceptance.run_one(ident, threads=1)
+    result = acceptance.run_one(ident)
     status = "PASS" if result.passed else "FAIL"
     print(f"{result.ident} {status} [{result.seconds:.2f}s] {result.description}: {result.detail}")
     assert result.passed, f"{result.ident} {result.description}: {result.detail}"

@@ -221,7 +221,7 @@ class TestVerify:
 
 class TestFlags:
     def test_threads_env_var_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.ENV_THREADS, "2")
+        # the variable no longer sets anything, not even an unparseable value
         config = write_config(
             tmp_path,
             {
@@ -231,7 +231,11 @@ class TestFlags:
                 "estimators": [{"kind": "survival", "t": 1.0}],
             },
         )
-        assert run_cli("simulate", "--config", config, "--out", str(tmp_path)) == 0
+        plain, with_env = tmp_path / "plain", tmp_path / "env"
+        assert run_cli("simulate", "--config", config, "--out", str(plain)) == 0
+        monkeypatch.setenv("CRITICALBRANCH_THREADS", "abc")
+        assert run_cli("simulate", "--config", config, "--out", str(with_env)) == 0
+        assert (with_env / "simulate.csv").read_bytes() == (plain / "simulate.csv").read_bytes()
 
     def test_figure_data_custom_config(self, tmp_path):
         config = write_config(

@@ -1,14 +1,63 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import criticalbranch
 
 MODULES = ["criticalbranch"] + [f"criticalbranch.{m.name}" for m in pkgutil.iter_modules(criticalbranch.__path__)]
+ROOT = Path(__file__).resolve().parents[1]
+# code that counts as reaching a name: the package itself, the scripts and the benchmark
+TREES = {p.resolve(): ast.parse(p.read_text()) for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py")}
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def _used_names(tree, skip=()):
+    """Names read, taken as an attribute or imported anywhere in ``tree`` outside the ``skip`` nodes."""
+    used, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if any(node is s for s in skip):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def _binds(stmt, name):
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return stmt.name == name
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+    if isinstance(stmt, ast.ImportFrom):
+        return any((a.asname or a.name) == name for a in stmt.names)
+    return False
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_is_reached(name):
+    module = importlib.import_module(name)
+    own = Path(module.__file__).resolve()
+    assert own in TREES
+    elsewhere = set().union(*(_used_names(tree) for path, tree in TREES.items() if path != own))
+    unreached = []
+    for export in module.__all__:
+        if export in elsewhere:
+            continue
+        definitions = [stmt for stmt in TREES[own].body if _binds(stmt, export)]
+        if export not in _used_names(TREES[own], definitions):
+            unreached.append(export)
+    assert unreached == []

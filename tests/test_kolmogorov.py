@@ -81,8 +81,8 @@ class TestSeriesMode:
 
     def test_binary_coefficients(self):
         sol = solve_gf_series(BINARY, 2.0, 8)
-        assert sol.F[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
-        assert sol.F[1] == pytest.approx(1.0 / 9.0, abs=1e-9)
+        assert sol.F.coeffs[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
+        assert sol.F.coeffs[1] == pytest.approx(1.0 / 9.0, abs=1e-9)
 
     def test_eval_matches_scalar(self):
         sol = solve_gf_series(HALF, 10.0, 256)
@@ -153,7 +153,7 @@ class TestImmigrationGf:
     def test_series_step_through_negative_gap_stage_is_retried(self):
         sol = immigration_gf_series(HALF, make_stable_immigration(0.4, 0.1), 0, 100.0, 32, tol=0.5)
         assert np.all(np.isfinite(sol.P.coeffs))
-        assert sol.R[0] == pytest.approx(closed_form_gf(0.5, 1.0, 100.0, 0.0).R, rel=0.2)
+        assert sol.R.coeffs[0] == pytest.approx(closed_form_gf(0.5, 1.0, 100.0, 0.0).R, rel=0.2)
 
     def test_series_coefficients_sum_to_scalar(self):
         h_law = make_stable_immigration(0.4, 0.1)
@@ -225,7 +225,7 @@ class TestPopulationMean:
 
     def test_critical_linear_growth(self):
         h_law = make_stable_immigration(1.0, 1.0)
-        assert BINARY.criticality == 0.0
+        assert BINARY.fprime_from_gap(0.0) == 0.0
         assert immigration_mean(BINARY, h_law, 3.0) == pytest.approx(h_law.hprime1 * 3.0)
         assert h_law.hprime1 == 1.0
 
@@ -236,7 +236,7 @@ class TestPopulationMean:
     def test_noncritical_branch(self):
         f_law = make_finite_offspring([0.75, -1.0, 0.25])
         h_law = make_finite_immigration([-1.0, 1.0])
-        a = f_law.criticality
+        a = f_law.fprime_from_gap(0.0)
         assert a == -0.5
         assert immigration_mean(f_law, h_law, 2.0) == pytest.approx((math.exp(-1.0) - 1.0) / a)
 

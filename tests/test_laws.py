@@ -33,7 +33,7 @@ class TestStableOffspring:
     def test_figure_preset_parameters(self):
         law = make_stable_offspring(0.2, 0.9)
         assert law.value(0.5) == pytest.approx(0.9 * 0.5**1.2)
-        assert law.criticality == 0.0
+        assert law.fprime_from_gap(0.0) == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -156,7 +156,7 @@ class TestPerturbedOffspring:
 
     def test_still_critical(self):
         law = make_perturbed_offspring(0.5, 1.0, rho=0.3, p=0.5)
-        assert law.criticality == 0.0
+        assert law.fprime_from_gap(0.0) == 0.0
 
 
 class TestFromConfig:
