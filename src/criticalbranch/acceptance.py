@@ -93,7 +93,7 @@ def _check_a3() -> tuple[bool, str]:
     for f_law, h_law in systems:
         gen = oracle.build_generator(f_law, h_law, 200)
         for t in (0.5, 1.0, 2.0):
-            p_oracle = oracle.uniformized_transition(gen, t)[0, :21]
+            p_oracle = oracle.uniformize(gen, t).P[0, :21]
             p_series = immigration_gf_series(f_law, h_law, 0, t, 64).P.coeffs[:21]
             worst = max(worst, float(np.max(np.abs(p_oracle - p_series))))
     elapsed = time.perf_counter() - started
@@ -146,7 +146,7 @@ def _check_a5() -> tuple[bool, str]:
 def _check_a6() -> tuple[bool, str]:
     f_law, h_law = _canonical_pair()
     gen = oracle.build_generator(f_law, h_law, 512)
-    row = oracle.uniformized_transition(gen, 50.0)[0]
+    row = oracle.uniformize(gen, 50.0).P[0]
     measured = row[:11] / row[0]
     pi = asymptotics.ratio_limit_series(f_law, h_law, 16).coeffs[:11]
     worst = float(np.max(np.abs(measured - pi)))

@@ -1,5 +1,9 @@
+import math
+import time
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from criticalbranch import (
     make_finite_immigration,
@@ -8,10 +12,32 @@ from criticalbranch import (
     make_stable_offspring,
 )
 from criticalbranch.kolmogorov import immigration_gf_series
-from criticalbranch.oracle import build_generator, uniformized_transition
+from criticalbranch.oracle import _split, build_generator, uniformize, uniformized_transition
 
 BINARY = make_finite_offspring([1.0, -2.0, 1.0])
 ARRIVALS = make_finite_immigration([-1.0, 1.0])
+
+
+def _canonical_generator(n_max):
+    return build_generator(make_stable_offspring(0.5, 1.0), make_stable_immigration(0.4, 0.1), n_max)
+
+
+def _longdouble_transition(gen, t, terms=40):
+    """Uniformization in extended precision with q t / 2^h <= 1 and no tail worth a float."""
+    Q = gen.Q.astype(np.longdouble)
+    q = np.max(-np.diag(Q))
+    h = max(0, math.ceil(math.log2(float(q) * t)))
+    x = q * np.longdouble(t) / np.longdouble(2) ** h
+    identity = np.eye(Q.shape[0], dtype=np.longdouble)
+    M = identity + Q / q
+    term, P = identity.copy(), identity.copy()
+    for k in range(1, terms):
+        term = term @ M * (x / k)
+        P += term
+    P *= np.exp(-x)
+    for _ in range(h):
+        P = P @ P
+    return P
 
 
 class TestBuildGenerator:
@@ -97,6 +123,60 @@ class TestUniformizedTransition:
         gen = build_generator(BINARY, None, 4)
         with pytest.raises(ValueError):
             uniformized_transition(gen, -1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_time(self, t):
+        gen = build_generator(BINARY, None, 4)
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+            uniformized_transition(gen, t)
+
+    def test_rejects_overflowing_rate_times_time(self):
+        gen = build_generator(BINARY, None, 4)
+        with pytest.raises(ValueError, match="q\\*t must be finite"):
+            uniformized_transition(gen, 1e308)
+
+    def test_far_time_returns_quickly(self):
+        gen = build_generator(BINARY, None, 4)
+        started = time.perf_counter()
+        P = uniformized_transition(gen, 1e300)
+        assert time.perf_counter() - started < 0.5
+        assert np.all(np.isfinite(P)) and np.all(P >= 0.0)
+        assert np.all(P.sum(axis=1) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("t", [0.5, 50.0])
+    def test_matches_longdouble_reference(self, t):
+        gen = _canonical_generator(60)
+        P = uniformized_transition(gen, t)
+        assert np.max(np.abs(P - _longdouble_transition(gen, t))) <= 1e-10
+
+
+class TestUniformize:
+    def test_counters(self):
+        gen = _canonical_generator(512)
+        result = uniformize(gen, 50.0)
+        assert np.array_equal(result.leaked, 1.0 - result.P.sum(axis=1))
+        assert result.terms - 1 + result.halvings <= 30
+        assert np.array_equal(uniformized_transition(gen, 50.0), result.P)
+
+    def test_time_zero_counts_nothing(self):
+        result = uniformize(build_generator(BINARY, None, 3), 0.0)
+        assert (result.halvings, result.terms) == (0, 0)
+        assert np.array_equal(result.leaked, np.zeros(4))
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-14])
+    def test_poisson_tail_below_split_tolerance(self, eps):
+        violations = []
+        for qt in np.logspace(-3, 7, 100):
+            h, k = _split(float(qt), eps)
+            if not stats.poisson.sf(k, qt / 2**h) <= eps / 2 ** (h + 1):
+                violations.append((qt, h, k))
+        assert violations == []
+
+    def test_rejects_bad_tolerance(self):
+        gen = build_generator(BINARY, None, 4)
+        for eps in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="eps must lie in"):
+                uniformize(gen, 1.0, eps)
 
 
 def test_generator_requires_positive_truncation():
