@@ -63,11 +63,20 @@ __all__ = [
 ]
 
 ELIGIBILITY_TOL = 1e-6
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 
 
 class EligibilityError(ValueError):
     """The transient limit law does not apply to this parameter set."""
+
+
+def _quad(fn, a: float, b: float, bound, what: str) -> float:
+    """integral_a^b fn; a non-finite value, an error past bound(value) or a
+    convergence warning from scipy raises ValueError naming ``what``."""
+    val, err, _, *problem = quad(fn, a, b, epsabs=1e-12, epsrel=1e-12, limit=200, full_output=1)
+    if problem or not (math.isfinite(val) and err <= bound(val)):
+        note = f" ({problem[0].splitlines()[0].strip()})" if problem else ""
+        raise ValueError(f"{what}: value {val}, error {err}{note}")
+    return val
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,8 @@ class InvariantMeasure:
     """Truncated coefficient sequence of one invariant GF.
 
     Tags: M (plain system), U (immigration limit), pi (ratio-limit
-    normalization, pi_0 = 1), V (relative local measure, a0 * M).
+    normalization, pi_0 = 1), V (relative local measure, a0 * M).  A
+    coefficient past the float range raises ValueError.
     """
 
     tag: str
@@ -84,6 +94,8 @@ class InvariantMeasure:
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=float)
+        if not np.isfinite(c).all():
+            raise ValueError(f"coefficients of {self.tag} leave the float range")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -137,10 +149,8 @@ def invariant_gf(f_law: OffspringLaw, s: float) -> float:
         return invariant_gf_via_tail(f_law, s)
     if s == 0.0:
         return 0.0
-    val, err = quad(lambda x: 1.0 / f_law.value(x), 0.0, s, **_QUAD_OPTS)
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise RuntimeError(f"quadrature failure near s={s}: reported error {err}")
-    return val
+    return _quad(lambda x: 1.0 / f_law.value(x), 0.0, s, lambda v: 1e-8 * max(1.0, abs(v)),
+                 f"quadrature failure near s={s}")
 
 
 def invariant_gf_via_tail(f_law: OffspringLaw, s: float) -> float:
@@ -254,10 +264,7 @@ def _tail_gap_integral(ratio: RatioSV, gamma_abs: float, x: float) -> float:
     def integrand(v):
         return (gamma_abs - ratio(x / v)) * x**gamma_abs * v ** (-1.0 - gamma_abs)
 
-    val, err = quad(integrand, 0.0, 1.0, **_QUAD_OPTS)
-    if not math.isfinite(val) or err > 1e-10 + 1e-8 * abs(val):
-        raise RuntimeError(f"tail quadrature failed at x={x}: value {val}, error {err}")
-    return val
+    return _quad(integrand, 0.0, 1.0, lambda v: 1e-10 + 1e-8 * abs(v), f"tail quadrature failed at x={x}")
 
 
 def limit_gf(regime: RegimeParams, ratio: RatioSV, s: float) -> float:
@@ -351,9 +358,8 @@ def ratio_limit_gf(f_law: OffspringLaw, h_law: ImmigrationLaw, s: float) -> floa
         raise ValueError("s must lie in [0, 1)")
     if s == 0.0:
         return 1.0
-    val, err = quad(lambda y: h_law.value(y) / f_law.value(y), 0.0, s, **_QUAD_OPTS)
-    if err > 1e-9 * max(1.0, abs(val)):
-        raise RuntimeError(f"quadrature failure near s={s}")
+    val = _quad(lambda y: h_law.value(y) / f_law.value(y), 0.0, s, lambda v: 1e-9 * max(1.0, abs(v)),
+                f"quadrature failure near s={s}")
     return math.exp(-val)
 
 

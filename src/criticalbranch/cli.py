@@ -1,8 +1,8 @@
 """Experiment orchestration: config ingestion, CSV emission, verification.
 
 Subcommands: ``simulate``, ``solve``, ``invariant``, ``verify``,
-``figure-data``, ``report``.  Configs are single JSON files validated against
-a closed schema (unknown keys are rejected with their path).  Every output
+``figure-data``, ``report``.  Configs are single JSON files checked against
+one closed schema of keys, ranges and choices before any work.  Every output
 CSV starts with ``#`` comment lines carrying the config hash and seed, and a
 JSON provenance sidecar records the effective config, library versions, wall
 time and, for ``simulate``, a ``diagnostics`` block of engine counters.
@@ -24,8 +24,8 @@ import numpy as np
 import scipy
 
 from . import __version__, asymptotics, karamata, montecarlo
-from .kolmogorov import _MAX_ORDER, StepUnderflowError, immigration_gf, solve_gf
-from .laws import classify, immigration_from_config, offspring_from_config
+from .kolmogorov import _MAX_ORDER, immigration_gf, solve_gf
+from .laws import _IMMIGRATION_KINDS, _OFFSPRING_KINDS, classify, immigration_from_config, offspring_from_config
 
 __all__ = ["main", "SchemaError", "figure_rows", "report_rows", "FIGURE_PRESETS"]
 
@@ -43,83 +43,115 @@ class SchemaError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Schema validation: {key: (required, spec)} where spec is a type, a tuple of
-# types, a nested schema dict, or a list [element spec].
+# Schema: {key: (required, spec)} where spec is a _Leaf, a nested schema dict,
+# a _ByKind, or a list [element spec] or [element spec, max length].  This
+# table alone says what a valid config is; the cross-field rules that it
+# cannot state sit at the top of each handler, ahead of any work.
 
-_LAW_OFFSPRING = {
-    "kind": (True, str),
-    "nu": (False, (int, float)),
-    "a0": (False, (int, float)),
-    "rho": (False, (int, float)),
-    "p": (False, (int, float)),
-    "rates": (False, [(int, float)]),
-}
-_LAW_IMMIGRATION = {
-    "kind": (True, str),
-    "delta": (False, (int, float)),
-    "c": (False, (int, float)),
-    "kappa": (False, (int, float)),
-    "rates": (False, [(int, float)]),
-}
 
+class _Leaf:
+    """A scalar of the given types within [lo, hi] ((lo, hi] when open_lo), or among choices."""
+
+    def __init__(self, types, lo=-math.inf, hi=math.inf, *, open_lo=False, choices=()):
+        self.types, self.lo, self.hi, self.open_lo, self.choices = types, lo, hi, open_lo, choices
+
+    def domain(self) -> str:
+        if self.choices:
+            return "one of " + ", ".join(self.choices)
+        return f"{'(' if self.open_lo else '['}{self.lo}, {self.hi}{')' if self.hi == math.inf else ']'}"
+
+    def admits(self, value) -> bool:
+        if self.types is str:
+            return not self.choices or value in self.choices
+        return (self.lo < value if self.open_lo else self.lo <= value) and value <= self.hi
+
+
+class _ByKind(dict):
+    """Object schemas keyed by the value of the object's ``kind``."""
+
+
+def _law_schema(kinds: dict) -> _ByKind:
+    # a builder's arguments are numbers, except the rate vector of a finite law
+    return _ByKind(
+        (kind, {"kind": (True, _Leaf(str)), **{key: (True, [_NUM] if key == "rates" else _NUM) for key in keys}})
+        for kind, (_, keys) in kinds.items()
+    )
+
+
+_NUM = _Leaf((int, float))
+_NONNEG = _Leaf((int, float), 0)
+_COUNT = _Leaf(int, 0)
+_LAWS = {
+    "offspring": (True, _law_schema(_OFFSPRING_KINDS)),
+    "immigration": (False, _law_schema(_IMMIGRATION_KINDS)),
+}
 _SCHEMAS = {
     "simulate": {
-        "offspring": (True, _LAW_OFFSPRING),
-        "immigration": (False, _LAW_IMMIGRATION),
-        "grid": (True, [(int, float)]),
-        "replicas": (True, int),
-        "cap": (False, int),
-        "start": (False, int),
-        "seed": (False, int),
-        "estimators": (True, [{"kind": (True, str), "t": (True, (int, float)), "j": (False, int)}]),
+        **_LAWS,
+        "grid": (True, [_NONNEG, MAX_GRID]),
+        "replicas": (True, _Leaf(int, 1, MAX_REPLICAS)),
+        "cap": (False, _Leaf(int, 1, montecarlo._CDF_BOUND)),
+        "start": (False, _COUNT),
+        "seed": (False, _COUNT),
+        "estimators": (True, [{
+            "kind": (True, _Leaf(str, choices=("survival", "p", "mean", "ratio"))),
+            "t": (True, _NONNEG),
+            "j": (False, _COUNT),
+        }]),
     },
     "solve": {
-        "offspring": (True, _LAW_OFFSPRING),
-        "immigration": (False, _LAW_IMMIGRATION),
-        "t": (True, [(int, float)]),
-        "s": (True, [(int, float)]),
-        "tol": (False, (int, float)),
+        **_LAWS,
+        "t": (True, [_NONNEG]),
+        "s": (True, [_Leaf((int, float), 0, 1)]),
+        "tol": (False, _Leaf((int, float), 0, open_lo=True)),
     },
     "invariant": {
-        "offspring": (True, _LAW_OFFSPRING),
-        "immigration": (False, _LAW_IMMIGRATION),
-        "measures": (True, [str]),
-        "order": (True, int),
+        **_LAWS,
+        "measures": (True, [_Leaf(str, choices=("M", "V", "pi", "U"))]),
+        "order": (True, _Leaf(int, 0, _MAX_ORDER)),
     },
     "figure-data": {
-        "nu": (True, (int, float)),
-        "a0": (True, (int, float)),
-        "normalizer": (False, str),
-        "t_start": (False, (int, float)),
-        "t_stop": (False, (int, float)),
-        "t_step": (False, (int, float)),
+        "nu": (True, _Leaf((int, float), 0, 1, open_lo=True)),
+        "a0": (True, _Leaf((int, float), 0, open_lo=True)),
+        "normalizer": (False, _Leaf(str, choices=_FIGURE_NORMALIZERS)),
+        "t_start": (False, _Leaf((int, float), 0, open_lo=True)),
+        "t_stop": (False, _NUM),
+        "t_step": (False, _Leaf((int, float), 0, open_lo=True)),
     },
-    "verify": {"checks": (False, [str])},
+    "verify": {"checks": (False, [_Leaf(str)])},
     "report": {},
 }
 
 
-def _validate(obj, schema, path="$"):
-    if isinstance(schema, dict):
+def _validate(obj, spec, path="$"):
+    if isinstance(spec, _ByKind) and isinstance(obj, dict):
+        kind = obj.get("kind")
+        if not (isinstance(kind, str) and kind in spec):
+            raise SchemaError(f"kind must be one of {', '.join(spec)} at {path}.kind, got {kind!r}")
+        spec = spec[kind]
+    if isinstance(spec, dict):
         if not isinstance(obj, dict):
             raise SchemaError(f"expected an object at {path}")
         for key in obj:
-            if key not in schema:
+            if key not in spec:
                 raise SchemaError(f"unknown key at {path}.{key}")
-        for key, (required, spec) in schema.items():
+        for key, (required, sub) in spec.items():
             if key not in obj:
                 if required:
                     raise SchemaError(f"missing required key at {path}.{key}")
                 continue
-            _validate(obj[key], spec, f"{path}.{key}")
-    elif isinstance(schema, list):
+            _validate(obj[key], sub, f"{path}.{key}")
+    elif isinstance(spec, list):
         if not isinstance(obj, list):
             raise SchemaError(f"expected an array at {path}")
+        if len(spec) > 1 and len(obj) > spec[1]:
+            raise SchemaError(f"at most {spec[1]} entries at {path}, got {len(obj)}")
         for i, item in enumerate(obj):
-            _validate(item, schema[0], f"{path}[{i}]")
-    else:
-        if isinstance(obj, bool) or not isinstance(obj, schema):
-            raise SchemaError(f"wrong type at {path}: expected {schema}")
+            _validate(item, spec[0], f"{path}[{i}]")
+    elif isinstance(obj, bool) or not isinstance(obj, spec.types):
+        raise SchemaError(f"wrong type at {path}: expected {spec.types}")
+    elif not spec.admits(obj):
+        raise SchemaError(f"value must be {'' if spec.choices else 'in '}{spec.domain()} at {path}, got {obj!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -137,36 +169,27 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _write_csv(path: Path, command: str, cfg_hash: str, seed, columns, rows) -> None:
-    lines = [
-        f"# criticalbranch {command}",
-        f"# config_hash={cfg_hash} seed={seed}",
-        ",".join(columns),
-    ]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_provenance(
-    path: Path, command: str, cfg: dict, cfg_hash: str, seed, wall: float, diagnostics: dict | None = None
-) -> None:
+def _write_outputs(args, name: str, command: str, cfg: dict, seed, columns, rows, started: float,
+                   diagnostics: dict | None = None) -> None:
+    """``name``.csv and its provenance sidecar in --out, both keyed by the hash of ``cfg``."""
+    cfg_hash = _config_hash(cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    lines = [f"# criticalbranch {command}", f"# config_hash={cfg_hash} seed={seed}", ",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
     payload = {
         "command": command,
         "config_hash": cfg_hash,
         "seed": seed,
         "effective_config": cfg,
-        "versions": {
-            "criticalbranch": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": ".".join(map(str, sys.version_info[:3])),
-        },
-        "wall_time_s": wall,
+        "versions": {"criticalbranch": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+                     "python": ".".join(map(str, sys.version_info[:3]))},
+        "wall_time_s": time.perf_counter() - started,
     }
     if diagnostics is not None:
         payload["diagnostics"] = diagnostics
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out / f"{name}.provenance.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +217,9 @@ def figure_rows(nu: float, a0: float, normalizer: str, t_grid=None):
             raise ValueError(f"a0 nu t = {x} at t={t} leaves the float range at $.a0")
         try:
             q = asymptotics.survival_expansion(nu, a0, n_fn, t)
-        except ArithmeticError:  # (nu t)^(1/nu) left the float range
-            q = math.nan
-        p1 = q * (1.0 + math.log(x) / (nu**2 * t)) / x
+            p1 = q * (1.0 + math.log(x) / (nu**2 * t)) / x
+        except ArithmeticError:  # (nu t)^(1/nu) or nu^3 t left the float range
+            q = p1 = math.nan
         if not (math.isfinite(q) and math.isfinite(p1)):
             key = "$.a0" if math.isfinite(q) else "$.nu"
             raise ValueError(f"expansion not finite at t={t} (q={q}, p1={p1}), out of range at {key}")
@@ -243,19 +266,14 @@ def _finite_float(text: str) -> float:
 
 
 def _float_safe_int(text: str) -> int:
-    value = int(text)
-    try:
-        float(value)
-    except OverflowError:
-        raise SchemaError(f"integer literal of {len(text)} digits in config overflows a float") from None
-    return value
+    if not math.isfinite(float(text)):
+        raise SchemaError(f"integer literal of {len(text)} digits in config overflows a float")
+    return int(text)
 
 
 def _load_config(args, command) -> dict:
     if args.config is None:
-        if command in ("verify", "report"):
-            return {}
-        if command == "figure-data":
+        if command in ("verify", "report", "figure-data"):
             return {}
         raise SchemaError(f"{command} requires --config")
     try:
@@ -271,15 +289,38 @@ def _load_config(args, command) -> dict:
     return cfg
 
 
+def _at(path: str, fn, *args):
+    """fn(*args), with a ValueError's message naming the config path it concerns."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ValueError(f"{exc} at {path}") from None
+
+
+def _laws(cfg: dict):
+    """The offspring law and the immigration law (or None) of a validated config."""
+    offspring = _at("$.offspring", offspring_from_config, cfg["offspring"])
+    immigration = _at("$.immigration", immigration_from_config, cfg["immigration"]) if "immigration" in cfg else None
+    return offspring, immigration
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args, "simulate")
-    if cfg["replicas"] > MAX_REPLICAS:
-        raise SchemaError(f"replicas must not exceed {MAX_REPLICAS} at $.replicas, got {cfg['replicas']}")
-    if len(cfg["grid"]) > MAX_GRID:
-        raise SchemaError(f"grid must have at most {MAX_GRID} points at $.grid, got {len(cfg['grid'])}")
+    cap = cfg.get("cap", 10**6)
+    grid = [float(t) for t in cfg["grid"]]
+    if grid != sorted(grid):
+        raise SchemaError("grid times must be sorted at $.grid")
+    if cfg.get("start", 0) > cap:
+        raise SchemaError(f"start must not exceed cap={cap} at $.start, got {cfg['start']}")
+    for i, spec in enumerate(cfg["estimators"]):
+        if float(spec["t"]) not in grid:
+            raise SchemaError(f"t={spec['t']} is not a grid time at $.estimators[{i}].t")
+        if spec.get("j", 0) > cap:
+            raise SchemaError(f"j must not exceed cap={cap} at $.estimators[{i}].j, got {spec['j']}")
+        if "j" not in spec and spec["kind"] in ("p", "ratio"):
+            raise SchemaError(f"a {spec['kind']} estimator needs a level at $.estimators[{i}].j")
     started = time.perf_counter()
-    offspring = offspring_from_config(cfg["offspring"])
-    immigration = immigration_from_config(cfg["immigration"]) if "immigration" in cfg else None
+    offspring, immigration = _laws(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     sim_cfg = montecarlo.SimConfig(
         offspring=offspring,
@@ -288,111 +329,74 @@ def _cmd_simulate(args) -> int:
         replicas=cfg["replicas"],
         seed=seed,
         start=cfg.get("start"),
-        cap=cfg.get("cap", 10**6),
+        cap=cap,
     )
-    for i, spec in enumerate(cfg["estimators"]):
-        if not 0 <= spec.get("j", 0) <= sim_cfg.cap:
-            raise SchemaError(f"j must lie in [0, cap={sim_cfg.cap}] at $.estimators[{i}].j, got {spec['j']}")
     obs = montecarlo.simulate(sim_cfg)
     rows = []
-    for spec in cfg["estimators"]:
-        est = montecarlo.estimate(sim_cfg, spec["kind"], spec["t"], spec.get("j"), obs=obs)
+    for i, spec in enumerate(cfg["estimators"]):
+        est = _at(f"$.estimators[{i}]", montecarlo.estimate, sim_cfg, spec["kind"], spec["t"], spec.get("j"), obs)
         rows.append((spec["kind"], spec.get("j", ""), spec["t"], est.value, est.se, est.replicas, est.capped))
-    effective = dict(cfg, seed=seed, cap=sim_cfg.cap, start=sim_cfg.start)
-    h = _config_hash(effective)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "simulate.csv", "simulate", h, seed,
-               ("estimator", "j", "t", "value", "stderr", "replicas", "capped"), rows)
-    diagnostics = {
-        "events": obs.events,
-        "straggler_events": obs.straggler_events,
-        "capped_paths": int(obs.capped.sum()),
-        "table_size": obs.table_size,
-    }
-    _write_provenance(out / "simulate.provenance.json", "simulate", effective, h, seed,
-                      time.perf_counter() - started, diagnostics)
+    diagnostics = {"events": obs.events, "straggler_events": obs.straggler_events,
+                   "capped_paths": int(obs.capped.sum()), "table_size": obs.table_size}
+    _write_outputs(args, "simulate", "simulate", dict(cfg, seed=seed, cap=sim_cfg.cap, start=sim_cfg.start), seed,
+                   ("estimator", "j", "t", "value", "stderr", "replicas", "capped"), rows, started, diagnostics)
     return 0
 
 
 def _cmd_solve(args) -> int:
     cfg = _load_config(args, "solve")
     started = time.perf_counter()
-    offspring = offspring_from_config(cfg["offspring"])
-    immigration = immigration_from_config(cfg["immigration"]) if "immigration" in cfg else None
+    offspring, immigration = _laws(cfg)
     tol = cfg.get("tol", 1e-10)
-    if not tol > 0.0:
-        raise SchemaError(f"tol must be positive at $.tol, got {tol}")
     rows = []
-    for t in cfg["t"]:
-        for s in cfg["s"]:
+    for i, t in enumerate(cfg["t"]):
+        for k, s in enumerate(cfg["s"]):
+            point = f"$.t[{i}] and $.s[{k}]"
             if immigration is None:
-                sol = solve_gf(offspring, float(t), float(s), tol)
+                sol = _at(point, solve_gf, offspring, float(t), float(s), tol)
                 rows.append((t, s, sol.F, sol.R, "", ""))
             else:
-                sol = immigration_gf(offspring, immigration, 0, float(t), float(s), tol)
+                sol = _at(point, immigration_gf, offspring, immigration, 0, float(t), float(s), tol)
                 rows.append((t, s, sol.F, sol.R, sol.G, sol.P))
-    h = _config_hash(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "solve.csv", "solve", h, args.seed, ("t", "s", "F", "R", "G", "P0"), rows)
-    _write_provenance(out / "solve.provenance.json", "solve", cfg, h, args.seed,
-                      time.perf_counter() - started)
+    _write_outputs(args, "solve", "solve", cfg, args.seed, ("t", "s", "F", "R", "G", "P0"), rows, started)
     return 0
+
+
+@np.errstate(over="ignore", invalid="ignore")  # InvariantMeasure rejects coefficients past the float range
+def _measure(tag: str, offspring, immigration, N: int):
+    if tag == "M":
+        return asymptotics.invariant_series(offspring, N)
+    if tag == "V":
+        return asymptotics.relative_measure_series(offspring, N)
+    if tag == "pi":
+        return asymptotics.ratio_limit_series(offspring, immigration, N)
+    regime = classify(offspring, immigration)
+    ratio = karamata.ratio_of(offspring.slowly_varying(), immigration.slowly_varying())
+    return asymptotics.limit_gf_series(offspring, immigration, regime, ratio, N)
 
 
 def _cmd_invariant(args) -> int:
     cfg = _load_config(args, "invariant")
+    for i, tag in enumerate(cfg["measures"]):
+        if tag in ("pi", "U") and "immigration" not in cfg:
+            raise SchemaError(f"measure {tag} needs an immigration law at $.measures[{i}]")
     started = time.perf_counter()
-    offspring = offspring_from_config(cfg["offspring"])
-    immigration = immigration_from_config(cfg["immigration"]) if "immigration" in cfg else None
-    N = cfg["order"]
-    if not 0 <= N <= _MAX_ORDER:
-        raise SchemaError(f"order must lie in [0, {_MAX_ORDER}] at $.order, got {N}")
+    offspring, immigration = _laws(cfg)
     rows = []
-    for tag in cfg["measures"]:
-        if tag == "M":
-            measure = asymptotics.invariant_series(offspring, N)
-        elif tag == "V":
-            measure = asymptotics.relative_measure_series(offspring, N)
-        elif tag == "pi":
-            if immigration is None:
-                raise SchemaError("measure pi requires an immigration law")
-            measure = asymptotics.ratio_limit_series(offspring, immigration, N)
-        elif tag == "U":
-            if immigration is None:
-                raise SchemaError("measure U requires an immigration law")
-            regime = classify(offspring, immigration)
-            ratio = karamata.ratio_of(offspring.slowly_varying(), immigration.slowly_varying())
-            measure = asymptotics.limit_gf_series(offspring, immigration, regime, ratio, N)
-        else:
-            raise SchemaError(f"unknown measure tag {tag!r}")
+    for i, tag in enumerate(cfg["measures"]):
+        measure = _at(f"$.measures[{i}]", _measure, tag, offspring, immigration, cfg["order"])
         rows.extend((tag, j, c) for j, c in enumerate(measure.coeffs))
-    h = _config_hash(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "invariant.csv", "invariant", h, args.seed, ("measure", "j", "coefficient"), rows)
-    _write_provenance(out / "invariant.provenance.json", "invariant", cfg, h, args.seed,
-                      time.perf_counter() - started)
+    _write_outputs(args, "invariant", "invariant", cfg, args.seed, ("measure", "j", "coefficient"), rows, started)
     return 0
 
 
 def _cmd_figure_data(args) -> int:
     cfg = _load_config(args, "figure-data")
     started = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if cfg:
-        if not 0.0 < cfg["nu"] <= 1.0:
-            raise SchemaError(f"nu must lie in (0, 1] at $.nu, got {cfg['nu']}")
-        if not cfg["a0"] > 0.0:
-            raise SchemaError(f"a0 must be positive at $.a0, got {cfg['a0']}")
         t_grid = None
         if "t_start" in cfg or "t_stop" in cfg or "t_step" in cfg:
-            t0, t1 = cfg.get("t_start", 5.0), cfg.get("t_stop", 100.0)
-            dt = cfg.get("t_step", 0.5)
-            if not dt > 0.0:
-                raise SchemaError(f"t_step must be positive at $.t_step, got {dt}")
+            t0, t1, dt = cfg.get("t_start", 5.0), cfg.get("t_stop", 100.0), cfg.get("t_step", 0.5)
             if t1 < t0:
                 raise SchemaError(f"t_stop must not precede t_start at $.t_stop, got {t1} < {t0}")
             n = (t1 - t0) / dt
@@ -404,12 +408,8 @@ def _cmd_figure_data(args) -> int:
         jobs = [(nu, a0, nf, None) for nu, a0 in FIGURE_PRESETS for nf in _FIGURE_NORMALIZERS]
     for nu, a0, nf, t_grid in jobs:
         rows = figure_rows(nu, a0, nf, t_grid)
-        effective = {"nu": nu, "a0": a0, "normalizer": nf}
-        h = _config_hash(effective)
-        name = f"figure_nu{nu}_a0{a0}_{nf}"
-        _write_csv(out / f"{name}.csv", "figure-data", h, args.seed, ("t", "q", "p1"), rows)
-        _write_provenance(out / f"{name}.provenance.json", "figure-data", effective, h, args.seed,
-                          time.perf_counter() - started)
+        _write_outputs(args, f"figure_nu{nu}_a0{a0}_{nf}", "figure-data", {"nu": nu, "a0": a0, "normalizer": nf},
+                       args.seed, ("t", "q", "p1"), rows, started)
     return 0
 
 
@@ -419,14 +419,8 @@ def _cmd_report(args) -> int:
     for name, formula, spot in rows:
         print(f"{name:10s} {formula}")
         print(f"{'':10s} spot value at (nu=0.5, a0=1, delta=0.4, c=0.1, t=100, s=0.5): {_fmt(spot)}")
-    cfg = {"command": "report"}
-    h = _config_hash(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "report.csv", "report", h, args.seed, ("quantity", "expression", "spot_value"),
-               [(n, f'"{f}"', v) for n, f, v in rows])
-    _write_provenance(out / "report.provenance.json", "report", cfg, h, args.seed,
-                      time.perf_counter() - started)
+    _write_outputs(args, "report", "report", {"command": "report"}, args.seed, ("quantity", "expression", "spot_value"),
+                   [(n, f'"{f}"', v) for n, f, v in rows], started)
     return 0
 
 
@@ -451,14 +445,15 @@ def main(argv=None) -> int:
         description="critical branching systems: solvers, invariant measures, simulation, verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("simulate", "exact-event Monte Carlo with estimators"),
-        ("solve", "transition GF values on a (t, s) grid"),
-        ("invariant", "invariant measure coefficients"),
-        ("verify", "run the acceptance suite"),
-        ("figure-data", "survival and local-probability expansion curves"),
-        ("report", "summary table of the key expansions"),
-    ):
+    commands = {
+        "simulate": (_cmd_simulate, "exact-event Monte Carlo with estimators"),
+        "solve": (_cmd_solve, "transition GF values on a (t, s) grid"),
+        "invariant": (_cmd_invariant, "invariant measure coefficients"),
+        "verify": (_cmd_verify, "run the acceptance suite"),
+        "figure-data": (_cmd_figure_data, "survival and local-probability expansion curves"),
+        "report": (_cmd_report, "summary table of the key expansions"),
+    }
+    for name, (_, helptext) in commands.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", type=str, default=None, help="path to a JSON config")
         p.add_argument("--out", type=str, default=".", help="output directory")
@@ -467,18 +462,9 @@ def main(argv=None) -> int:
         if name == "verify":
             p.add_argument("--checks", type=str, default=None, help="comma-separated check ids")
     args = parser.parse_args(argv)
-
-    handlers = {
-        "simulate": _cmd_simulate,
-        "solve": _cmd_solve,
-        "invariant": _cmd_invariant,
-        "verify": _cmd_verify,
-        "figure-data": _cmd_figure_data,
-        "report": _cmd_report,
-    }
     try:
-        return handlers[args.command](args)
-    except (ValueError, montecarlo.InsufficientEventsError, StepUnderflowError) as exc:
+        return commands[args.command][0](args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

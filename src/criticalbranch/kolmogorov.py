@@ -47,7 +47,7 @@ _MAX_TRIES = 200_000
 _MAX_ORDER = 1024
 
 
-class StepUnderflowError(RuntimeError):
+class StepUnderflowError(ValueError):
     """Adaptive solve stopped progressing; carries the time reached."""
 
     def __init__(self, t_reached: float, reason: str = "step size underflow"):
@@ -91,6 +91,7 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _advance(rhs, y0, t_end, rtol, atols):
     """Integrate a tuple state from 0 to t_end; returns (y, steps).
 
@@ -100,8 +101,10 @@ def _advance(rhs, y0, t_end, rtol, atols):
     the flow, so its absolute floor can be zero for pure relative control;
     auxiliary components that start at zero need a positive floor.  A step
     with a non-positive gap at any stage is rejected and retried at half the
-    step size.  A step below ``_MIN_STEP``, or a solve still short of t_end
-    after ``_MAX_TRIES`` attempts, raises StepUnderflowError.
+    step size.  StepUnderflowError ends the solve on a step below
+    ``_MIN_STEP``, after ``_MAX_TRIES`` attempts short of t_end, and at once
+    on a non-finite error estimate or vector state (the solve left the float
+    range; that check replaces numpy's overflow warnings).
     """
     y = tuple(y0)
     t = 0.0
@@ -167,7 +170,9 @@ def _advance(rhs, y0, t_end, rtol, atols):
             q = abs(e_i) / (w + rtol * abs(v))
             q = q.max() if vec else q
             if not q <= err:
-                err = q if q == q else math.inf  # a NaN estimate rejects and shrinks
+                err = q if q == q else math.inf
+        if err == math.inf or vec and not all(np.isfinite(v).all() for v in ynew):
+            raise StepUnderflowError(t, f"non-finite stage value at step size {float(h)!r}")
         if err <= 1.0:
             t += h
             y = ynew

@@ -54,7 +54,7 @@ _WALK_START = 32
 _WALK_MAX = 4096
 
 
-class InsufficientEventsError(RuntimeError):
+class InsufficientEventsError(ValueError):
     """Denominator event count too small for a stable ratio estimate."""
 
 
@@ -179,6 +179,8 @@ def _immigration_pmf(law: ImmigrationLaw):
     return pmf
 
 
+# a rate so small that the waiting time overflows to inf correctly never fires
+@np.errstate(over="ignore")
 def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.ndarray, int, int, int]:
     rng = np.random.default_rng(seed_seq)
     limit = min(cfg.cap + 1, _CDF_BOUND)

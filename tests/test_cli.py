@@ -316,6 +316,7 @@ class TestInputErrors:
             ({"nu": 1.5, "a0": 1.0}, "$.nu"),
             ({"nu": 0.5, "a0": -1.0}, "$.a0"),
             ({"nu": 0.5, "a0": 0}, "$.a0"),
+            ({"nu": 0.5, "a0": 1.0, "normalizer": "cubic"}, "$.normalizer"),
         ],
     )
     def test_figure_law_rejected(self, tmp_path, capsys, law, path):
@@ -361,7 +362,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize(
         "law,path",
-        [({"nu": 0.001, "a0": 1.0}, "$.nu"), ({"nu": 0.01, "a0": 1e-300}, "$.a0")],
+        [({"nu": 0.001, "a0": 1.0}, "$.nu"), ({"nu": 0.01, "a0": 1e-300}, "$.a0"), ({"nu": 1e-200, "a0": 1.0}, "$.nu")],
     )
     def test_figure_expansion_out_of_float_range(self, tmp_path, capsys, law, path):
         config = write_config(tmp_path, law)
@@ -369,8 +370,9 @@ class TestInputErrors:
         assert_one_line_error(code, capsys, path)
         assert not list(tmp_path.glob("figure_*.csv"))
 
-    # each value is one past its bound (cli.MAX_REPLICAS, cli.MAX_GRID, cap) and
-    # is rejected before the simulation allocates anything
+    # each value is outside its domain (one past a bound such as cli.MAX_REPLICAS,
+    # cli.MAX_GRID or cap, a choice not offered, a key its law kind does not take)
+    # and is rejected before the simulation starts
     @pytest.mark.parametrize(
         "change,path",
         [
@@ -378,9 +380,21 @@ class TestInputErrors:
             ({"grid": [0.01 * k for k in range(101)]}, "$.grid"),
             ({"estimators": [{"kind": "survival", "t": 0.0}, {"kind": "p", "t": 0.0, "j": -1}]}, "$.estimators[1].j"),
             ({"cap": 50, "estimators": [{"kind": "p", "t": 0.0, "j": 51}]}, "$.estimators[0].j"),
+            ({"estimators": [{"kind": "median", "t": 0.0}]}, "$.estimators[0].kind"),
+            ({"estimators": [{"kind": "survival", "t": 1.0}]}, "$.estimators[0].t"),
+            ({"estimators": [{"kind": "p", "t": 0.0}]}, "$.estimators[0].j"),
+            ({"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0, "rho": 0.3, "rates": [1, -2, 1]}}, "$.offspring.rho"),
+            ({"offspring": {"kind": "finite", "rates": [1.0, -2.0, 2.0]}}, "$.offspring"),
+            ({"cap": 0}, "$.cap"),
+            ({"cap": 10**8}, "$.cap"),
+            ({"start": -1}, "$.start"),
+            ({"start": 10**19}, "$.start"),
+            ({"seed": -1}, "$.seed"),
+            ({"grid": [1.0, 0.0]}, "$.grid"),
         ],
     )
-    def test_simulate_bounds(self, tmp_path, capsys, change, path):
+    def test_simulate_bounds(self, tmp_path, capsys, monkeypatch, change, path):
+        monkeypatch.setattr(cli.montecarlo, "simulate", lambda cfg: pytest.fail("simulation started"))
         payload = {
             "offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0},
             "grid": [0.0],
@@ -398,3 +412,43 @@ class TestInputErrors:
         code = run_cli("figure-data", "--config", config, "--out", str(tmp_path))
         assert_one_line_error(code, capsys, "$.t_step")
         assert not list(tmp_path.glob("figure_*.csv"))
+
+    @pytest.mark.parametrize(
+        "command,payload,path",
+        [
+            ("solve", {"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0}, "t": [1.0], "s": [0.5, 1.5]}, "$.s[1]"),
+            ("solve", {"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0}, "t": [-1], "s": [0.5]}, "$.t[0]"),
+            ("invariant", {"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0}, "measures": ["M", "Q"], "order": 4},
+             "$.measures[1]"),
+            ("invariant", {"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0}, "measures": ["pi"], "order": 4},
+             "$.measures[0]"),
+            # pi_j grows like (c/a0)^j / j!, past the float range by j = 11 (it used to print inf)
+            (
+                "invariant",
+                {
+                    "offspring": {"kind": "canonical", "nu": 0.5, "a0": 1e-30},
+                    "immigration": {"kind": "canonical", "delta": 0.4, "c": 0.1},
+                    "measures": ["M", "pi"],
+                    "order": 11,
+                },
+                "$.measures[1]",
+            ),
+            # with rho = 1e8 the slowly varying ratio reaches its limit only near u ~ 1e16, so
+            # scipy cannot converge the tail integral; its warning used to pass U_0 = 1.0000000017,
+            # below the bound U(0) >= e that the nonnegative integrand gives
+            (
+                "invariant",
+                {
+                    "offspring": {"kind": "perturbed", "nu": 0.5, "a0": 1.0, "rho": 1e8, "p": 0.5},
+                    "immigration": {"kind": "canonical", "delta": 0.4, "c": 0.1},
+                    "measures": ["U"],
+                    "order": 8,
+                },
+                "$.measures[0]",
+            ),
+        ],
+    )
+    def test_domain_errors_name_their_path(self, tmp_path, capsys, command, payload, path):
+        code = run_cli(command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path))
+        assert_one_line_error(code, capsys, path)
+        assert not (tmp_path / f"{command}.csv").exists()

@@ -200,10 +200,24 @@ class TestStepper:
         assert time.perf_counter() - started < 30.0
 
     def test_nan_error_estimate_rejects_the_step(self):
-        # a NaN in any component must shrink the step, never accept it
-        rhs = lambda y: (-y[0], np.full(3, math.nan))
-        with pytest.raises(StepUnderflowError, match="step size underflow"):
+        # a NaN in any component is never accepted: the first attempt ends the solve
+        calls = []
+
+        def rhs(y):
+            calls.append(1)
+            return (-y[0], np.full(3, math.nan))
+
+        with pytest.raises(StepUnderflowError, match="non-finite stage value .* at t=0.0$"):
             kolmogorov._advance(rhs, (np.ones(3), np.zeros(3)), 1.0, 1e-9, (1e-11, 1e-11))
+        assert len(calls) == 7  # k1 and the six stages of one attempt
+
+    def test_series_overflow_fails_at_once(self):
+        # the higher G coefficients overflow past t ~ 1e83; the first non-finite
+        # step ends the solve instead of the 200,000-attempt budget (about 60 s)
+        started = time.perf_counter()
+        with pytest.raises(StepUnderflowError, match="non-finite stage value"):
+            immigration_gf_series(HALF, _IMM, 0, 1e100, 64)
+        assert time.perf_counter() - started < 20.0
 
     def test_series_and_scalar_states_share_the_stepper(self):
         # a vector state of one coefficient advances exactly as the float state
