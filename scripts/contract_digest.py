@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Print a digest of the behaviour contract, to diff between two source trees.
+
+For every command that writes CSVs (``solve``, ``invariant`` with M, V, pi
+and U, ``simulate --seed 7`` on the twelve law pairs of ``docs/cli.md``,
+``figure-data`` and ``report``) it prints the exit code, any error line, and
+for each CSV its SHA-256 next to the config hash and a SHA-256 of the
+effective config from the provenance sidecar.  It then prints the ``verify``
+lines with elapsed times masked, and a SHA-256 sweep over the scalar and
+series transition solves (F, R, G, P and accepted steps).
+
+Run it once per tree and diff the outputs:
+
+    PYTHONPATH=old/src python scripts/contract_digest.py > old.txt
+    PYTHONPATH=new/src python scripts/contract_digest.py > new.txt
+    diff old.txt new.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+import struct
+import sys
+import tempfile
+from pathlib import Path
+
+from criticalbranch import cli
+
+OFFSPRING = (
+    {"kind": "canonical", "nu": 0.5, "a0": 1.0},
+    {"kind": "perturbed", "nu": 0.5, "a0": 1.0, "rho": 0.3, "p": 0.5},
+    {"kind": "finite", "rates": [1.0, -2.0, 1.0]},
+)
+IMMIGRATION = (
+    None,
+    {"kind": "canonical", "delta": 0.4, "c": 0.1},
+    {"kind": "perturbed", "delta": 0.4, "c": 0.1, "kappa": 0.25},
+    {"kind": "finite", "rates": [-1.0, 1.0]},
+)
+PAIRS = [(f, h) for f in OFFSPRING for h in IMMIGRATION]
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def run(label: str, work: Path, argv: list, config: dict | None = None) -> str:
+    """Run one command in a fresh directory; returns its stdout."""
+    out = work / label
+    out.mkdir()
+    if config is not None:
+        (out / "config.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(out / "config.json")]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv + ["--out", str(out / "out")])
+    print(f"{label} exit={code} {stderr.getvalue().strip()}")
+    for csv in sorted((out / "out").glob("*.csv")) if code == 0 else ():
+        sidecar = json.loads(csv.with_name(csv.stem + ".provenance.json").read_text())
+        effective = json.dumps(sidecar["effective_config"], sort_keys=True).encode()
+        print(f"  {csv.name} csv={sha(csv.read_bytes())} config_hash={sidecar['config_hash']} "
+              f"effective={sha(effective)} seed={sidecar['seed']}")
+    return stdout.getvalue()
+
+
+def with_laws(f, h, **rest) -> dict:
+    return {"offspring": f, **({"immigration": h} if h else {}), **rest}
+
+
+def commands(work: Path) -> None:
+    for k, (f, h) in enumerate(PAIRS):
+        run(f"solve[{k}]", work, ["solve"], with_laws(f, h, t=[0.5, 1.0, 10.0, 100.0], s=[0.0, 0.5, 0.9]))
+        run(f"invariant[{k}]", work, ["invariant"],
+            with_laws(f, h, measures=["M", "V", "pi"] if h else ["M", "V"], order=32))
+        if h:
+            run(f"invariant-U[{k}]", work, ["invariant"], with_laws(f, h, measures=["U"], order=32))
+        estimators = [{"kind": "survival", "t": 5.0}, {"kind": "mean", "t": 5.0}, {"kind": "p", "t": 1.0, "j": 1}]
+        run(f"simulate[{k}]", work, ["simulate", "--seed", "7"],
+            with_laws(f, h, grid=[0.0, 1.0, 5.0], replicas=2000, cap=1000, estimators=estimators))
+    run("figure-data", work, ["figure-data"])
+    report = run("report", work, ["report"])
+    print(f"  report stdout={sha(report.encode())}")
+    verify = run("verify", work, ["verify"])
+    for line in verify.splitlines():
+        print("  " + re.sub(r"\b\d+\.\d+s\b", "<time>", line))  # budgets are whole seconds
+
+
+def floats(*values) -> bytes:
+    return b"".join(v.coeffs.tobytes() if hasattr(v, "coeffs") else struct.pack("<d", v) for v in values)
+
+
+def solver_sweep() -> None:
+    """SHA-256 of (F, R, G, P, steps) over scalar and series solves of every law pair."""
+    kolmogorov = sys.modules[cli.solve_gf.__module__]
+    for k, (f, h) in enumerate(PAIRS):
+        f_law = cli.offspring_from_config(f)
+        h_law = cli.immigration_from_config(h) if h else None
+        digest = hashlib.sha256()
+        for t in (0.1, 1.0, 10.0, 100.0, 1e4):
+            for s in (0.0, 0.3, 0.9, 0.999):
+                sol = kolmogorov.solve_gf(f_law, t, s)
+                digest.update(floats(sol.F, sol.R) + struct.pack("<q", sol.steps))
+                for i in (0, 2) if h_law else ():
+                    sol = kolmogorov.immigration_gf(f_law, h_law, i, t, s)
+                    digest.update(floats(sol.F, sol.R, sol.G, sol.P) + struct.pack("<q", sol.steps))
+        for t in (0.5, 2.0):
+            sol = kolmogorov.solve_gf_series(f_law, t, 64)
+            digest.update(floats(sol.F, sol.R) + struct.pack("<q", sol.steps))
+            for i in (0, 1) if h_law else ():
+                sol = kolmogorov.immigration_gf_series(f_law, h_law, i, t, 64)
+                digest.update(floats(sol.F, sol.R, sol.G, sol.P) + struct.pack("<q", sol.steps))
+        print(f"solves[{k}] {digest.hexdigest()[:16]}")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        commands(Path(tmp))
+    solver_sweep()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

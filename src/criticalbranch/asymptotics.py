@@ -90,7 +90,6 @@ class InvariantMeasure:
 
     tag: str
     coeffs: np.ndarray
-    note: str = ""
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=float)
@@ -164,7 +163,7 @@ def invariant_series(f_law: OffspringLaw, N: int) -> InvariantMeasure:
     """Coefficients mu_j of M by integrating the reciprocal series of f."""
     recip = fps.reciprocal(f_law.as_series(N))
     m = fps.integrate_series(recip).coeffs[: N + 1]
-    return InvariantMeasure(tag="M", coeffs=m, note="reciprocal-series route")
+    return InvariantMeasure(tag="M", coeffs=m)
 
 
 def stable_invariant_coeffs(nu: float, a0: float, N: int) -> np.ndarray:
@@ -300,7 +299,7 @@ def limit_gf_series(
     log_u = fps.integrate_series(-quot).coeffs[: N + 1].copy()
     log_u[0] = 1.0 + b0
     u = fps.exp_series(Series(log_u))
-    return InvariantMeasure(tag="U", coeffs=u.coeffs, note="exp of integrated -h/f anchored at the limit constant")
+    return InvariantMeasure(tag="U", coeffs=u.coeffs)
 
 
 def scaled_gf_convergence(
@@ -368,7 +367,7 @@ def ratio_limit_series(f_law: OffspringLaw, h_law: ImmigrationLaw, N: int) -> In
     quot = fps.mul(h_law.as_series(N), fps.reciprocal(f_law.as_series(N)))
     log_pi = fps.integrate_series(-quot).coeffs[: N + 1]
     pi = fps.exp_series(Series(log_pi))
-    return InvariantMeasure(tag="pi", coeffs=pi.coeffs, note="exp of integrated -h/f")
+    return InvariantMeasure(tag="pi", coeffs=pi.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +406,7 @@ def conditioned_gf(f_law: OffspringLaw, t: float, s: float) -> ConditionedResult
 def relative_measure_series(f_law: OffspringLaw, N: int) -> InvariantMeasure:
     """Coefficients v_j = a0 mu_j of the relative local measure."""
     m = invariant_series(f_law, N)
-    return InvariantMeasure(
-        tag="V", coeffs=f_law.a0 * m.coeffs, note="a0 times the reciprocal-series route"
-    )
+    return InvariantMeasure(tag="V", coeffs=f_law.a0 * m.coeffs)
 
 
 # ---------------------------------------------------------------------------

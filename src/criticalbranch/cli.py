@@ -25,9 +25,10 @@ import scipy
 
 from . import __version__, asymptotics, karamata, montecarlo
 from .kolmogorov import _MAX_ORDER, immigration_gf, solve_gf
-from .laws import _IMMIGRATION_KINDS, _OFFSPRING_KINDS, classify, immigration_from_config, offspring_from_config
+from .laws import (_LAWS, _NONNEG, _NUM, _PARAMS, _POSITIVE, _Leaf, _validate, classify, immigration_from_config,
+                   offspring_from_config)
 
-__all__ = ["main", "SchemaError", "figure_rows", "report_rows", "FIGURE_PRESETS"]
+__all__ = ["main", "figure_rows", "report_rows", "FIGURE_PRESETS"]
 
 FIGURE_PRESETS = ((0.2, 0.9), (0.9, 0.2))
 _FIGURE_NORMALIZERS = ("half-log", "log-power")
@@ -38,53 +39,12 @@ MAX_GRID = 100
 MAX_FIGURE_ROWS = 10**5
 
 
-class SchemaError(ValueError):
-    """Config violates the schema; the message carries the JSON path."""
-
-
 # ---------------------------------------------------------------------------
-# Schema: {key: (required, spec)} where spec is a _Leaf, a nested schema dict,
-# a _ByKind, or a list [element spec] or [element spec, max length].  This
-# table alone says what a valid config is; the cross-field rules that it
-# cannot state sit at the top of each handler, ahead of any work.
+# Schema: the walk and the law fragments live in ``laws``.  This table alone
+# says what a valid config is; the cross-field rules that it cannot state sit
+# at the top of each handler, ahead of any work.
 
-
-class _Leaf:
-    """A scalar of the given types within [lo, hi] ((lo, hi] when open_lo), or among choices."""
-
-    def __init__(self, types, lo=-math.inf, hi=math.inf, *, open_lo=False, choices=()):
-        self.types, self.lo, self.hi, self.open_lo, self.choices = types, lo, hi, open_lo, choices
-
-    def domain(self) -> str:
-        if self.choices:
-            return "one of " + ", ".join(self.choices)
-        return f"{'(' if self.open_lo else '['}{self.lo}, {self.hi}{')' if self.hi == math.inf else ']'}"
-
-    def admits(self, value) -> bool:
-        if self.types is str:
-            return not self.choices or value in self.choices
-        return (self.lo < value if self.open_lo else self.lo <= value) and value <= self.hi
-
-
-class _ByKind(dict):
-    """Object schemas keyed by the value of the object's ``kind``."""
-
-
-def _law_schema(kinds: dict) -> _ByKind:
-    # a builder's arguments are numbers, except the rate vector of a finite law
-    return _ByKind(
-        (kind, {"kind": (True, _Leaf(str)), **{key: (True, [_NUM] if key == "rates" else _NUM) for key in keys}})
-        for kind, (_, keys) in kinds.items()
-    )
-
-
-_NUM = _Leaf((int, float))
-_NONNEG = _Leaf((int, float), 0)
 _COUNT = _Leaf(int, 0)
-_LAWS = {
-    "offspring": (True, _law_schema(_OFFSPRING_KINDS)),
-    "immigration": (False, _law_schema(_IMMIGRATION_KINDS)),
-}
 _SCHEMAS = {
     "simulate": {
         **_LAWS,
@@ -103,7 +63,7 @@ _SCHEMAS = {
         **_LAWS,
         "t": (True, [_NONNEG]),
         "s": (True, [_Leaf((int, float), 0, 1)]),
-        "tol": (False, _Leaf((int, float), 0, open_lo=True)),
+        "tol": (False, _POSITIVE),
     },
     "invariant": {
         **_LAWS,
@@ -111,47 +71,16 @@ _SCHEMAS = {
         "order": (True, _Leaf(int, 0, _MAX_ORDER)),
     },
     "figure-data": {
-        "nu": (True, _Leaf((int, float), 0, 1, open_lo=True)),
-        "a0": (True, _Leaf((int, float), 0, open_lo=True)),
+        "nu": (True, _PARAMS["nu"]),
+        "a0": (True, _PARAMS["a0"]),
         "normalizer": (False, _Leaf(str, choices=_FIGURE_NORMALIZERS)),
-        "t_start": (False, _Leaf((int, float), 0, open_lo=True)),
+        "t_start": (False, _POSITIVE),
         "t_stop": (False, _NUM),
-        "t_step": (False, _Leaf((int, float), 0, open_lo=True)),
+        "t_step": (False, _POSITIVE),
     },
     "verify": {"checks": (False, [_Leaf(str)])},
     "report": {},
 }
-
-
-def _validate(obj, spec, path="$"):
-    if isinstance(spec, _ByKind) and isinstance(obj, dict):
-        kind = obj.get("kind")
-        if not (isinstance(kind, str) and kind in spec):
-            raise SchemaError(f"kind must be one of {', '.join(spec)} at {path}.kind, got {kind!r}")
-        spec = spec[kind]
-    if isinstance(spec, dict):
-        if not isinstance(obj, dict):
-            raise SchemaError(f"expected an object at {path}")
-        for key in obj:
-            if key not in spec:
-                raise SchemaError(f"unknown key at {path}.{key}")
-        for key, (required, sub) in spec.items():
-            if key not in obj:
-                if required:
-                    raise SchemaError(f"missing required key at {path}.{key}")
-                continue
-            _validate(obj[key], sub, f"{path}.{key}")
-    elif isinstance(spec, list):
-        if not isinstance(obj, list):
-            raise SchemaError(f"expected an array at {path}")
-        if len(spec) > 1 and len(obj) > spec[1]:
-            raise SchemaError(f"at most {spec[1]} entries at {path}, got {len(obj)}")
-        for i, item in enumerate(obj):
-            _validate(item, spec[0], f"{path}[{i}]")
-    elif isinstance(obj, bool) or not isinstance(obj, spec.types):
-        raise SchemaError(f"wrong type at {path}: expected {spec.types}")
-    elif not spec.admits(obj):
-        raise SchemaError(f"value must be {'' if spec.choices else 'in '}{spec.domain()} at {path}, got {obj!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -258,33 +187,17 @@ def report_rows():
 # Subcommand handlers.
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise SchemaError(f"non-finite number {text} in config")
-    return value
-
-
-def _float_safe_int(text: str) -> int:
-    if not math.isfinite(float(text)):
-        raise SchemaError(f"integer literal of {len(text)} digits in config overflows a float")
-    return int(text)
-
-
 def _load_config(args, command) -> dict:
     if args.config is None:
         if command in ("verify", "report", "figure-data"):
             return {}
-        raise SchemaError(f"{command} requires --config")
+        raise ValueError(f"{command} requires --config")
     try:
-        cfg = json.loads(
-            Path(args.config).read_text(),
-            parse_constant=_finite_float,
-            parse_float=_finite_float,
-            parse_int=_float_safe_int,
-        )
+        # a float literal past the float range stays text, so its error quotes it as written
+        cfg = json.loads(Path(args.config).read_text(),
+                         parse_float=lambda text: text if math.isinf(float(text)) else float(text))
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"config is not valid JSON: {exc}") from None
+        raise ValueError(f"config is not valid JSON: {exc}") from None
     _validate(cfg, _SCHEMAS[command])
     return cfg
 
@@ -299,9 +212,8 @@ def _at(path: str, fn, *args):
 
 def _laws(cfg: dict):
     """The offspring law and the immigration law (or None) of a validated config."""
-    offspring = _at("$.offspring", offspring_from_config, cfg["offspring"])
-    immigration = _at("$.immigration", immigration_from_config, cfg["immigration"]) if "immigration" in cfg else None
-    return offspring, immigration
+    immigration = immigration_from_config(cfg["immigration"]) if "immigration" in cfg else None
+    return offspring_from_config(cfg["offspring"]), immigration
 
 
 def _cmd_simulate(args) -> int:
@@ -309,16 +221,16 @@ def _cmd_simulate(args) -> int:
     cap = cfg.get("cap", 10**6)
     grid = [float(t) for t in cfg["grid"]]
     if grid != sorted(grid):
-        raise SchemaError("grid times must be sorted at $.grid")
+        raise ValueError("grid times must be sorted at $.grid")
     if cfg.get("start", 0) > cap:
-        raise SchemaError(f"start must not exceed cap={cap} at $.start, got {cfg['start']}")
+        raise ValueError(f"start must not exceed cap={cap} at $.start, got {cfg['start']}")
     for i, spec in enumerate(cfg["estimators"]):
         if float(spec["t"]) not in grid:
-            raise SchemaError(f"t={spec['t']} is not a grid time at $.estimators[{i}].t")
+            raise ValueError(f"t={spec['t']} is not a grid time at $.estimators[{i}].t")
         if spec.get("j", 0) > cap:
-            raise SchemaError(f"j must not exceed cap={cap} at $.estimators[{i}].j, got {spec['j']}")
+            raise ValueError(f"j must not exceed cap={cap} at $.estimators[{i}].j, got {spec['j']}")
         if "j" not in spec and spec["kind"] in ("p", "ratio"):
-            raise SchemaError(f"a {spec['kind']} estimator needs a level at $.estimators[{i}].j")
+            raise ValueError(f"a {spec['kind']} estimator needs a level at $.estimators[{i}].j")
     started = time.perf_counter()
     offspring, immigration = _laws(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
@@ -379,7 +291,7 @@ def _cmd_invariant(args) -> int:
     cfg = _load_config(args, "invariant")
     for i, tag in enumerate(cfg["measures"]):
         if tag in ("pi", "U") and "immigration" not in cfg:
-            raise SchemaError(f"measure {tag} needs an immigration law at $.measures[{i}]")
+            raise ValueError(f"measure {tag} needs an immigration law at $.measures[{i}]")
     started = time.perf_counter()
     offspring, immigration = _laws(cfg)
     rows = []
@@ -398,10 +310,10 @@ def _cmd_figure_data(args) -> int:
         if "t_start" in cfg or "t_stop" in cfg or "t_step" in cfg:
             t0, t1, dt = cfg.get("t_start", 5.0), cfg.get("t_stop", 100.0), cfg.get("t_step", 0.5)
             if t1 < t0:
-                raise SchemaError(f"t_stop must not precede t_start at $.t_stop, got {t1} < {t0}")
+                raise ValueError(f"t_stop must not precede t_start at $.t_stop, got {t1} < {t0}")
             n = (t1 - t0) / dt
             if not n < MAX_FIGURE_ROWS:
-                raise SchemaError(f"(t_stop - t_start)/t_step must stay below {MAX_FIGURE_ROWS} at $.t_step")
+                raise ValueError(f"(t_stop - t_start)/t_step must stay below {MAX_FIGURE_ROWS} at $.t_step")
             t_grid = [t0 + dt * k for k in range(int(round(n)) + 1)]
         jobs = [(cfg["nu"], cfg["a0"], cfg.get("normalizer", "half-log"), t_grid)]
     else:
@@ -463,6 +375,8 @@ def main(argv=None) -> int:
             p.add_argument("--checks", type=str, default=None, help="comma-separated check ids")
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None:
+            _validate(args.seed, _SCHEMAS["simulate"]["seed"][1], "--seed")
         return commands[args.command][0](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laws import ImmigrationLaw, OffspringLaw
+from .laws import ImmigrationLaw, OffspringLaw, _check
 from .series import Series, _exp_coeffs, _pow_coeffs
 
 __all__ = [
@@ -219,8 +219,7 @@ def solve_gf(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) 
 
 def closed_form_gf(nu: float, a0: float, t: float, s: float) -> TransitionSolution:
     """Exact gap R(t;s) = [(1-s)^(-nu) + a0 nu t]^(-1/nu) of the stable family."""
-    if not 0.0 < nu <= 1.0 or a0 <= 0.0:
-        raise ValueError("closed form applies to the canonical stable family only")
+    _check(nu=nu, a0=a0)
     _check_scalar_args(t, s)
     if s == 1.0:
         return TransitionSolution(t=t, s=s, F=1.0, R=0.0)
@@ -229,7 +228,7 @@ def closed_form_gf(nu: float, a0: float, t: float, s: float) -> TransitionSoluti
 
 
 def gf_derivative(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) -> float:
-    """dF/ds via the variational equation V' = f'(F) V, V(0) = 1."""
+    """dF/ds = V for V' = f'(F) V, V(0) = 1, solved as u = log V so a subnormal V at far t stays in reach."""
     _check_scalar_args(t, s)
     _check_tol(tol)
     if s == 1.0:
@@ -238,11 +237,11 @@ def gf_derivative(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_R
         return 1.0
 
     def rhs(y):
-        r, v = y
-        return (-f_law.from_gap(r), f_law.fprime_from_gap(r) * v)
+        r, _ = y
+        return (-f_law.from_gap(r), f_law.fprime_from_gap(r))
 
-    (r, v), _ = _advance(rhs, (1.0 - s, 1.0), t, tol, (0.0, 0.0))
-    return v
+    (r, u), _ = _advance(rhs, (1.0 - s, 0.0), t, tol, (0.0, min(tol * 1e-2, SCALAR_ATOL)))
+    return math.exp(u)
 
 
 def immigration_gf(

@@ -17,7 +17,9 @@ Everything here is immutable after construction.
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,12 +190,16 @@ def _scan_nonnegative(rates: np.ndarray, first_index: int, what: str) -> None:
         raise ValueError(f"{what} coefficient at index {k} is negative: {rates[k]!r}")
 
 
+def _check(**args) -> None:
+    """Scalar builder arguments against their parameters' leaves in ``_PARAMS``."""
+    for name, value in args.items():
+        if not _PARAMS[name].admits(value):
+            raise ValueError(f"{name} must be in {_PARAMS[name].domain()}, got {value!r}")
+
+
 def make_stable_offspring(nu: float, a0: float) -> OffspringLaw:
     """Canonical critical family f(s) = a0 (1-s)^(1+nu)."""
-    if not 0.0 < nu <= 1.0:
-        raise ValueError(f"nu must lie in (0, 1], got {nu}")
-    if a0 <= 0.0:
-        raise ValueError(f"a0 must be positive, got {a0}")
+    _check(nu=nu, a0=a0)
     return OffspringLaw(
         kind="canonical-stable",
         terms=((float(a0), 1.0 + nu),),
@@ -209,8 +215,7 @@ def make_perturbed_offspring(nu: float, a0: float, rho: float, p: float) -> Offs
     Coefficient nonnegativity is scanned up to the standard horizon; p <= 1 - nu
     keeps the second term's series nonnegative on its own.
     """
-    if not 0.0 < nu <= 1.0 or a0 <= 0.0 or rho < 0.0 or p <= 0.0:
-        raise ValueError("need nu in (0,1], a0 > 0, rho >= 0, p > 0")
+    _check(nu=nu, a0=a0, rho=rho, p=p)
     terms = ((float(a0), 1.0 + nu), (float(a0) * rho, 1.0 + nu + p))
     rates = _terms_rates(terms, _SCAN_HORIZON)
     _scan_nonnegative(rates, 2, "offspring")
@@ -221,8 +226,8 @@ def make_perturbed_offspring(nu: float, a0: float, rho: float, p: float) -> Offs
 def make_finite_offspring(rates) -> OffspringLaw:
     """Offspring law from an explicit finite rate vector [a_0, a_1, a_2, ...]."""
     a = np.asarray(rates, dtype=float)
-    if a.size < 2 or a[0] <= 0.0 or a[1] >= 0.0:
-        raise ValueError("need a_0 > 0 and a_1 < 0")
+    if a.size < 2 or not np.isfinite(a).all() or a[0] <= 0.0 or a[1] >= 0.0:
+        raise ValueError("need finite rates with a_0 > 0 and a_1 < 0")
     if np.any(np.delete(a, 1) < 0.0):
         raise ValueError("rates a_j must be nonnegative for j != 1")
     if abs(a.sum()) > 1e-12 * np.abs(a).sum():
@@ -243,12 +248,7 @@ def make_stable_immigration(delta: float, c: float, kappa: float = 0.0) -> Immig
     A positive kappa is accepted only if every series coefficient b_k stays
     nonnegative over the scan horizon (values above -1e-14 clamp to zero).
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c}")
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
+    _check(delta=delta, c=c, kappa=kappa)
     if kappa == 0.0:
         terms = ((-float(c), float(delta)),)
         kind = "canonical-stable"
@@ -263,8 +263,8 @@ def make_stable_immigration(delta: float, c: float, kappa: float = 0.0) -> Immig
 def make_finite_immigration(rates) -> ImmigrationLaw:
     """Immigration law from an explicit finite rate vector [b_0, b_1, ...]."""
     b = np.asarray(rates, dtype=float)
-    if b.size < 2 or b[0] >= 0.0 or np.any(b[1:] < 0.0):
-        raise ValueError("need b_0 < 0 and b_k >= 0 for k >= 1")
+    if b.size < 2 or not np.isfinite(b).all() or b[0] >= 0.0 or np.any(b[1:] < 0.0):
+        raise ValueError("need finite rates with b_0 < 0 and b_k >= 0 for k >= 1")
     if abs(b.sum()) > 1e-12 * np.abs(b).sum():
         raise ValueError("rates must balance: b_0 = -sum_k b_k")
     return ImmigrationLaw(kind="finite", terms=_finite_terms(b), delta=1.0, c=float(-b[0]), kappa=0.0)
@@ -288,28 +288,116 @@ def classify(f_law: OffspringLaw, h_law: ImmigrationLaw) -> RegimeParams:
     )
 
 
-# Config dispatch: kind -> (builder, required keys in argument order).
+# ---------------------------------------------------------------------------
+# Schema: {key: (required, spec)} where spec is a _Leaf, a nested schema dict,
+# a _ByKind, or a list [element spec] or [element spec, max length].  The law
+# fragments are declared here, and ``cli._SCHEMAS`` builds on them.
+
+
+class _Leaf:
+    """A string among choices, or a finite number of the given types within [lo, hi] ((lo, hi] when open_lo)."""
+
+    def __init__(self, types, lo=-math.inf, hi=math.inf, *, open_lo=False, choices=()):
+        self.types, self.lo, self.hi, self.open_lo, self.choices = types, lo, hi, open_lo, choices
+
+    def domain(self) -> str:
+        if self.choices:
+            return "one of " + ", ".join(self.choices)
+        left = "(" if self.open_lo or self.lo == -math.inf else "["
+        return f"{left}{self.lo}, {self.hi}{')' if self.hi == math.inf else ']'}"
+
+    def admits(self, value) -> bool:
+        if self.types is str:
+            return not self.choices or value in self.choices
+        # abs(), not math.isfinite, which raises OverflowError on an int past the float range
+        return abs(value) <= sys.float_info.max and (self.lo < value if self.open_lo else self.lo <= value) and value <= self.hi
+
+
+class _ByKind(dict):
+    """Object schemas keyed by the value of the object's ``kind``."""
+
+
+def _show(value) -> str:
+    if isinstance(value, float):
+        return json.dumps(value)  # NaN and Infinity as a config spells them
+    if isinstance(value, int) and not abs(value) <= sys.float_info.max:
+        return "an integer that overflows a float"
+    return repr(value) if value is None or isinstance(value, (int, str)) else f"a {type(value).__name__}"
+
+
+def _validate(obj, spec, path="$"):
+    """Check ``obj`` against ``spec``; a violation raises ValueError ending in its path."""
+    if isinstance(spec, _ByKind) and isinstance(obj, dict):
+        kind = obj.get("kind")
+        if not (isinstance(kind, str) and kind in spec):
+            raise ValueError(f"kind must be one of {', '.join(spec)}, got {_show(kind)} at {path}.kind")
+        spec = spec[kind]
+    if isinstance(spec, dict):
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected an object at {path}")
+        for key in obj:
+            if key not in spec:
+                raise ValueError(f"unknown key at {path}.{key}")
+        for key, (required, sub) in spec.items():
+            if key not in obj:
+                if required:
+                    raise ValueError(f"missing required key at {path}.{key}")
+                continue
+            _validate(obj[key], sub, f"{path}.{key}")
+    elif isinstance(spec, list):
+        if not isinstance(obj, list):
+            raise ValueError(f"expected an array at {path}")
+        if len(spec) > 1 and len(obj) > spec[1]:
+            raise ValueError(f"at most {spec[1]} entries, got {len(obj)} at {path}")
+        for i, item in enumerate(obj):
+            _validate(item, spec[0], f"{path}[{i}]")
+    elif isinstance(obj, bool) or not isinstance(obj, spec.types):
+        expected = {str: "a string", int: "an integer"}.get(spec.types, "a number")
+        raise ValueError(f"expected {expected}, got {_show(obj)} at {path}")
+    elif not spec.admits(obj):
+        raise ValueError(f"value must be {'' if spec.choices else 'in '}{spec.domain()}, got {_show(obj)} at {path}")
+
+
+_NUM, _NONNEG, _POSITIVE = _Leaf((int, float)), _Leaf((int, float), 0), _Leaf((int, float), 0, open_lo=True)
+# Each law parameter's domain, stated once: the config walk and the builders read it.
+_PARAMS = {"nu": _Leaf((int, float), 0, 1, open_lo=True), "a0": _POSITIVE, "rho": _NONNEG, "p": _POSITIVE,
+           "delta": _Leaf((int, float), 0, 1, open_lo=True), "c": _POSITIVE, "kappa": _NONNEG, "rates": [_NUM]}
+
+
+def _keys(*names: str) -> dict:
+    return {name: _PARAMS[name] for name in names}
+
+
+# Config dispatch: kind -> (builder, {key: spec} in argument order).
 _OFFSPRING_KINDS = {
-    "canonical": (make_stable_offspring, ("nu", "a0")),
-    "perturbed": (make_perturbed_offspring, ("nu", "a0", "rho", "p")),
-    "finite": (make_finite_offspring, ("rates",)),
+    "canonical": (make_stable_offspring, _keys("nu", "a0")),
+    "perturbed": (make_perturbed_offspring, _keys("nu", "a0", "rho", "p")),
+    "finite": (make_finite_offspring, _keys("rates")),
 }
 _IMMIGRATION_KINDS = {
-    "canonical": (make_stable_immigration, ("delta", "c")),
-    "perturbed": (make_stable_immigration, ("delta", "c", "kappa")),
-    "finite": (make_finite_immigration, ("rates",)),
+    "canonical": (make_stable_immigration, _keys("delta", "c")),
+    "perturbed": (make_stable_immigration, _keys("delta", "c", "kappa")),
+    "finite": (make_finite_immigration, _keys("rates")),
 }
 
 
-def _from_config(cfg: dict, kinds: dict, what: str):
-    kind = cfg.get("kind")
-    if kind not in kinds:
-        raise ValueError(f"unknown {what} kind {kind!r} at $.{what}.kind")
-    build, keys = kinds[kind]
-    for key in keys:
-        if key not in cfg:
-            raise ValueError(f"missing required key at $.{what}.{key}")
-    return build(*(cfg[key] for key in keys))
+def _law_schema(kinds: dict) -> _ByKind:
+    return _ByKind((kind, {"kind": (True, _Leaf(str)), **{key: (True, spec) for key, spec in keys.items()}})
+                   for kind, (_, keys) in kinds.items())
+
+
+_LAWS = {"offspring": (True, _law_schema(_OFFSPRING_KINDS)), "immigration": (False, _law_schema(_IMMIGRATION_KINDS))}
+
+
+def _from_config(cfg, kinds: dict, what: str):
+    """Walk the fragment at ``$.<what>``, then build; any ValueError names its path."""
+    path = f"$.{what}"
+    _validate(cfg, _LAWS[what][1], path)
+    build, keys = kinds[cfg["kind"]]
+    try:
+        return build(*(cfg[key] for key in keys))
+    except ValueError as exc:
+        raise ValueError(f"{exc} at {path}") from None
 
 
 def offspring_from_config(cfg: dict) -> OffspringLaw:

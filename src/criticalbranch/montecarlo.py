@@ -158,10 +158,10 @@ class _Sampler:
 
 
 def _offspring_pmf(law: OffspringLaw):
-    lam = law.lifetime_mean
+    rate = -law.a1  # divided by, not inverted: 1/rate overflows once a_1 is subnormal
 
     def pmf(K: int) -> np.ndarray:
-        p = lam * law.rates_up_to(K)
+        p = law.rates_up_to(K) / rate
         p[1] = 0.0
         return p
 

@@ -248,11 +248,11 @@ class TestFlags:
         assert lines[3].split(",")[0] == "5"
 
 
-def assert_one_line_error(code, capsys, needle):
+def assert_one_line_error(code, capsys, *needles):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert needle in err
+    assert all(needle in err for needle in needles), (needles, err)
 
 
 class TestInputErrors:
@@ -347,8 +347,20 @@ class TestInputErrors:
             '{"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0}, "t": [1%s], "s": [0.5]}' % ("0" * 400)
         )
         code = run_cli("solve", "--config", str(path), "--out", str(tmp_path))
-        assert_one_line_error(code, capsys, "overflows a float")
+        assert_one_line_error(code, capsys, "overflows a float", "$.t[0]")
         assert not (tmp_path / "solve.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "solve"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command):
+        # solve used to exit 0 and write seed=-1 into its CSV header
+        payload = {"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0}}
+        if command == "solve":
+            payload.update(t=[1.0], s=[0.5])
+        else:
+            payload.update(grid=[0.0], replicas=10, estimators=[{"kind": "survival", "t": 0.0}])
+        code = run_cli(command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path), "--seed", "-1")
+        assert_one_line_error(code, capsys, "--seed")
+        assert not (tmp_path / f"{command}.csv").exists()
 
     @pytest.mark.parametrize("immigration", [None, {"kind": "canonical", "delta": 0.4, "c": 0.1}])
     def test_far_horizon_solve_fails_fast(self, tmp_path, capsys, immigration):

@@ -128,6 +128,12 @@ class TestDerivative:
         fd2 = (closed_form_gf(0.5, 1.0, 10.0, 0.2 + h).F - closed_form_gf(0.5, 1.0, 10.0, 0.2 - h).F) / (2 * h)
         assert gf_derivative(HALF, 10.0, 0.2) == pytest.approx(fd2, abs=1e-6)
 
+    @pytest.mark.parametrize("t", [1.0, 1e3, 1e40, 1e100])
+    def test_far_horizon_closed_form(self, t):
+        # V falls like t^-3 here and turns subnormal near t = 1e103; log V stays in range
+        exact = (1.0 + 0.5 * t) ** -3.0
+        assert gf_derivative(HALF, t, 0.0) == pytest.approx(exact, rel=5e-8)
+
 
 class TestImmigrationGf:
     def test_empty_integral_at_time_zero(self):

@@ -42,6 +42,12 @@ class TestStableOffspring:
             make_stable_offspring(1.5, 1.0)
         with pytest.raises(ValueError):
             make_stable_offspring(0.5, -1.0)
+        # non-finite parameters used to build a law whose first solve step underflowed
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"a0 must be in \(0, inf\)"):
+                make_stable_offspring(0.5, bad)
+            with pytest.raises(ValueError, match=r"rho must be in \[0, inf\)"):
+                make_perturbed_offspring(0.5, 1.0, bad, 0.5)
 
     def test_lifetime_and_normalization(self):
         law = make_stable_offspring(0.5, 1.0)
@@ -100,6 +106,11 @@ class TestStableImmigration:
             make_stable_immigration(0.4, -0.1)
         with pytest.raises(ValueError):
             make_stable_immigration(0.4, 0.1, kappa=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"c must be in \(0, inf\)"):
+                make_stable_immigration(0.4, bad)
+            with pytest.raises(ValueError, match=r"kappa must be in \[0, inf\)"):
+                make_stable_immigration(0.4, 0.1, kappa=bad)
 
 
 class TestFiniteLaws:
@@ -115,6 +126,17 @@ class TestFiniteLaws:
     def test_immigration_balance_required(self):
         with pytest.raises(ValueError):
             make_finite_immigration([-2.0, 1.0])
+
+    @pytest.mark.parametrize("rates", [[1.0, math.nan, 1.0], [1.0, -2.0, math.inf], [math.nan, -2.0, 1.0]])
+    def test_offspring_rates_must_be_finite(self, rates):
+        # a NaN a_1 used to drop out of the centered terms and build the binary law
+        with pytest.raises(ValueError, match="finite"):
+            make_finite_offspring(rates)
+
+    @pytest.mark.parametrize("rates", [[-math.inf, 1.0], [-1.0, math.nan], [-1.0, 1.0, math.inf]])
+    def test_immigration_rates_must_be_finite(self, rates):
+        with pytest.raises(ValueError, match="finite"):
+            make_finite_immigration(rates)
 
     def test_single_arrival_mean(self):
         law = make_finite_immigration([-1.0, 1.0])
@@ -172,6 +194,16 @@ class TestFromConfig:
             (offspring_from_config, {"kind": "perturbed", "nu": 0.5, "a0": 1.0, "rho": 0.3}, "$.offspring.p"),
             (immigration_from_config, {"kind": "canonical", "delta": 0.4}, "$.immigration.c"),
             (immigration_from_config, {"kind": "stable", "delta": 0.4, "c": 0.1}, "$.immigration.kind"),
+            (offspring_from_config, {"kind": "canonical", "nu": "0.5", "a0": 1.0}, "$.offspring.nu"),
+            (offspring_from_config, [{"kind": "canonical", "nu": 0.5, "a0": 1.0}], "$.offspring"),
+            (offspring_from_config, {"kind": "canonical", "nu": True, "a0": 1.0}, "$.offspring.nu"),
+            (offspring_from_config, {"kind": "canonical", "nu": 0.5, "a0": 1.0, "rho": 0.3}, "$.offspring.rho"),
+            (immigration_from_config, {"kind": "canonical", "delta": 0.4, "c": 0.1, "kappa": 0.25}, "$.immigration.kappa"),
+            (offspring_from_config, {"kind": "finite", "rates": [1.0, math.nan, 1.0]}, "$.offspring.rates[1]"),
+            (offspring_from_config, {"kind": "canonical", "nu": math.nan, "a0": 1.0}, "$.offspring.nu"),
+            (offspring_from_config, {"kind": "canonical", "nu": 1.5, "a0": 1.0}, "$.offspring.nu"),
+            (offspring_from_config, {"kind": "canonical", "nu": 0.5, "a0": 10**400}, "$.offspring.a0"),
+            (offspring_from_config, {"kind": "finite", "rates": [1.0, -2.0, 2.0]}, "$.offspring"),
         ],
     )
     def test_errors_name_the_key(self, build, fragment, path):

@@ -35,6 +35,11 @@ class TestSampleOffspring:
         assert draw_offspring(HALF, 0.5) == 0
         assert draw_offspring(HALF, 0.9) >= 2
 
+    def test_pmf_of_subnormal_rate_law(self):
+        # 1/(-a_1) overflows here; inverting it first filled the table with inf * 0 = NaN
+        pmf = mc._offspring_pmf(make_stable_offspring(0.5, 5e-324))(8)
+        assert np.isfinite(pmf).all() and 0.0 < pmf.sum() <= 1.0
+
     def test_empirical_pmf_matches_rates(self):
         rng = np.random.default_rng(7)
         sampler = mc._Sampler(mc._offspring_pmf(HALF))
