@@ -5,7 +5,9 @@ For every command that writes CSVs (``solve``, ``invariant`` with M, V, pi
 and U, ``simulate --seed 7`` on the twelve law pairs of ``docs/cli.md``,
 ``figure-data`` and ``report``) it prints the exit code, any error line, and
 for each CSV its SHA-256 next to the config hash and a SHA-256 of the
-effective config from the provenance sidecar.  It then prints the ``verify``
+effective config from the provenance sidecar.  One more ``solve`` with fewer
+points writes into the output directory of the first, so the digest covers
+replacing an existing file.  It then prints the ``verify``
 lines with elapsed times masked, and a SHA-256 sweep over the scalar and
 series transition solves (F, R, G, P and accepted steps).
 
@@ -46,18 +48,19 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def run(label: str, work: Path, argv: list, config: dict | None = None) -> str:
-    """Run one command in a fresh directory; returns its stdout."""
+def run(label: str, work: Path, argv: list, config: dict | None = None, into: str | None = None) -> str:
+    """Run one command in a fresh directory (outputs into ``into``'s, if given); returns its stdout."""
     out = work / label
     out.mkdir()
     if config is not None:
         (out / "config.json").write_text(json.dumps(config))
         argv = argv + ["--config", str(out / "config.json")]
+    outputs = work / (into or label) / "out"
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(argv + ["--out", str(out / "out")])
+        code = cli.main(argv + ["--out", str(outputs)])
     print(f"{label} exit={code} {stderr.getvalue().strip()}")
-    for csv in sorted((out / "out").glob("*.csv")) if code == 0 else ():
+    for csv in sorted(outputs.glob("*.csv")) if code == 0 else ():
         sidecar = json.loads(csv.with_name(csv.stem + ".provenance.json").read_text())
         effective = json.dumps(sidecar["effective_config"], sort_keys=True).encode()
         print(f"  {csv.name} csv={sha(csv.read_bytes())} config_hash={sidecar['config_hash']} "
@@ -79,6 +82,8 @@ def commands(work: Path) -> None:
         estimators = [{"kind": "survival", "t": 5.0}, {"kind": "mean", "t": 5.0}, {"kind": "p", "t": 1.0, "j": 1}]
         run(f"simulate[{k}]", work, ["simulate", "--seed", "7"],
             with_laws(f, h, grid=[0.0, 1.0, 5.0], replicas=2000, cap=1000, estimators=estimators))
+    f, h = PAIRS[1]
+    run("solve[1]-again", work, ["solve"], with_laws(f, h, t=[10.0], s=[0.5]), into="solve[1]")
     run("figure-data", work, ["figure-data"])
     report = run("report", work, ["report"])
     print(f"  report stdout={sha(report.encode())}")

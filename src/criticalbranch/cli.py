@@ -5,9 +5,10 @@ Subcommands: ``simulate``, ``solve``, ``invariant``, ``verify``,
 one closed schema of keys, ranges and choices before any work.  Every output
 CSV starts with ``#`` comment lines carrying the config hash and seed, and a
 JSON provenance sidecar records the effective config, library versions, wall
-time and, for ``simulate``, a ``diagnostics`` block of engine counters.
-Floating-point cells print with 17 significant digits so a fixed
-(config, seed, platform) triple reproduces files byte for byte.
+time and, for ``simulate`` and ``solve``, a ``diagnostics`` block of engine
+or solver counters.  Floating-point cells print with 17 significant digits so
+a fixed (config, seed, platform) triple reproduces files byte for byte.  An
+existing output file is unlinked and created anew, never truncated in place.
 """
 
 from __future__ import annotations
@@ -98,15 +99,23 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _replace(path: Path, text: str) -> None:
+    """Write ``text`` to a new file at ``path``.
+
+    Unlinking first replaces a symlink rather than its target, and is much
+    cheaper than truncating a file just written: on ext4, truncating to zero
+    waits for the old contents to be written back.
+    """
+    path.unlink(missing_ok=True)
+    path.write_text(text)
+
+
 def _write_outputs(args, name: str, command: str, cfg: dict, seed, columns, rows, started: float,
                    diagnostics: dict | None = None) -> None:
     """``name``.csv and its provenance sidecar in --out, both keyed by the hash of ``cfg``."""
     cfg_hash = _config_hash(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = [f"# criticalbranch {command}", f"# config_hash={cfg_hash} seed={seed}", ",".join(columns)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
     payload = {
         "command": command,
         "config_hash": cfg_hash,
@@ -118,7 +127,13 @@ def _write_outputs(args, name: str, command: str, cfg: dict, seed, columns, rows
     }
     if diagnostics is not None:
         payload["diagnostics"] = diagnostics
-    (out / f"{name}.provenance.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _replace(out / f"{name}.csv", "\n".join(lines) + "\n")
+        _replace(out / f"{name}.provenance.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {exc.filename or out}: {exc.strerror or exc} at --out") from None
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +202,31 @@ def report_rows():
 # Subcommand handlers.
 
 
+def _int_or_text(text: str):
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return text
+
+
 def _load_config(args, command) -> dict:
     if args.config is None:
         if command in ("verify", "report", "figure-data"):
             return {}
         raise ValueError(f"{command} requires --config")
     try:
-        # a float literal past the float range stays text, so its error quotes it as written
-        cfg = json.loads(Path(args.config).read_text(),
-                         parse_float=lambda text: text if math.isinf(float(text)) else float(text))
+        text = Path(args.config).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read {args.config}: {exc.strerror or exc} at --config") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config is not UTF-8 text ({exc.reason} at byte {exc.start}) at --config") from None
+    try:
+        # a float literal past the float range, or an integer literal past Python's
+        # int-string digit limit, stays text, so its error names its path
+        cfg = json.loads(text, parse_float=lambda literal: literal if math.isinf(float(literal)) else float(literal),
+                         parse_int=_int_or_text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"config is not valid JSON: {exc}") from None
+        raise ValueError(f"config is not valid JSON: {exc} at --config") from None
     _validate(cfg, _SCHEMAS[command])
     return cfg
 
@@ -255,12 +284,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+_SOLVE_COUNTERS = ("steps", "rejected", "gap_rejected", "rhs_evals")
+
+
 def _cmd_solve(args) -> int:
     cfg = _load_config(args, "solve")
     started = time.perf_counter()
     offspring, immigration = _laws(cfg)
     tol = cfg.get("tol", 1e-10)
     rows = []
+    totals = dict.fromkeys(_SOLVE_COUNTERS, 0)
     for i, t in enumerate(cfg["t"]):
         for k, s in enumerate(cfg["s"]):
             point = f"$.t[{i}] and $.s[{k}]"
@@ -270,7 +303,10 @@ def _cmd_solve(args) -> int:
             else:
                 sol = _at(point, immigration_gf, offspring, immigration, 0, float(t), float(s), tol)
                 rows.append((t, s, sol.F, sol.R, sol.G, sol.P))
-    _write_outputs(args, "solve", "solve", cfg, args.seed, ("t", "s", "F", "R", "G", "P0"), rows, started)
+            for key in _SOLVE_COUNTERS:
+                totals[key] += getattr(sol, key)
+    _write_outputs(args, "solve", "solve", cfg, args.seed, ("t", "s", "F", "R", "G", "P0"), rows, started,
+                   dict(totals, points=len(rows)))
     return 0
 
 

@@ -10,7 +10,7 @@ so that the population GF from i ancestors is F^i exp(G).  Series-mode solves
 integrate the whole coefficient vector of R (and G) at once; the coefficient
 recurrences for fractional powers keep the right-hand side exact at the stored
 truncation order.  One Dormand-Prince 5(4) stepper serves both modes: its state
-is a tuple whose components are floats in a scalar solve and coefficient
+is a list whose components are floats in a scalar solve and coefficient
 vectors in a series solve.
 
 Solvers are pure functions of (law, t, s, tol); grid sweeps can run
@@ -60,7 +60,10 @@ class TransitionSolution:
     """Solution bundle for one (t, s) or one (t, series) solve.
 
     F is the GF value (or its truncated series), R = 1 - F the survival gap.
-    G is present for immigration solves; P carries F^i exp(G).
+    G is present for immigration solves; P carries F^i exp(G).  The counters
+    are the stepper's: accepted steps, steps rejected by the error test or at
+    a non-positive gap stage, and RHS evaluations (all zero for an exact
+    point at t = 0 or s = 1).
     """
 
     t: float
@@ -70,6 +73,9 @@ class TransitionSolution:
     G: float | Series | None = None
     P: float | Series | None = None
     steps: int = 0
+    rejected: int = 0
+    gap_rejected: int = 0
+    rhs_evals: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +99,7 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 
 @np.errstate(over="ignore", invalid="ignore")
 def _advance(rhs, y0, t_end, rtol, atols):
-    """Integrate a tuple state from 0 to t_end; returns (y, steps).
+    """Integrate a state of one or more components from 0 to t_end; returns (y, counts).
 
     The components are all floats or all coefficient vectors, and ``atols``
     holds one absolute floor per component.  The leading component is the
@@ -105,17 +111,24 @@ def _advance(rhs, y0, t_end, rtol, atols):
     ``_MIN_STEP``, after ``_MAX_TRIES`` attempts short of t_end, and at once
     on a non-finite error estimate or vector state (the solve left the float
     range; that check replaces numpy's overflow warnings).
+
+    ``counts`` holds the keyword arguments ``steps`` (accepted steps),
+    ``rejected`` (steps failing the error test), ``gap_rejected`` (steps
+    stopped at a non-positive gap stage) and ``rhs_evals`` of a
+    TransitionSolution.  An attempt that reaches the error test costs six RHS
+    evaluations; one stopped at a gap stage costs the stages computed before
+    it, which its rejection branch adds to ``gap_evals``.
     """
-    y = tuple(y0)
+    y = list(y0)
     t = 0.0
     if t_end == 0.0:
-        return y, 0
+        return y, dict(steps=0, rejected=0, gap_rejected=0, rhs_evals=0)
     vec = y[0].__class__ is np.ndarray
     k1 = rhs(y)
     scale = max(abs(v).max() if vec else abs(v) for v in y) + 1.0
     dscale = max(abs(v).max() if vec else abs(v) for v in k1) + 1e-30
     h = min(t_end, 0.1 * scale / dscale, 1.0)
-    steps = 0
+    steps = rejected = gap_rejected = gap_evals = 0
     for _ in range(_MAX_TRIES):
         if not t < t_end:
             break
@@ -123,45 +136,54 @@ def _advance(rhs, y0, t_end, rtol, atols):
         if h < _MIN_STEP:
             raise StepUnderflowError(t)
         # a stage with a non-positive gap rejects the step before rhs sees it
-        y2 = tuple(v + h * _A21 * a for v, a in zip(y, k1))
+        y2 = [v + h * _A21 * a for v, a in zip(y, k1)]
         if not (y2[0][0] if vec else y2[0]) > 0.0:
             h *= 0.5
+            gap_rejected += 1
             continue
         k2 = rhs(y2)
-        y3 = tuple(v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2))
+        y3 = [v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)]
         if not (y3[0][0] if vec else y3[0]) > 0.0:
             h *= 0.5
+            gap_rejected += 1
+            gap_evals += 1
             continue
         k3 = rhs(y3)
-        y4 = tuple(
-            v + h * (_A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)
-        )
+        y4 = [v + h * (_A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)]
         if not (y4[0][0] if vec else y4[0]) > 0.0:
             h *= 0.5
+            gap_rejected += 1
+            gap_evals += 2
             continue
         k4 = rhs(y4)
-        y5 = tuple(
+        y5 = [
             v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
             for v, a, b, c, d in zip(y, k1, k2, k3, k4)
-        )
+        ]
         if not (y5[0][0] if vec else y5[0]) > 0.0:
             h *= 0.5
+            gap_rejected += 1
+            gap_evals += 3
             continue
         k5 = rhs(y5)
-        y6 = tuple(
+        y6 = [
             v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
             for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-        )
+        ]
         if not (y6[0][0] if vec else y6[0]) > 0.0:
             h *= 0.5
+            gap_rejected += 1
+            gap_evals += 4
             continue
         k6 = rhs(y6)
-        ynew = tuple(
+        ynew = [
             v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
             for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)
-        )
+        ]
         if not (ynew[0][0] if vec else ynew[0]) > 0.0:
             h *= 0.5
+            gap_rejected += 1
+            gap_evals += 5
             continue
         k7 = rhs(ynew)
         err = 0.0
@@ -178,11 +200,14 @@ def _advance(rhs, y0, t_end, rtol, atols):
             y = ynew
             k1 = k7
             steps += 1
+        else:
+            rejected += 1
         factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
     if t < t_end:
         raise StepUnderflowError(t, f"no progress in {_MAX_TRIES} step attempts")
-    return y, steps
+    rhs_evals = 1 + 6 * (steps + rejected) + gap_evals
+    return y, dict(steps=steps, rejected=rejected, gap_rejected=gap_rejected, rhs_evals=rhs_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +238,8 @@ def solve_gf(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) 
     if r0 == 0.0 or t == 0.0:
         return TransitionSolution(t=t, s=s, F=s, R=r0)
     rhs = lambda y: (-f_law.from_gap(y[0]),)
-    (r,), steps = _advance(rhs, (r0,), t, tol, (0.0,))
-    return TransitionSolution(t=t, s=s, F=1.0 - r, R=r, steps=steps)
+    (r,), counts = _advance(rhs, (r0,), t, tol, (0.0,))
+    return TransitionSolution(t=t, s=s, F=1.0 - r, R=r, **counts)
 
 
 def closed_form_gf(nu: float, a0: float, t: float, s: float) -> TransitionSolution:
@@ -269,9 +294,9 @@ def immigration_gf(
         r, _ = y
         return (-f_law.from_gap(r), h_law.from_gap(r))
 
-    (r, g), steps = _advance(rhs, (r0, 0.0), t, tol, (0.0, min(tol * 1e-2, SCALAR_ATOL)))
+    (r, g), counts = _advance(rhs, (r0, 0.0), t, tol, (0.0, min(tol * 1e-2, SCALAR_ATOL)))
     f = 1.0 - r
-    return TransitionSolution(t=t, s=s, F=f, R=r, G=g, P=(f ** i) * math.exp(g), steps=steps)
+    return TransitionSolution(t=t, s=s, F=f, R=r, G=g, P=(f ** i) * math.exp(g), **counts)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +316,11 @@ def _check_order(N: int) -> None:
         raise ValueError(f"series order must lie in [0, {_MAX_ORDER}]")
 
 
-def _gap_to_solution(t, r, g=None, i=0, steps=0) -> TransitionSolution:
+def _gap_to_solution(t, r, g=None, i=0, counts=None) -> TransitionSolution:
     f = -r.copy()
     f[0] = 1.0 - r[0]
     F = Series(f)
-    sol_kwargs = dict(t=t, s=None, F=F, R=Series(r), steps=steps)
+    sol_kwargs = dict(t=t, s=None, F=F, R=Series(r), **(counts or {}))
     if g is not None:
         eg = _exp_coeffs(g)
         p = eg if i == 0 else np.convolve(_pow_coeffs(f, float(i)), eg)[: f.size]
@@ -314,8 +339,8 @@ def solve_gf_series(
     if t == 0.0:
         return _gap_to_solution(0.0, r0)
     rhs = lambda y: (-f_law.from_gap_coeffs(y[0]),)
-    (r,), steps = _advance(rhs, (r0,), t, tol, (min(tol * 1e-2, SERIES_ATOL),))
-    return _gap_to_solution(t, r, steps=steps)
+    (r,), counts = _advance(rhs, (r0,), t, tol, (min(tol * 1e-2, SERIES_ATOL),))
+    return _gap_to_solution(t, r, counts=counts)
 
 
 def immigration_gf_series(
@@ -341,6 +366,6 @@ def immigration_gf_series(
         return (-f_law.from_gap_coeffs(r), h_law.from_gap_coeffs(r))
 
     atol = min(tol * 1e-2, SERIES_ATOL)
-    (r, g), steps = _advance(rhs, (r0, g0), t, tol, (atol, atol))
-    return _gap_to_solution(t, r, g, i=i, steps=steps)
+    (r, g), counts = _advance(rhs, (r0, g0), t, tol, (atol, atol))
+    return _gap_to_solution(t, r, g, i=i, counts=counts)
 

@@ -88,7 +88,12 @@ class CenteredLaw:
 
     def from_gap(self, r):
         """The generating function at 1 - r; stable for r near 0."""
-        return sum(c * r ** b for c, b in self.terms)
+        # a left-to-right loop from 0: sum()'s arithmetic up to Python 3.11,
+        # which 3.12 replaced by a compensated sum of floats
+        total = 0
+        for c, b in self.terms:
+            total += c * r ** b
+        return total
 
     def from_gap_coeffs(self, r: np.ndarray) -> np.ndarray:
         """Series coefficients of the generating function at 1 - R(s), given those of R."""
@@ -114,7 +119,10 @@ class OffspringLaw(CenteredLaw):
     a1: float
 
     def fprime_from_gap(self, r):
-        return -sum(c * b * r ** (b - 1.0) for c, b in self.terms)
+        total = 0  # summed as in from_gap
+        for c, b in self.terms:
+            total += c * b * r ** (b - 1.0)
+        return -total
 
     @property
     def lifetime_mean(self) -> float:
@@ -225,9 +233,13 @@ def make_perturbed_offspring(nu: float, a0: float, rho: float, p: float) -> Offs
 
 def make_finite_offspring(rates) -> OffspringLaw:
     """Offspring law from an explicit finite rate vector [a_0, a_1, a_2, ...]."""
-    a = np.asarray(rates, dtype=float)
+    domain = "need finite rates with a_0 > 0 and a_1 < 0"
+    try:
+        a = np.asarray(rates, dtype=float)
+    except OverflowError:  # an integer rate past the float range
+        raise ValueError(domain) from None
     if a.size < 2 or not np.isfinite(a).all() or a[0] <= 0.0 or a[1] >= 0.0:
-        raise ValueError("need finite rates with a_0 > 0 and a_1 < 0")
+        raise ValueError(domain)
     if np.any(np.delete(a, 1) < 0.0):
         raise ValueError("rates a_j must be nonnegative for j != 1")
     if abs(a.sum()) > 1e-12 * np.abs(a).sum():
@@ -262,9 +274,13 @@ def make_stable_immigration(delta: float, c: float, kappa: float = 0.0) -> Immig
 
 def make_finite_immigration(rates) -> ImmigrationLaw:
     """Immigration law from an explicit finite rate vector [b_0, b_1, ...]."""
-    b = np.asarray(rates, dtype=float)
+    domain = "need finite rates with b_0 < 0 and b_k >= 0 for k >= 1"
+    try:
+        b = np.asarray(rates, dtype=float)
+    except OverflowError:  # an integer rate past the float range
+        raise ValueError(domain) from None
     if b.size < 2 or not np.isfinite(b).all() or b[0] >= 0.0 or np.any(b[1:] < 0.0):
-        raise ValueError("need finite rates with b_0 < 0 and b_k >= 0 for k >= 1")
+        raise ValueError(domain)
     if abs(b.sum()) > 1e-12 * np.abs(b).sum():
         raise ValueError("rates must balance: b_0 = -sum_k b_k")
     return ImmigrationLaw(kind="finite", terms=_finite_terms(b), delta=1.0, c=float(-b[0]), kappa=0.0)
@@ -322,6 +338,8 @@ def _show(value) -> str:
         return json.dumps(value)  # NaN and Infinity as a config spells them
     if isinstance(value, int) and not abs(value) <= sys.float_info.max:
         return "an integer that overflows a float"
+    if isinstance(value, str) and len(value) > 40:  # an integer literal kept as text may run to any length
+        return f"{value[:20]!r}... ({len(value)} characters)"
     return repr(value) if value is None or isinstance(value, (int, str)) else f"a {type(value).__name__}"
 
 

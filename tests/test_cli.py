@@ -4,6 +4,8 @@ import math
 import pytest
 
 from criticalbranch import cli
+from criticalbranch.kolmogorov import immigration_gf
+from criticalbranch.laws import immigration_from_config, offspring_from_config
 
 
 def run_cli(*argv):
@@ -107,6 +109,55 @@ class TestSolve:
         assert run_cli("solve", "--config", config, "--out", str(tmp_path)) == 0
         r_printed = (tmp_path / "solve.csv").read_text().splitlines()[3].split(",")[3]
         assert float(r_printed) == pytest.approx(1.0 / 51.0**2, rel=0.2)
+
+    def test_provenance_carries_solver_totals(self, tmp_path):
+        payload = {
+            "offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0},
+            "immigration": {"kind": "canonical", "delta": 0.4, "c": 0.1},
+            "t": [1.0, 100.0],
+            "s": [0.0, 0.9],
+            "tol": 0.5,
+        }
+        assert run_cli("solve", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)) == 0
+        diagnostics = json.loads((tmp_path / "solve.provenance.json").read_text())["diagnostics"]
+        offspring = offspring_from_config(payload["offspring"])
+        immigration = immigration_from_config(payload["immigration"])
+        sols = [immigration_gf(offspring, immigration, 0, t, s, 0.5) for t in payload["t"] for s in payload["s"]]
+        keys = ("steps", "rejected", "gap_rejected", "rhs_evals")
+        assert diagnostics == dict({key: sum(getattr(sol, key) for sol in sols) for key in keys}, points=4)
+        assert diagnostics["gap_rejected"] > 0
+
+
+class TestOutputs:
+    PAYLOAD = {"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0}, "t": [1.0, 5.0, 50.0], "s": [0.0, 0.5]}
+
+    def solve(self, tmp_path, out, **change):
+        config = write_config(tmp_path, dict(self.PAYLOAD, **change))
+        assert run_cli("solve", "--config", config, "--out", str(out)) == 0
+        return (out / "solve.csv").read_bytes()
+
+    def test_rerun_into_one_out_is_byte_identical(self, tmp_path):
+        out = tmp_path / "out"
+        assert self.solve(tmp_path, out) == self.solve(tmp_path, out)
+
+    def test_shorter_rerun_leaves_no_stale_rows(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        long = self.solve(tmp_path, out)
+        short = self.solve(tmp_path, out, t=[1.0])
+        assert short == self.solve(tmp_path, fresh, t=[1.0])
+        assert len(short.splitlines()) == 3 + 2 < len(long.splitlines())
+        sidecar = json.loads((out / "solve.provenance.json").read_text())
+        assert sidecar["effective_config"]["t"] == [1.0]
+
+    def test_symlinked_output_is_replaced_and_its_target_kept(self, tmp_path):
+        out, target = tmp_path / "out", tmp_path / "elsewhere.csv"
+        out.mkdir()
+        target.write_text("keep me\n")
+        (out / "solve.csv").symlink_to(target)
+        written = self.solve(tmp_path, out)
+        assert not (out / "solve.csv").is_symlink()
+        assert written.startswith(b"# criticalbranch solve\n")
+        assert target.read_text() == "keep me\n"
 
 
 class TestInvariant:
@@ -256,6 +307,40 @@ def assert_one_line_error(code, capsys, *needles):
 
 
 class TestInputErrors:
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_config(self, tmp_path, capsys, where):
+        config = tmp_path / "missing.json" if where == "missing" else tmp_path
+        assert_one_line_error(run_cli("solve", "--config", str(config), "--out", str(tmp_path)), capsys, "--config")
+        assert not (tmp_path / "solve.csv").exists()
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"t": [1.0], "s": [0.5], "offspring": {"kind": "\xff"}}')
+        code = run_cli("solve", "--config", str(path), "--out", str(tmp_path))
+        assert_one_line_error(code, capsys, "UTF-8", "--config")
+
+    @pytest.mark.parametrize("command", ["solve", "report"])
+    def test_out_is_a_file(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.write_text("")
+        config = write_config(tmp_path, {"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0}, "t": [1.0], "s": [0.5]})
+        argv = ["--config", config] if command == "solve" else []
+        code = run_cli(command, *argv, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.endswith(" at --out\n") and err.count("\n") == 1
+        assert out.read_text() == ""
+
+    def test_integer_past_digit_limit_named(self, tmp_path, capsys):
+        # Python refuses to convert an integer string of more than 4,300 digits;
+        # the literal stays text, and the walk rejects it at its path
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0}, "t": [1%s], "s": [0.5]}' % ("0" * 5000)
+        )
+        code = run_cli("solve", "--config", str(path), "--out", str(tmp_path))
+        assert_one_line_error(code, capsys, "5001 characters", "$.t[0]")
+        assert not (tmp_path / "solve.csv").exists()
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_non_finite_numbers_rejected(self, tmp_path, capsys, literal):
         path = tmp_path / "config.json"

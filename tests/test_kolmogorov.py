@@ -225,6 +225,48 @@ class TestStepper:
             immigration_gf_series(HALF, _IMM, 0, 1e100, 64)
         assert time.perf_counter() - started < 20.0
 
+    @pytest.mark.parametrize("solver", sorted(set(_SOLVERS) - {"gf_derivative"}))  # it returns a float
+    def test_rhs_evals_count_six_per_attempt(self, solver):
+        sol = _SOLVERS[solver](1e-10)
+        assert sol.gap_rejected == 0
+        assert sol.rhs_evals == 1 + 6 * (sol.steps + sol.rejected)
+
+    def test_counters_match_rhs_calls_through_gap_rejections(self):
+        # at tol=0.5 some attempts stop at a non-positive gap stage, after
+        # zero to five of their six RHS calls
+        calls = []
+
+        def rhs(y):
+            calls.append(1)
+            return (-HALF.from_gap(y[0]),)
+
+        _, counts = kolmogorov._advance(rhs, (1.0,), 100.0, 0.5, (0.0,))
+        sol = solve_gf(HALF, 100.0, 0.0, tol=0.5)
+        assert counts == dict(steps=sol.steps, rejected=sol.rejected, gap_rejected=sol.gap_rejected,
+                              rhs_evals=sol.rhs_evals)
+        assert sol.gap_rejected > 0
+        assert sol.rhs_evals == len(calls)
+        series = immigration_gf_series(HALF, _IMM, 0, 100.0, 32, tol=0.5)
+        assert series.gap_rejected > 0
+        attempts = 1 + 6 * (series.steps + series.rejected)
+        assert attempts <= series.rhs_evals <= attempts + 5 * series.gap_rejected
+
+    def test_gap_rejection_at_each_stage_counts_its_rhs_calls(self):
+        # a spike in one stage's rate drives the next stage's gap negative; the
+        # spikes stop attempts 1-5 after 1, 2, 3, 4 and 5 of their six RHS calls,
+        # and a spike in the sixth call of attempt 6 fails its error test
+        spikes = {1: -1e9, 3: -1e9, 6: 1e9, 10: 1e9, 15: -1e9, 21: -1e3}
+        calls = []
+
+        def rhs(y):
+            calls.append(1)
+            return (spikes.get(len(calls) - 1, -y[0]),)
+
+        (r,), counts = kolmogorov._advance(rhs, (1.0,), 1.0, 1e-10, (0.0,))
+        assert counts["gap_rejected"] == 5 and counts["rejected"] >= 1
+        assert counts["rhs_evals"] == len(calls) == 1 + 6 * (counts["steps"] + counts["rejected"]) + 15
+        assert r == pytest.approx(math.exp(-1.0), rel=1e-9)
+
     def test_series_and_scalar_states_share_the_stepper(self):
         # a vector state of one coefficient advances exactly as the float state
         rhs_f = lambda y: (-HALF.from_gap(y[0]), _IMM.from_gap(y[0]))

@@ -48,6 +48,9 @@ class TestStableOffspring:
                 make_stable_offspring(0.5, bad)
             with pytest.raises(ValueError, match=r"rho must be in \[0, inf\)"):
                 make_perturbed_offspring(0.5, 1.0, bad, 0.5)
+        # an integer rate past the float range used to raise OverflowError from numpy
+        with pytest.raises(ValueError, match="need finite rates with a_0 > 0 and a_1 < 0"):
+            make_finite_offspring([1, -2, 10**400])
 
     def test_lifetime_and_normalization(self):
         law = make_stable_offspring(0.5, 1.0)
@@ -111,6 +114,8 @@ class TestStableImmigration:
                 make_stable_immigration(0.4, bad)
             with pytest.raises(ValueError, match=r"kappa must be in \[0, inf\)"):
                 make_stable_immigration(0.4, 0.1, kappa=bad)
+        with pytest.raises(ValueError, match="need finite rates with b_0 < 0 and b_k >= 0"):
+            make_finite_immigration([-(10**400), 10**400])
 
 
 class TestFiniteLaws:
