@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, karamata, montecarlo, oracle
-from .cli import FIGURE_PRESETS, figure_rows, report_rows
+from .asymptotics import FIGURE_PRESETS, figure_rows, report_rows
 from .kolmogorov import (
     closed_form_gf,
     immigration_gf,

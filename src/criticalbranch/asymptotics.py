@@ -36,7 +36,7 @@ from .kolmogorov import (
     immigration_gf_series,
     solve_gf,
 )
-from .laws import ImmigrationLaw, OffspringLaw, RegimeParams
+from .laws import _POSITIVE, ImmigrationLaw, OffspringLaw, RegimeParams, _check
 from .series import Series
 
 __all__ = [
@@ -48,6 +48,9 @@ __all__ = [
     "invariant_series",
     "stable_invariant_coeffs",
     "survival_expansion",
+    "figure_rows",
+    "report_rows",
+    "FIGURE_PRESETS",
     "local_ratio_measured",
     "slow_variation_report",
     "limit_gf",
@@ -63,6 +66,7 @@ __all__ = [
 ]
 
 ELIGIBILITY_TOL = 1e-6
+FIGURE_PRESETS = ((0.2, 0.9), (0.9, 0.2))
 
 
 class EligibilityError(ValueError):
@@ -188,10 +192,67 @@ def survival_expansion(nu: float, a0: float, normalizer: Normalizer | Callable, 
     well above one, but the curve is evaluated wherever the logarithm exists
     (the plotted grids start at t = 5 for every preset).
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    _check({"t": _POSITIVE}, t=t)
     n_t = normalizer(t)
     return n_t / (nu * t) ** (1.0 / nu) * (1.0 + math.log(a0 * nu * t) / (nu**3 * t))
+
+
+def figure_rows(nu: float, a0: float, normalizer: str, t_grid=None):
+    """Rows (t, q, p1) of the survival and local-probability expansions.
+
+    These are exactly the plotted expressions; the default grid runs from 5
+    to 100 in steps of one half.
+    """
+    if normalizer == "half-log":
+        n_fn = Normalizer.half_log()
+    elif normalizer == "log-power":
+        n_fn = Normalizer.log_power(nu)
+    else:
+        raise ValueError(f"unknown normalizer preset {normalizer!r}")
+    if t_grid is None:
+        t_grid = [5.0 + 0.5 * k for k in range(191)]
+    rows = []
+    for t in t_grid:
+        x = a0 * nu * t
+        if t > 0.0 and not 0.0 < x < math.inf:
+            raise ValueError(f"a0 nu t = {x} at t={t} leaves the float range at $.a0")
+        try:
+            q = survival_expansion(nu, a0, n_fn, t)
+            p1 = q * (1.0 + math.log(x) / (nu**2 * t)) / x
+        except ArithmeticError:  # (nu t)^(1/nu) or nu^3 t left the float range
+            q = p1 = math.nan
+        if not (math.isfinite(q) and math.isfinite(p1)):
+            key = "$.a0" if math.isfinite(q) else "$.nu"
+            raise ValueError(f"expansion not finite at t={t} (q={q}, p1={p1}), out of range at {key}")
+        rows.append((t, q, p1))
+    return rows
+
+
+def report_rows():
+    """The six summary rows: expansion formulas plus spot evaluations.
+
+    Spot values use nu=0.5, a0=1, delta=0.4, c=0.1 at t=100, s=0.5.
+    """
+    nu, a0, delta = 0.5, 1.0, 0.4
+    t, s = 100.0, 0.5
+    g = nu - delta
+    lam = a0 * (1.0 - s) ** nu
+    q = (1.0 + a0 * nu * t) ** (-1.0 / nu)
+    r = ((1.0 - s) ** (-nu) + a0 * nu * t) ** (-1.0 / nu)
+    p1 = q / (a0 * nu * t) * (1.0 + math.log(a0 * nu * t) / (nu**2 * t))
+    rows = [
+        (
+            "R(t;s)",
+            "R(t;s) ~ N(t)/(nu*t)^(1/nu) * (1 + ln(Lambda(1-s)*nu*t)/(nu^3*t))",
+            r * (1.0 + math.log(lam * nu * t) / (nu**3 * t)),
+        ),
+        ("q(t)", "q(t) ~ N(t)/(nu*t)^(1/nu) * (1 + ln(a0*nu*t)/(nu^3*t))", q * (1.0 + math.log(a0 * nu * t) / (nu**3 * t))),
+        ("p1(t)", "p1(t) ~ q(t)/(a0*nu*t) * (1 + ln(a0*nu*t)/(nu^2*t))", p1),
+        ("ln U(s)", "ln U(s) = (1-s)^(-|gamma|) + int_{1/(1-s)}^inf (|gamma|-L(u)) u^(|gamma|-1) du", (1.0 - s) ** (-g)),
+        ("ln pi(s)", "ln pi(s) = (1-s)^(-|gamma|) * L_v(1/(1-s))", (1.0 - s) ** (-g) - 1.0),
+        ("M(s)", "M(s) = (1/nu)(1/Lambda(1-s) - 1/a0)", ((1.0 - s) ** (-nu) / a0 - 1.0 / a0) / nu),
+    ]
+    return rows
 
 
 def local_ratio_measured(f_law: OffspringLaw, t: float) -> float:
@@ -390,8 +451,7 @@ def conditioned_gf(f_law: OffspringLaw, t: float, s: float) -> ConditionedResult
     log-corrected 1/t gap, reported in ``error`` as slack/M(s) - 1.
     """
     nu = _nu(f_law)
-    if t <= 0.0:
-        raise ValueError("conditioning requires t > 0")
+    _check({"t": _POSITIVE}, t=t)
     q = solve_gf(f_law, t, 0.0).R
     if q <= 0.0:
         raise ZeroDivisionError("survival probability underflowed")
@@ -461,8 +521,9 @@ def partial_sum_report(f_law: OffspringLaw, n_grid) -> RateReport:
         raise ValueError("partial-sum growth check applies to the canonical family")
     nu, a0 = f_law.nu, f_law.a0
     n = np.asarray(sorted(int(v) for v in n_grid), dtype=int)
-    if n.size == 0 or n[0] < 1:
-        raise ValueError("grid entries must be positive integers")
+    if n.size == 0:
+        raise ValueError("n_grid must not be empty")
+    _check({"n_grid": [_POSITIVE]}, n_grid=n)
     mu = stable_invariant_coeffs(nu, a0, int(n[-1]))
     sums = np.cumsum(mu)[n]
     predicted = n.astype(float) ** nu / (a0 * nu**2 * math.gamma(nu))

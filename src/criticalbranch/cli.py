@@ -24,52 +24,47 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, asymptotics, karamata, montecarlo
-from .kolmogorov import _MAX_ORDER, immigration_gf, solve_gf
-from .laws import (_LAWS, _NONNEG, _NUM, _PARAMS, _POSITIVE, _Leaf, _validate, classify, immigration_from_config,
+from . import __version__, acceptance, asymptotics, karamata, montecarlo
+from .kolmogorov import immigration_gf, solve_gf
+from .laws import (_COUNT, _LAWS, _NUM, _PARAMS, _POSITIVE, _Leaf, _validate, classify, immigration_from_config,
                    offspring_from_config)
 
-__all__ = ["main", "figure_rows", "report_rows", "FIGURE_PRESETS"]
+__all__ = ["main"]
 
-FIGURE_PRESETS = ((0.2, 0.9), (0.9, 0.2))
 _FIGURE_NORMALIZERS = ("half-log", "log-power")
-# input bounds: simulate allocates a replicas x grid state array up front, and
-# figure-data builds its whole t grid in memory
-MAX_REPLICAS = 10**6
-MAX_GRID = 100
-MAX_FIGURE_ROWS = 10**5
+MAX_FIGURE_ROWS = 10**5  # figure-data builds its whole t grid in memory
 
 
 # ---------------------------------------------------------------------------
-# Schema: the walk and the law fragments live in ``laws``.  This table alone
-# says what a valid config is; the cross-field rules that it cannot state sit
-# at the top of each handler, ahead of any work.
+# Schema: the walk, the law fragments and the leaves the library checks too
+# live in ``laws``.  This table alone says what a valid config is; the
+# cross-field rules that it cannot state sit at the top of each handler, ahead
+# of any work.
 
-_COUNT = _Leaf(int, 0)
 _SCHEMAS = {
     "simulate": {
         **_LAWS,
-        "grid": (True, [_NONNEG, MAX_GRID]),
-        "replicas": (True, _Leaf(int, 1, MAX_REPLICAS)),
-        "cap": (False, _Leaf(int, 1, montecarlo._CDF_BOUND)),
-        "start": (False, _COUNT),
+        "grid": (True, _PARAMS["grid"]),
+        "replicas": (True, _PARAMS["replicas"]),
+        "cap": (False, _PARAMS["cap"]),
+        "start": (False, _PARAMS["start"]),
         "seed": (False, _COUNT),
         "estimators": (True, [{
             "kind": (True, _Leaf(str, choices=("survival", "p", "mean", "ratio"))),
-            "t": (True, _NONNEG),
+            "t": (True, _PARAMS["t"]),
             "j": (False, _COUNT),
         }]),
     },
     "solve": {
         **_LAWS,
-        "t": (True, [_NONNEG]),
-        "s": (True, [_Leaf((int, float), 0, 1)]),
-        "tol": (False, _POSITIVE),
+        "t": (True, [_PARAMS["t"]]),
+        "s": (True, [_PARAMS["s"]]),
+        "tol": (False, _PARAMS["tol"]),
     },
     "invariant": {
         **_LAWS,
         "measures": (True, [_Leaf(str, choices=("M", "V", "pi", "U"))]),
-        "order": (True, _Leaf(int, 0, _MAX_ORDER)),
+        "order": (True, _PARAMS["order"]),
     },
     "figure-data": {
         "nu": (True, _PARAMS["nu"]),
@@ -134,68 +129,6 @@ def _write_outputs(args, name: str, command: str, cfg: dict, seed, columns, rows
         _replace(out / f"{name}.provenance.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise ValueError(f"cannot write {exc.filename or out}: {exc.strerror or exc} at --out") from None
-
-
-# ---------------------------------------------------------------------------
-# Figure data and the summary table.
-
-
-def figure_rows(nu: float, a0: float, normalizer: str, t_grid=None):
-    """Rows (t, q, p1) of the survival and local-probability expansions.
-
-    These are exactly the plotted expressions; the default grid runs from 5
-    to 100 in steps of one half.
-    """
-    if normalizer == "half-log":
-        n_fn = karamata.Normalizer.half_log()
-    elif normalizer == "log-power":
-        n_fn = karamata.Normalizer.log_power(nu)
-    else:
-        raise ValueError(f"unknown normalizer preset {normalizer!r}")
-    if t_grid is None:
-        t_grid = [5.0 + 0.5 * k for k in range(191)]
-    rows = []
-    for t in t_grid:
-        x = a0 * nu * t
-        if t > 0.0 and not 0.0 < x < math.inf:
-            raise ValueError(f"a0 nu t = {x} at t={t} leaves the float range at $.a0")
-        try:
-            q = asymptotics.survival_expansion(nu, a0, n_fn, t)
-            p1 = q * (1.0 + math.log(x) / (nu**2 * t)) / x
-        except ArithmeticError:  # (nu t)^(1/nu) or nu^3 t left the float range
-            q = p1 = math.nan
-        if not (math.isfinite(q) and math.isfinite(p1)):
-            key = "$.a0" if math.isfinite(q) else "$.nu"
-            raise ValueError(f"expansion not finite at t={t} (q={q}, p1={p1}), out of range at {key}")
-        rows.append((t, q, p1))
-    return rows
-
-
-def report_rows():
-    """The six summary rows: expansion formulas plus spot evaluations.
-
-    Spot values use nu=0.5, a0=1, delta=0.4, c=0.1 at t=100, s=0.5.
-    """
-    nu, a0, delta = 0.5, 1.0, 0.4
-    t, s = 100.0, 0.5
-    g = nu - delta
-    lam = a0 * (1.0 - s) ** nu
-    q = (1.0 + a0 * nu * t) ** (-1.0 / nu)
-    r = ((1.0 - s) ** (-nu) + a0 * nu * t) ** (-1.0 / nu)
-    p1 = q / (a0 * nu * t) * (1.0 + math.log(a0 * nu * t) / (nu**2 * t))
-    rows = [
-        (
-            "R(t;s)",
-            "R(t;s) ~ N(t)/(nu*t)^(1/nu) * (1 + ln(Lambda(1-s)*nu*t)/(nu^3*t))",
-            r * (1.0 + math.log(lam * nu * t) / (nu**3 * t)),
-        ),
-        ("q(t)", "q(t) ~ N(t)/(nu*t)^(1/nu) * (1 + ln(a0*nu*t)/(nu^3*t))", q * (1.0 + math.log(a0 * nu * t) / (nu**3 * t))),
-        ("p1(t)", "p1(t) ~ q(t)/(a0*nu*t) * (1 + ln(a0*nu*t)/(nu^2*t))", p1),
-        ("ln U(s)", "ln U(s) = (1-s)^(-|gamma|) + int_{1/(1-s)}^inf (|gamma|-L(u)) u^(|gamma|-1) du", (1.0 - s) ** (-g)),
-        ("ln pi(s)", "ln pi(s) = (1-s)^(-|gamma|) * L_v(1/(1-s))", (1.0 - s) ** (-g) - 1.0),
-        ("M(s)", "M(s) = (1/nu)(1/Lambda(1-s) - 1/a0)", ((1.0 - s) ** (-nu) / a0 - 1.0 / a0) / nu),
-    ]
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +283,13 @@ def _cmd_figure_data(args) -> int:
             n = (t1 - t0) / dt
             if not n < MAX_FIGURE_ROWS:
                 raise ValueError(f"(t_stop - t_start)/t_step must stay below {MAX_FIGURE_ROWS} at $.t_step")
-            t_grid = [t0 + dt * k for k in range(int(round(n)) + 1)]
+            # whole steps up to t_stop; a step count a rounding error short of whole still reaches it
+            t_grid = [min(t0 + dt * k, t1) for k in range(math.floor(n * (1.0 + 1e-9)) + 1)]
         jobs = [(cfg["nu"], cfg["a0"], cfg.get("normalizer", "half-log"), t_grid)]
     else:
-        jobs = [(nu, a0, nf, None) for nu, a0 in FIGURE_PRESETS for nf in _FIGURE_NORMALIZERS]
+        jobs = [(nu, a0, nf, None) for nu, a0 in asymptotics.FIGURE_PRESETS for nf in _FIGURE_NORMALIZERS]
     for nu, a0, nf, t_grid in jobs:
-        rows = figure_rows(nu, a0, nf, t_grid)
+        rows = asymptotics.figure_rows(nu, a0, nf, t_grid)
         _write_outputs(args, f"figure_nu{nu}_a0{a0}_{nf}", "figure-data", {"nu": nu, "a0": a0, "normalizer": nf},
                        args.seed, ("t", "q", "p1"), rows, started)
     return 0
@@ -363,18 +297,16 @@ def _cmd_figure_data(args) -> int:
 
 def _cmd_report(args) -> int:
     started = time.perf_counter()
-    rows = report_rows()
+    rows = asymptotics.report_rows()
+    _write_outputs(args, "report", "report", {"command": "report"}, args.seed, ("quantity", "expression", "spot_value"),
+                   [(n, f'"{f}"', v) for n, f, v in rows], started)
     for name, formula, spot in rows:
         print(f"{name:10s} {formula}")
         print(f"{'':10s} spot value at (nu=0.5, a0=1, delta=0.4, c=0.1, t=100, s=0.5): {_fmt(spot)}")
-    _write_outputs(args, "report", "report", {"command": "report"}, args.seed, ("quantity", "expression", "spot_value"),
-                   [(n, f'"{f}"', v) for n, f, v in rows], started)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    from . import acceptance
-
     cfg = _load_config(args, "verify")
     wanted = args.checks.split(",") if args.checks else cfg.get("checks")
     results = acceptance.run(wanted)

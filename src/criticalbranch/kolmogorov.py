@@ -14,7 +14,9 @@ is a list whose components are floats in a scalar solve and coefficient
 vectors in a series solve.
 
 Solvers are pure functions of (law, t, s, tol); grid sweeps can run
-concurrently without shared state.
+concurrently without shared state.  Each checks its arguments before any
+work against the ``laws`` leaves that configs use: t, s, tol, the series
+order N (leaf ``order``) and the initial state i.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ SERIES_RTOL = 1e-9
 SERIES_ATOL = 1e-11
 _MIN_STEP = 1e-12
 _MAX_TRIES = 200_000
-_MAX_ORDER = 1024
 
 
 class StepUnderflowError(ValueError):
@@ -214,26 +215,9 @@ def _advance(rhs, y0, t_end, rtol, atols):
 # Scalar solves.
 
 
-def _check_time(t: float) -> None:
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
-
-
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-
-
-def _check_scalar_args(t: float, s: float) -> None:
-    _check_time(t)
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
-
-
 def solve_gf(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) -> TransitionSolution:
     """F(t;s) by the embedded pair on dR/dt = -f(1-R), R(0) = 1-s."""
-    _check_scalar_args(t, s)
-    _check_tol(tol)
+    _check(t=t, s=s, tol=tol)
     r0 = 1.0 - s
     if r0 == 0.0 or t == 0.0:
         return TransitionSolution(t=t, s=s, F=s, R=r0)
@@ -244,8 +228,7 @@ def solve_gf(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) 
 
 def closed_form_gf(nu: float, a0: float, t: float, s: float) -> TransitionSolution:
     """Exact gap R(t;s) = [(1-s)^(-nu) + a0 nu t]^(-1/nu) of the stable family."""
-    _check(nu=nu, a0=a0)
-    _check_scalar_args(t, s)
+    _check(nu=nu, a0=a0, t=t, s=s)
     if s == 1.0:
         return TransitionSolution(t=t, s=s, F=1.0, R=0.0)
     r = ((1.0 - s) ** (-nu) + a0 * nu * t) ** (-1.0 / nu)
@@ -254,8 +237,7 @@ def closed_form_gf(nu: float, a0: float, t: float, s: float) -> TransitionSoluti
 
 def gf_derivative(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) -> float:
     """dF/ds = V for V' = f'(F) V, V(0) = 1, solved as u = log V so a subnormal V at far t stays in reach."""
-    _check_scalar_args(t, s)
-    _check_tol(tol)
+    _check(t=t, s=s, tol=tol)
     if s == 1.0:
         raise ValueError("derivative is evaluated on [0, 1)")
     if t == 0.0:
@@ -282,10 +264,7 @@ def immigration_gf(
     G accumulates h(F) jointly with the gap equation so both share one error
     budget.
     """
-    if i < 0:
-        raise ValueError("initial state must be nonnegative")
-    _check_scalar_args(t, s)
-    _check_tol(tol)
+    _check(i=i, t=t, s=s, tol=tol)
     r0 = 1.0 - s
     if t == 0.0 or r0 == 0.0:
         return TransitionSolution(t=t, s=s, F=s, R=r0, G=0.0, P=s ** i if i else 1.0)
@@ -311,11 +290,6 @@ def _series_init(N: int) -> np.ndarray:
     return r
 
 
-def _check_order(N: int) -> None:
-    if not 0 <= N <= _MAX_ORDER:
-        raise ValueError(f"series order must lie in [0, {_MAX_ORDER}]")
-
-
 def _gap_to_solution(t, r, g=None, i=0, counts=None) -> TransitionSolution:
     f = -r.copy()
     f[0] = 1.0 - r[0]
@@ -332,9 +306,7 @@ def solve_gf_series(
     f_law: OffspringLaw, t: float, N: int, tol: float = SERIES_RTOL
 ) -> TransitionSolution:
     """Coefficients p_j(t) of F(t;s) to order N, by the coefficient-space ODE."""
-    _check_order(N)
-    _check_time(t)
-    _check_tol(tol)
+    _check(order=N, t=t, tol=tol)
     r0 = _series_init(N)
     if t == 0.0:
         return _gap_to_solution(0.0, r0)
@@ -352,11 +324,7 @@ def immigration_gf_series(
     tol: float = SERIES_RTOL,
 ) -> TransitionSolution:
     """Coefficient vector of F^i exp(G) to order N; row i of the transition law."""
-    _check_order(N)
-    _check_time(t)
-    _check_tol(tol)
-    if i < 0:
-        raise ValueError("initial state must be nonnegative")
+    _check(order=N, t=t, tol=tol, i=i)
     r0, g0 = _series_init(N), np.zeros(N + 1)
     if t == 0.0:
         return _gap_to_solution(0.0, r0, g0, i=i)

@@ -198,13 +198,6 @@ def _scan_nonnegative(rates: np.ndarray, first_index: int, what: str) -> None:
         raise ValueError(f"{what} coefficient at index {k} is negative: {rates[k]!r}")
 
 
-def _check(**args) -> None:
-    """Scalar builder arguments against their parameters' leaves in ``_PARAMS``."""
-    for name, value in args.items():
-        if not _PARAMS[name].admits(value):
-            raise ValueError(f"{name} must be in {_PARAMS[name].domain()}, got {value!r}")
-
-
 def make_stable_offspring(nu: float, a0: float) -> OffspringLaw:
     """Canonical critical family f(s) = a0 (1-s)^(1+nu)."""
     _check(nu=nu, a0=a0)
@@ -307,7 +300,8 @@ def classify(f_law: OffspringLaw, h_law: ImmigrationLaw) -> RegimeParams:
 # ---------------------------------------------------------------------------
 # Schema: {key: (required, spec)} where spec is a _Leaf, a nested schema dict,
 # a _ByKind, or a list [element spec] or [element spec, max length].  The law
-# fragments are declared here, and ``cli._SCHEMAS`` builds on them.
+# fragments and every leaf a library entry point checks are declared here, and
+# ``cli._SCHEMAS`` builds on them.
 
 
 class _Leaf:
@@ -377,9 +371,42 @@ def _validate(obj, spec, path="$"):
 
 
 _NUM, _NONNEG, _POSITIVE = _Leaf((int, float)), _Leaf((int, float), 0), _Leaf((int, float), 0, open_lo=True)
-# Each law parameter's domain, stated once: the config walk and the builders read it.
-_PARAMS = {"nu": _Leaf((int, float), 0, 1, open_lo=True), "a0": _POSITIVE, "rho": _NONNEG, "p": _POSITIVE,
-           "delta": _Leaf((int, float), 0, 1, open_lo=True), "c": _POSITIVE, "kappa": _NONNEG, "rates": [_NUM]}
+_COUNT = _Leaf(int, 0)
+# input bounds: simulate allocates a replicas x grid state array up front, and
+# series solves run O(order^2) coefficient recurrences
+MAX_REPLICAS = 10**6
+MAX_GRID = 100
+_MAX_ORDER = 1024
+_CDF_BOUND = 10_000_000  # entries in a jump sampler's table
+# Each parameter's domain, stated once: the config walk, the builders and the
+# library entry points read it.
+_PARAMS = {
+    "nu": _Leaf((int, float), 0, 1, open_lo=True), "a0": _POSITIVE, "rho": _NONNEG, "p": _POSITIVE,
+    "delta": _Leaf((int, float), 0, 1, open_lo=True), "c": _POSITIVE, "kappa": _NONNEG, "rates": [_NUM],
+    "t": _NONNEG, "s": _Leaf((int, float), 0, 1), "tol": _POSITIVE, "order": _Leaf(int, 0, _MAX_ORDER),
+    "i": _COUNT, "start": _COUNT, "replicas": _Leaf(int, 1, MAX_REPLICAS), "grid": [_NONNEG, MAX_GRID],
+    # a uniform past the sampler table jumps by the bound; only a cap within the
+    # bound turns that jump into a capped path
+    "cap": _Leaf(int, 1, _CDF_BOUND), "n_max": _Leaf(int, 1),
+}
+
+
+def _check(leaves=_PARAMS, /, **args) -> None:
+    """Library arguments against their leaves, looked up by name in ``leaves``.
+
+    Unlike the config walk this checks ranges only: a tuple passes for an
+    array and a numpy scalar for a number.  A list leaf bounds the length and
+    checks every entry.
+    """
+    for name, value in args.items():
+        leaf, values = leaves[name], (value,)
+        if isinstance(leaf, list):
+            if len(leaf) > 1 and len(value) > leaf[1]:
+                raise ValueError(f"{name} must have at most {leaf[1]} entries, got {len(value)}")
+            leaf, values = leaf[0], value
+        for v in values:
+            if not leaf.admits(v):
+                raise ValueError(f"{name} must be in {leaf.domain()}, got {v!r}")
 
 
 def _keys(*names: str) -> dict:

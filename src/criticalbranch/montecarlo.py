@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laws import ImmigrationLaw, OffspringLaw
+from .laws import _CDF_BOUND, ImmigrationLaw, OffspringLaw, _check
 
 __all__ = [
     "SimConfig",
@@ -47,7 +47,6 @@ __all__ = [
 
 CHUNK = 8192
 _SCALAR_SWITCH = 4
-_CDF_BOUND = 10_000_000
 _CDF_START = 1024
 # a straggler walk draws blocks of this many events, doubling up to the max
 _WALK_START = 32
@@ -60,7 +59,11 @@ class InsufficientEventsError(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation experiment: laws, observation grid, replica budget."""
+    """One simulation experiment: laws, observation grid, replica budget.
+
+    replicas, cap, grid and start are checked against the ``laws`` leaves
+    that configs use; the grid must also be sorted.
+    """
 
     offspring: OffspringLaw
     immigration: ImmigrationLaw | None
@@ -71,22 +74,13 @@ class SimConfig:
     cap: int = 10**6
 
     def __post_init__(self):
-        if self.replicas < 1:
-            raise ValueError("need at least one replica")
-        if self.cap < 1:
-            raise ValueError("population cap must be positive")
-        if self.cap > _CDF_BOUND:
-            # a uniform past the sampler table jumps by the bound; only a cap within the bound
-            # turns that jump into a capped path
-            raise ValueError(f"population cap must not exceed the sampler table bound {_CDF_BOUND}")
         g = tuple(float(t) for t in self.grid)
-        if any(t < 0 for t in g) or list(g) != sorted(g):
-            raise ValueError("grid must be sorted and nonnegative")
-        object.__setattr__(self, "grid", g)
         if self.start is None:
             object.__setattr__(self, "start", 0 if self.immigration is not None else 1)
-        if self.start < 0:
-            raise ValueError("start population must be nonnegative")
+        _check(replicas=self.replicas, cap=self.cap, grid=g, start=self.start)
+        if list(g) != sorted(g):
+            raise ValueError("grid must be sorted")
+        object.__setattr__(self, "grid", g)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laws import ImmigrationLaw, OffspringLaw
+from .laws import ImmigrationLaw, OffspringLaw, _check
 
 __all__ = ["TruncatedGenerator", "Uniformization", "build_generator", "uniformize", "uniformized_transition"]
 
@@ -63,9 +63,9 @@ def build_generator(
     f_law: OffspringLaw, h_law: ImmigrationLaw | None, n_max: int
 ) -> TruncatedGenerator:
     """Generator of the truncated chain; clipped jump rates are logged, not
-    renormalized (renormalizing would bias the mean offspring count)."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    renormalized (renormalizing would bias the mean offspring count).  n_max
+    is checked against its ``laws`` leaf, [1, inf)."""
+    _check(n_max=n_max)
     size = n_max + 1
     Q = np.zeros((size, size))
     clipped = np.zeros(size)
@@ -143,10 +143,11 @@ def uniformize(gen: TruncatedGenerator, t: float, eps: float = 1e-10) -> Uniform
     first with x <= 64 on; K is the shortest series whose Poisson tail is
     provably at most eps / 2^(h+1).  eps bounds the truncation error in the
     max row-sum norm; rounding is not part of it.  Entries are nonnegative
-    and truncation only removes mass, so rows sum to at most one.
+    and truncation only removes mass, so rows sum to at most one.  t is
+    checked against the ``laws`` leaf that configs use, and eps must lie in
+    (0, 1).
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    _check(t=t)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     size = gen.n_max + 1

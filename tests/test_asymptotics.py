@@ -5,7 +5,6 @@ import pytest
 
 from criticalbranch import asymptotics as asy
 from criticalbranch import karamata as km
-from criticalbranch.cli import figure_rows
 from criticalbranch import (
     classify,
     make_perturbed_offspring,
@@ -125,7 +124,7 @@ class TestLocalRatio:
 
     def test_predicted_factor_at_figure_point(self):
         # the plotted p1/q is (1 + ln(a0 nu t)/(nu^2 t)) / (a0 nu t); at (0.2, 0.9, 50) the factor is 1 + ln(9)/2
-        ((_, q, p1),) = figure_rows(0.2, 0.9, "half-log", [50.0])
+        ((_, q, p1),) = asy.figure_rows(0.2, 0.9, "half-log", [50.0])
         assert p1 / q * (0.9 * 0.2 * 50.0) == pytest.approx(1.0 + math.log(9.0) / 2.0, abs=1e-12)
 
     def test_large_time_agreement(self):

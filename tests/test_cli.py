@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from criticalbranch import cli
+from criticalbranch import asymptotics, cli
 from criticalbranch.kolmogorov import immigration_gf
 from criticalbranch.laws import immigration_from_config, offspring_from_config
 
@@ -20,21 +20,21 @@ def write_config(tmp_path, payload, name="config.json"):
 
 class TestFigureData:
     def test_presets_are_both_figure_parameter_sets(self):
-        assert cli.FIGURE_PRESETS == ((0.2, 0.9), (0.9, 0.2))
+        assert asymptotics.FIGURE_PRESETS == ((0.2, 0.9), (0.9, 0.2))
 
     def test_grid_endpoints(self):
-        rows = cli.figure_rows(0.2, 0.9, "half-log")
+        rows = asymptotics.figure_rows(0.2, 0.9, "half-log")
         assert rows[0][0] == 5.0
         assert rows[-1][0] == 100.0
         assert len(rows) == 191
 
     def test_spot_value(self):
-        rows = dict((t, q) for t, q, _ in cli.figure_rows(0.2, 0.9, "half-log"))
+        rows = dict((t, q) for t, q, _ in asymptotics.figure_rows(0.2, 0.9, "half-log"))
         assert rows[50.0] == pytest.approx(7.319e-5, rel=1e-3)
 
     def test_rows_equal_direct_formula(self):
         nu, a0 = 0.9, 0.2
-        for t, q, p1 in cli.figure_rows(nu, a0, "log-power"):
+        for t, q, p1 in asymptotics.figure_rows(nu, a0, "log-power"):
             n_t = 1.0 + math.log(t + 1.0) / t**nu
             q_direct = n_t / (nu * t) ** (1.0 / nu) * (1.0 + math.log(a0 * nu * t) / (nu**3 * t))
             assert q == q_direct
@@ -56,7 +56,7 @@ class TestFigureData:
 class TestReport:
     def test_six_rows_with_formulas(self, tmp_path, capsys):
         assert run_cli("report", "--out", str(tmp_path)) == 0
-        rows = cli.report_rows()
+        rows = asymptotics.report_rows()
         assert len(rows) == 6
         assert rows[5][1] == "M(s) = (1/nu)(1/Lambda(1-s) - 1/a0)"
         assert rows[5][2] == pytest.approx(0.828427, abs=1e-6)
@@ -298,6 +298,19 @@ class TestFlags:
         assert len(lines) == 3 + 6
         assert lines[3].split(",")[0] == "5"
 
+    @pytest.mark.parametrize(
+        "grid,times",
+        [((5, 5.3, 0.5), [5.0]), ((0.1, 0.3, 0.1), [0.1, 0.2, 0.3]), ((5, 100, 0.5), [5.0 + 0.5 * k for k in range(191)])],
+    )
+    def test_figure_data_rows_stop_at_t_stop(self, tmp_path, grid, times):
+        # a step count a rounding error short of whole still reaches t_stop, and no row passes it
+        t_start, t_stop, t_step = grid
+        config = write_config(tmp_path, {"nu": 0.5, "a0": 1.0, "t_start": t_start, "t_stop": t_stop, "t_step": t_step})
+        assert run_cli("figure-data", "--config", config, "--out", str(tmp_path)) == 0
+        lines = (tmp_path / "figure_nu0.5_a01.0_half-log.csv").read_text().splitlines()[3:]
+        assert [float(line.split(",")[0]) for line in lines] == pytest.approx(times, rel=1e-12)
+        assert float(lines[-1].split(",")[0]) <= t_stop
+
 
 def assert_one_line_error(code, capsys, *needles):
     err = capsys.readouterr().err
@@ -326,9 +339,11 @@ class TestInputErrors:
         config = write_config(tmp_path, {"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0}, "t": [1.0], "s": [0.5]})
         argv = ["--config", config] if command == "solve" else []
         code = run_cli(command, *argv, "--out", str(out))
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert code == 2 and err.startswith("error: ") and err.endswith(" at --out\n") and err.count("\n") == 1
         assert out.read_text() == ""
+        assert captured.out == ""  # report writes its files before it prints its table
 
     def test_integer_past_digit_limit_named(self, tmp_path, capsys):
         # Python refuses to convert an integer string of more than 4,300 digits;

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,27 @@ def test_every_exported_name_is_reached(name):
         if export not in _used_names(TREES[own], definitions):
             unreached.append(export)
     assert unreached == []
+
+
+def test_importing_cli_loads_every_module():
+    # so code that imports cli sees the same modules whatever else it imported first
+    probe = (
+        "import pkgutil, sys, criticalbranch.cli; "
+        "print([m.name for m in pkgutil.iter_modules(criticalbranch.__path__) "
+        "if 'criticalbranch.' + m.name not in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert result.stdout == "[]\n"
+
+
+def test_nothing_imports_cli_and_cli_imports_at_module_level():
+    cli = (ROOT / "src" / "criticalbranch" / "cli.py").resolve()
+    imports = [(path, node) for path, tree in TREES.items() if "src" in path.parts
+               for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    importers = [path.name for path, node in imports
+                 if "cli" in (getattr(node, "module", None) or "").split(".") + [a.name.split(".")[-1] for a in node.names]]
+    assert importers == []
+    nested = [node.lineno for fn in ast.walk(TREES[cli]) if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []

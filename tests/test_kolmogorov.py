@@ -47,7 +47,7 @@ class TestSolveGf:
         with pytest.raises(ValueError):
             solve_gf(HALF, 1.0, 0.5, tol=0.0)
         for t in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match=r"t must be in \[0, inf\)"):
                 solve_gf(HALF, t, 0.5)
 
     def test_step_through_negative_gap_stage_is_retried(self):
@@ -182,7 +182,7 @@ _SOLVERS = {
 @pytest.mark.parametrize("solver", sorted(_SOLVERS))
 def test_every_solver_rejects_bad_tol(solver, tol):
     # tol = 0 divides by a zero error floor or never finishes; tol < 0 runs unchecked
-    with pytest.raises(ValueError, match="tol must be finite and positive"):
+    with pytest.raises(ValueError, match=r"tol must be in \(0, inf\)"):
         _SOLVERS[solver](tol)
 
 

@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from criticalbranch import asymptotics as asy
+from criticalbranch import kolmogorov as kol
+from criticalbranch import laws, oracle
+from criticalbranch import montecarlo as mc
 from criticalbranch import (
     classify,
     make_finite_immigration,
@@ -231,3 +235,58 @@ def test_canonical_coefficients_nonnegative(nu, a0):
     # generating function vanishes at 1 and stays positive below it
     assert law.from_gap(0.0) == 0.0
     assert law.value(0.9) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Library entry points check the same leaves as configs.
+
+_HALF = make_stable_offspring(0.5, 1.0)
+_IMM = make_stable_immigration(0.4, 0.1)
+
+
+def _sim(**change):
+    return mc.SimConfig(**dict(dict(offspring=_HALF, immigration=None, grid=(1.0,), replicas=10, seed=1), **change))
+
+
+_GRID_LENGTH = f"at most {laws.MAX_GRID} entries"
+# each call puts one argument outside its leaf: (call, argument name, the leaf's domain text)
+_GUARDS = {
+    "solve_gf(t=nan)": (lambda: kol.solve_gf(_HALF, math.nan, 0.5), "t", laws._PARAMS["t"].domain()),
+    "solve_gf(s=1.5)": (lambda: kol.solve_gf(_HALF, 1.0, 1.5), "s", laws._PARAMS["s"].domain()),
+    "solve_gf(tol=0)": (lambda: kol.solve_gf(_HALF, 1.0, 0.5, tol=0.0), "tol", laws._PARAMS["tol"].domain()),
+    "closed_form_gf(t=-1)": (lambda: kol.closed_form_gf(0.5, 1.0, -1.0, 0.5), "t", laws._PARAMS["t"].domain()),
+    "gf_derivative(s=-0.1)": (lambda: kol.gf_derivative(_HALF, 1.0, -0.1), "s", laws._PARAMS["s"].domain()),
+    "immigration_gf(i=-1)": (lambda: kol.immigration_gf(_HALF, _IMM, -1, 1.0, 0.5), "i", laws._PARAMS["i"].domain()),
+    "solve_gf_series(N=1025)": (lambda: kol.solve_gf_series(_HALF, 1.0, 1025), "order", laws._PARAMS["order"].domain()),
+    "immigration_gf_series(i=-1)": (lambda: kol.immigration_gf_series(_HALF, _IMM, -1, 1.0, 8), "i",
+                                    laws._PARAMS["i"].domain()),
+    "uniformize(t=inf)": (lambda: oracle.uniformize(oracle.build_generator(_HALF, None, 4), math.inf), "t",
+                          laws._PARAMS["t"].domain()),
+    "build_generator(n_max=0)": (lambda: oracle.build_generator(_HALF, None, 0), "n_max", laws._PARAMS["n_max"].domain()),
+    "SimConfig(replicas=0)": (lambda: _sim(replicas=0), "replicas", laws._PARAMS["replicas"].domain()),
+    "SimConfig(cap=0)": (lambda: _sim(cap=0), "cap", laws._PARAMS["cap"].domain()),
+    "SimConfig(start=-1)": (lambda: _sim(start=-1), "start", laws._PARAMS["start"].domain()),
+    "SimConfig(grid=(-1.0,))": (lambda: _sim(grid=(-1.0,)), "grid", laws._PARAMS["grid"][0].domain()),
+    "SimConfig(grid=101 times)": (lambda: _sim(grid=(1.0,) * (laws.MAX_GRID + 1)), "grid", _GRID_LENGTH),
+    "survival_expansion(t=0)": (lambda: asy.survival_expansion(0.5, 1.0, lambda t: 1.0, 0.0), "t", laws._POSITIVE.domain()),
+    "conditioned_gf(t=0)": (lambda: asy.conditioned_gf(_HALF, 0.0, 0.5), "t", laws._POSITIVE.domain()),
+    "partial_sum_report(n_grid=[0, 10])": (lambda: asy.partial_sum_report(_HALF, [0, 10]), "n_grid",
+                                           laws._POSITIVE.domain()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_library_guard_names_argument_and_leaf_domain(case):
+    call, name, domain = _GUARDS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(f"{name} must ") and domain in message
+
+
+def test_library_guards_take_tuples_and_numpy_numbers():
+    assert kol.solve_gf(_HALF, np.float64(1.0), np.float64(0.5), np.float64(1e-10)).F == kol.solve_gf(_HALF, 1.0, 0.5).F
+    assert kol.solve_gf_series(_HALF, 1.0, np.int64(8)).F.coeffs.size == 9
+    assert kol.immigration_gf(_HALF, _IMM, np.int64(2), 1.0, 0.5).P > 0.0
+    cfg = _sim(grid=(np.float64(1.0), 2), replicas=np.int64(10), cap=np.int64(100), start=np.int64(1))
+    assert cfg.grid == (1.0, 2.0)

@@ -91,7 +91,7 @@ class TestSimulate:
         with pytest.raises(ValueError):
             mc.SimConfig(offspring=HALF, immigration=None, grid=(1.0,), replicas=10, seed=1, cap=0)
         # a cap past the sampler table would let an overflowing draw through uncapped
-        with pytest.raises(ValueError, match="table bound"):
+        with pytest.raises(ValueError, match=r"cap must be in \[1, 10000000\]"):
             mc.SimConfig(offspring=HALF, immigration=None, grid=(1.0,), replicas=10, seed=1, cap=mc._CDF_BOUND + 1)
 
 
