@@ -16,7 +16,7 @@ f(s) = (1-s)^(1+nu) L(1/(1-s)) with immigration h(s) = -(1-s)^delta l(1/(1-s)):
 
 Rate reports fit the leading decay exponent on a log-log grid; asymptotically
 vanishing corrections are never asserted pointwise, only through the fitted
-slope and its R^2.
+slope.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import series as fps
-from .karamata import Normalizer, RatioSV, lambda_tail
+from .karamata import RatioSV
 from .kolmogorov import (
     gf_derivative,
     immigration_gf,
@@ -44,15 +44,14 @@ __all__ = [
     "RateReport",
     "EligibilityError",
     "invariant_gf",
-    "invariant_gf_via_tail",
     "invariant_series",
     "stable_invariant_coeffs",
     "survival_expansion",
     "figure_rows",
     "report_rows",
     "FIGURE_PRESETS",
+    "FIGURE_NORMALIZERS",
     "local_ratio_measured",
-    "slow_variation_report",
     "limit_gf",
     "limit_gf_series",
     "scaled_gf_convergence",
@@ -62,11 +61,15 @@ __all__ = [
     "ConditionedResult",
     "relative_measure_series",
     "invariance_residual",
-    "partial_sum_report",
 ]
 
 ELIGIBILITY_TOL = 1e-6
 FIGURE_PRESETS = ((0.2, 0.9), (0.9, 0.2))
+# the time normalizers N(nu, t) of the survival-probability figures, by preset name
+FIGURE_NORMALIZERS = {
+    "half-log": lambda nu, t: 1.0 + 0.5 / math.log(t + 1.0),
+    "log-power": lambda nu, t: 1.0 + math.log(t + 1.0) / t ** nu,
+}
 
 
 class EligibilityError(ValueError):
@@ -107,27 +110,20 @@ class InvariantMeasure:
 class RateReport:
     """Measured error decay on a time grid with a fitted log-log exponent."""
 
-    quantity: str
     grid: np.ndarray
     values: np.ndarray
     errors: np.ndarray
     slope: float | None
-    r2: float | None
     target: float | None
     passes: bool
-    note: str = ""
 
 
-def _fit_loglog(x: np.ndarray, e: np.ndarray) -> tuple[float | None, float | None]:
+def _fit_loglog(x: np.ndarray, e: np.ndarray) -> float | None:
     mask = np.isfinite(e) & (e != 0.0)
     if mask.sum() < 2:
-        return None, None
-    lx, le = np.log(x[mask]), np.log(np.abs(e[mask]))
-    slope, intercept = np.polyfit(lx, le, 1)
-    resid = le - (slope * lx + intercept)
-    ss_tot = np.sum((le - le.mean()) ** 2)
-    r2 = 1.0 - float(np.sum(resid**2)) / float(ss_tot) if ss_tot > 0 else 1.0
-    return float(slope), r2
+        return None
+    slope, _ = np.polyfit(np.log(x[mask]), np.log(np.abs(e[mask])), 1)
+    return float(slope)
 
 
 def _nu(f_law: OffspringLaw) -> float:
@@ -143,24 +139,18 @@ def _nu(f_law: OffspringLaw) -> float:
 def invariant_gf(f_law: OffspringLaw, s: float) -> float:
     """M(s) = integral_0^s dx / f(x); M(0) = 0.
 
-    The canonical family takes the exact tail form; every other law takes
-    adaptive quadrature.
+    The canonical family takes the exact tail form (1/nu) [1/Lambda(1-s) -
+    1/a0] with Lambda(y) = a0 y^nu; every other law takes adaptive quadrature.
     """
     if not 0.0 <= s < 1.0:
         raise ValueError("s must lie in [0, 1)")
     if f_law.kind == "canonical-stable":
-        return invariant_gf_via_tail(f_law, s)
+        nu, a0 = f_law.nu, f_law.a0
+        return (1.0 / ((1.0 - s) ** nu * a0) - 1.0 / a0) / nu
     if s == 0.0:
         return 0.0
     return _quad(lambda x: 1.0 / f_law.value(x), 0.0, s, lambda v: 1e-8 * max(1.0, abs(v)),
                  f"quadrature failure near s={s}")
-
-
-def invariant_gf_via_tail(f_law: OffspringLaw, s: float) -> float:
-    """Exact form (1/nu) [1/Lambda(1-s) - 1/a0] through the tail functional."""
-    nu = _nu(f_law)
-    L = f_law.slowly_varying()
-    return (1.0 / lambda_tail(L, nu, 1.0 - s) - 1.0 / f_law.a0) / nu
 
 
 def invariant_series(f_law: OffspringLaw, N: int) -> InvariantMeasure:
@@ -184,7 +174,7 @@ def stable_invariant_coeffs(nu: float, a0: float, N: int) -> np.ndarray:
 # Survival and local-probability expansions.
 
 
-def survival_expansion(nu: float, a0: float, normalizer: Normalizer | Callable, t: float) -> float:
+def survival_expansion(nu: float, a0: float, normalizer: Callable[[float], float], t: float) -> float:
     """Expansion value [N(t) / (nu t)^(1/nu)] (1 + ln(a0 nu t) / (nu^3 t)).
 
     This is the exact expression the survival-probability figures plot.  The
@@ -200,15 +190,14 @@ def survival_expansion(nu: float, a0: float, normalizer: Normalizer | Callable, 
 def figure_rows(nu: float, a0: float, normalizer: str, t_grid=None):
     """Rows (t, q, p1) of the survival and local-probability expansions.
 
-    These are exactly the plotted expressions; the default grid runs from 5
-    to 100 in steps of one half.
+    These are exactly the plotted expressions, with the time normalizer
+    ``FIGURE_NORMALIZERS[normalizer]``; the default grid runs from 5 to 100
+    in steps of one half.
     """
-    if normalizer == "half-log":
-        n_fn = Normalizer.half_log()
-    elif normalizer == "log-power":
-        n_fn = Normalizer.log_power(nu)
-    else:
+    if normalizer not in FIGURE_NORMALIZERS:
         raise ValueError(f"unknown normalizer preset {normalizer!r}")
+    preset = FIGURE_NORMALIZERS[normalizer]
+    n_fn = lambda t: preset(nu, t)
     if t_grid is None:
         t_grid = [5.0 + 0.5 * k for k in range(191)]
     rows = []
@@ -260,43 +249,12 @@ def local_ratio_measured(f_law: OffspringLaw, t: float) -> float:
     return gf_derivative(f_law, t, 0.0) / solve_gf(f_law, t, 0.0).R
 
 
-def slow_variation_report(f_law: OffspringLaw, t_grid) -> RateReport:
-    """Slow variation of (nu t)^(1 + 1/nu) p_1(t) a0: consecutive-grid ratios.
-
-    The grid is meant to double; each adjacent pair contributes one ratio row
-    and a single-point grid yields none.
-    """
-    nu = _nu(f_law)
-    a0 = f_law.a0
-    t = np.asarray(sorted(t_grid), dtype=float)
-    if np.any(np.diff(t) <= 0.0):
-        raise ValueError("grid must be strictly increasing")
-    vals = np.array(
-        [(nu * ti) ** (1.0 + 1.0 / nu) * gf_derivative(f_law, ti, 0.0) * a0 for ti in t]
-    )
-    ratios = vals[1:] / vals[:-1] if t.size > 1 else np.empty(0)
-    errors = np.abs(ratios - 1.0)
-    slope, r2 = _fit_loglog(t[1:], errors) if errors.size >= 2 else (None, None)
-    passes = bool(errors.size == 0 or errors.max() < 0.05)
-    return RateReport(
-        quantity="local probability slow variation",
-        grid=t,
-        values=vals,
-        errors=errors,
-        slope=slope,
-        r2=r2,
-        target=0.0,
-        passes=passes,
-        note="ratio rows pair consecutive grid points",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Transient immigration limit.
 
 
 def _require_transient_limit(regime: RegimeParams, ratio: RatioSV) -> float:
-    if not regime.transient_limit_ok:
+    if not (regime.gamma < 0.0 and regime.mu > 0.0):
         raise EligibilityError(
             f"limit law needs gamma < 0 and mu > 0; got gamma={regime.gamma}, mu={regime.mu}"
         )
@@ -316,10 +274,11 @@ def _tail_gap_integral(ratio: RatioSV, gamma_abs: float, x: float) -> float:
     """integral_x^inf (|gamma| - L(u)) u^(|gamma| - 1) du via u = x/v.
 
     The substitution maps onto v in (0, 1] where the integrand decays like
-    v^(mu - 1); the quadrature targets 1e-10 absolute.
+    v^(mu - 1); the quadrature targets 1e-10 absolute.  A flat ratio, whose
+    limit ``_require_transient_limit`` has matched to |gamma|, gives zero.
     """
     if _ratio_is_flat(ratio):
-        return 0.0 if abs(ratio.C_L - gamma_abs) <= ELIGIBILITY_TOL else math.inf
+        return 0.0
 
     def integrand(v):
         return (gamma_abs - ratio(x / v)) * x**gamma_abs * v ** (-1.0 - gamma_abs)
@@ -386,26 +345,14 @@ def scaled_gf_convergence(
         q = solve_gf(f_law, tk, 0.0).R
         sol = immigration_gf(f_law, h_law, 0, tk, s)
         errs[k] = math.expm1(q ** (-g) + sol.G - log_u)
-    slope, r2 = _fit_loglog(t, errs)
-    flat = _ratio_is_flat(ratio)
-    target = None if flat else -regime.mu / regime.nu
-    if flat:
+    slope = _fit_loglog(t, errs)
+    if _ratio_is_flat(ratio):
+        target = None
         passes = bool(np.all(np.abs(errs) < 1.0e-2))
-        note = "flat ratio: tail-gap integral vanishes, limit checked directly"
     else:
+        target = -regime.mu / regime.nu
         passes = slope is not None and abs(slope - target) <= 0.15 * abs(target)
-        note = "nonconstant ratio exercises the generic decay rate"
-    return RateReport(
-        quantity="scaled immigration GF convergence",
-        grid=t,
-        values=errs,
-        errors=np.abs(errs),
-        slope=slope,
-        r2=r2,
-        target=target,
-        passes=passes,
-        note=note,
-    )
+    return RateReport(grid=t, values=errs, errors=np.abs(errs), slope=slope, target=target, passes=passes)
 
 
 # ---------------------------------------------------------------------------
@@ -504,40 +451,3 @@ def invariance_residual(
     resid = float(np.max(rel[: N + 1]))
     tail_floor = float(np.max(rel[-max(1, order // 8) :]))
     return resid, resid >= tail_floor / 10.0
-
-
-# ---------------------------------------------------------------------------
-# Partial sums of the plain invariant measure.
-
-
-def partial_sum_report(f_law: OffspringLaw, n_grid) -> RateReport:
-    """Growth of sum_{j<=n} mu_j against n^nu / (a0 nu^2 Gamma(nu)).
-
-    Canonical family only; the coefficients come from the closed-form
-    recurrence and the comparison constant carries the 1/a0 normalization of
-    the measure.
-    """
-    if f_law.kind != "canonical-stable":
-        raise ValueError("partial-sum growth check applies to the canonical family")
-    nu, a0 = f_law.nu, f_law.a0
-    n = np.asarray(sorted(int(v) for v in n_grid), dtype=int)
-    if n.size == 0:
-        raise ValueError("n_grid must not be empty")
-    _check({"n_grid": [_POSITIVE]}, n_grid=n)
-    mu = stable_invariant_coeffs(nu, a0, int(n[-1]))
-    sums = np.cumsum(mu)[n]
-    predicted = n.astype(float) ** nu / (a0 * nu**2 * math.gamma(nu))
-    ratios = sums / predicted
-    slope, r2 = _fit_loglog(n.astype(float), sums) if n.size > 1 else (None, None)
-    passes = bool(abs(ratios[-1] - 1.0) <= 0.02)
-    return RateReport(
-        quantity="invariant measure partial sums",
-        grid=n.astype(float),
-        values=sums,
-        errors=np.abs(ratios - 1.0),
-        slope=slope,
-        r2=r2,
-        target=nu,
-        passes=passes,
-        note="slope targets the tail index",
-    )

@@ -25,13 +25,12 @@ import numpy as np
 import scipy
 
 from . import __version__, acceptance, asymptotics, karamata, montecarlo
-from .kolmogorov import immigration_gf, solve_gf
+from .kolmogorov import SCALAR_RTOL, immigration_gf, solve_gf
 from .laws import (_COUNT, _LAWS, _NUM, _PARAMS, _POSITIVE, _Leaf, _validate, classify, immigration_from_config,
                    offspring_from_config)
 
 __all__ = ["main"]
 
-_FIGURE_NORMALIZERS = ("half-log", "log-power")
 MAX_FIGURE_ROWS = 10**5  # figure-data builds its whole t grid in memory
 
 
@@ -48,7 +47,7 @@ _SCHEMAS = {
         "replicas": (True, _PARAMS["replicas"]),
         "cap": (False, _PARAMS["cap"]),
         "start": (False, _PARAMS["start"]),
-        "seed": (False, _COUNT),
+        "seed": (False, _PARAMS["seed"]),
         "estimators": (True, [{
             "kind": (True, _Leaf(str, choices=("survival", "p", "mean", "ratio"))),
             "t": (True, _PARAMS["t"]),
@@ -69,7 +68,7 @@ _SCHEMAS = {
     "figure-data": {
         "nu": (True, _PARAMS["nu"]),
         "a0": (True, _PARAMS["a0"]),
-        "normalizer": (False, _Leaf(str, choices=_FIGURE_NORMALIZERS)),
+        "normalizer": (False, _Leaf(str, choices=tuple(asymptotics.FIGURE_NORMALIZERS))),
         "t_start": (False, _POSITIVE),
         "t_stop": (False, _NUM),
         "t_step": (False, _POSITIVE),
@@ -180,7 +179,7 @@ def _laws(cfg: dict):
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args, "simulate")
-    cap = cfg.get("cap", 10**6)
+    cap = cfg.get("cap", montecarlo.DEFAULT_CAP)
     grid = [float(t) for t in cfg["grid"]]
     if grid != sorted(grid):
         raise ValueError("grid times must be sorted at $.grid")
@@ -224,7 +223,7 @@ def _cmd_solve(args) -> int:
     cfg = _load_config(args, "solve")
     started = time.perf_counter()
     offspring, immigration = _laws(cfg)
-    tol = cfg.get("tol", 1e-10)
+    tol = cfg.get("tol", SCALAR_RTOL)
     rows = []
     totals = dict.fromkeys(_SOLVE_COUNTERS, 0)
     for i, t in enumerate(cfg["t"]):
@@ -287,7 +286,7 @@ def _cmd_figure_data(args) -> int:
             t_grid = [min(t0 + dt * k, t1) for k in range(math.floor(n * (1.0 + 1e-9)) + 1)]
         jobs = [(cfg["nu"], cfg["a0"], cfg.get("normalizer", "half-log"), t_grid)]
     else:
-        jobs = [(nu, a0, nf, None) for nu, a0 in asymptotics.FIGURE_PRESETS for nf in _FIGURE_NORMALIZERS]
+        jobs = [(nu, a0, nf, None) for nu, a0 in asymptotics.FIGURE_PRESETS for nf in asymptotics.FIGURE_NORMALIZERS]
     for nu, a0, nf, t_grid in jobs:
         rows = asymptotics.figure_rows(nu, a0, nf, t_grid)
         _write_outputs(args, f"figure_nu{nu}_a0{a0}_{nf}", "figure-data", {"nu": nu, "a0": a0, "normalizer": nf},

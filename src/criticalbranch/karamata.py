@@ -1,26 +1,20 @@
 """Slowly varying functions of the shipped law families.
 
 Provides the two slowly varying forms the laws produce (constant and power
-corrected), the tail functional ``Lambda(y) = y^nu L(1/y)``, the two preset
-time normalizers of the survival-probability figures, and the ratio of two
-factors with its limit at infinity.  Arbitrary user callables are
-deliberately excluded so each form's limit is available in closed form.
+corrected) and the ratio of two factors with its limit at infinity.
+Arbitrary user callables are deliberately excluded so each form's limit is
+available in closed form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "SlowlyVarying",
-    "Normalizer",
     "RatioSV",
     "constant",
     "power_corrected",
-    "lambda_tail",
     "ratio_of",
 ]
 
@@ -37,11 +31,9 @@ class SlowlyVarying:
     rho: float = 0.0
     p: float = 0.0
 
-    def value(self, x):
+    def value(self, x: float) -> float:
         if self.form == "constant":
-            return self.c * np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else self.c
-        if np.ndim(x):
-            return self.c * (1.0 + self.rho * np.asarray(x, dtype=float) ** (-self.p))
+            return self.c
         return self.c * (1.0 + self.rho * x ** (-self.p))
 
     __call__ = value
@@ -62,36 +54,6 @@ def power_corrected(c: float, rho: float, p: float) -> SlowlyVarying:
     if c <= 0.0 or p <= 0.0:
         raise ValueError("power form needs c > 0 and p > 0")
     return SlowlyVarying("power", c=c, rho=rho, p=p)
-
-
-def lambda_tail(L: SlowlyVarying, nu: float, y: float) -> float:
-    """The tail functional Lambda(y) = y^nu L(1/y) for y in (0, 1]."""
-    return y ** nu * L.value(1.0 / y)
-
-
-@dataclass(frozen=True)
-class Normalizer:
-    """Evaluator for the slowly varying time normalizer N(t).
-
-    The two preset shapes used for plotting, ``half-log`` and ``log-power``,
-    are stored verbatim as expressions.
-    """
-
-    kind: str
-    nu: float = 1.0
-
-    def __call__(self, t: float) -> float:
-        if self.kind == "half-log":
-            return 1.0 + 0.5 / math.log(t + 1.0)
-        return 1.0 + math.log(t + 1.0) / t ** self.nu
-
-    @staticmethod
-    def half_log() -> "Normalizer":
-        return Normalizer("half-log")
-
-    @staticmethod
-    def log_power(nu: float) -> "Normalizer":
-        return Normalizer("log-power", nu=nu)
 
 
 @dataclass(frozen=True)

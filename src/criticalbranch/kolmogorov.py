@@ -14,9 +14,10 @@ is a list whose components are floats in a scalar solve and coefficient
 vectors in a series solve.
 
 Solvers are pure functions of (law, t, s, tol); grid sweeps can run
-concurrently without shared state.  Each checks its arguments before any
-work against the ``laws`` leaves that configs use: t, s, tol, the series
-order N (leaf ``order``) and the initial state i.
+concurrently without shared state.  ``gf_derivative`` and ``solve_gf_series``
+run at the fixed tolerances SCALAR_RTOL and SERIES_RTOL.  Each solver checks
+its arguments before any work against the ``laws`` leaves that configs use:
+t, s, tol, the series order N (leaf ``order``) and the initial state i.
 """
 
 from __future__ import annotations
@@ -49,11 +50,10 @@ _MAX_TRIES = 200_000
 
 
 class StepUnderflowError(ValueError):
-    """Adaptive solve stopped progressing; carries the time reached."""
+    """Adaptive solve stopped progressing; the message names the time reached."""
 
     def __init__(self, t_reached: float, reason: str = "step size underflow"):
         super().__init__(f"{reason} at t={float(t_reached)!r}")
-        self.t_reached = t_reached
 
 
 @dataclass(frozen=True)
@@ -235,9 +235,9 @@ def closed_form_gf(nu: float, a0: float, t: float, s: float) -> TransitionSoluti
     return TransitionSolution(t=t, s=s, F=1.0 - r, R=r)
 
 
-def gf_derivative(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) -> float:
+def gf_derivative(f_law: OffspringLaw, t: float, s: float) -> float:
     """dF/ds = V for V' = f'(F) V, V(0) = 1, solved as u = log V so a subnormal V at far t stays in reach."""
-    _check(t=t, s=s, tol=tol)
+    _check(t=t, s=s)
     if s == 1.0:
         raise ValueError("derivative is evaluated on [0, 1)")
     if t == 0.0:
@@ -247,7 +247,7 @@ def gf_derivative(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_R
         r, _ = y
         return (-f_law.from_gap(r), f_law.fprime_from_gap(r))
 
-    (r, u), _ = _advance(rhs, (1.0 - s, 0.0), t, tol, (0.0, min(tol * 1e-2, SCALAR_ATOL)))
+    (r, u), _ = _advance(rhs, (1.0 - s, 0.0), t, SCALAR_RTOL, (0.0, min(SCALAR_RTOL * 1e-2, SCALAR_ATOL)))
     return math.exp(u)
 
 
@@ -302,16 +302,14 @@ def _gap_to_solution(t, r, g=None, i=0, counts=None) -> TransitionSolution:
     return TransitionSolution(**sol_kwargs)
 
 
-def solve_gf_series(
-    f_law: OffspringLaw, t: float, N: int, tol: float = SERIES_RTOL
-) -> TransitionSolution:
+def solve_gf_series(f_law: OffspringLaw, t: float, N: int) -> TransitionSolution:
     """Coefficients p_j(t) of F(t;s) to order N, by the coefficient-space ODE."""
-    _check(order=N, t=t, tol=tol)
+    _check(order=N, t=t)
     r0 = _series_init(N)
     if t == 0.0:
         return _gap_to_solution(0.0, r0)
     rhs = lambda y: (-f_law.from_gap_coeffs(y[0]),)
-    (r,), counts = _advance(rhs, (r0,), t, tol, (min(tol * 1e-2, SERIES_ATOL),))
+    (r,), counts = _advance(rhs, (r0,), t, SERIES_RTOL, (min(SERIES_RTOL * 1e-2, SERIES_ATOL),))
     return _gap_to_solution(t, r, counts=counts)
 
 

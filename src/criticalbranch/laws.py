@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -124,10 +125,6 @@ class OffspringLaw(CenteredLaw):
             total += c * b * r ** (b - 1.0)
         return -total
 
-    @property
-    def lifetime_mean(self) -> float:
-        return 1.0 / (-self.a1)
-
     def slowly_varying(self) -> karamata.SlowlyVarying:
         """The factor L with f(s) = (1-s)^(1+nu) L(1/(1-s)).
 
@@ -158,37 +155,31 @@ class ImmigrationLaw(CenteredLaw):
     def b0(self) -> float:
         return sum(c for c, _ in self.terms)
 
-    @property
-    def hprime1(self) -> float:
-        """h'(1-); infinite when any tail exponent is below 1."""
-        if any(b < 1.0 - 1e-12 for _, b in self.terms):
-            return math.inf
-        return sum(-c for c, b in self.terms if abs(b - 1.0) <= 1e-12)
-
     def slowly_varying(self) -> karamata.SlowlyVarying:
-        """The factor l with h(s) = -(1-s)^delta l(1/(1-s))."""
+        """The factor l with h(s) = -(1-s)^delta l(1/(1-s)).
+
+        Finite laws (delta = 1) get the constant h'(1), their mean arrival rate.
+        """
         if self.kind == "canonical-stable":
             return karamata.constant(self.c)
         if self.kind == "perturbed-stable":
             return karamata.power_corrected(self.c, self.kappa / self.c, self.delta)
-        return karamata.constant(self.hprime1)
+        # h'(1): only the linear centered term survives at s = 1
+        return karamata.constant(sum(-c for c, b in self.terms if abs(b - 1.0) <= 1e-12))
 
 
 @dataclass(frozen=True)
 class RegimeParams:
-    """Tail indices and the recurrence classification they induce."""
+    """Tail indices nu and delta with gamma = delta - nu and mu = 2 delta - nu.
+
+    The sign of gamma sets the regime: positive recurrent above zero, the
+    q-process at zero, transient below.
+    """
 
     nu: float
     delta: float
     gamma: float
     mu: float
-    beta: float
-    classification: str
-
-    @property
-    def transient_limit_ok(self) -> bool:
-        """Structural precondition of the transient limit law: gamma < 0, mu > 0."""
-        return self.gamma < 0.0 and self.mu > 0.0
 
 
 def _scan_nonnegative(rates: np.ndarray, first_index: int, what: str) -> None:
@@ -284,17 +275,7 @@ def classify(f_law: OffspringLaw, h_law: ImmigrationLaw) -> RegimeParams:
     if f_law.nu is None:
         raise ValueError("offspring law is not critical; no regime classification")
     nu, delta = f_law.nu, h_law.delta
-    gamma = delta - nu
-    mu = 2.0 * delta - nu
-    if gamma > 0.0:
-        cls = "positive-recurrent"
-    elif gamma < 0.0:
-        cls = "transient"
-    else:
-        cls = "q-process"
-    return RegimeParams(
-        nu=nu, delta=delta, gamma=gamma, mu=mu, beta=min(delta, abs(gamma)), classification=cls
-    )
+    return RegimeParams(nu=nu, delta=delta, gamma=delta - nu, mu=2.0 * delta - nu)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +297,23 @@ class _Leaf:
         left = "(" if self.open_lo or self.lo == -math.inf else "["
         return f"{left}{self.lo}, {self.hi}{')' if self.hi == math.inf else ']'}"
 
+    def takes(self, value) -> bool:
+        """The type rule of configs and library calls alike: an int leaf takes
+        integral numbers (numpy integers too), a number leaf real ones, and
+        neither takes a bool."""
+        if self.types is str:
+            return isinstance(value, str)
+        return not isinstance(value, bool) and isinstance(value, Integral if self.types is int else Real)
+
     def admits(self, value) -> bool:
         if self.types is str:
             return not self.choices or value in self.choices
         # abs(), not math.isfinite, which raises OverflowError on an int past the float range
         return abs(value) <= sys.float_info.max and (self.lo < value if self.open_lo else self.lo <= value) and value <= self.hi
+
+
+def _kind(leaf: _Leaf) -> str:
+    return {str: "a string", int: "an integer"}.get(leaf.types, "a number")
 
 
 class _ByKind(dict):
@@ -363,9 +356,8 @@ def _validate(obj, spec, path="$"):
             raise ValueError(f"at most {spec[1]} entries, got {len(obj)} at {path}")
         for i, item in enumerate(obj):
             _validate(item, spec[0], f"{path}[{i}]")
-    elif isinstance(obj, bool) or not isinstance(obj, spec.types):
-        expected = {str: "a string", int: "an integer"}.get(spec.types, "a number")
-        raise ValueError(f"expected {expected}, got {_show(obj)} at {path}")
+    elif not spec.takes(obj):
+        raise ValueError(f"expected {_kind(spec)}, got {_show(obj)} at {path}")
     elif not spec.admits(obj):
         raise ValueError(f"value must be {'' if spec.choices else 'in '}{spec.domain()}, got {_show(obj)} at {path}")
 
@@ -384,7 +376,7 @@ _PARAMS = {
     "nu": _Leaf((int, float), 0, 1, open_lo=True), "a0": _POSITIVE, "rho": _NONNEG, "p": _POSITIVE,
     "delta": _Leaf((int, float), 0, 1, open_lo=True), "c": _POSITIVE, "kappa": _NONNEG, "rates": [_NUM],
     "t": _NONNEG, "s": _Leaf((int, float), 0, 1), "tol": _POSITIVE, "order": _Leaf(int, 0, _MAX_ORDER),
-    "i": _COUNT, "start": _COUNT, "replicas": _Leaf(int, 1, MAX_REPLICAS), "grid": [_NONNEG, MAX_GRID],
+    "i": _COUNT, "start": _COUNT, "seed": _COUNT, "replicas": _Leaf(int, 1, MAX_REPLICAS), "grid": [_NONNEG, MAX_GRID],
     # a uniform past the sampler table jumps by the bound; only a cap within the
     # bound turns that jump into a capped path
     "cap": _Leaf(int, 1, _CDF_BOUND), "n_max": _Leaf(int, 1),
@@ -394,9 +386,8 @@ _PARAMS = {
 def _check(leaves=_PARAMS, /, **args) -> None:
     """Library arguments against their leaves, looked up by name in ``leaves``.
 
-    Unlike the config walk this checks ranges only: a tuple passes for an
-    array and a numpy scalar for a number.  A list leaf bounds the length and
-    checks every entry.
+    Types follow the config walk's rule (``_Leaf.takes``), and a tuple passes
+    for an array.  A list leaf bounds the length and checks every entry.
     """
     for name, value in args.items():
         leaf, values = leaves[name], (value,)
@@ -405,6 +396,8 @@ def _check(leaves=_PARAMS, /, **args) -> None:
                 raise ValueError(f"{name} must have at most {leaf[1]} entries, got {len(value)}")
             leaf, values = leaf[0], value
         for v in values:
+            if not leaf.takes(v):
+                raise ValueError(f"{name} must be {_kind(leaf)} in {leaf.domain()}, got {v!r}")
             if not leaf.admits(v):
                 raise ValueError(f"{name} must be in {leaf.domain()}, got {v!r}")
 

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 CHUNK = 8192
+DEFAULT_CAP = 10**6
 _SCALAR_SWITCH = 4
 _CDF_START = 1024
 # a straggler walk draws blocks of this many events, doubling up to the max
@@ -61,8 +62,8 @@ class InsufficientEventsError(ValueError):
 class SimConfig:
     """One simulation experiment: laws, observation grid, replica budget.
 
-    replicas, cap, grid and start are checked against the ``laws`` leaves
-    that configs use; the grid must also be sorted.
+    replicas, cap, grid, start and seed are checked against the ``laws``
+    leaves that configs use; the grid must also be sorted.
     """
 
     offspring: OffspringLaw
@@ -71,13 +72,13 @@ class SimConfig:
     replicas: int
     seed: int
     start: int | None = None
-    cap: int = 10**6
+    cap: int = DEFAULT_CAP
 
     def __post_init__(self):
-        g = tuple(float(t) for t in self.grid)
         if self.start is None:
             object.__setattr__(self, "start", 0 if self.immigration is not None else 1)
-        _check(replicas=self.replicas, cap=self.cap, grid=g, start=self.start)
+        _check(replicas=self.replicas, cap=self.cap, grid=self.grid, start=self.start, seed=self.seed)
+        g = tuple(float(t) for t in self.grid)
         if list(g) != sorted(g):
             raise ValueError("grid must be sorted")
         object.__setattr__(self, "grid", g)

@@ -11,7 +11,7 @@ P(t) comes from Jensen's uniformization, a Poisson mixture of powers of a
 nonnegative matrix, raised to the power 2^h by exact time halving.  The
 number of halvings h and the series length K are chosen together so that
 the count of matrix products, (K - 1) + h, is smallest (the trade-off of
-Al-Mohy & Higham, SIMAX 31, 2009).  The tolerance eps bounds the
+Al-Mohy & Higham, SIMAX 31, 2009).  The tolerance EPS = 1e-10 bounds the
 truncation error only, through a proven Poisson tail bound; rounding is
 not part of it.
 """
@@ -27,6 +27,7 @@ from .laws import ImmigrationLaw, OffspringLaw, _check
 
 __all__ = ["TruncatedGenerator", "Uniformization", "build_generator", "uniformize", "uniformized_transition"]
 
+EPS = 1e-10  # bound on the truncation error of P(t) in the max row-sum norm
 _X_MAX = 64.0  # the split search starts at the first h with q t / 2^h <= _X_MAX
 _LN2 = math.log(2.0)
 
@@ -134,22 +135,19 @@ def _split(qt: float, eps: float) -> tuple[int, int]:
     return best[1], best[2]
 
 
-def uniformize(gen: TruncatedGenerator, t: float, eps: float = 1e-10) -> Uniformization:
+def uniformize(gen: TruncatedGenerator, t: float) -> Uniformization:
     """Transition matrix P(t) of the truncated chain, with its counters.
 
     P(t) = (e^{-x} sum_{k<=K} x^k/k! M^k)^(2^h), with M = I + Q/q
     nonnegative, q the largest exit rate and x = q t / 2^h.  The split (h, K)
     is the one with the fewest matrix products, (K - 1) + h, over h from the
     first with x <= 64 on; K is the shortest series whose Poisson tail is
-    provably at most eps / 2^(h+1).  eps bounds the truncation error in the
+    provably at most EPS / 2^(h+1).  EPS bounds the truncation error in the
     max row-sum norm; rounding is not part of it.  Entries are nonnegative
     and truncation only removes mass, so rows sum to at most one.  t is
-    checked against the ``laws`` leaf that configs use, and eps must lie in
-    (0, 1).
+    checked against the ``laws`` leaf that configs use.
     """
     _check(t=t)
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
     size = gen.n_max + 1
     q = float(np.max(-np.diag(gen.Q)))
     qt = q * t
@@ -157,7 +155,7 @@ def uniformize(gen: TruncatedGenerator, t: float, eps: float = 1e-10) -> Uniform
         raise ValueError(f"q*t must be finite, got q={q} and t={t}")
     if qt == 0.0:
         return Uniformization(P=np.eye(size), halvings=0, terms=0, leaked=np.zeros(size))
-    h, k_max = _split(qt, eps)
+    h, k_max = _split(qt, EPS)
     x = math.ldexp(qt, -h)
     diag = np.diag_indices(size)
     M = gen.Q / q
@@ -178,6 +176,6 @@ def uniformize(gen: TruncatedGenerator, t: float, eps: float = 1e-10) -> Uniform
     return Uniformization(P=P, halvings=h, terms=k_max, leaked=1.0 - P.sum(axis=1))
 
 
-def uniformized_transition(gen: TruncatedGenerator, t: float, eps: float = 1e-10) -> np.ndarray:
-    """P(t) of the truncated chain: ``uniformize(gen, t, eps).P``."""
-    return uniformize(gen, t, eps).P
+def uniformized_transition(gen: TruncatedGenerator, t: float) -> np.ndarray:
+    """P(t) of the truncated chain: ``uniformize(gen, t).P``."""
+    return uniformize(gen, t).P

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -25,7 +23,7 @@ def test_slow_variation_at_declared_forms(L, tol, lam):
 @pytest.mark.parametrize("L,_tol", shipped_forms())
 def test_tail_functional_increasing_near_zero(L, _tol):
     y = np.logspace(-8, -1, 60)
-    lam = np.array([km.lambda_tail(L, 0.5, v) for v in y])
+    lam = np.array([v**0.5 * L(1.0 / v) for v in y])  # Lambda(y) = y^nu L(1/y)
     assert np.all(np.diff(lam) > 0.0)
 
 
@@ -59,13 +57,6 @@ class TestRemainderLimit:
         L = km.power_corrected(1.0, 1.0, 0.2)
         r = [abs(remainder_probe(L, 0.5, x)) for x in (1e4, 1e5, 1e6, 1e7)]
         assert all(b > 1.1 * a for a, b in zip(r, r[1:]))
-
-
-class TestNormalizer:
-    def test_presets_match_expressions(self):
-        t = 50.0
-        assert km.Normalizer.half_log()(t) == pytest.approx(1.0 + 0.5 / math.log(51.0))
-        assert km.Normalizer.log_power(0.2)(t) == pytest.approx(1.0 + math.log(51.0) / 50.0**0.2)
 
 
 class TestRatioOf:

@@ -58,10 +58,11 @@ class TestStableOffspring:
 
     def test_lifetime_and_normalization(self):
         law = make_stable_offspring(0.5, 1.0)
-        assert law.lifetime_mean == pytest.approx(1.0 / 1.5)
+        lifetime_mean = 1.0 / -law.a1
+        assert lifetime_mean == pytest.approx(1.0 / 1.5)
         rates = law.rates_up_to(100_000)
         partial = rates[0] + rates[2:].sum()
-        assert law.lifetime_mean * partial == pytest.approx(1.0, abs=1e-6)
+        assert lifetime_mean * partial == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("horizon", [1_000, 10_000])
     def test_rate_sum_tail_bound(self, horizon):
@@ -87,12 +88,11 @@ class TestStableImmigration:
     def test_single_arrival(self):
         law = make_stable_immigration(1.0, 1.0)
         assert np.allclose(law.rates_up_to(3), [-1.0, 1.0, 0.0, 0.0], atol=1e-15)
-        assert law.hprime1 == pytest.approx(1.0)
+        assert law.rates_up_to(3) @ np.arange(4) == pytest.approx(1.0)  # mean arrival rate h'(1)
 
     def test_heavy_tail_coefficient(self):
         law = make_stable_immigration(0.4, 0.1)
         assert law.rates_up_to(1)[1] == pytest.approx(0.04, abs=1e-15)
-        assert law.hprime1 == math.inf
 
     def test_perturbed_positivity_scan_accepts(self):
         # 2*delta < 1 keeps both component series nonnegative
@@ -149,28 +149,28 @@ class TestFiniteLaws:
 
     def test_single_arrival_mean(self):
         law = make_finite_immigration([-1.0, 1.0])
-        assert law.hprime1 == pytest.approx(1.0)
+        assert law.slowly_varying().limit == pytest.approx(1.0)  # the constant h'(1)
         assert law.value(0.0) == pytest.approx(-1.0)
 
 
 class TestClassify:
+    # the sign of gamma = delta - nu sets the regime: transient below zero,
+    # q-process at zero, positive recurrent above
+
     def test_transient_case(self):
         regime = classify(make_stable_offspring(0.5, 1.0), make_stable_immigration(0.4, 0.1))
         assert regime.gamma == pytest.approx(-0.1)
         assert regime.mu == pytest.approx(0.3)
-        assert regime.classification == "transient"
-        assert regime.transient_limit_ok
+        assert regime.gamma < 0.0 and regime.mu > 0.0  # the transient limit law applies
 
     def test_positive_recurrent_case(self):
         regime = classify(make_stable_offspring(0.2, 0.9), make_stable_immigration(0.9, 1.0))
         assert regime.gamma == pytest.approx(0.7)
-        assert regime.classification == "positive-recurrent"
-        assert not regime.transient_limit_ok
+        assert regime.gamma > 0.0
 
     def test_q_process_flag(self):
         regime = classify(make_stable_offspring(0.5, 1.0), make_stable_immigration(0.5, 1.0))
         assert regime.gamma == 0.0
-        assert regime.classification == "q-process"
 
     def test_pure_function(self):
         f_law = make_stable_offspring(0.5, 1.0)
@@ -270,8 +270,17 @@ _GUARDS = {
     "SimConfig(grid=101 times)": (lambda: _sim(grid=(1.0,) * (laws.MAX_GRID + 1)), "grid", _GRID_LENGTH),
     "survival_expansion(t=0)": (lambda: asy.survival_expansion(0.5, 1.0, lambda t: 1.0, 0.0), "t", laws._POSITIVE.domain()),
     "conditioned_gf(t=0)": (lambda: asy.conditioned_gf(_HALF, 0.0, 0.5), "t", laws._POSITIVE.domain()),
-    "partial_sum_report(n_grid=[0, 10])": (lambda: asy.partial_sum_report(_HALF, [0, 10]), "n_grid",
-                                           laws._POSITIVE.domain()),
+    # an integer argument takes integral numbers only, and seed is checked like start
+    "solve_gf_series(N=8.5)": (lambda: kol.solve_gf_series(_HALF, 1.0, 8.5), "order", laws._PARAMS["order"].domain()),
+    "immigration_gf(i=0.5)": (lambda: kol.immigration_gf(_HALF, _IMM, 0.5, 1.0, 0.3), "i", laws._PARAMS["i"].domain()),
+    "build_generator(n_max=3.5)": (lambda: oracle.build_generator(_HALF, None, 3.5), "n_max",
+                                   laws._PARAMS["n_max"].domain()),
+    "SimConfig(replicas=2.5)": (lambda: _sim(replicas=2.5), "replicas", laws._PARAMS["replicas"].domain()),
+    "SimConfig(cap=True)": (lambda: _sim(cap=True), "cap", laws._PARAMS["cap"].domain()),
+    "SimConfig(start=1.5)": (lambda: _sim(start=1.5), "start", laws._PARAMS["start"].domain()),
+    "SimConfig(seed=-1)": (lambda: _sim(seed=-1), "seed", laws._PARAMS["seed"].domain()),
+    "SimConfig(seed=1.5)": (lambda: _sim(seed=1.5), "seed", laws._PARAMS["seed"].domain()),
+    "SimConfig(grid=(True, '2'))": (lambda: _sim(grid=(True, "2")), "grid", laws._PARAMS["grid"][0].domain()),
 }
 
 
@@ -288,5 +297,6 @@ def test_library_guards_take_tuples_and_numpy_numbers():
     assert kol.solve_gf(_HALF, np.float64(1.0), np.float64(0.5), np.float64(1e-10)).F == kol.solve_gf(_HALF, 1.0, 0.5).F
     assert kol.solve_gf_series(_HALF, 1.0, np.int64(8)).F.coeffs.size == 9
     assert kol.immigration_gf(_HALF, _IMM, np.int64(2), 1.0, 0.5).P > 0.0
-    cfg = _sim(grid=(np.float64(1.0), 2), replicas=np.int64(10), cap=np.int64(100), start=np.int64(1))
+    cfg = _sim(grid=(np.float64(1.0), 2), replicas=np.int64(10), cap=np.int64(100), start=np.int64(1),
+               seed=np.uint32(7))
     assert cfg.grid == (1.0, 2.0)

@@ -30,8 +30,8 @@ class TestSampleOffspring:
         assert draw_offspring(BINARY, 0.7) == 2
 
     def test_half_index_prefix(self):
-        # lifetime mean 2/3; p0 = 2/3, p2 = 1/4, so u = 0.9 falls at k >= 2
-        assert HALF.lifetime_mean == pytest.approx(2.0 / 3.0)
+        # lifetime mean 1/(-a_1) = 2/3; p0 = 2/3, p2 = 1/4, so u = 0.9 falls at k >= 2
+        assert 1.0 / -HALF.a1 == pytest.approx(2.0 / 3.0)
         assert draw_offspring(HALF, 0.5) == 0
         assert draw_offspring(HALF, 0.9) >= 2
 
@@ -44,7 +44,7 @@ class TestSampleOffspring:
         rng = np.random.default_rng(7)
         sampler = mc._Sampler(mc._offspring_pmf(HALF))
         draws = sampler.draw(rng.random(1_000_000))
-        lam = HALF.lifetime_mean
+        lam = 1.0 / -HALF.a1  # lifetime mean
         pmf = lam * HALF.rates_up_to(10)
         pmf[1] = 0.0
         n = draws.size

@@ -172,12 +172,6 @@ class TestUniformize:
                 violations.append((qt, h, k))
         assert violations == []
 
-    def test_rejects_bad_tolerance(self):
-        gen = build_generator(BINARY, None, 4)
-        for eps in (0.0, 1.0, math.nan):
-            with pytest.raises(ValueError, match="eps must lie in"):
-                uniformize(gen, 1.0, eps)
-
 
 def test_generator_requires_positive_truncation():
     with pytest.raises(ValueError):

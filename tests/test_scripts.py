@@ -1,0 +1,37 @@
+"""The scripts under scripts/ run end to end on small inputs.
+
+``test_exports`` counts the scripts as code that reaches library names; these
+runs check that those names still work as the scripts call them.  Only the
+exit code and the shape of the output are asserted, not the statistics.
+"""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_convergence_rates_writes_three_sweeps(tmp_path):
+    result = run_script("convergence_rates.py", "--points", "3", "--out", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    with (tmp_path / "convergence_rates.csv").open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["experiment", "t", "error", "fitted_slope", "target_slope"]
+    assert [row[0] for row in rows] == ["scaled-gf-matched"] * 3 + ["scaled-gf-perturbed"] * 3 + ["conditioned-gf"] * 3
+
+
+def test_mc_vs_exact_prints_three_rows():
+    result = run_script("mc_vs_exact.py", "--replicas", "2000")
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    assert header.split() == ["experiment", "estimate", "stderr", "reference", "z"]
+    assert len(rows) == 3, result.stdout
