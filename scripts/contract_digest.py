@@ -5,11 +5,14 @@ For every command that writes CSVs (``solve``, ``invariant`` with M, V, pi
 and U, ``simulate --seed 7`` on the twelve law pairs of ``docs/cli.md``,
 ``figure-data`` and ``report``) it prints the exit code, any error line, and
 for each CSV its SHA-256 next to the config hash and a SHA-256 of the
-effective config from the provenance sidecar.  One more ``solve`` with fewer
-points writes into the output directory of the first, so the digest covers
-replacing an existing file.  It then prints the ``verify``
-lines with elapsed times masked, and a SHA-256 sweep over the scalar and
-series transition solves (F, R, G, P and accepted steps).
+effective config from the provenance sidecar, and the sidecar's
+``diagnostics`` block (engine counters, no timings) where it has one.  One
+more ``solve`` with fewer points writes into the output directory of the
+first, so the digest covers replacing an existing file.  It then prints the
+``verify`` lines with elapsed times masked, a SHA-256 sweep over the scalar
+and series transition solves (F, R, G, P and accepted steps), and a SHA-256
+sweep over ``montecarlo.simulate`` output (states, capped flags, event counts
+and table size) for every law pair.
 
 Run it once per tree and diff the outputs:
 
@@ -65,6 +68,8 @@ def run(label: str, work: Path, argv: list, config: dict | None = None, into: st
         effective = json.dumps(sidecar["effective_config"], sort_keys=True).encode()
         print(f"  {csv.name} csv={sha(csv.read_bytes())} config_hash={sidecar['config_hash']} "
               f"effective={sha(effective)} seed={sidecar['seed']}")
+        if "diagnostics" in sidecar:
+            print(f"  diagnostics={json.dumps(sidecar['diagnostics'], sort_keys=True)}")
     return stdout.getvalue()
 
 
@@ -119,10 +124,30 @@ def solver_sweep() -> None:
         print(f"solves[{k}] {digest.hexdigest()[:16]}")
 
 
+def simulate_sweep() -> None:
+    """SHA-256 of (states, capped, events, straggler events, table size) of ``simulate``.
+
+    Every law pair runs 20,000 replicas (three chunks, the last one partial)
+    over a grid with a repeated time at cap 1000; one canonical pure-branching
+    run to t = 10 at the default cap covers the straggler walk and a grown table.
+    """
+    montecarlo = cli.montecarlo
+    runs = [(f"simulate_sweep[{k}]", f, h, (0.0, 1.0, 1.0, 5.0), 1000) for k, (f, h) in enumerate(PAIRS)]
+    runs.append(("simulate_sweep[canonical,t=10]", OFFSPRING[0], None, (10.0,), montecarlo.DEFAULT_CAP))
+    for label, f, h, grid, cap in runs:
+        cfg = montecarlo.SimConfig(offspring=cli.offspring_from_config(f),
+                                   immigration=cli.immigration_from_config(h) if h else None,
+                                   grid=grid, replicas=20_000, seed=7, cap=cap)
+        obs = montecarlo.simulate(cfg)
+        counts = struct.pack("<qqq", obs.events, obs.straggler_events, obs.table_size)
+        print(f"{label} {sha(obs.states.tobytes() + obs.capped.tobytes() + counts)}")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         commands(Path(tmp))
     solver_sweep()
+    simulate_sweep()
     return 0
 
 

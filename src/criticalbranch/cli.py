@@ -195,7 +195,8 @@ def _cmd_simulate(args) -> int:
     started = time.perf_counter()
     offspring, immigration = _laws(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    sim_cfg = montecarlo.SimConfig(
+    # the schema and the checks above leave only the event-rate bound to fail here
+    sim_cfg = _at("$.cap", lambda: montecarlo.SimConfig(
         offspring=offspring,
         immigration=immigration,
         grid=tuple(cfg["grid"]),
@@ -203,7 +204,7 @@ def _cmd_simulate(args) -> int:
         seed=seed,
         start=cfg.get("start"),
         cap=cap,
-    )
+    ))
     obs = montecarlo.simulate(sim_cfg)
     rows = []
     for i, spec in enumerate(cfg["estimators"]):

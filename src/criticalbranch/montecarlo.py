@@ -9,9 +9,16 @@ kind is applied; bias would contaminate the asymptotic-rate checks downstream.
 Paths are advanced in vectorized rounds across fixed-size chunks.  Each chunk
 draws from its own stream spawned from (seed, chunk index) and the chunks run
 in index order, so results are bit-for-bit reproducible for a given
-(config, seed).  Once a chunk is down to a handful of straggler paths the
-engine advances them one at a time, which keeps rare high-population
-excursions from stalling the vectorized rounds.
+(config, seed).  A round works on a compact working set (lane ids with their
+populations and times) that one mask shrinks each round; populations are
+written back for the paths that fired.  It reads its uniforms from a block
+drawn from the chunk's stream, in the order of one draw for every lane's clock
+followed by one for each fired lane's jump, and the stream is rewound to just
+past the last uniform used when the rounds end.  Without immigration every
+event is a branching, so a round looks each jump up from its uniform directly.
+Once a chunk is down to a handful of straggler paths the engine advances them
+one at a time, which keeps rare high-population excursions from stalling the
+vectorized rounds.
 Without immigration a straggler's jump chain is a random walk stopped at 0
 (the Lamperti representation), so it advances in numpy blocks of events that
 consume the stream exactly as the per-event loop would: same uniforms, same
@@ -52,6 +59,8 @@ _CDF_START = 1024
 # a straggler walk draws blocks of this many events, doubling up to the max
 _WALK_START = 32
 _WALK_MAX = 4096
+# a round refills its uniform block with 4 uniforms per lane plus this many
+_ROUND_BLOCK = 1024
 
 
 class InsufficientEventsError(ValueError):
@@ -63,7 +72,8 @@ class SimConfig:
     """One simulation experiment: laws, observation grid, replica budget.
 
     replicas, cap, grid, start and seed are checked against the ``laws``
-    leaves that configs use; the grid must also be sorted.
+    leaves that configs use; the grid must also be sorted, and the largest
+    event rate of an uncapped path, max(start, cap) * -a1 - b0, finite.
     """
 
     offspring: OffspringLaw
@@ -82,6 +92,11 @@ class SimConfig:
         if list(g) != sorted(g):
             raise ValueError("grid must be sorted")
         object.__setattr__(self, "grid", g)
+        # an infinite rate turns the branching share of an event into NaN
+        ri = -self.immigration.b0 if self.immigration is not None else 0.0
+        rate = float(max(self.start, self.cap)) * -self.offspring.a1 + ri
+        if not math.isfinite(rate):
+            raise ValueError(f"cap must keep the largest event rate max(start, cap) * -a1 - b0 finite, got {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -140,10 +155,11 @@ class _Sampler:
             self._cdf_list = None
 
     def draw(self, v: np.ndarray) -> np.ndarray:
-        if v.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        self._extend_for(float(v.max()))
-        return np.searchsorted(self._cdf, v, side="right").astype(np.int64)
+        """Jump sizes for a non-empty array of uniforms."""
+        vmax = v.max()
+        if vmax >= self._cdf[-1]:
+            self._extend_for(float(vmax))
+        return self._cdf.searchsorted(v, side="right")
 
     def draw_one(self, v: float) -> int:
         self._extend_for(v)
@@ -186,7 +202,6 @@ def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.n
     cap = cfg.cap
 
     n = np.full(n_paths, cfg.start, dtype=np.int64)
-    t = np.zeros(n_paths)
     capped = np.zeros(n_paths, dtype=bool)
     out = np.empty((n_paths, len(cfg.grid)), dtype=np.int64)
 
@@ -194,8 +209,8 @@ def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.n
     bits = rng.bit_generator
     log1p = math.log1p
 
-    def advance_scalar(lane: int, horizon: float) -> int:
-        ni, ti = int(n[lane]), float(t[lane])
+    def advance_scalar(lane: int, ti: float, horizon: float) -> int:
+        ni = int(n[lane])
         events = 0
         while True:
             rate = ni * rb + ri
@@ -203,7 +218,6 @@ def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.n
                 break
             ti += -log1p(-random()) / rate
             if ti > horizon:
-                ti = horizon
                 break
             u2 = random()
             events += 1
@@ -215,10 +229,10 @@ def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.n
             if ni > cap:
                 capped[lane] = True
                 break
-        n[lane], t[lane] = ni, ti
+        n[lane] = ni
         return events
 
-    def advance_walk(lane: int, horizon: float) -> int:
+    def advance_walk(lane: int, ti: float, horizon: float) -> int:
         """advance_scalar without immigration, a block of events per numpy pass.
 
         There every event is a branching (pb = 1) and the jump chain is the walk
@@ -228,7 +242,7 @@ def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.n
         loop stops, and rewinds the stream to just past the last uniform the
         loop would have consumed.
         """
-        ni, ti = int(n[lane]), float(t[lane])
+        ni = int(n[lane])
         events, size = 0, _WALK_START
         while ni > 0 and ti < horizon:
             state = bits.state
@@ -249,52 +263,75 @@ def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.n
                 continue
             if t_after[k] > horizon:
                 # the clock overshoots: the loop stops before drawing this jump
-                used, ti = 2 * k + 1, horizon
+                used = 2 * k + 1
                 ni = int(n_after[k - 1]) if k else ni
                 events += k
             else:
-                used, ni, ti = 2 * k + 2, int(n_after[k]), float(t_after[k])
+                used, ni = 2 * k + 2, int(n_after[k])
                 events += k + 1
                 capped[lane] = ni > cap
             bits.state = state
             bits.advance(used)
             break
-        n[lane], t[lane] = ni, ti
+        n[lane] = ni
         return events
 
-    straggler = advance_walk if ri == 0.0 else advance_scalar
+    # Without immigration every event is a branching: the rate x + 0.0 is x and
+    # the branching share x / (x + 0.0) is exactly 1, so those rounds skip both.
+    pure = ri == 0.0
+    straggler = advance_walk if pure else advance_scalar
     events = straggler_events = 0
+    t_prev = 0.0
     for gi, g in enumerate(cfg.grid):
-        # working set of lane indices still needing events before g
-        rate = n * rb + ri
-        work = np.nonzero(~capped & (t < g) & (rate > 0.0))[0]
-        while work.size > _SCALAR_SWITCH:
-            nw = n[work]
-            rate_w = nw * rb + ri
-            u1 = rng.random(work.size)
-            t_next = t[work] - np.log1p(-u1) / rate_w
-            fired = t_next <= g
-            t[work] = np.where(fired, t_next, g)
-            fi = work[fired]
-            events += fi.size
-            if fi.size:
-                u2 = rng.random(fi.size)
-                pb = n[fi] * rb / rate_w[fired]
-                branch = u2 < pb
-                bi = fi[branch]
-                if bi.size:
-                    n[bi] += off.draw(u2[branch] / pb[branch]) - 1
-                ii = fi[~branch]
-                if ii.size:
-                    n[ii] += imm.draw((u2[~branch] - pb[~branch]) / (1.0 - pb[~branch]))
-                capped[fi[n[fi] > cap]] = True
-                still = ~capped[fi] & (n[fi] * rb + ri > 0.0)
-                work = fi[still]
-            else:
-                work = fi
-        for lane in work:
-            straggler_events += straggler(int(lane), g)
+        # Every live, uncapped lane stands at t_prev: the rounds and the
+        # stragglers leave it at the grid time it was advanced to.  The
+        # working set is compact: lane ids with their n and t.
+        lanes = np.flatnonzero(~capped & (n * rb + ri > 0.0) & (t_prev < g))
+        nw, tw = n[lanes], np.full(lanes.size, t_prev)
+        if lanes.size > _SCALAR_SWITCH:
+            # the rounds read the stream through a block: u1 for every lane,
+            # then u2 for the lanes that fired, as rng.random(m), rng.random(k)
+            state = bits.state
+            buf, pos, drawn = np.empty(0), 0, 0
+            while lanes.size > _SCALAR_SWITCH:
+                m = lanes.size
+                if pos + 2 * m > buf.size:
+                    block = 4 * m + _ROUND_BLOCK
+                    buf, pos, drawn = np.concatenate((buf[pos:], random(block))), 0, drawn + block
+                rate = nw * rb if pure else nw * rb + ri
+                t_next = tw - np.log1p(-buf[pos : pos + m]) / rate
+                fired = t_next <= g
+                lanes = lanes[fired]
+                k = lanes.size
+                u2 = buf[pos + m : pos + m + k]
+                pos += m + k
+                events += k
+                if not k:
+                    break
+                nw, tw = nw[fired], t_next[fired]
+                if pure:
+                    nw += off.draw(u2) - 1
+                else:
+                    pb = nw * rb / rate[fired]
+                    bi = u2 < pb
+                    ii = ~bi
+                    if bi.any():
+                        nw[bi] += off.draw(u2[bi] / pb[bi]) - 1
+                    if ii.any():
+                        nw[ii] += imm.draw((u2[ii] - pb[ii]) / (1.0 - pb[ii]))
+                n[lanes] = nw
+                over = nw > cap
+                if over.any():
+                    capped[lanes[over]] = True
+                # n = 0 is absorbing without immigration; with it the rate stays positive
+                keep = ~over & (nw > 0) if pure else ~over
+                lanes, nw, tw = lanes[keep], nw[keep], tw[keep]
+            bits.state = state
+            bits.advance(drawn - buf.size + pos)
+        for lane, ti in zip(lanes.tolist(), tw.tolist()):
+            straggler_events += straggler(lane, ti, g)
         out[:, gi] = n
+        t_prev = g
     table_size = max(off.table_size, imm.table_size if imm is not None else 0)
     return out, capped, events + straggler_events, straggler_events, table_size
 

@@ -281,6 +281,13 @@ _GUARDS = {
     "SimConfig(seed=-1)": (lambda: _sim(seed=-1), "seed", laws._PARAMS["seed"].domain()),
     "SimConfig(seed=1.5)": (lambda: _sim(seed=1.5), "seed", laws._PARAMS["seed"].domain()),
     "SimConfig(grid=(True, '2'))": (lambda: _sim(grid=(True, "2")), "grid", laws._PARAMS["grid"][0].domain()),
+    # every leaf in its domain, but max(start, cap) * -a1 overflows: the branching share would be NaN
+    "SimConfig(rate=inf)": (lambda: _sim(offspring=make_stable_offspring(0.5, 1e305), cap=10_000, start=np.int64(2000)),
+                            "cap", "max(start, cap) * -a1 - b0 finite"),
+    # 1.5e308 alone is finite: the immigration rate -b0 tips it over
+    "SimConfig(rate=inf with -b0)": (lambda: _sim(offspring=make_stable_offspring(0.5, 1e308),
+                                                  immigration=make_stable_immigration(0.4, 1e308), cap=1, start=0),
+                                     "cap", "max(start, cap) * -a1 - b0 finite"),
 }
 
 

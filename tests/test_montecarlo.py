@@ -181,6 +181,12 @@ class TestStreamExact:
             pytest.param(mc.SimConfig(BINARY, None, (2.0, 20.0), 10_000, 24), 1, id="binary"),
             pytest.param(mc.SimConfig(HALF, HEAVY_IMM, (50.0,), 4000, 25, cap=200), 1, id="pair-cap200"),
             pytest.param(mc.SimConfig(HALF, None, (10.0,), 20_000, 26), 2, id="threads2"),
+            pytest.param(mc.SimConfig(HALF, None, (2.0, 2.0, 10.0, 10.0), 5000, 28), 1, id="duplicate-grid"),
+            pytest.param(mc.SimConfig(make_finite_offspring([2.0, -3.0, 0.5, 0.5]), None, (0.5, 2.0), 10_000, 29, start=2),
+                         1, id="finite-start2"),
+            # about 45% of the paths cap, most of them inside the vectorized rounds
+            pytest.param(mc.SimConfig(BINARY, ARRIVALS, (10.0, 30.0), 3000, 30, start=0, cap=40), 1,
+                         id="arrivals-cap40"),
         ],
     )
     def test_matches_per_event_loop(self, cfg, threads):
