@@ -12,7 +12,7 @@ first, so the digest covers replacing an existing file.  It then prints the
 ``verify`` lines with elapsed times masked, a SHA-256 sweep over the scalar
 and series transition solves (F, R, G, P and accepted steps), and a SHA-256
 sweep over ``montecarlo.simulate`` output (states, capped flags, event counts
-and table size) for every law pair.
+and table size) for every law pair and for a 13-chunk run.
 
 Run it once per tree and diff the outputs:
 
@@ -129,15 +129,19 @@ def simulate_sweep() -> None:
 
     Every law pair runs 20,000 replicas (three chunks, the last one partial)
     over a grid with a repeated time at cap 1000; one canonical pure-branching
-    run to t = 10 at the default cap covers the straggler walk and a grown table.
+    run to t = 10 at the default cap covers the straggler walk and a grown table,
+    and the same run with 100,000 replicas (13 chunks) covers many chunks
+    running their last rounds together.
     """
     montecarlo = cli.montecarlo
-    runs = [(f"simulate_sweep[{k}]", f, h, (0.0, 1.0, 1.0, 5.0), 1000) for k, (f, h) in enumerate(PAIRS)]
-    runs.append(("simulate_sweep[canonical,t=10]", OFFSPRING[0], None, (10.0,), montecarlo.DEFAULT_CAP))
-    for label, f, h, grid, cap in runs:
+    runs = [(f"simulate_sweep[{k}]", f, h, (0.0, 1.0, 1.0, 5.0), 1000, 20_000) for k, (f, h) in enumerate(PAIRS)]
+    runs.append(("simulate_sweep[canonical,t=10]", OFFSPRING[0], None, (10.0,), montecarlo.DEFAULT_CAP, 20_000))
+    runs.append(("simulate_sweep[canonical,t=10,13 chunks]", OFFSPRING[0], None, (10.0,), montecarlo.DEFAULT_CAP,
+                 100_000))
+    for label, f, h, grid, cap, replicas in runs:
         cfg = montecarlo.SimConfig(offspring=cli.offspring_from_config(f),
                                    immigration=cli.immigration_from_config(h) if h else None,
-                                   grid=grid, replicas=20_000, seed=7, cap=cap)
+                                   grid=grid, replicas=replicas, seed=7, cap=cap)
         obs = montecarlo.simulate(cfg)
         counts = struct.pack("<qqq", obs.events, obs.straggler_events, obs.table_size)
         print(f"{label} {sha(obs.states.tobytes() + obs.capped.tobytes() + counts)}")

@@ -183,8 +183,6 @@ def _cmd_simulate(args) -> int:
     grid = [float(t) for t in cfg["grid"]]
     if grid != sorted(grid):
         raise ValueError("grid times must be sorted at $.grid")
-    if cfg.get("start", 0) > cap:
-        raise ValueError(f"start must not exceed cap={cap} at $.start, got {cfg['start']}")
     for i, spec in enumerate(cfg["estimators"]):
         if float(spec["t"]) not in grid:
             raise ValueError(f"t={spec['t']} is not a grid time at $.estimators[{i}].t")
@@ -195,16 +193,21 @@ def _cmd_simulate(args) -> int:
     started = time.perf_counter()
     offspring, immigration = _laws(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    # the schema and the checks above leave only the event-rate bound to fail here
-    sim_cfg = _at("$.cap", lambda: montecarlo.SimConfig(
-        offspring=offspring,
-        immigration=immigration,
-        grid=tuple(cfg["grid"]),
-        replicas=cfg["replicas"],
-        seed=seed,
-        start=cfg.get("start"),
-        cap=cap,
-    ))
+    # the schema and the checks above leave only SimConfig's cross-field rules to
+    # fail here (start above cap, the event-rate bound); each message starts with
+    # the name of the key it concerns
+    try:
+        sim_cfg = montecarlo.SimConfig(
+            offspring=offspring,
+            immigration=immigration,
+            grid=tuple(cfg["grid"]),
+            replicas=cfg["replicas"],
+            seed=seed,
+            start=cfg.get("start"),
+            cap=cap,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{exc} at $.{str(exc).split()[0]}") from None
     obs = montecarlo.simulate(sim_cfg)
     rows = []
     for i, spec in enumerate(cfg["estimators"]):

@@ -7,15 +7,22 @@ jump-chain law is sampled without any tail approximation.  No leaping of any
 kind is applied; bias would contaminate the asymptotic-rate checks downstream.
 
 Paths are advanced in vectorized rounds across fixed-size chunks.  Each chunk
-draws from its own stream spawned from (seed, chunk index) and the chunks run
-in index order, so results are bit-for-bit reproducible for a given
-(config, seed).  A round works on a compact working set (lane ids with their
-populations and times) that one mask shrinks each round; populations are
-written back for the paths that fired.  It reads its uniforms from a block
-drawn from the chunk's stream, in the order of one draw for every lane's clock
-followed by one for each fired lane's jump, and the stream is rewound to just
-past the last uniform used when the rounds end.  Without immigration every
-event is a branching, so a round looks each jump up from its uniform directly.
+draws from its own stream spawned from (seed, chunk index) and reads it exactly
+as it would alone, so results are bit-for-bit reproducible for a given
+(config, seed) and no chunk's paths depend on the others.  A round works on a
+compact working set (lane ids with their populations and times) that one mask
+shrinks each round; populations are written back for the paths that fired.
+Each chunk reads its uniforms from a block drawn from its stream, in the order
+of one draw for every lane's clock followed by one for each fired lane's jump,
+and the stream is rewound to just past the last uniform used when its rounds
+end.  Without immigration every event is a branching, so a round looks each
+jump up from its uniform directly.
+At each grid time the rounds run in two phases of one round routine.  In the
+solo phase each chunk runs alone until it has at most _JOIN live lanes, so only
+one chunk's full working set is held at a time.  In the joint phase the chunks
+still in the rounds run together: their working sets are concatenated in lane
+order and each chunk's segment is found by searching for its first lane, so
+the many rounds with few lanes that end every chunk share their numpy calls.
 Once a chunk is down to a handful of straggler paths the engine advances them
 one at a time, which keeps rare high-population excursions from stalling the
 vectorized rounds.
@@ -27,7 +34,8 @@ run the per-event loop.
 
 The jump samplers' tables grow on demand but never past cap + 2 entries: a
 larger jump caps the path whatever its exact size, so every uncapped path is
-sampled exactly with memory bounded by the cap.
+sampled exactly with memory bounded by the cap.  Table entries do not depend
+on the table's length, so all chunks share one sampler per law.
 
 Capped paths (population above the safety cap) are frozen, counted, and
 excluded by the estimators; the count is always reported, never dropped.
@@ -61,6 +69,8 @@ _WALK_START = 32
 _WALK_MAX = 4096
 # a round refills its uniform block with 4 uniforms per lane plus this many
 _ROUND_BLOCK = 1024
+# a chunk runs its rounds alone until it has this many live lanes or fewer
+_JOIN = 512
 
 
 class InsufficientEventsError(ValueError):
@@ -72,8 +82,10 @@ class SimConfig:
     """One simulation experiment: laws, observation grid, replica budget.
 
     replicas, cap, grid, start and seed are checked against the ``laws``
-    leaves that configs use; the grid must also be sorted, and the largest
-    event rate of an uncapped path, max(start, cap) * -a1 - b0, finite.
+    leaves that configs use; the grid must also be sorted, start must not
+    exceed cap (a path above the cap counts as capped only once it jumps),
+    and the largest event rate of an uncapped path, max(start, cap) * -a1 - b0,
+    finite.
     """
 
     offspring: OffspringLaw
@@ -92,6 +104,8 @@ class SimConfig:
         if list(g) != sorted(g):
             raise ValueError("grid must be sorted")
         object.__setattr__(self, "grid", g)
+        if self.start > self.cap:
+            raise ValueError(f"start must not exceed cap={self.cap}, got {self.start}")
         # an infinite rate turns the branching share of an event into NaN
         ri = -self.immigration.b0 if self.immigration is not None else 0.0
         rate = float(max(self.start, self.cap)) * -self.offspring.a1 + ri
@@ -190,10 +204,67 @@ def _immigration_pmf(law: ImmigrationLaw):
     return pmf
 
 
+class _Stream:
+    """One chunk's generator, and its working set while its rounds run.
+
+    The rounds read the stream through a block: u1 for every lane, then u2
+    for each lane that fired, as ``random(m)``, ``random(k)`` would.
+    ``rewind`` puts the generator just past the last uniform they used, so
+    the stragglers go on from there.  ``lo`` is the chunk's first lane.
+    """
+
+    __slots__ = ("random", "bits", "lo", "state", "buf", "pos", "drawn", "lanes", "nw", "tw")
+
+    def __init__(self, seed_seq, lo: int):
+        rng = np.random.default_rng(seed_seq)
+        self.random, self.bits, self.lo = rng.random, rng.bit_generator, lo
+        self.state, self.buf, self.pos, self.drawn = None, np.empty(0), 0, 0
+
+    def clock(self, m: int) -> np.ndarray:
+        """The next m uniforms, leaving at least m more in the block for the jumps."""
+        pos = self.pos
+        if pos + 2 * m > self.buf.size:
+            if self.state is None:
+                self.state = self.bits.state
+            block = 4 * m + _ROUND_BLOCK
+            self.buf, pos = np.concatenate((self.buf[pos:], self.random(block))), 0
+            self.drawn += block
+        self.pos = pos + m
+        return self.buf[pos : pos + m]
+
+    def jump(self, k: int) -> np.ndarray:
+        """The next k uniforms; a clock call has left them in the block."""
+        pos = self.pos
+        self.pos = pos + k
+        return self.buf[pos : pos + k]
+
+    def rewind(self) -> None:
+        if self.state is not None:
+            self.bits.state = self.state
+            self.bits.advance(self.drawn - self.buf.size + self.pos)
+            self.state, self.buf, self.pos, self.drawn = None, np.empty(0), 0, 0
+
+
+def _segment_sizes(lanes: np.ndarray, starts: np.ndarray) -> list:
+    """Lane counts of consecutive chunks in sorted ``lanes``; ``starts`` are the first lanes of all but the first."""
+    b = lanes.searchsorted(starts).tolist()
+    return [hi - lo for lo, hi in zip([0] + b, b + [lanes.size])]
+
+
 # a rate so small that the waiting time overflows to inf correctly never fires
 @np.errstate(over="ignore")
-def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.ndarray, int, int, int]:
-    rng = np.random.default_rng(seed_seq)
+def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
+    """Run all replicas; identical (config, seed) gives identical output.
+
+    Chunk c (replicas c*CHUNK onwards) draws from ``SeedSequence(seed).spawn(n)[c]``
+    and reads it exactly as it would alone.  At each grid time every chunk
+    runs its rounds alone down to _JOIN live lanes, the chunks still in the
+    rounds then run theirs together, and each chunk's stragglers go last.
+    ``threads`` is accepted and ignored.
+    """
+    n_chunks = (cfg.replicas + CHUNK - 1) // CHUNK
+    chunks = [_Stream(sq, c * CHUNK) for c, sq in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_chunks))]
+    # table entries do not depend on the horizon, so the chunks share the samplers
     limit = min(cfg.cap + 1, _CDF_BOUND)
     off = _Sampler(_offspring_pmf(cfg.offspring), limit)
     imm = _Sampler(_immigration_pmf(cfg.immigration), limit) if cfg.immigration is not None else None
@@ -201,15 +272,13 @@ def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.n
     ri = -cfg.immigration.b0 if cfg.immigration is not None else 0.0
     cap = cfg.cap
 
-    n = np.full(n_paths, cfg.start, dtype=np.int64)
-    capped = np.zeros(n_paths, dtype=bool)
-    out = np.empty((n_paths, len(cfg.grid)), dtype=np.int64)
-
-    random = rng.random
-    bits = rng.bit_generator
+    n = np.full(cfg.replicas, cfg.start, dtype=np.int64)
+    capped = np.zeros(cfg.replicas, dtype=bool)
+    out = np.empty((cfg.replicas, len(cfg.grid)), dtype=np.int64)
     log1p = math.log1p
 
-    def advance_scalar(lane: int, ti: float, horizon: float) -> int:
+    def advance_scalar(c: _Stream, lane: int, ti: float, horizon: float) -> int:
+        random = c.random
         ni = int(n[lane])
         events = 0
         while True:
@@ -232,7 +301,7 @@ def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.n
         n[lane] = ni
         return events
 
-    def advance_walk(lane: int, ti: float, horizon: float) -> int:
+    def advance_walk(c: _Stream, lane: int, ti: float, horizon: float) -> int:
         """advance_scalar without immigration, a block of events per numpy pass.
 
         There every event is a branching (pb = 1) and the jump chain is the walk
@@ -242,6 +311,7 @@ def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.n
         loop stops, and rewinds the stream to just past the last uniform the
         loop would have consumed.
         """
+        random, bits = c.random, c.bits
         ni = int(n[lane])
         events, size = 0, _WALK_START
         while ni > 0 and ti < horizon:
@@ -279,34 +349,43 @@ def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.n
     # Without immigration every event is a branching: the rate x + 0.0 is x and
     # the branching share x / (x + 0.0) is exactly 1, so those rounds skip both.
     pure = ri == 0.0
-    straggler = advance_walk if pure else advance_scalar
-    events = straggler_events = 0
-    t_prev = 0.0
-    for gi, g in enumerate(cfg.grid):
-        # Every live, uncapped lane stands at t_prev: the rounds and the
-        # stragglers leave it at the grid time it was advanced to.  The
-        # working set is compact: lane ids with their n and t.
-        lanes = np.flatnonzero(~capped & (n * rb + ri > 0.0) & (t_prev < g))
-        nw, tw = n[lanes], np.full(lanes.size, t_prev)
-        if lanes.size > _SCALAR_SWITCH:
-            # the rounds read the stream through a block: u1 for every lane,
-            # then u2 for the lanes that fired, as rng.random(m), rng.random(k)
-            state = bits.state
-            buf, pos, drawn = np.empty(0), 0, 0
-            while lanes.size > _SCALAR_SWITCH:
-                m = lanes.size
-                if pos + 2 * m > buf.size:
-                    block = 4 * m + _ROUND_BLOCK
-                    buf, pos, drawn = np.concatenate((buf[pos:], random(block))), 0, drawn + block
+
+    def rounds(group: list, g: float, leave_at: int) -> int:
+        """Vectorized rounds to grid time g over the chunks of group, run together.
+
+        Their working sets are concatenated in lane order.  A chunk leaves,
+        keeping its working set, once it has leave_at lanes or fewer.  Each
+        chunk reads only its own stream, in the order it would alone, so
+        running chunks together changes none of their paths.  Returns the
+        number of events.
+        """
+        events = 0
+        group = [c for c in group if c.lanes.size > leave_at]
+        while group:
+            # every chunk of group has more than leave_at lanes here
+            solo = len(group) == 1
+            if solo:
+                one = group[0]
+                lanes, nw, tw = one.lanes, one.nw, one.tw
+            else:
+                lanes, nw, tw = (np.concatenate(w) for w in zip(*((c.lanes, c.nw, c.tw) for c in group)))
+                starts = np.array([c.lo for c in group[1:]])
+                sizes = [c.lanes.size for c in group]
+            while True:
+                u1 = one.clock(lanes.size) if solo else np.concatenate([c.clock(m) for c, m in zip(group, sizes)])
                 rate = nw * rb if pure else nw * rb + ri
-                t_next = tw - np.log1p(-buf[pos : pos + m]) / rate
+                t_next = tw - np.log1p(-u1) / rate
                 fired = t_next <= g
                 lanes = lanes[fired]
                 k = lanes.size
-                u2 = buf[pos + m : pos + m + k]
-                pos += m + k
                 events += k
+                if solo:
+                    u2 = one.jump(k)
+                else:
+                    sizes = _segment_sizes(lanes, starts)
+                    u2 = np.concatenate([c.jump(m) for c, m in zip(group, sizes)])
                 if not k:
+                    nw, tw = nw[:0], tw[:0]
                     break
                 nw, tw = nw[fired], t_next[fired]
                 if pure:
@@ -326,31 +405,50 @@ def _run_chunk(cfg: SimConfig, seed_seq, n_paths: int) -> tuple[np.ndarray, np.n
                 # n = 0 is absorbing without immigration; with it the rate stays positive
                 keep = ~over & (nw > 0) if pure else ~over
                 lanes, nw, tw = lanes[keep], nw[keep], tw[keep]
-            bits.state = state
-            bits.advance(drawn - buf.size + pos)
-        for lane, ti in zip(lanes.tolist(), tw.tolist()):
-            straggler_events += straggler(lane, ti, g)
+                if solo:
+                    if lanes.size <= leave_at:
+                        break
+                else:
+                    sizes = _segment_sizes(lanes, starts)
+                    if min(sizes) <= leave_at:
+                        break
+            if solo:
+                sizes = [lanes.size]
+            lo, stay = 0, []
+            for c, m in zip(group, sizes):
+                c.lanes, c.nw, c.tw = lanes[lo : lo + m], nw[lo : lo + m], tw[lo : lo + m]
+                lo += m
+                if m > leave_at:
+                    stay.append(c)
+            group = stay
+        return events
+
+    straggler = advance_walk if pure else advance_scalar
+    events = straggler_events = 0
+    t_prev = 0.0
+    for gi, g in enumerate(cfg.grid):
+        for c in chunks:
+            # Every live, uncapped lane stands at t_prev: the rounds and the
+            # stragglers leave it at the grid time it was advanced to.  The
+            # working set is compact: lane ids with their n and t.
+            part = slice(c.lo, c.lo + CHUNK)
+            c.lanes = np.flatnonzero(~capped[part] & (n[part] * rb + ri > 0.0) & (t_prev < g)) + c.lo
+            c.nw, c.tw = n[c.lanes], np.full(c.lanes.size, t_prev)
+            events += rounds([c], g, _JOIN)
+        events += rounds(chunks, g, _SCALAR_SWITCH)
+        for c in chunks:
+            c.rewind()
+            for lane, ti in zip(c.lanes.tolist(), c.tw.tolist()):
+                straggler_events += straggler(c, lane, ti, g)
         out[:, gi] = n
         t_prev = g
-    table_size = max(off.table_size, imm.table_size if imm is not None else 0)
-    return out, capped, events + straggler_events, straggler_events, table_size
-
-
-def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
-    """Run all replicas, chunk by chunk; identical (config, seed) gives identical output.
-
-    ``threads`` is accepted and ignored: the chunks always run serially.
-    """
-    n_chunks = (cfg.replicas + CHUNK - 1) // CHUNK
-    seqs = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
-    parts = [_run_chunk(cfg, sq, min(CHUNK, cfg.replicas - c * CHUNK)) for c, sq in enumerate(seqs)]
     return PathObservations(
         grid=cfg.grid,
-        states=np.concatenate([p[0] for p in parts], axis=0),
-        capped=np.concatenate([p[1] for p in parts]),
-        events=sum(p[2] for p in parts),
-        straggler_events=sum(p[3] for p in parts),
-        table_size=max(p[4] for p in parts),
+        states=out,
+        capped=capped,
+        events=events + straggler_events,
+        straggler_events=straggler_events,
+        table_size=max(off.table_size, imm.table_size if imm is not None else 0),
     )
 
 

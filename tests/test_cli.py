@@ -505,6 +505,8 @@ class TestInputErrors:
             ({"grid": [1.0, 0.0]}, "$.grid"),
             # each leaf in its domain, but the largest event rate 2000 * 1.5e305 overflows
             ({"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1e305}, "cap": 10_000, "start": 2000}, "$.cap"),
+            # start above cap is SimConfig's rule; the message still names the key
+            ({"start": 51, "cap": 50}, "$.start"),
         ],
     )
     def test_simulate_bounds(self, tmp_path, capsys, monkeypatch, change, path):

@@ -281,6 +281,8 @@ _GUARDS = {
     "SimConfig(seed=-1)": (lambda: _sim(seed=-1), "seed", laws._PARAMS["seed"].domain()),
     "SimConfig(seed=1.5)": (lambda: _sim(seed=1.5), "seed", laws._PARAMS["seed"].domain()),
     "SimConfig(grid=(True, '2'))": (lambda: _sim(grid=(True, "2")), "grid", laws._PARAMS["grid"][0].domain()),
+    # a path started above the cap would count as uncapped until its first jump
+    "SimConfig(start>cap)": (lambda: _sim(start=50, cap=10), "start", "not exceed cap=10"),
     # every leaf in its domain, but max(start, cap) * -a1 overflows: the branching share would be NaN
     "SimConfig(rate=inf)": (lambda: _sim(offspring=make_stable_offspring(0.5, 1e305), cap=10_000, start=np.int64(2000)),
                             "cap", "max(start, cap) * -a1 - b0 finite"),

@@ -3,6 +3,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from criticalbranch import (
     make_finite_immigration,
@@ -187,6 +188,14 @@ class TestStreamExact:
             # about 45% of the paths cap, most of them inside the vectorized rounds
             pytest.param(mc.SimConfig(BINARY, ARRIVALS, (10.0, 30.0), 3000, 30, start=0, cap=40), 1,
                          id="arrivals-cap40"),
+            # three chunks run their last rounds together and leave them at different rounds
+            pytest.param(mc.SimConfig(HALF, None, (10.0,), 3 * mc.CHUNK, 31), 1, id="three-chunks"),
+            # a remainder chunk of 3 lanes never enters the rounds
+            pytest.param(mc.SimConfig(HALF, None, (1.0, 10.0), 2 * mc.CHUNK + 3, 32), 1, id="remainder-3"),
+            # the last chunk (8 lanes) runs rounds to t = 0.5 and to t = 3, and has no live lane left for t = 30
+            pytest.param(mc.SimConfig(BINARY, None, (0.5, 3.0, 30.0), 2 * mc.CHUNK + 8, 43), 1, id="dead-chunk"),
+            pytest.param(mc.SimConfig(BINARY, ARRIVALS, (5.0, 10.0), 2 * mc.CHUNK + 1000, 34, start=0, cap=40), 1,
+                         id="arrivals-cap40-three-chunks"),
         ],
     )
     def test_matches_per_event_loop(self, cfg, threads):
@@ -199,6 +208,23 @@ class TestStreamExact:
         assert np.array_equal(obs.states[~capped], states[~capped])
         assert obs.events == sum(p[2] for p in parts)
         assert obs.straggler_events == sum(p[3] for p in parts) > 0
+
+    def test_dead_chunk_has_no_live_lane(self):
+        # the "dead-chunk" case above covers a grid time at which one chunk has no live lane
+        obs = mc.simulate(mc.SimConfig(BINARY, None, (0.5, 3.0, 30.0), 2 * mc.CHUNK + 8, 43))
+        live = np.count_nonzero(obs.states[2 * mc.CHUNK :] > 0, axis=0)
+        assert live[0] > mc._SCALAR_SWITCH and live[1] == 0
+
+    @pytest.mark.parametrize(
+        "offspring,immigration,cap",
+        [(HALF, None, mc.DEFAULT_CAP), (BINARY, ARRIVALS, 40)],
+        ids=["half", "arrivals-cap40"],
+    )
+    def test_chunk_paths_do_not_depend_on_other_chunks(self, offspring, immigration, cap):
+        alone = mc.simulate(mc.SimConfig(offspring, immigration, (1.0, 5.0), mc.CHUNK, 35, cap=cap))
+        joint = mc.simulate(mc.SimConfig(offspring, immigration, (1.0, 5.0), 3 * mc.CHUNK + 3, 35, cap=cap))
+        assert np.array_equal(alone.states, joint.states[: mc.CHUNK])
+        assert np.array_equal(alone.capped, joint.capped[: mc.CHUNK])
 
     def test_bounded_table_agrees_below_its_bound(self):
         rng = np.random.default_rng(27)
@@ -258,6 +284,22 @@ class TestEstimate:
         cfg = mc.SimConfig(offspring=HALF, immigration=None, grid=(1.0,), replicas=100, seed=17)
         with pytest.raises(ValueError):
             mc.estimate(cfg, "survival", 2.0)
+
+
+@pytest.mark.parametrize("immigration,start", [(None, 1), (HEAVY_IMM, 0)], ids=["pure", "immigration"])
+def test_state_pmf_matches_truncated_oracle(immigration, start):
+    # The control for any change of engine: a chi-square test of Z_5's pmf on the
+    # chain capped at 200 against the oracle's row for the start state on 0..200.
+    # Cells: j = 0..20, j > 20 uncapped, and capped (the row's leaked mass).
+    # The seed was fixed once and is never changed to make the test pass.
+    cap, t, replicas = 200, 5.0, 20_000
+    obs = mc.simulate(mc.SimConfig(HALF, immigration, (t,), replicas, 4100, start=start, cap=cap))
+    row = uniformized_transition(build_generator(HALF, immigration, cap), t)[start]
+    observed = np.append(np.bincount(np.minimum(obs.states[~obs.capped, 0], 21), minlength=22), obs.capped.sum())
+    expected = replicas * np.concatenate([row[:21], [row[21:].sum(), 1.0 - row.sum()]])
+    assert expected.min() >= 5.0  # every cell large enough for the chi-square law
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2.sf(stat, observed.size - 1) > 1e-3, f"chi-square {stat:.1f} on {observed.size - 1} degrees of freedom"
 
 
 def test_three_sigma_coverage_rate():
