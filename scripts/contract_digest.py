@@ -12,7 +12,7 @@ first, so the digest covers replacing an existing file.  It then prints the
 ``verify`` lines with elapsed times masked, a SHA-256 sweep over the scalar
 and series transition solves (F, R, G, P and accepted steps), and a SHA-256
 sweep over ``montecarlo.simulate`` output (states, capped flags, event counts
-and table size) for every law pair and for a 13-chunk run.
+and table size) for every law pair, a 13-chunk run and two few-lane tail runs.
 
 Run it once per tree and diff the outputs:
 
@@ -131,17 +131,22 @@ def simulate_sweep() -> None:
     over a grid with a repeated time at cap 1000; one canonical pure-branching
     run to t = 10 at the default cap covers the straggler walk and a grown table,
     and the same run with 100,000 replicas (13 chunks) covers many chunks
-    running their last rounds together.
+    running their last rounds together.  Two canonical runs to t = 100 at cap
+    1e4 (10,000 replicas, seeds 1 and 2) cover long blocks of rounds with few
+    lanes.
     """
     montecarlo = cli.montecarlo
-    runs = [(f"simulate_sweep[{k}]", f, h, (0.0, 1.0, 1.0, 5.0), 1000, 20_000) for k, (f, h) in enumerate(PAIRS)]
-    runs.append(("simulate_sweep[canonical,t=10]", OFFSPRING[0], None, (10.0,), montecarlo.DEFAULT_CAP, 20_000))
+    runs = [(f"simulate_sweep[{k}]", f, h, (0.0, 1.0, 1.0, 5.0), 1000, 20_000, 7) for k, (f, h) in enumerate(PAIRS)]
+    runs.append(("simulate_sweep[canonical,t=10]", OFFSPRING[0], None, (10.0,), montecarlo.DEFAULT_CAP, 20_000, 7))
     runs.append(("simulate_sweep[canonical,t=10,13 chunks]", OFFSPRING[0], None, (10.0,), montecarlo.DEFAULT_CAP,
-                 100_000))
-    for label, f, h, grid, cap, replicas in runs:
+                 100_000, 7))
+    for seed in (1, 2):
+        runs.append((f"simulate_sweep[canonical,t=100,cap=1e4,seed={seed}]", OFFSPRING[0], None, (100.0,), 10**4,
+                     10_000, seed))
+    for label, f, h, grid, cap, replicas, seed in runs:
         cfg = montecarlo.SimConfig(offspring=cli.offspring_from_config(f),
                                    immigration=cli.immigration_from_config(h) if h else None,
-                                   grid=grid, replicas=replicas, seed=7, cap=cap)
+                                   grid=grid, replicas=replicas, seed=seed, cap=cap)
         obs = montecarlo.simulate(cfg)
         counts = struct.pack("<qqq", obs.events, obs.straggler_events, obs.table_size)
         print(f"{label} {sha(obs.states.tobytes() + obs.capped.tobytes() + counts)}")

@@ -32,6 +32,17 @@ consume the stream exactly as the per-event loop would: same uniforms, same
 order, same arithmetic, hence the same paths.  With immigration stragglers
 run the per-event loop.
 
+The same walk replays whole rounds without immigration.  A round in which
+every lane fires and stays reads m clock uniforms and then m jump uniforms,
+so R such rounds read an (R, 2, m) slice of the stream.  Once a working set
+is down to _BLOCK_LANES lanes and its last round kept every lane, its rounds
+run in blocks of R: each lane walks through the block, the rounds before the
+first one in which some lane would stop (die, cap, pass the grid time or
+need a larger table) are committed at once, and that round runs as an
+ordinary round.  R doubles while blocks run clean and halves on an early
+stop, with at most _BLOCK_SIZE rounds x lanes.  A block never grows a table,
+so the table sizes are those of the rounds it replaces.
+
 The jump samplers' tables grow on demand but never past cap + 2 entries: a
 larger jump caps the path whatever its exact size, so every uncapped path is
 sampled exactly with memory bounded by the cap.  Table entries do not depend
@@ -67,10 +78,15 @@ _CDF_START = 1024
 # a straggler walk draws blocks of this many events, doubling up to the max
 _WALK_START = 32
 _WALK_MAX = 4096
-# a round refills its uniform block with 4 uniforms per lane plus this many
+# a uniform block that runs short is refilled with twice the uniforms asked for plus this many
 _ROUND_BLOCK = 1024
 # a chunk runs its rounds alone until it has this many live lanes or fewer
 _JOIN = 512
+# without immigration, rounds with this many lanes or fewer run in blocks of
+# whole rounds, at most _BLOCK_SIZE rounds x lanes, starting at _BLOCK_START rounds
+_BLOCK_LANES = 512
+_BLOCK_SIZE = 4096
+_BLOCK_START = 8
 
 
 class InsufficientEventsError(ValueError):
@@ -208,8 +224,9 @@ class _Stream:
     """One chunk's generator, and its working set while its rounds run.
 
     The rounds read the stream through a block: u1 for every lane, then u2
-    for each lane that fired, as ``random(m)``, ``random(k)`` would.
-    ``rewind`` puts the generator just past the last uniform they used, so
+    for each lane that fired, as ``random(m)``, ``random(k)`` would.  A block
+    of rounds ``peek``s at the uniforms of its rounds and moves ``pos`` past
+    those it commits.  ``rewind`` puts the generator just past the last uniform they used, so
     the stragglers go on from there.  ``lo`` is the chunk's first lane.
     """
 
@@ -220,17 +237,21 @@ class _Stream:
         self.random, self.bits, self.lo = rng.random, rng.bit_generator, lo
         self.state, self.buf, self.pos, self.drawn = None, np.empty(0), 0, 0
 
-    def clock(self, m: int) -> np.ndarray:
-        """The next m uniforms, leaving at least m more in the block for the jumps."""
-        pos = self.pos
-        if pos + 2 * m > self.buf.size:
+    def peek(self, size: int) -> np.ndarray:
+        """The next size uniforms, without consuming them; the block is refilled if it runs short."""
+        if self.pos + size > self.buf.size:
             if self.state is None:
                 self.state = self.bits.state
-            block = 4 * m + _ROUND_BLOCK
-            self.buf, pos = np.concatenate((self.buf[pos:], self.random(block))), 0
+            block = 2 * size + _ROUND_BLOCK
+            self.buf, self.pos = np.concatenate((self.buf[self.pos :], self.random(block))), 0
             self.drawn += block
-        self.pos = pos + m
-        return self.buf[pos : pos + m]
+        return self.buf[self.pos : self.pos + size]
+
+    def clock(self, m: int) -> np.ndarray:
+        """The next m uniforms, leaving at least m more in the block for the jumps."""
+        u = self.peek(2 * m)[:m]
+        self.pos += m
+        return u
 
     def jump(self, k: int) -> np.ndarray:
         """The next k uniforms; a clock call has left them in the block."""
@@ -243,6 +264,22 @@ class _Stream:
             self.bits.state = self.state
             self.bits.advance(self.drawn - self.buf.size + self.pos)
             self.state, self.buf, self.pos, self.drawn = None, np.empty(0), 0, 0
+
+
+def _walk_rows(n0, t0, clock: np.ndarray, jumps: np.ndarray, rb: float):
+    """Populations and times after each row of pure-branching events, the rows taken in order.
+
+    Row k moves every column by n += jumps[k] and t += clock[k] / (rb * n before
+    it), one event per column.  The cumsums add row after row, so each sum is
+    the one the per-event loop or a round makes, bit for bit.  A column at
+    n <= 0 gets an infinite rate, which keeps division by zero out of the rows
+    past its stop.  Clobbers clock.
+    """
+    n_after = n0 + np.cumsum(jumps, axis=0)
+    n_before = n_after - jumps
+    clock /= np.where(n_before > 0, n_before * rb, math.inf)
+    clock[0] += t0
+    return n_after, np.cumsum(clock, axis=0, out=clock)
 
 
 def _segment_sizes(lanes: np.ndarray, starts: np.ndarray) -> list:
@@ -318,12 +355,8 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
             state = bits.state
             u = random(2 * size)
             # math.log1p as in the loop: np.log1p differs from it in the last ulp
-            clock = np.array([-log1p(-v) for v in u[0::2].tolist()])
-            n_after = ni + np.cumsum(off.draw(u[1::2]) - 1)
-            n_before = np.concatenate(([ni], n_after[:-1]))
-            # an infinite rate past extinction keeps division by zero out of the unused tail
-            rate = np.where(n_before > 0, n_before * rb, math.inf)
-            t_after = np.cumsum(np.concatenate(([ti], clock / rate)))[1:]
+            clock = -np.fromiter(map(log1p, (-u[0::2]).tolist()), float, size)
+            n_after, t_after = _walk_rows(ni, ti, clock, off.draw(u[1::2]) - 1, rb)
             stop = (t_after >= horizon) | (n_after <= 0) | (n_after > cap)
             k = int(stop.argmax())
             if not stop[k]:
@@ -371,8 +404,37 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                 lanes, nw, tw = (np.concatenate(w) for w in zip(*((c.lanes, c.nw, c.tw) for c in group)))
                 starts = np.array([c.lo for c in group[1:]])
                 sizes = [c.lanes.size for c in group]
+            rows, steady = _BLOCK_START, False
             while True:
-                u1 = one.clock(lanes.size) if solo else np.concatenate([c.clock(m) for c, m in zip(group, sizes)])
+                m = lanes.size
+                if pure and steady and m <= _BLOCK_LANES:
+                    # A block of R rounds.  While no lane leaves, a round reads m clock
+                    # uniforms and then m jump uniforms, so R of them read an (R, 2, m)
+                    # slice of each stream and every lane walks as in advance_walk.
+                    R = min(rows, _BLOCK_SIZE // m)
+                    parts = [(one, m)] if solo else list(zip(group, sizes))
+                    u = [c.peek(2 * s * R).reshape(R, 2, s) for c, s in parts]
+                    u = u[0] if solo else np.concatenate(u, axis=2)
+                    jump, cdf = u[:, 1], off._cdf
+                    # np.log1p as in a round, whose t - log1p(-u) / rate is t + (-log1p(-u)) / rate
+                    # exactly; a jump past the table stops the block, which never grows it
+                    nb, tb = _walk_rows(nw, tw, -np.log1p(-u[:, 0]), cdf.searchsorted(jump, side="right") - 1, rb)
+                    hit = ((nb <= 0) | (nb > cap) | ~(tb <= g) | (jump >= cdf[-1])).any(axis=1)
+                    r = int(hit.argmax())
+                    if not hit[r]:
+                        r = R
+                    if r:
+                        # commit the rounds before the first one where a lane stops
+                        events += r * m
+                        nw, tw = nb[r - 1], tb[r - 1]
+                        n[lanes] = nw
+                        for c, s in parts:
+                            c.pos += 2 * s * r
+                    if r == R:
+                        rows = min(2 * R, _BLOCK_SIZE)
+                        continue
+                    rows = max(R // 2, 2)
+                u1 = one.clock(m) if solo else np.concatenate([c.clock(s) for c, s in zip(group, sizes)])
                 rate = nw * rb if pure else nw * rb + ri
                 t_next = tw - np.log1p(-u1) / rate
                 fired = t_next <= g
@@ -405,6 +467,7 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                 # n = 0 is absorbing without immigration; with it the rate stays positive
                 keep = ~over & (nw > 0) if pure else ~over
                 lanes, nw, tw = lanes[keep], nw[keep], tw[keep]
+                steady = lanes.size == m
                 if solo:
                     if lanes.size <= leave_at:
                         break

@@ -196,6 +196,8 @@ class TestStreamExact:
             pytest.param(mc.SimConfig(BINARY, None, (0.5, 3.0, 30.0), 2 * mc.CHUNK + 8, 43), 1, id="dead-chunk"),
             pytest.param(mc.SimConfig(BINARY, ARRIVALS, (5.0, 10.0), 2 * mc.CHUNK + 1000, 34, start=0, cap=40), 1,
                          id="arrivals-cap40-three-chunks"),
+            # the mc-tail shape: a few long-lived lanes run most of their rounds in blocks
+            pytest.param(mc.SimConfig(HALF, None, (100.0,), 10_000, 44, cap=10**4), 1, id="tail-cap1e4"),
         ],
     )
     def test_matches_per_event_loop(self, cfg, threads):
@@ -225,6 +227,39 @@ class TestStreamExact:
         joint = mc.simulate(mc.SimConfig(offspring, immigration, (1.0, 5.0), 3 * mc.CHUNK + 3, 35, cap=cap))
         assert np.array_equal(alone.states, joint.states[: mc.CHUNK])
         assert np.array_equal(alone.capped, joint.capped[: mc.CHUNK])
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # the mc-tail shape; uniforms past where its blocks stop would grow the table
+            pytest.param(mc.SimConfig(HALF, None, (100.0,), 10_000, 1, cap=10**4), id="solo"),
+            pytest.param(mc.SimConfig(HALF, None, (10.0,), 3 * mc.CHUNK, 46), id="three-chunks"),
+            pytest.param(mc.SimConfig(HALF, None, (100.0,), 10_000, 47, cap=50), id="cap50"),
+        ],
+    )
+    def test_round_blocks_change_nothing(self, cfg, monkeypatch):
+        # blocks of whole rounds replay the rounds they replace, so no block at
+        # all gives the same paths, counters and table; the spy sees the blocks
+        walks, walk_rows = [], mc._walk_rows
+
+        def spy(n0, t0, clock, jumps, rb):
+            walks.append(clock.ndim)
+            return walk_rows(n0, t0, clock, jumps, rb)
+
+        monkeypatch.setattr(mc, "_walk_rows", spy)
+        blocked = mc.simulate(cfg)
+        assert 2 in walks
+        walks.clear()
+        monkeypatch.setattr(mc, "_BLOCK_LANES", 0)
+        plain = mc.simulate(cfg)
+        assert 2 not in walks
+        assert np.array_equal(blocked.states, plain.states)
+        assert np.array_equal(blocked.capped, plain.capped)
+        assert (blocked.events, blocked.straggler_events, blocked.table_size) == (
+            plain.events,
+            plain.straggler_events,
+            plain.table_size,
+        )
 
     def test_bounded_table_agrees_below_its_bound(self):
         rng = np.random.default_rng(27)
