@@ -12,7 +12,8 @@ first, so the digest covers replacing an existing file.  It then prints the
 ``verify`` lines with elapsed times masked, a SHA-256 sweep over the scalar
 and series transition solves (F, R, G, P and accepted steps), and a SHA-256
 sweep over ``montecarlo.simulate`` output (states, capped flags, event counts
-and table size) for every law pair, a 13-chunk run and two few-lane tail runs.
+and table size) for every law pair, a 13-chunk run, two few-lane tail runs and
+an immigration run at the default cap that its stragglers dominate.
 
 Run it once per tree and diff the outputs:
 
@@ -133,7 +134,9 @@ def simulate_sweep() -> None:
     and the same run with 100,000 replicas (13 chunks) covers many chunks
     running their last rounds together.  Two canonical runs to t = 100 at cap
     1e4 (10,000 replicas, seeds 1 and 2) cover long blocks of rounds with few
-    lanes.
+    lanes.  A perturbed offspring law with canonical immigration from 0 to t = 10
+    at the default cap (100 replicas) spends most of its events in the
+    immigration straggler loop.
     """
     montecarlo = cli.montecarlo
     runs = [(f"simulate_sweep[{k}]", f, h, (0.0, 1.0, 1.0, 5.0), 1000, 20_000, 7) for k, (f, h) in enumerate(PAIRS)]
@@ -143,6 +146,8 @@ def simulate_sweep() -> None:
     for seed in (1, 2):
         runs.append((f"simulate_sweep[canonical,t=100,cap=1e4,seed={seed}]", OFFSPRING[0], None, (100.0,), 10**4,
                      10_000, seed))
+    runs.append(("simulate_sweep[perturbed+canonical,t=10]", OFFSPRING[1], IMMIGRATION[1], (10.0,),
+                 montecarlo.DEFAULT_CAP, 100, 7))
     for label, f, h, grid, cap, replicas, seed in runs:
         cfg = montecarlo.SimConfig(offspring=cli.offspring_from_config(f),
                                    immigration=cli.immigration_from_config(h) if h else None,

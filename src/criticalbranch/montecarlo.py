@@ -12,17 +12,20 @@ as it would alone, so results are bit-for-bit reproducible for a given
 (config, seed) and no chunk's paths depend on the others.  A round works on a
 compact working set (lane ids with their populations and times) that one mask
 shrinks each round; populations are written back for the paths that fired.
-Each chunk reads its uniforms from a block drawn from its stream, in the order
-of one draw for every lane's clock followed by one for each fired lane's jump,
-and the stream is rewound to just past the last uniform used when its rounds
-end.  Without immigration every event is a branching, so a round looks each
-jump up from its uniform directly.
+Every reader of a chunk's stream (a round, a block of rounds, a straggler)
+goes through one cursor over a buffered block of its uniforms, so the chunk
+consumes them in one sequence, as successive random() calls would return
+them.  A round takes one uniform for every lane's clock followed by one for
+each fired lane's jump; a block of rounds or a straggler peeks ahead and
+moves the cursor just past the uniforms it uses.  Without immigration every
+event is a branching, so a round looks each jump up from its uniform directly.
 At each grid time the rounds run in two phases of one round routine.  In the
-solo phase each chunk runs alone until it has at most _JOIN live lanes, so only
-one chunk's full working set is held at a time.  In the joint phase the chunks
-still in the rounds run together: their working sets are concatenated in lane
-order and each chunk's segment is found by searching for its first lane, so
-the many rounds with few lanes that end every chunk share their numpy calls.
+first phase each chunk runs alone until it has at most _JOIN live lanes, so
+only one chunk's full working set is held at a time.  In the joint phase the
+chunks still in the rounds run together: their working sets are concatenated
+in lane order and each chunk's segment is found by searching for its first
+lane, so the many rounds with few lanes that end every chunk share their numpy
+calls.  One chunk is the joint phase with one segment.
 Once a chunk is down to a handful of straggler paths the engine advances them
 one at a time, which keeps rare high-population excursions from stalling the
 vectorized rounds.
@@ -221,49 +224,33 @@ def _immigration_pmf(law: ImmigrationLaw):
 
 
 class _Stream:
-    """One chunk's generator, and its working set while its rounds run.
+    """One chunk's uniforms, read through one cursor, and its working set while its rounds run.
 
-    The rounds read the stream through a block: u1 for every lane, then u2
-    for each lane that fired, as ``random(m)``, ``random(k)`` would.  A block
-    of rounds ``peek``s at the uniforms of its rounds and moves ``pos`` past
-    those it commits.  ``rewind`` puts the generator just past the last uniform they used, so
-    the stragglers go on from there.  ``lo`` is the chunk's first lane.
+    ``buf[pos:]`` are the stream's next uniforms: a refill appends a block drawn
+    from the generator, so every reader sees the uniforms in the order that
+    ``random()`` calls would return them.  A round ``take``s u1 for every lane,
+    then u2 for each lane that fired; a block of rounds or a straggler ``peek``s
+    ahead and moves ``pos`` past the uniforms it uses.  ``lo`` is the chunk's
+    first lane.
     """
 
-    __slots__ = ("random", "bits", "lo", "state", "buf", "pos", "drawn", "lanes", "nw", "tw")
+    __slots__ = ("random", "lo", "buf", "pos", "lanes", "nw", "tw")
 
     def __init__(self, seed_seq, lo: int):
-        rng = np.random.default_rng(seed_seq)
-        self.random, self.bits, self.lo = rng.random, rng.bit_generator, lo
-        self.state, self.buf, self.pos, self.drawn = None, np.empty(0), 0, 0
+        self.random, self.lo = np.random.default_rng(seed_seq).random, lo
+        self.buf, self.pos = np.empty(0), 0
 
     def peek(self, size: int) -> np.ndarray:
         """The next size uniforms, without consuming them; the block is refilled if it runs short."""
         if self.pos + size > self.buf.size:
-            if self.state is None:
-                self.state = self.bits.state
-            block = 2 * size + _ROUND_BLOCK
-            self.buf, self.pos = np.concatenate((self.buf[self.pos :], self.random(block))), 0
-            self.drawn += block
+            self.buf, self.pos = np.concatenate((self.buf[self.pos :], self.random(2 * size + _ROUND_BLOCK))), 0
         return self.buf[self.pos : self.pos + size]
 
-    def clock(self, m: int) -> np.ndarray:
-        """The next m uniforms, leaving at least m more in the block for the jumps."""
-        u = self.peek(2 * m)[:m]
-        self.pos += m
+    def take(self, size: int) -> np.ndarray:
+        """The next size uniforms, consumed."""
+        u = self.peek(size)
+        self.pos += size
         return u
-
-    def jump(self, k: int) -> np.ndarray:
-        """The next k uniforms; a clock call has left them in the block."""
-        pos = self.pos
-        self.pos = pos + k
-        return self.buf[pos : pos + k]
-
-    def rewind(self) -> None:
-        if self.state is not None:
-            self.bits.state = self.state
-            self.bits.advance(self.drawn - self.buf.size + self.pos)
-            self.state, self.buf, self.pos, self.drawn = None, np.empty(0), 0, 0
 
 
 def _walk_rows(n0, t0, clock: np.ndarray, jumps: np.ndarray, rb: float):
@@ -286,6 +273,11 @@ def _segment_sizes(lanes: np.ndarray, starts: np.ndarray) -> list:
     """Lane counts of consecutive chunks in sorted ``lanes``; ``starts`` are the first lanes of all but the first."""
     b = lanes.searchsorted(starts).tolist()
     return [hi - lo for lo, hi in zip([0] + b, b + [lanes.size])]
+
+
+def _cat(parts: list, axis: int = 0) -> np.ndarray:
+    """``np.concatenate(parts, axis)``, but a lone part comes back as it is, uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
 # a rate so small that the waiting time overflows to inf correctly never fires
@@ -315,17 +307,23 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
     log1p = math.log1p
 
     def advance_scalar(c: _Stream, lane: int, ti: float, horizon: float) -> int:
-        random = c.random
+        # the uniforms come in windows of the stream, as Python floats: those random() returns
         ni = int(n[lane])
-        events = 0
+        events, u, i, size = 0, [], 0, _WALK_START
         while True:
             rate = ni * rb + ri
             if rate <= 0.0 or ti >= horizon:
                 break
-            ti += -log1p(-random()) / rate
+            if i == len(u):
+                c.pos += i
+                u, i = c.peek(2 * size).tolist(), 0
+                size = min(2 * size, _WALK_MAX)
+            ti += -log1p(-u[i]) / rate
+            i += 1
             if ti > horizon:
                 break
-            u2 = random()
+            u2 = u[i]
+            i += 1
             events += 1
             pb = ni * rb / rate
             if u2 < pb:
@@ -335,6 +333,7 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
             if ni > cap:
                 capped[lane] = True
                 break
+        c.pos += i
         n[lane] = ni
         return events
 
@@ -343,23 +342,22 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
 
         There every event is a branching (pb = 1) and the jump chain is the walk
         n_k = n_{k-1} + X_k - 1 with times t_k = t_{k-1} + E_k / (rb n_{k-1}).
-        A block draws the uniforms in the loop's order (clock, jump, clock, ...),
+        A block peeks at the uniforms in the loop's order (clock, jump, clock, ...),
         redoes its arithmetic with sequential cumsums, finds the event where the
-        loop stops, and rewinds the stream to just past the last uniform the
-        loop would have consumed.
+        loop stops, and moves the cursor just past the last uniform the loop
+        would have consumed.
         """
-        random, bits = c.random, c.bits
         ni = int(n[lane])
         events, size = 0, _WALK_START
         while ni > 0 and ti < horizon:
-            state = bits.state
-            u = random(2 * size)
+            u = c.peek(2 * size)
             # math.log1p as in the loop: np.log1p differs from it in the last ulp
             clock = -np.fromiter(map(log1p, (-u[0::2]).tolist()), float, size)
             n_after, t_after = _walk_rows(ni, ti, clock, off.draw(u[1::2]) - 1, rb)
             stop = (t_after >= horizon) | (n_after <= 0) | (n_after > cap)
             k = int(stop.argmax())
             if not stop[k]:
+                c.pos += 2 * size
                 events += size
                 ni, ti = int(n_after[-1]), float(t_after[-1])
                 size = min(2 * size, _WALK_MAX)
@@ -373,8 +371,7 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                 used, ni = 2 * k + 2, int(n_after[k])
                 events += k + 1
                 capped[lane] = ni > cap
-            bits.state = state
-            bits.advance(used)
+            c.pos += used
             break
         n[lane] = ni
         return events
@@ -396,14 +393,9 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
         group = [c for c in group if c.lanes.size > leave_at]
         while group:
             # every chunk of group has more than leave_at lanes here
-            solo = len(group) == 1
-            if solo:
-                one = group[0]
-                lanes, nw, tw = one.lanes, one.nw, one.tw
-            else:
-                lanes, nw, tw = (np.concatenate(w) for w in zip(*((c.lanes, c.nw, c.tw) for c in group)))
-                starts = np.array([c.lo for c in group[1:]])
-                sizes = [c.lanes.size for c in group]
+            lanes, nw, tw = (_cat(w) for w in zip(*((c.lanes, c.nw, c.tw) for c in group)))
+            starts = np.array([c.lo for c in group[1:]], dtype=np.int64)
+            sizes = [c.lanes.size for c in group]
             rows, steady = _BLOCK_START, False
             while True:
                 m = lanes.size
@@ -412,9 +404,7 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                     # uniforms and then m jump uniforms, so R of them read an (R, 2, m)
                     # slice of each stream and every lane walks as in advance_walk.
                     R = min(rows, _BLOCK_SIZE // m)
-                    parts = [(one, m)] if solo else list(zip(group, sizes))
-                    u = [c.peek(2 * s * R).reshape(R, 2, s) for c, s in parts]
-                    u = u[0] if solo else np.concatenate(u, axis=2)
+                    u = _cat([c.peek(2 * s * R).reshape(R, 2, s) for c, s in zip(group, sizes)], axis=2)
                     jump, cdf = u[:, 1], off._cdf
                     # np.log1p as in a round, whose t - log1p(-u) / rate is t + (-log1p(-u)) / rate
                     # exactly; a jump past the table stops the block, which never grows it
@@ -428,24 +418,21 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                         events += r * m
                         nw, tw = nb[r - 1], tb[r - 1]
                         n[lanes] = nw
-                        for c, s in parts:
+                        for c, s in zip(group, sizes):
                             c.pos += 2 * s * r
                     if r == R:
                         rows = min(2 * R, _BLOCK_SIZE)
                         continue
                     rows = max(R // 2, 2)
-                u1 = one.clock(m) if solo else np.concatenate([c.clock(s) for c, s in zip(group, sizes)])
+                u1 = _cat([c.take(s) for c, s in zip(group, sizes)])
                 rate = nw * rb if pure else nw * rb + ri
                 t_next = tw - np.log1p(-u1) / rate
                 fired = t_next <= g
                 lanes = lanes[fired]
                 k = lanes.size
                 events += k
-                if solo:
-                    u2 = one.jump(k)
-                else:
-                    sizes = _segment_sizes(lanes, starts)
-                    u2 = np.concatenate([c.jump(m) for c, m in zip(group, sizes)])
+                sizes = _segment_sizes(lanes, starts)
+                u2 = _cat([c.take(s) for c, s in zip(group, sizes)])
                 if not k:
                     nw, tw = nw[:0], tw[:0]
                     break
@@ -468,15 +455,9 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                 keep = ~over & (nw > 0) if pure else ~over
                 lanes, nw, tw = lanes[keep], nw[keep], tw[keep]
                 steady = lanes.size == m
-                if solo:
-                    if lanes.size <= leave_at:
-                        break
-                else:
-                    sizes = _segment_sizes(lanes, starts)
-                    if min(sizes) <= leave_at:
-                        break
-            if solo:
-                sizes = [lanes.size]
+                sizes = _segment_sizes(lanes, starts)
+                if min(sizes) <= leave_at:
+                    break
             lo, stay = 0, []
             for c, m in zip(group, sizes):
                 c.lanes, c.nw, c.tw = lanes[lo : lo + m], nw[lo : lo + m], tw[lo : lo + m]
@@ -500,7 +481,6 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
             events += rounds([c], g, _JOIN)
         events += rounds(chunks, g, _SCALAR_SWITCH)
         for c in chunks:
-            c.rewind()
             for lane, ti in zip(c.lanes.tolist(), c.tw.tolist()):
                 straggler_events += straggler(c, lane, ti, g)
         out[:, gi] = n

@@ -3,11 +3,14 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from criticalbranch import (
     make_finite_immigration,
     make_finite_offspring,
+    make_perturbed_offspring,
     make_stable_immigration,
     make_stable_offspring,
 )
@@ -18,6 +21,8 @@ BINARY = make_finite_offspring([1.0, -2.0, 1.0])
 HALF = make_stable_offspring(0.5, 1.0)
 ARRIVALS = make_finite_immigration([-1.0, 1.0])
 HEAVY_IMM = make_stable_immigration(0.4, 0.1)
+# from 0 at the default cap, the immigration straggler loop makes most of the events
+IMM_STRAGGLERS = mc.SimConfig(make_perturbed_offspring(0.5, 1.0, 0.3, 0.5), HEAVY_IMM, (10.0,), 100, 48)
 
 
 def draw_offspring(law, u):
@@ -53,6 +58,36 @@ class TestSampleOffspring:
             observed = np.mean(draws == k)
             se = math.sqrt(max(pmf[k] * (1.0 - pmf[k]), 1e-12) / n)
             assert abs(observed - pmf[k]) <= 4.0 * se
+
+
+# a read is ("peek", size, moved): peek at size uniforms, then move the cursor
+# past moved <= size of them, as a block or a straggler does; or ("take", size)
+_READS = st.one_of(
+    st.tuples(st.just("take"), st.integers(0, 3000)),
+    st.integers(0, 3000).flatmap(lambda k: st.tuples(st.just("peek"), st.just(k), st.integers(0, k))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_READS, max_size=30))
+def test_stream_reads_one_sequence(reads):
+    # every reader sees the uniforms that one random(total) call returns, at its
+    # cursor's position, across refills; arrays handed out earlier stay intact
+    sq = np.random.SeedSequence(49)
+    want = np.random.default_rng(sq).random(sum(r[1] for r in reads))
+    stream, pos, seen = mc._Stream(sq, 0), 0, []
+    for read in reads:
+        if read[0] == "take":
+            u = stream.take(read[1])
+            seen.append((pos, u))
+            pos += read[1]
+        else:
+            _, size, moved = read
+            seen.append((pos, stream.peek(size)))
+            stream.pos += moved
+            pos += moved
+    for at, u in seen:
+        assert np.array_equal(u, want[at : at + u.size])
 
 
 class TestSimulate:
@@ -198,6 +233,7 @@ class TestStreamExact:
                          id="arrivals-cap40-three-chunks"),
             # the mc-tail shape: a few long-lived lanes run most of their rounds in blocks
             pytest.param(mc.SimConfig(HALF, None, (100.0,), 10_000, 44, cap=10**4), 1, id="tail-cap1e4"),
+            pytest.param(IMM_STRAGGLERS, 1, id="immigration-stragglers"),
         ],
     )
     def test_matches_per_event_loop(self, cfg, threads):
@@ -216,6 +252,11 @@ class TestStreamExact:
         obs = mc.simulate(mc.SimConfig(BINARY, None, (0.5, 3.0, 30.0), 2 * mc.CHUNK + 8, 43))
         live = np.count_nonzero(obs.states[2 * mc.CHUNK :] > 0, axis=0)
         assert live[0] > mc._SCALAR_SWITCH and live[1] == 0
+
+    def test_immigration_stragglers_read_past_a_refill(self):
+        # the "immigration-stragglers" case above: its straggler loops read more
+        # uniforms than one refill of the stream holds
+        assert mc.simulate(IMM_STRAGGLERS).straggler_events > 4 * mc._WALK_MAX
 
     @pytest.mark.parametrize(
         "offspring,immigration,cap",
