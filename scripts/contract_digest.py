@@ -10,10 +10,11 @@ effective config from the provenance sidecar, and the sidecar's
 more ``solve`` with fewer points writes into the output directory of the
 first, so the digest covers replacing an existing file.  It then prints the
 ``verify`` lines with elapsed times masked, a SHA-256 sweep over the scalar
-and series transition solves (F, R, G, P and accepted steps), and a SHA-256
-sweep over ``montecarlo.simulate`` output (states, capped flags, event counts
-and table size) for every law pair, a 13-chunk run, two few-lane tail runs and
-an immigration run at the default cap that its stragglers dominate.
+and series transition solves (F, R, G, P, the stepper counters, dF/ds, and
+solves at tol = 0.5), and a SHA-256 sweep over ``montecarlo.simulate`` output
+(states, capped flags, event counts and table size) for every law pair, a
+13-chunk run, two few-lane tail runs and an immigration run at the default cap
+that its stragglers dominate.
 
 Run it once per tree and diff the outputs:
 
@@ -102,8 +103,20 @@ def floats(*values) -> bytes:
     return b"".join(v.coeffs.tobytes() if hasattr(v, "coeffs") else struct.pack("<d", v) for v in values)
 
 
+def solution(sol) -> bytes:
+    """F, R, G and P (those present) of a TransitionSolution, then its four stepper counters."""
+    values = floats(*(v for v in (sol.F, sol.R, sol.G, sol.P) if v is not None))
+    return values + struct.pack("<qqqq", sol.steps, sol.rejected, sol.gap_rejected, sol.rhs_evals)
+
+
 def solver_sweep() -> None:
-    """SHA-256 of (F, R, G, P, steps) over scalar and series solves of every law pair."""
+    """SHA-256 of the scalar and series transition solves of every law pair.
+
+    Each solve adds F, R, G, P and its four stepper counters (accepted,
+    rejected, gap-rejected steps and RHS evaluations); the scalar grid adds
+    ``gf_derivative`` at each point, and each pair adds solves at tol = 0.5,
+    where some steps stop at a non-positive gap stage.
+    """
     kolmogorov = sys.modules[cli.solve_gf.__module__]
     for k, (f, h) in enumerate(PAIRS):
         f_law = cli.offspring_from_config(f)
@@ -111,18 +124,21 @@ def solver_sweep() -> None:
         digest = hashlib.sha256()
         for t in (0.1, 1.0, 10.0, 100.0, 1e4):
             for s in (0.0, 0.3, 0.9, 0.999):
-                sol = kolmogorov.solve_gf(f_law, t, s)
-                digest.update(floats(sol.F, sol.R) + struct.pack("<q", sol.steps))
+                digest.update(solution(kolmogorov.solve_gf(f_law, t, s)))
+                digest.update(floats(kolmogorov.gf_derivative(f_law, t, s)))
                 for i in (0, 2) if h_law else ():
-                    sol = kolmogorov.immigration_gf(f_law, h_law, i, t, s)
-                    digest.update(floats(sol.F, sol.R, sol.G, sol.P) + struct.pack("<q", sol.steps))
+                    digest.update(solution(kolmogorov.immigration_gf(f_law, h_law, i, t, s)))
         for t in (0.5, 2.0):
-            sol = kolmogorov.solve_gf_series(f_law, t, 64)
-            digest.update(floats(sol.F, sol.R) + struct.pack("<q", sol.steps))
+            digest.update(solution(kolmogorov.solve_gf_series(f_law, t, 64)))
             for i in (0, 1) if h_law else ():
-                sol = kolmogorov.immigration_gf_series(f_law, h_law, i, t, 64)
-                digest.update(floats(sol.F, sol.R, sol.G, sol.P) + struct.pack("<q", sol.steps))
-        print(f"solves[{k}] {digest.hexdigest()[:16]}")
+                digest.update(solution(kolmogorov.immigration_gf_series(f_law, h_law, i, t, 64)))
+        if h_law:
+            digest.update(solution(kolmogorov.immigration_gf(f_law, h_law, 2, 100.0, 0.0, tol=0.5)))
+            sol = kolmogorov.immigration_gf_series(f_law, h_law, 0, 100.0, 32, tol=0.5)
+        else:
+            sol = kolmogorov.solve_gf(f_law, 100.0, 0.0, tol=0.5)
+        digest.update(solution(sol))
+        print(f"solves[{k}] {digest.hexdigest()[:16]} tol=0.5 gap_rejected={sol.gap_rejected}")
 
 
 def simulate_sweep() -> None:

@@ -10,8 +10,9 @@ so that the population GF from i ancestors is F^i exp(G).  Series-mode solves
 integrate the whole coefficient vector of R (and G) at once; the coefficient
 recurrences for fractional powers keep the right-hand side exact at the stored
 truncation order.  One Dormand-Prince 5(4) stepper serves both modes: its state
-is a list whose components are floats in a scalar solve and coefficient
-vectors in a series solve.
+is the gap plus an optional quadrature (G, or log dF/ds), both floats in a
+scalar solve and coefficient vectors in a series solve.  A quadrature's rate
+reads the gap alone, so the stages are formed for the gap only.
 
 Solvers are pure functions of (law, t, s, tol); grid sweeps can run
 concurrently without shared state.  ``gf_derivative`` and ``solve_gf_series``
@@ -99,19 +100,20 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _advance(rhs, y0, t_end, rtol, atols):
-    """Integrate a state of one or more components from 0 to t_end; returns (y, counts).
+def _advance(rhs, r, t_end, rtol, atol, g=None, gatol=0.0):
+    """Integrate the gap r and an optional quadrature g from 0 to t_end; returns (r, g, counts).
 
-    The components are all floats or all coefficient vectors, and ``atols``
-    holds one absolute floor per component.  The leading component is the
-    survival gap (for a vector, its constant term), strictly positive along
-    the flow, so its absolute floor can be zero for pure relative control;
-    auxiliary components that start at zero need a positive floor.  A step
-    with a non-positive gap at any stage is rejected and retried at half the
-    step size.  StepUnderflowError ends the solve on a step below
-    ``_MIN_STEP``, after ``_MAX_TRIES`` attempts short of t_end, and at once
-    on a non-finite error estimate or vector state (the solve left the float
-    range; that check replaces numpy's overflow warnings).
+    r and g are both floats or both coefficient vectors.  ``rhs(r)`` returns
+    the rates (dr, dg), dg None when g is None: a quadrature's rate reads the
+    gap alone, so the stages are formed for the gap only and g enters the
+    step's update and its error estimate.  The gap (for a vector, its
+    constant term) is strictly positive along the flow, so ``atol`` can be
+    zero for pure relative control; a quadrature that starts at zero needs a
+    positive ``gatol``.  A step with a non-positive gap at any stage is
+    rejected and retried at half the step size.  StepUnderflowError ends the
+    solve on a step below ``_MIN_STEP``, after ``_MAX_TRIES`` attempts short
+    of t_end, and at once on a non-finite error estimate or vector state (the
+    solve left the float range; that check replaces numpy's overflow warnings).
 
     ``counts`` holds the keyword arguments ``steps`` (accepted steps),
     ``rejected`` (steps failing the error test), ``gap_rejected`` (steps
@@ -120,14 +122,15 @@ def _advance(rhs, y0, t_end, rtol, atols):
     evaluations; one stopped at a gap stage costs the stages computed before
     it, which its rejection branch adds to ``gap_evals``.
     """
-    y = list(y0)
     t = 0.0
     if t_end == 0.0:
-        return y, dict(steps=0, rejected=0, gap_rejected=0, rhs_evals=0)
-    vec = y[0].__class__ is np.ndarray
-    k1 = rhs(y)
-    scale = max(abs(v).max() if vec else abs(v) for v in y) + 1.0
-    dscale = max(abs(v).max() if vec else abs(v) for v in k1) + 1e-30
+        return r, g, dict(steps=0, rejected=0, gap_rejected=0, rhs_evals=0)
+    vec = r.__class__ is np.ndarray
+    quad = g is not None
+    a1, b1 = rhs(r)  # a_k: the gap's stage rates; b_k: the quadrature's
+    peak = lambda v: abs(v).max() if vec else abs(v)
+    scale = (max(peak(r), peak(g)) if quad else peak(r)) + 1.0
+    dscale = (max(peak(a1), peak(b1)) if quad else peak(a1)) + 1e-30
     h = min(t_end, 0.1 * scale / dscale, 1.0)
     steps = rejected = gap_rejected = gap_evals = 0
     for _ in range(_MAX_TRIES):
@@ -137,69 +140,63 @@ def _advance(rhs, y0, t_end, rtol, atols):
         if h < _MIN_STEP:
             raise StepUnderflowError(t)
         # a stage with a non-positive gap rejects the step before rhs sees it
-        y2 = [v + h * _A21 * a for v, a in zip(y, k1)]
-        if not (y2[0][0] if vec else y2[0]) > 0.0:
+        r2 = r + h * _A21 * a1
+        if not (r2[0] if vec else r2) > 0.0:
             h *= 0.5
             gap_rejected += 1
             continue
-        k2 = rhs(y2)
-        y3 = [v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)]
-        if not (y3[0][0] if vec else y3[0]) > 0.0:
+        a2, _ = rhs(r2)
+        r3 = r + h * (_A31 * a1 + _A32 * a2)
+        if not (r3[0] if vec else r3) > 0.0:
             h *= 0.5
             gap_rejected += 1
             gap_evals += 1
             continue
-        k3 = rhs(y3)
-        y4 = [v + h * (_A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)]
-        if not (y4[0][0] if vec else y4[0]) > 0.0:
+        a3, b3 = rhs(r3)
+        r4 = r + h * (_A41 * a1 + _A42 * a2 + _A43 * a3)
+        if not (r4[0] if vec else r4) > 0.0:
             h *= 0.5
             gap_rejected += 1
             gap_evals += 2
             continue
-        k4 = rhs(y4)
-        y5 = [
-            v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-            for v, a, b, c, d in zip(y, k1, k2, k3, k4)
-        ]
-        if not (y5[0][0] if vec else y5[0]) > 0.0:
+        a4, b4 = rhs(r4)
+        r5 = r + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
+        if not (r5[0] if vec else r5) > 0.0:
             h *= 0.5
             gap_rejected += 1
             gap_evals += 3
             continue
-        k5 = rhs(y5)
-        y6 = [
-            v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-            for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-        ]
-        if not (y6[0][0] if vec else y6[0]) > 0.0:
+        a5, b5 = rhs(r5)
+        r6 = r + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
+        if not (r6[0] if vec else r6) > 0.0:
             h *= 0.5
             gap_rejected += 1
             gap_evals += 4
             continue
-        k6 = rhs(y6)
-        ynew = [
-            v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
-            for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)
-        ]
-        if not (ynew[0][0] if vec else ynew[0]) > 0.0:
+        a6, b6 = rhs(r6)
+        rnew = r + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
+        if not (rnew[0] if vec else rnew) > 0.0:
             h *= 0.5
             gap_rejected += 1
             gap_evals += 5
             continue
-        k7 = rhs(ynew)
-        err = 0.0
-        for v, w, a, c, d, e, f, g in zip(ynew, atols, k1, k3, k4, k5, k6, k7):
-            e_i = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
-            q = abs(e_i) / (w + rtol * abs(v))
+        a7, b7 = rhs(rnew)
+        # the error ratio is the larger of the gap's and g's; a NaN ratio makes it inf
+        q = abs(h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * a7)) / (atol + rtol * abs(rnew))
+        q = q.max() if vec else q
+        err = q if q == q else math.inf
+        gnew = g
+        if quad:
+            gnew = g + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6)
+            q = abs(h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6 + _E7 * b7)) / (gatol + rtol * abs(gnew))
             q = q.max() if vec else q
             if not q <= err:
                 err = q if q == q else math.inf
-        if err == math.inf or vec and not all(np.isfinite(v).all() for v in ynew):
+        if err == math.inf or vec and not (np.isfinite(rnew).all() and (not quad or np.isfinite(gnew).all())):
             raise StepUnderflowError(t, f"non-finite stage value at step size {float(h)!r}")
         if err <= 1.0:
             t += h
-            y = ynew
-            k1 = k7
+            r, g, a1, b1 = rnew, gnew, a7, b7
             steps += 1
         else:
             rejected += 1
@@ -208,7 +205,7 @@ def _advance(rhs, y0, t_end, rtol, atols):
     if t < t_end:
         raise StepUnderflowError(t, f"no progress in {_MAX_TRIES} step attempts")
     rhs_evals = 1 + 6 * (steps + rejected) + gap_evals
-    return y, dict(steps=steps, rejected=rejected, gap_rejected=gap_rejected, rhs_evals=rhs_evals)
+    return r, g, dict(steps=steps, rejected=rejected, gap_rejected=gap_rejected, rhs_evals=rhs_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +218,7 @@ def solve_gf(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) 
     r0 = 1.0 - s
     if r0 == 0.0 or t == 0.0:
         return TransitionSolution(t=t, s=s, F=s, R=r0)
-    rhs = lambda y: (-f_law.from_gap(y[0]),)
-    (r,), counts = _advance(rhs, (r0,), t, tol, (0.0,))
+    r, _, counts = _advance(lambda r: (-f_law.from_gap(r), None), r0, t, tol, 0.0)
     return TransitionSolution(t=t, s=s, F=1.0 - r, R=r, **counts)
 
 
@@ -243,11 +239,8 @@ def gf_derivative(f_law: OffspringLaw, t: float, s: float) -> float:
     if t == 0.0:
         return 1.0
 
-    def rhs(y):
-        r, _ = y
-        return (-f_law.from_gap(r), f_law.fprime_from_gap(r))
-
-    (r, u), _ = _advance(rhs, (1.0 - s, 0.0), t, SCALAR_RTOL, (0.0, min(SCALAR_RTOL * 1e-2, SCALAR_ATOL)))
+    rhs = lambda r: (-f_law.from_gap(r), f_law.fprime_from_gap(r))
+    _, u, _ = _advance(rhs, 1.0 - s, t, SCALAR_RTOL, 0.0, 0.0, min(SCALAR_RTOL * 1e-2, SCALAR_ATOL))
     return math.exp(u)
 
 
@@ -269,11 +262,8 @@ def immigration_gf(
     if t == 0.0 or r0 == 0.0:
         return TransitionSolution(t=t, s=s, F=s, R=r0, G=0.0, P=s ** i if i else 1.0)
 
-    def rhs(y):
-        r, _ = y
-        return (-f_law.from_gap(r), h_law.from_gap(r))
-
-    (r, g), counts = _advance(rhs, (r0, 0.0), t, tol, (0.0, min(tol * 1e-2, SCALAR_ATOL)))
+    rhs = lambda r: (-f_law.from_gap(r), h_law.from_gap(r))
+    r, g, counts = _advance(rhs, r0, t, tol, 0.0, 0.0, min(tol * 1e-2, SCALAR_ATOL))
     f = 1.0 - r
     return TransitionSolution(t=t, s=s, F=f, R=r, G=g, P=(f ** i) * math.exp(g), **counts)
 
@@ -308,8 +298,8 @@ def solve_gf_series(f_law: OffspringLaw, t: float, N: int) -> TransitionSolution
     r0 = _series_init(N)
     if t == 0.0:
         return _gap_to_solution(0.0, r0)
-    rhs = lambda y: (-f_law.from_gap_coeffs(y[0]),)
-    (r,), counts = _advance(rhs, (r0,), t, SERIES_RTOL, (min(SERIES_RTOL * 1e-2, SERIES_ATOL),))
+    rhs = lambda r: (-f_law.from_gap_coeffs(r), None)
+    r, _, counts = _advance(rhs, r0, t, SERIES_RTOL, min(SERIES_RTOL * 1e-2, SERIES_ATOL))
     return _gap_to_solution(t, r, counts=counts)
 
 
@@ -327,11 +317,8 @@ def immigration_gf_series(
     if t == 0.0:
         return _gap_to_solution(0.0, r0, g0, i=i)
 
-    def rhs(y):
-        r, _ = y
-        return (-f_law.from_gap_coeffs(r), h_law.from_gap_coeffs(r))
-
+    rhs = lambda r: (-f_law.from_gap_coeffs(r), h_law.from_gap_coeffs(r))
     atol = min(tol * 1e-2, SERIES_ATOL)
-    (r, g), counts = _advance(rhs, (r0, g0), t, tol, (atol, atol))
+    r, g, counts = _advance(rhs, r0, t, tol, atol, g0, atol)
     return _gap_to_solution(t, r, g, i=i, counts=counts)
 

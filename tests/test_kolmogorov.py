@@ -1,5 +1,6 @@
 import functools
 import math
+import struct
 import time
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from criticalbranch import (
     make_finite_immigration,
     make_finite_offspring,
+    make_perturbed_offspring,
     make_stable_immigration,
     make_stable_offspring,
 )
@@ -214,12 +216,12 @@ class TestStepper:
         # a NaN in any component is never accepted: the first attempt ends the solve
         calls = []
 
-        def rhs(y):
+        def rhs(r):
             calls.append(1)
-            return (-y[0], np.full(3, math.nan))
+            return (-r, np.full(3, math.nan))
 
         with pytest.raises(StepUnderflowError, match="non-finite stage value .* at t=0.0$"):
-            kolmogorov._advance(rhs, (np.ones(3), np.zeros(3)), 1.0, 1e-9, (1e-11, 1e-11))
+            kolmogorov._advance(rhs, np.ones(3), 1.0, 1e-9, 1e-11, np.zeros(3), 1e-11)
         assert len(calls) == 7  # k1 and the six stages of one attempt
 
     def test_series_overflow_fails_at_once(self):
@@ -241,11 +243,11 @@ class TestStepper:
         # zero to five of their six RHS calls
         calls = []
 
-        def rhs(y):
+        def rhs(r):
             calls.append(1)
-            return (-HALF.from_gap(y[0]),)
+            return (-HALF.from_gap(r), None)
 
-        _, counts = kolmogorov._advance(rhs, (1.0,), 100.0, 0.5, (0.0,))
+        _, _, counts = kolmogorov._advance(rhs, 1.0, 100.0, 0.5, 0.0)
         sol = solve_gf(HALF, 100.0, 0.0, tol=0.5)
         assert counts == dict(steps=sol.steps, rejected=sol.rejected, gap_rejected=sol.gap_rejected,
                               rhs_evals=sol.rhs_evals)
@@ -263,23 +265,181 @@ class TestStepper:
         spikes = {1: -1e9, 3: -1e9, 6: 1e9, 10: 1e9, 15: -1e9, 21: -1e3}
         calls = []
 
-        def rhs(y):
+        def rhs(r):
             calls.append(1)
-            return (spikes.get(len(calls) - 1, -y[0]),)
+            return (spikes.get(len(calls) - 1, -r), None)
 
-        (r,), counts = kolmogorov._advance(rhs, (1.0,), 1.0, 1e-10, (0.0,))
+        r, _, counts = kolmogorov._advance(rhs, 1.0, 1.0, 1e-10, 0.0)
         assert counts["gap_rejected"] == 5 and counts["rejected"] >= 1
         assert counts["rhs_evals"] == len(calls) == 1 + 6 * (counts["steps"] + counts["rejected"]) + 15
         assert r == pytest.approx(math.exp(-1.0), rel=1e-9)
 
     def test_series_and_scalar_states_share_the_stepper(self):
         # a vector state of one coefficient advances exactly as the float state
-        rhs_f = lambda y: (-HALF.from_gap(y[0]), _IMM.from_gap(y[0]))
-        rhs_v = lambda y: tuple(np.array([v]) for v in rhs_f((y[0][0], y[1][0])))
-        (r, g), steps = kolmogorov._advance(rhs_f, (0.5, 0.0), 7.0, 1e-10, (0.0, 1e-12))
-        (rv, gv), steps_v = kolmogorov._advance(rhs_v, (np.array([0.5]), np.zeros(1)), 7.0, 1e-10, (0.0, 1e-12))
+        rhs_f = lambda r: (-HALF.from_gap(r), _IMM.from_gap(r))
+        rhs_v = lambda r: tuple(np.array([v]) for v in rhs_f(r[0]))
+        r, g, steps = kolmogorov._advance(rhs_f, 0.5, 7.0, 1e-10, 0.0, 0.0, 1e-12)
+        rv, gv, steps_v = kolmogorov._advance(rhs_v, np.array([0.5]), 7.0, 1e-10, 0.0, np.zeros(1), 1e-12)
         assert (rv[0], gv[0], steps_v) == (r, g, steps)
 
+
+
+# ---------------------------------------------------------------------------
+# Parity with a reference stepper that forms every stage for every component,
+# through per-component list comprehensions over a state list.
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _reference_advance(rhs, y0, t_end, rtol, atols):
+    y = list(y0)
+    t = 0.0
+    if t_end == 0.0:
+        return y, dict(steps=0, rejected=0, gap_rejected=0, rhs_evals=0)
+    vec = y[0].__class__ is np.ndarray
+    k1 = rhs(y)
+    scale = max(abs(v).max() if vec else abs(v) for v in y) + 1.0
+    dscale = max(abs(v).max() if vec else abs(v) for v in k1) + 1e-30
+    h = min(t_end, 0.1 * scale / dscale, 1.0)
+    steps = rejected = gap_rejected = gap_evals = 0
+    K = kolmogorov
+    for _ in range(K._MAX_TRIES):
+        if not t < t_end:
+            break
+        h = min(h, t_end - t)
+        if h < K._MIN_STEP:
+            raise StepUnderflowError(t)
+        y2 = [v + h * K._A21 * a for v, a in zip(y, k1)]
+        if not (y2[0][0] if vec else y2[0]) > 0.0:
+            h *= 0.5
+            gap_rejected += 1
+            continue
+        k2 = rhs(y2)
+        y3 = [v + h * (K._A31 * a + K._A32 * b) for v, a, b in zip(y, k1, k2)]
+        if not (y3[0][0] if vec else y3[0]) > 0.0:
+            h *= 0.5
+            gap_rejected += 1
+            gap_evals += 1
+            continue
+        k3 = rhs(y3)
+        y4 = [v + h * (K._A41 * a + K._A42 * b + K._A43 * c) for v, a, b, c in zip(y, k1, k2, k3)]
+        if not (y4[0][0] if vec else y4[0]) > 0.0:
+            h *= 0.5
+            gap_rejected += 1
+            gap_evals += 2
+            continue
+        k4 = rhs(y4)
+        y5 = [v + h * (K._A51 * a + K._A52 * b + K._A53 * c + K._A54 * d) for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        if not (y5[0][0] if vec else y5[0]) > 0.0:
+            h *= 0.5
+            gap_rejected += 1
+            gap_evals += 3
+            continue
+        k5 = rhs(y5)
+        y6 = [
+            v + h * (K._A61 * a + K._A62 * b + K._A63 * c + K._A64 * d + K._A65 * e)
+            for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+        ]
+        if not (y6[0][0] if vec else y6[0]) > 0.0:
+            h *= 0.5
+            gap_rejected += 1
+            gap_evals += 4
+            continue
+        k6 = rhs(y6)
+        ynew = [
+            v + h * (K._B1 * a + K._B3 * c + K._B4 * d + K._B5 * e + K._B6 * f)
+            for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)
+        ]
+        if not (ynew[0][0] if vec else ynew[0]) > 0.0:
+            h *= 0.5
+            gap_rejected += 1
+            gap_evals += 5
+            continue
+        k7 = rhs(ynew)
+        err = 0.0
+        for v, w, a, c, d, e, f, g in zip(ynew, atols, k1, k3, k4, k5, k6, k7):
+            e_i = h * (K._E1 * a + K._E3 * c + K._E4 * d + K._E5 * e + K._E6 * f + K._E7 * g)
+            q = abs(e_i) / (w + rtol * abs(v))
+            q = q.max() if vec else q
+            if not q <= err:
+                err = q if q == q else math.inf
+        if err == math.inf or vec and not all(np.isfinite(v).all() for v in ynew):
+            raise StepUnderflowError(t, f"non-finite stage value at step size {float(h)!r}")
+        if err <= 1.0:
+            t += h
+            y = ynew
+            k1 = k7
+            steps += 1
+        else:
+            rejected += 1
+        factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
+        h *= min(5.0, max(0.2, factor))
+    if t < t_end:
+        raise StepUnderflowError(t, f"no progress in {K._MAX_TRIES} step attempts")
+    rhs_evals = 1 + 6 * (steps + rejected) + gap_evals
+    return y, dict(steps=steps, rejected=rejected, gap_rejected=gap_rejected, rhs_evals=rhs_evals)
+
+
+def _on_reference_stepper(rhs, r, t_end, rtol, atol, g=None, gatol=0.0):
+    """``_advance``'s signature over ``_reference_advance``: the state list is (r,) or (r, g)."""
+    y0, atols = ((r,), (atol,)) if g is None else ((r, g), (atol, gatol))
+    (r, *rest), counts = _reference_advance(lambda y: rhs(y[0])[: len(y0)], y0, t_end, rtol, atols)
+    return r, (rest[0] if rest else None), counts
+
+
+_PARITY_LAWS = {
+    "canonical": (HALF, make_stable_immigration(0.4, 0.1)),
+    "perturbed": (make_perturbed_offspring(0.5, 1.0, 0.3, 0.5), make_stable_immigration(0.4, 0.1, 0.25)),
+    "finite": (make_finite_offspring([1.0, -2.0, 1.0]), make_finite_immigration([-1.0, 1.0])),
+}
+
+
+def _parity_solves(f_law, h_law, t, s, tol):
+    """Every solver's outcome at (t, s): F, R, G, P or dF/ds and the four counters as bytes, or the error."""
+    def pack(solve, *args, **kwargs):
+        try:
+            sol = solve(f_law, *args, **kwargs)
+        except ValueError as exc:  # StepUnderflowError included: the message names the t reached
+            return f"{type(exc).__name__}: {exc}"
+        if solve is gf_derivative:
+            return struct.pack("<d", sol)
+        values = [sol.F, sol.R] + ([sol.G, sol.P] if sol.G is not None else [])
+        floats = b"".join(np.asarray(getattr(v, "coeffs", v), dtype=float).tobytes() for v in values)
+        return floats + struct.pack("<4q", sol.steps, sol.rejected, sol.gap_rejected, sol.rhs_evals)
+
+    return [
+        pack(solve_gf, t, s, tol=tol),
+        *(pack(immigration_gf, h_law, i, t, s, tol=tol) for i in (0, 2)),
+        pack(gf_derivative, t, s),
+        pack(solve_gf_series, t, 8),
+        pack(immigration_gf_series, h_law, 2, t, 8, tol=tol),
+    ]
+
+
+def _assert_parity(law, t, s, tol):
+    f_law, h_law = _PARITY_LAWS[law]
+    solves = _parity_solves(f_law, h_law, t, s, tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kolmogorov, "_advance", _on_reference_stepper)
+        assert _parity_solves(f_law, h_law, t, s, tol) == solves
+
+
+@given(
+    law=st.sampled_from(sorted(_PARITY_LAWS)),
+    t=st.floats(min_value=0.0, max_value=20.0),
+    s=st.floats(min_value=0.0, max_value=0.999),
+    tol=st.sampled_from([1e-10, 1e-6, 0.5]),
+)
+@settings(max_examples=30, deadline=None)
+def test_solvers_match_the_reference_stepper_bit_for_bit(law, t, s, tol):
+    _assert_parity(law, t, s, tol)
+
+
+@pytest.mark.parametrize("law", sorted(_PARITY_LAWS))
+def test_reference_parity_through_gap_rejections(law):
+    # at tol=0.5 some attempts stop at a non-positive gap stage
+    f_law, h_law = _PARITY_LAWS[law]
+    assert immigration_gf(f_law, h_law, 2, 100.0, 0.0, tol=0.5).gap_rejected > 0
+    _assert_parity(law, 100.0, 0.0, 0.5)
 
 
 def immigration_mean(f_law, h_law, t, eps=1e-7):
