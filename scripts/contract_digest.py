@@ -13,8 +13,9 @@ first, so the digest covers replacing an existing file.  It then prints the
 and series transition solves (F, R, G, P, the stepper counters, dF/ds, and
 solves at tol = 0.5), and a SHA-256 sweep over ``montecarlo.simulate`` output
 (states, capped flags, event counts and table size) for every law pair, a
-13-chunk run, two few-lane tail runs and an immigration run at the default cap
-that its stragglers dominate.
+13-chunk run, two few-lane tail runs, an immigration run at the default cap
+that its stragglers dominate, and two more immigration runs whose straggler
+blocks take several fixed-point passes.
 
 Run it once per tree and diff the outputs:
 
@@ -152,22 +153,31 @@ def simulate_sweep() -> None:
     1e4 (10,000 replicas, seeds 1 and 2) cover long blocks of rounds with few
     lanes.  A perturbed offspring law with canonical immigration from 0 to t = 10
     at the default cap (100 replicas) spends most of its events in the
-    immigration straggler loop.
+    immigration straggler walk.  Canonical offspring with perturbed (kappa =
+    0.25) immigration from 3 at cap 5000 (200 replicas to t = 20) grows a table
+    inside the walk, and finite offspring [2, -3, 0.5, 0.5] with finite batch
+    immigration [-1, 0.5, 0.25, 0.25] at the default cap (2000 replicas to
+    t = 10) covers finite tables.
     """
     montecarlo = cli.montecarlo
-    runs = [(f"simulate_sweep[{k}]", f, h, (0.0, 1.0, 1.0, 5.0), 1000, 20_000, 7) for k, (f, h) in enumerate(PAIRS)]
-    runs.append(("simulate_sweep[canonical,t=10]", OFFSPRING[0], None, (10.0,), montecarlo.DEFAULT_CAP, 20_000, 7))
-    runs.append(("simulate_sweep[canonical,t=10,13 chunks]", OFFSPRING[0], None, (10.0,), montecarlo.DEFAULT_CAP,
-                 100_000, 7))
+    default = montecarlo.DEFAULT_CAP
+    runs = [(f"simulate_sweep[{k}]", f, h, (0.0, 1.0, 1.0, 5.0), 1000, 20_000, 7, None)
+            for k, (f, h) in enumerate(PAIRS)]
+    runs.append(("simulate_sweep[canonical,t=10]", OFFSPRING[0], None, (10.0,), default, 20_000, 7, None))
+    runs.append(("simulate_sweep[canonical,t=10,13 chunks]", OFFSPRING[0], None, (10.0,), default, 100_000, 7, None))
     for seed in (1, 2):
         runs.append((f"simulate_sweep[canonical,t=100,cap=1e4,seed={seed}]", OFFSPRING[0], None, (100.0,), 10**4,
-                     10_000, seed))
-    runs.append(("simulate_sweep[perturbed+canonical,t=10]", OFFSPRING[1], IMMIGRATION[1], (10.0,),
-                 montecarlo.DEFAULT_CAP, 100, 7))
-    for label, f, h, grid, cap, replicas, seed in runs:
+                     10_000, seed, None))
+    runs.append(("simulate_sweep[perturbed+canonical,t=10]", OFFSPRING[1], IMMIGRATION[1], (10.0,), default, 100, 7,
+                 None))
+    runs.append(("simulate_sweep[canonical+kappa,start=3,cap=5000]", OFFSPRING[0], IMMIGRATION[2], (5.0, 20.0), 5000,
+                 200, 7, 3))
+    runs.append(("simulate_sweep[finite+finite batches]", {"kind": "finite", "rates": [2.0, -3.0, 0.5, 0.5]},
+                 {"kind": "finite", "rates": [-1.0, 0.5, 0.25, 0.25]}, (2.0, 10.0), default, 2000, 7, None))
+    for label, f, h, grid, cap, replicas, seed, start in runs:
         cfg = montecarlo.SimConfig(offspring=cli.offspring_from_config(f),
                                    immigration=cli.immigration_from_config(h) if h else None,
-                                   grid=grid, replicas=replicas, seed=seed, cap=cap)
+                                   grid=grid, replicas=replicas, seed=seed, start=start, cap=cap)
         obs = montecarlo.simulate(cfg)
         counts = struct.pack("<qqq", obs.events, obs.straggler_events, obs.table_size)
         print(f"{label} {sha(obs.states.tobytes() + obs.capped.tobytes() + counts)}")

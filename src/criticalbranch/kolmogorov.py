@@ -131,14 +131,15 @@ def _advance(rhs, r, t_end, rtol, atol, g=None, gatol=0.0):
     peak = lambda v: abs(v).max() if vec else abs(v)
     scale = (max(peak(r), peak(g)) if quad else peak(r)) + 1.0
     dscale = (max(peak(a1), peak(b1)) if quad else peak(a1)) + 1e-30
-    h = min(t_end, 0.1 * scale / dscale, 1.0)
+    h = min(0.1 * scale / dscale, 1.0)
     steps = rejected = gap_rejected = gap_evals = 0
     for _ in range(_MAX_TRIES):
         if not t < t_end:
             break
-        h = min(h, t_end - t)
+        # the step is tested before it is cut to the horizon: a horizon below _MIN_STEP is no underflow
         if h < _MIN_STEP:
             raise StepUnderflowError(t)
+        h = min(h, t_end - t)
         # a stage with a non-positive gap rejects the step before rhs sees it
         r2 = r + h * _A21 * a1
         if not (r2[0] if vec else r2) > 0.0:
@@ -287,7 +288,12 @@ def _gap_to_solution(t, r, g=None, i=0, counts=None) -> TransitionSolution:
     sol_kwargs = dict(t=t, s=None, F=F, R=Series(r), **(counts or {}))
     if g is not None:
         eg = _exp_coeffs(g)
-        p = eg if i == 0 else np.convolve(_pow_coeffs(f, float(i)), eg)[: f.size]
+        if i == 0:
+            p = eg
+        elif t == 0.0:
+            p = np.eye(1, f.size, i)[0]  # P = s^i exactly; F = s has no fractional power
+        else:
+            p = np.convolve(_pow_coeffs(f, float(i)), eg)[: f.size]
         sol_kwargs.update(G=Series(g), P=Series(p))
     return TransitionSolution(**sol_kwargs)
 

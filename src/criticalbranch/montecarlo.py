@@ -29,11 +29,12 @@ calls.  One chunk is the joint phase with one segment.
 Once a chunk is down to a handful of straggler paths the engine advances them
 one at a time, which keeps rare high-population excursions from stalling the
 vectorized rounds.
-Without immigration a straggler's jump chain is a random walk stopped at 0
-(the Lamperti representation), so it advances in numpy blocks of events that
-consume the stream exactly as the per-event loop would: same uniforms, same
-order, same arithmetic, hence the same paths.  With immigration stragglers
-run the per-event loop.
+A straggler advances in numpy blocks of events that consume the stream exactly
+as the per-event loop would: same uniforms, same order, same arithmetic, hence
+the same paths.  An event's jump reads the population only through the
+branching share n rb / (n rb + ri), so a block is the fixed point of redrawing
+its jumps from the path they make (without immigration the share is 1 and the
+first pass is the fixed point: the jump chain is a random walk stopped at 0).
 
 The same walk replays whole rounds without immigration.  A round in which
 every lane fires and stays reads m clock uniforms and then m jump uniforms,
@@ -58,7 +59,6 @@ excluded by the estimators; the count is always reported, never dropped.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,7 +175,6 @@ class _Sampler:
         self._limit = limit
         self._horizon = min(_CDF_START, limit)
         self._cdf = np.cumsum(pmf_up_to(self._horizon))
-        self._cdf_list = None
 
     @property
     def table_size(self) -> int:
@@ -185,7 +184,6 @@ class _Sampler:
         while self._cdf[-1] <= vmax and self._horizon < self._limit:
             self._horizon = min(2 * self._horizon, self._limit)
             self._cdf = np.cumsum(self._pmf_up_to(self._horizon))
-            self._cdf_list = None
 
     def draw(self, v: np.ndarray) -> np.ndarray:
         """Jump sizes for a non-empty array of uniforms."""
@@ -193,12 +191,6 @@ class _Sampler:
         if vmax >= self._cdf[-1]:
             self._extend_for(float(vmax))
         return self._cdf.searchsorted(v, side="right")
-
-    def draw_one(self, v: float) -> int:
-        self._extend_for(v)
-        if self._cdf_list is None:
-            self._cdf_list = self._cdf.tolist()
-        return bisect_right(self._cdf_list, v)
 
 
 def _offspring_pmf(law: OffspringLaw):
@@ -253,18 +245,18 @@ class _Stream:
         return u
 
 
-def _walk_rows(n0, t0, clock: np.ndarray, jumps: np.ndarray, rb: float):
-    """Populations and times after each row of pure-branching events, the rows taken in order.
+def _walk_rows(n0, t0, clock: np.ndarray, jumps: np.ndarray, rb: float, ri: float):
+    """Populations and times after each row of events, the rows taken in order.
 
-    Row k moves every column by n += jumps[k] and t += clock[k] / (rb * n before
-    it), one event per column.  The cumsums add row after row, so each sum is
-    the one the per-event loop or a round makes, bit for bit.  A column at
-    n <= 0 gets an infinite rate, which keeps division by zero out of the rows
-    past its stop.  Clobbers clock.
+    Row k moves every column by n += jumps[k] and t += clock[k] / (n rb + ri),
+    n before it, one event per column.  The cumsums add row after row, so each
+    sum is the one the per-event loop or a round makes, bit for bit.  A rate
+    <= 0 is taken as infinite, which keeps division by zero out of the rows
+    past a column's stop.  Clobbers clock.
     """
     n_after = n0 + np.cumsum(jumps, axis=0)
-    n_before = n_after - jumps
-    clock /= np.where(n_before > 0, n_before * rb, math.inf)
+    rate = (n_after - jumps) * rb + ri
+    clock /= np.where(rate > 0.0, rate, math.inf)
     clock[0] += t0
     return n_after, np.cumsum(clock, axis=0, out=clock)
 
@@ -306,73 +298,70 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
     out = np.empty((cfg.replicas, len(cfg.grid)), dtype=np.int64)
     log1p = math.log1p
 
-    def advance_scalar(c: _Stream, lane: int, ti: float, horizon: float) -> int:
-        # the uniforms come in windows of the stream, as Python floats: those random() returns
-        ni = int(n[lane])
-        events, u, i, size = 0, [], 0, _WALK_START
-        while True:
-            rate = ni * rb + ri
-            if rate <= 0.0 or ti >= horizon:
-                break
-            if i == len(u):
-                c.pos += i
-                u, i = c.peek(2 * size).tolist(), 0
-                size = min(2 * size, _WALK_MAX)
-            ti += -log1p(-u[i]) / rate
-            i += 1
-            if ti > horizon:
-                break
-            u2 = u[i]
-            i += 1
-            events += 1
-            pb = ni * rb / rate
-            if u2 < pb:
-                ni += off.draw_one(u2 / pb) - 1
-            else:
-                ni += imm.draw_one((u2 - pb) / (1.0 - pb))
-            if ni > cap:
-                capped[lane] = True
-                break
-        c.pos += i
-        n[lane] = ni
-        return events
+    # the least value whose lookup grows a sampler's table; none once the table is at its limit
+    edge = lambda sampler: sampler._cdf[-1] if sampler._horizon < sampler._limit else math.inf
 
+    # guessed rows past a stop can hold n <= 0, where the branching share is 0 / 0
+    @np.errstate(divide="ignore", invalid="ignore")
     def advance_walk(c: _Stream, lane: int, ti: float, horizon: float) -> int:
-        """advance_scalar without immigration, a block of events per numpy pass.
+        """Advance one straggler to the horizon as the per-event loop would, a block of events per numpy pass.
 
-        There every event is a branching (pb = 1) and the jump chain is the walk
-        n_k = n_{k-1} + X_k - 1 with times t_k = t_{k-1} + E_k / (rb n_{k-1}).
-        A block peeks at the uniforms in the loop's order (clock, jump, clock, ...),
-        redoes its arithmetic with sequential cumsums, finds the event where the
-        loop stops, and moves the cursor just past the last uniform the loop
-        would have consumed.
+        While the rate n rb + ri is positive and t is short of the horizon, the
+        loop moves t by -log1p(-u1) / rate, stops past the horizon, draws the
+        jump from u2 and pb = n rb / rate (growing a table to cover it) and
+        stops above cap.  A block peeks at the uniforms in that order and
+        solves for its jumps by fixed-point passes: the first guesses n = ni
+        on every row, each next one redraws from the path the last one made,
+        until pb agrees up to the first stop.  A pass right on the first i rows
+        is right on i + 1 after it.  At a jump that would grow a table the
+        table grows, as in the loop, and the block goes on from there.
         """
         ni = int(n[lane])
         events, size = 0, _WALK_START
-        while ni > 0 and ti < horizon:
+        while ni <= cap and ni * rb + ri > 0.0 and ti < horizon:
             u = c.peek(2 * size)
             # math.log1p as in the loop: np.log1p differs from it in the last ulp
-            clock = -np.fromiter(map(log1p, (-u[0::2]).tolist()), float, size)
-            n_after, t_after = _walk_rows(ni, ti, clock, off.draw(u[1::2]) - 1, rb)
-            stop = (t_after >= horizon) | (n_after <= 0) | (n_after > cap)
-            k = int(stop.argmax())
-            if not stop[k]:
-                c.pos += 2 * size
-                events += size
-                ni, ti = int(n_after[-1]), float(t_after[-1])
-                size = min(2 * size, _WALK_MAX)
-                continue
+            logs, u2 = np.fromiter(map(log1p, (-u[0::2]).tolist()), float, size), u[1::2]
+            x = ni * rb
+            pb = x / (x + ri)
+            while True:
+                # the loop's draws at pb (one float on the first pass) from the tables as they are
+                bi = u2 < pb
+                v = u2 / pb
+                jumps = off._cdf.searchsorted(v, side="right") - 1
+                grow = v >= edge(off)
+                if not bi.all():
+                    ii = ~bi
+                    v[ii] = ((u2 - pb) / (1.0 - pb))[ii]
+                    jumps[ii] = imm._cdf.searchsorted(v[ii], side="right")
+                    grow[ii] = v[ii] >= edge(imm)
+                n_after, t_after = _walk_rows(ni, ti, -logs, jumps, rb, ri)
+                # n <= 0 is the loop's stop without immigration; with it the next block goes on from 0
+                stop = (t_after >= horizon) | (n_after <= 0) | (n_after > cap) | grow
+                k = int(stop.argmax())
+                m = k + 1 if stop[k] else stop.size
+                if ri == 0.0:
+                    break  # pb = x / x = 1 on every row up to the stop: the first pass is the fixed point
+                x = (n_after - jumps) * rb
+                guess, pb = pb, x / (x + ri)
+                if (pb == guess)[:m].all():
+                    break
+                logs, u2, pb = logs[:m], u2[:m], pb[:m]
+            # the events the loop makes: through the stop, or before it if it
+            # reads event k's clock and stops, or grows a table before its jump
+            j = k if t_after[k] > horizon or grow[k] else m
+            if j:
+                ni, ti = int(n_after[j - 1]), float(t_after[j - 1])
+            c.pos += 2 * j
+            events += j
             if t_after[k] > horizon:
-                # the clock overshoots: the loop stops before drawing this jump
-                used = 2 * k + 1
-                ni = int(n_after[k - 1]) if k else ni
-                events += k
-            else:
-                used, ni = 2 * k + 2, int(n_after[k])
-                events += k + 1
-                capped[lane] = ni > cap
-            c.pos += used
-            break
+                c.pos += 1
+                break
+            if grow[k]:
+                (off if bi[k] else imm)._extend_for(float(v[k]))
+            elif not stop[k]:
+                size = min(2 * size, _WALK_MAX)
+        capped[lane] = ni > cap
         n[lane] = ni
         return events
 
@@ -408,7 +397,7 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                     jump, cdf = u[:, 1], off._cdf
                     # np.log1p as in a round, whose t - log1p(-u) / rate is t + (-log1p(-u)) / rate
                     # exactly; a jump past the table stops the block, which never grows it
-                    nb, tb = _walk_rows(nw, tw, -np.log1p(-u[:, 0]), cdf.searchsorted(jump, side="right") - 1, rb)
+                    nb, tb = _walk_rows(nw, tw, -np.log1p(-u[:, 0]), cdf.searchsorted(jump, side="right") - 1, rb, 0.0)
                     hit = ((nb <= 0) | (nb > cap) | ~(tb <= g) | (jump >= cdf[-1])).any(axis=1)
                     r = int(hit.argmax())
                     if not hit[r]:
@@ -467,7 +456,6 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
             group = stay
         return events
 
-    straggler = advance_walk if pure else advance_scalar
     events = straggler_events = 0
     t_prev = 0.0
     for gi, g in enumerate(cfg.grid):
@@ -482,7 +470,7 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
         events += rounds(chunks, g, _SCALAR_SWITCH)
         for c in chunks:
             for lane, ti in zip(c.lanes.tolist(), c.tw.tolist()):
-                straggler_events += straggler(c, lane, ti, g)
+                straggler_events += advance_walk(c, lane, ti, g)
         out[:, gi] = n
         t_prev = g
     return PathObservations(

@@ -100,6 +100,16 @@ class TestSolve:
         assert float(f_printed) == pytest.approx(1.0 - 1.0 / 36.0, abs=1e-9)
         assert len(f_printed.replace("0.", "")) >= 16
 
+    def test_horizon_below_min_step(self, tmp_path):
+        # t = 1e-13 is below the stepper's smallest step; it used to exit 2 with a step size underflow
+        config = write_config(
+            tmp_path,
+            {"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0}, "t": [1e-13], "s": [0.5]},
+        )
+        assert run_cli("solve", "--config", config, "--out", str(tmp_path)) == 0
+        f_printed = (tmp_path / "solve.csv").read_text().splitlines()[3].split(",")[2]
+        assert float(f_printed) == pytest.approx(0.5, abs=1e-12)
+
     def test_loose_tolerance_far_horizon(self, tmp_path):
         # large steps overshoot the gap below zero at inner stages; those steps are retried
         config = write_config(

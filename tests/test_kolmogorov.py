@@ -164,6 +164,12 @@ class TestImmigrationGf:
         assert np.all(np.isfinite(sol.P.coeffs))
         assert sol.R.coeffs[0] == pytest.approx(closed_form_gf(0.5, 1.0, 100.0, 0.0).R, rel=0.2)
 
+    @pytest.mark.parametrize("i", [0, 1, 2, 3, 5])
+    def test_series_at_time_zero_is_s_to_the_i(self, i):
+        # P = s^i exactly; past the order N = 4 it has no coefficient
+        sol = immigration_gf_series(HALF, make_stable_immigration(0.4, 0.1), i, 0.0, 4)
+        assert sol.P.coeffs.tolist() == [float(k == i) for k in range(5)]
+
     def test_series_coefficients_sum_to_scalar(self):
         h_law = make_stable_immigration(0.4, 0.1)
         sol = immigration_gf_series(HALF, h_law, 0, 1.0, 64)
@@ -223,6 +229,15 @@ class TestStepper:
         with pytest.raises(StepUnderflowError, match="non-finite stage value .* at t=0.0$"):
             kolmogorov._advance(rhs, np.ones(3), 1.0, 1e-9, 1e-11, np.zeros(3), 1e-11)
         assert len(calls) == 7  # k1 and the six stages of one attempt
+
+    def test_horizon_below_min_step(self):
+        # a horizon below _MIN_STEP is one short step, not a step size underflow
+        t, h_law = 1e-13, make_stable_immigration(0.4, 0.1)
+        assert t < kolmogorov._MIN_STEP
+        assert solve_gf(HALF, t, 0.5).F == pytest.approx(0.5, abs=1e-12)
+        assert immigration_gf(HALF, h_law, 2, t, 0.5).P == pytest.approx(0.25, abs=1e-12)
+        assert gf_derivative(HALF, t, 0.5) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(solve_gf_series(HALF, t, 4).F.coeffs, [0, 1, 0, 0, 0], atol=1e-12)
 
     def test_series_overflow_fails_at_once(self):
         # the higher G coefficients overflow past t ~ 1e83; the first non-finite
@@ -299,15 +314,15 @@ def _reference_advance(rhs, y0, t_end, rtol, atols):
     k1 = rhs(y)
     scale = max(abs(v).max() if vec else abs(v) for v in y) + 1.0
     dscale = max(abs(v).max() if vec else abs(v) for v in k1) + 1e-30
-    h = min(t_end, 0.1 * scale / dscale, 1.0)
+    h = min(0.1 * scale / dscale, 1.0)
     steps = rejected = gap_rejected = gap_evals = 0
     K = kolmogorov
     for _ in range(K._MAX_TRIES):
         if not t < t_end:
             break
-        h = min(h, t_end - t)
         if h < K._MIN_STEP:
             raise StepUnderflowError(t)
+        h = min(h, t_end - t)
         y2 = [v + h * K._A21 * a for v, a in zip(y, k1)]
         if not (y2[0][0] if vec else y2[0]) > 0.0:
             h *= 0.5

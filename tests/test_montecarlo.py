@@ -21,12 +21,28 @@ BINARY = make_finite_offspring([1.0, -2.0, 1.0])
 HALF = make_stable_offspring(0.5, 1.0)
 ARRIVALS = make_finite_immigration([-1.0, 1.0])
 HEAVY_IMM = make_stable_immigration(0.4, 0.1)
-# from 0 at the default cap, the immigration straggler loop makes most of the events
+KAPPA_IMM = make_stable_immigration(0.4, 0.1, 0.25)
+FINITE = make_finite_offspring([2.0, -3.0, 0.5, 0.5])
+FINITE_IMM = make_finite_immigration([-1.0, 0.5, 0.25, 0.25])
+# from 0 at the default cap, the immigration straggler walk makes most of the events
 IMM_STRAGGLERS = mc.SimConfig(make_perturbed_offspring(0.5, 1.0, 0.3, 0.5), HEAVY_IMM, (10.0,), 100, 48)
 
 
+def loop_draw(sampler):
+    """The per-event loop's draw from sampler: grow the table to cover v, then bisect_right in it."""
+    table = [None, None]  # the cdf array the list was made from, and the list
+
+    def draw(v):
+        sampler._extend_for(v)
+        if table[0] is not sampler._cdf:
+            table[:] = sampler._cdf, sampler._cdf.tolist()
+        return bisect_right(table[1], v)
+
+    return draw
+
+
 def draw_offspring(law, u):
-    return mc._Sampler(mc._offspring_pmf(law)).draw_one(u)
+    return loop_draw(mc._Sampler(mc._offspring_pmf(law)))(u)
 
 
 class TestSampleOffspring:
@@ -134,8 +150,8 @@ class TestSimulate:
 def _reference_chunk(cfg, seed_seq, n_paths):
     """The per-event engine: vectorized rounds, then a scalar loop per straggler.
 
-    Returns the states, the capped flags, and the jump counts (all, and those of
-    the scalar loop).
+    Returns the states, the capped flags, the jump counts (all, and those of
+    the scalar loop) and the largest table.
 
     Its tables are bounded at 16 (cap + 1), well past the engine's cap + 1, so
     agreement also checks that the engine's bound changes no uncapped path.
@@ -144,6 +160,7 @@ def _reference_chunk(cfg, seed_seq, n_paths):
     limit = min(16 * (cfg.cap + 1), mc._CDF_BOUND)
     off = mc._Sampler(mc._offspring_pmf(cfg.offspring), limit)
     imm = mc._Sampler(mc._immigration_pmf(cfg.immigration), limit) if cfg.immigration is not None else None
+    draw_off, draw_imm = loop_draw(off), loop_draw(imm) if imm is not None else None
     rb = -cfg.offspring.a1
     ri = -cfg.immigration.b0 if cfg.immigration is not None else 0.0
     n = np.full(n_paths, cfg.start, dtype=np.int64)
@@ -166,9 +183,9 @@ def _reference_chunk(cfg, seed_seq, n_paths):
             events[1] += 1
             pb = ni * rb / rate
             if u2 < pb:
-                ni += off.draw_one(u2 / pb) - 1
+                ni += draw_off(u2 / pb) - 1
             else:
-                ni += imm.draw_one((u2 - pb) / (1.0 - pb))
+                ni += draw_imm((u2 - pb) / (1.0 - pb))
             if ni > cfg.cap:
                 capped[lane] = True
                 break
@@ -198,7 +215,22 @@ def _reference_chunk(cfg, seed_seq, n_paths):
         for lane in work:
             advance_scalar(int(lane), g)
         out[:, gi] = n
-    return out, capped, events[0] + events[1], events[1]
+    table = max(off.table_size, imm.table_size if imm is not None else 0)
+    return out, capped, events[0] + events[1], events[1], table
+
+
+def assert_matches_reference(cfg, obs):
+    """obs is what _reference_chunk makes of every chunk of cfg."""
+    seqs = np.random.SeedSequence(cfg.seed).spawn(-(-cfg.replicas // mc.CHUNK))
+    parts = [_reference_chunk(cfg, sq, min(mc.CHUNK, cfg.replicas - c * mc.CHUNK)) for c, sq in enumerate(seqs)]
+    capped = np.concatenate([p[1] for p in parts])
+    assert np.array_equal(obs.capped, capped)
+    assert np.array_equal(obs.states[~capped], np.concatenate([p[0] for p in parts])[~capped])
+    assert obs.events == sum(p[2] for p in parts)
+    assert obs.straggler_events == sum(p[3] for p in parts) > 0
+    # until it reaches its bound, the engine's table grows exactly where the loop's does
+    if obs.table_size <= min(cfg.cap + 1, mc._CDF_BOUND):
+        assert obs.table_size == max(p[4] for p in parts)
 
 
 class TestStreamExact:
@@ -218,8 +250,7 @@ class TestStreamExact:
             pytest.param(mc.SimConfig(HALF, HEAVY_IMM, (50.0,), 4000, 25, cap=200), 1, id="pair-cap200"),
             pytest.param(mc.SimConfig(HALF, None, (10.0,), 20_000, 26), 2, id="threads2"),
             pytest.param(mc.SimConfig(HALF, None, (2.0, 2.0, 10.0, 10.0), 5000, 28), 1, id="duplicate-grid"),
-            pytest.param(mc.SimConfig(make_finite_offspring([2.0, -3.0, 0.5, 0.5]), None, (0.5, 2.0), 10_000, 29, start=2),
-                         1, id="finite-start2"),
+            pytest.param(mc.SimConfig(FINITE, None, (0.5, 2.0), 10_000, 29, start=2), 1, id="finite-start2"),
             # about 45% of the paths cap, most of them inside the vectorized rounds
             pytest.param(mc.SimConfig(BINARY, ARRIVALS, (10.0, 30.0), 3000, 30, start=0, cap=40), 1,
                          id="arrivals-cap40"),
@@ -234,18 +265,14 @@ class TestStreamExact:
             # the mc-tail shape: a few long-lived lanes run most of their rounds in blocks
             pytest.param(mc.SimConfig(HALF, None, (100.0,), 10_000, 44, cap=10**4), 1, id="tail-cap1e4"),
             pytest.param(IMM_STRAGGLERS, 1, id="immigration-stragglers"),
+            # blocks take several fixed-point passes and grow tables mid-walk
+            pytest.param(mc.SimConfig(HALF, KAPPA_IMM, (5.0, 20.0), 200, 50, start=3, cap=5000), 1,
+                         id="kappa-start3-cap5000"),
+            pytest.param(mc.SimConfig(FINITE, FINITE_IMM, (2.0, 10.0), 2000, 51), 1, id="finite-pair"),
         ],
     )
     def test_matches_per_event_loop(self, cfg, threads):
-        obs = mc.simulate(cfg, threads=threads)
-        seqs = np.random.SeedSequence(cfg.seed).spawn(-(-cfg.replicas // mc.CHUNK))
-        parts = [_reference_chunk(cfg, sq, min(mc.CHUNK, cfg.replicas - c * mc.CHUNK)) for c, sq in enumerate(seqs)]
-        states = np.concatenate([p[0] for p in parts])
-        capped = np.concatenate([p[1] for p in parts])
-        assert np.array_equal(obs.capped, capped)
-        assert np.array_equal(obs.states[~capped], states[~capped])
-        assert obs.events == sum(p[2] for p in parts)
-        assert obs.straggler_events == sum(p[3] for p in parts) > 0
+        assert_matches_reference(cfg, mc.simulate(cfg, threads=threads))
 
     def test_dead_chunk_has_no_live_lane(self):
         # the "dead-chunk" case above covers a grid time at which one chunk has no live lane
@@ -254,7 +281,7 @@ class TestStreamExact:
         assert live[0] > mc._SCALAR_SWITCH and live[1] == 0
 
     def test_immigration_stragglers_read_past_a_refill(self):
-        # the "immigration-stragglers" case above: its straggler loops read more
+        # the "immigration-stragglers" case above: its straggler walks read more
         # uniforms than one refill of the stream holds
         assert mc.simulate(IMM_STRAGGLERS).straggler_events > 4 * mc._WALK_MAX
 
@@ -283,9 +310,9 @@ class TestStreamExact:
         # all gives the same paths, counters and table; the spy sees the blocks
         walks, walk_rows = [], mc._walk_rows
 
-        def spy(n0, t0, clock, jumps, rb):
+        def spy(n0, t0, clock, jumps, rb, ri):
             walks.append(clock.ndim)
-            return walk_rows(n0, t0, clock, jumps, rb)
+            return walk_rows(n0, t0, clock, jumps, rb, ri)
 
         monkeypatch.setattr(mc, "_walk_rows", spy)
         blocked = mc.simulate(cfg)
@@ -301,6 +328,32 @@ class TestStreamExact:
             plain.straggler_events,
             plain.table_size,
         )
+
+    @pytest.mark.parametrize(
+        "cfg,immigration",
+        [
+            # tables born at their limit (cap < 1024) never grow, so a block's
+            # later passes are the calls that repeat its (n, t)
+            pytest.param(mc.SimConfig(HALF, HEAVY_IMM, (50.0,), 500, 52, cap=200), True, id="immigration"),
+            pytest.param(mc.SimConfig(HALF, None, (5.0, 10.0, 20.0, 50.0, 100.0), 2000, 53, cap=50), False, id="pure"),
+        ],
+    )
+    def test_walk_passes(self, cfg, immigration, monkeypatch):
+        # with immigration some straggler blocks need more than one fixed-point
+        # pass and still match the loop; without it every block takes one
+        starts, walk_rows = [], mc._walk_rows
+
+        def spy(n0, t0, clock, jumps, rb, ri):
+            if clock.ndim == 1:
+                starts.append((n0, t0))
+            return walk_rows(n0, t0, clock, jumps, rb, ri)
+
+        monkeypatch.setattr(mc, "_walk_rows", spy)
+        obs = mc.simulate(cfg)
+        repeats = sum(a == b for a, b in zip(starts, starts[1:]))
+        assert len(starts) > 10
+        assert (repeats > 0) == immigration
+        assert_matches_reference(cfg, obs)
 
     def test_bounded_table_agrees_below_its_bound(self):
         rng = np.random.default_rng(27)
