@@ -8,11 +8,11 @@ are immutable and every operation is pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import dtrsv
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _BLOCK = 64
+_LAG = _BLOCK - 1 - np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,11 @@ def taylor_shift(a: Series, x0: float) -> Series:
 
     Loses roughly one decimal digit per 64 orders when coefficient signs mix.
     """
-    b = a.coeffs.copy()
-    n = b.size
     if x0 == 0.0:
-        return Series(b)
+        return Series(a.coeffs)
+    b = a.coeffs.tolist()
+    x0 = float(x0)
+    n = len(b)
     for k in range(n - 1):
         for j in range(n - 2, k - 1, -1):
             b[j] += x0 * b[j + 1]
@@ -146,7 +148,8 @@ def _pow_coeffs(w: np.ndarray, alpha: float) -> np.ndarray:
     ``_BLOCK`` unknowns: the solved prefix enters a block through two
     convolutions of w, against p_j and against j p_j, and the block's own
     triangle is one BLAS solve.  Same flops as row-by-row substitution, in
-    O(_BLOCK * N) memory.
+    O(_BLOCK * N) memory plus the block weights, which depend on (alpha, m, e)
+    alone and are cached for the last 64 keys: at most 64 * _BLOCK**2 floats.
     """
     w0 = w[0]
     if w0 <= 0.0:
@@ -157,7 +160,7 @@ def _pow_coeffs(w: np.ndarray, alpha: float) -> np.ndarray:
     k = np.arange(n, dtype=float)
     u = np.zeros(2 * _BLOCK - 1)
     u[_BLOCK - 1 : _BLOCK - 1 + min(n, _BLOCK)] = w[:_BLOCK]
-    upper = sliding_window_view(u, _BLOCK)[:, ::-1].T  # upper[j, k] = w_{k-j}, zero below the diagonal
+    upper = u[_LAG]  # upper[j, k] = w_{k-j}, zero below the diagonal
     for m in range(1, n, _BLOCK):
         e = min(m + _BLOCK, n)
         km = k[m:e]
@@ -165,9 +168,18 @@ def _pow_coeffs(w: np.ndarray, alpha: float) -> np.ndarray:
         prefix_jp = np.convolve(w[1:e], k[:m] * p[:m], "valid")
         rhs = alpha * km * prefix_p - (1.0 + alpha) * prefix_jp
         # Built transposed so that tri.T is the Fortran-ordered lower triangle BLAS reads without a copy.
-        tri = upper[: e - m, : e - m] * ((1.0 + alpha) * km[:, None] - alpha * km)
+        tri = upper[: e - m, : e - m] * _weights(alpha, m, e)
         p[m:e] = dtrsv(tri.T, rhs, lower=1)
     return p
+
+
+@functools.lru_cache(maxsize=64)
+def _weights(alpha: float, m: int, e: int) -> np.ndarray:
+    """Read-only ``(1 + alpha) k_j - alpha k_k`` for j, k in [m, e)."""
+    km = np.arange(m, e, dtype=float)
+    out = (1.0 + alpha) * km[:, None] - alpha * km
+    out.setflags(write=False)
+    return out
 
 
 def power(w: Series, alpha: float) -> Series:

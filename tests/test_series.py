@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyder, polyval
+from scipy.linalg.blas import dtrsv
 
 from criticalbranch import series as fps
 from criticalbranch.series import Series
@@ -181,7 +183,75 @@ def test_blocked_power_matches_rowwise_recurrence(case):
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
-small_series = st.lists(
+def _pow_coeffs_strided(w, alpha):
+    """Reference: the blocked kernel with its Toeplitz as a reversed sliding window, weights built per block."""
+    block = fps._BLOCK
+    n = w.size
+    p = np.empty(n)
+    p[0] = w[0] ** alpha
+    k = np.arange(n, dtype=float)
+    u = np.zeros(2 * block - 1)
+    u[block - 1 : block - 1 + min(n, block)] = w[:block]
+    upper = sliding_window_view(u, block)[:, ::-1].T
+    for m in range(1, n, block):
+        e = min(m + block, n)
+        km = k[m:e]
+        prefix_p = np.convolve(w[1:e], p[:m], "valid")
+        prefix_jp = np.convolve(w[1:e], k[:m] * p[:m], "valid")
+        rhs = alpha * km * prefix_p - (1.0 + alpha) * prefix_jp
+        tri = upper[: e - m, : e - m] * ((1.0 + alpha) * km[:, None] - alpha * km)
+        p[m:e] = dtrsv(tri.T, rhs, lower=1)
+    return p
+
+
+exponents = st.one_of(
+    st.integers(min_value=-3, max_value=4),
+    st.floats(min_value=-3.0, max_value=-0.01),
+    st.floats(min_value=-3.0, max_value=4.0),
+)
+
+
+@given(power_inputs(), power_inputs(), exponents, exponents)
+@settings(max_examples=150, deadline=None)
+def test_pow_coeffs_bitwise_matches_strided_kernel(first, second, alpha, beta):
+    # two orders and two exponents interleaved, so cached block weights keyed on too little would be reused wrongly
+    (v, _), (w, _) = first, second
+    for base, exponent in ((v, alpha), (w, beta), (w, alpha), (v, beta), (v, alpha)):
+        got = fps._pow_coeffs(base, exponent)
+        assert got.tobytes() == _pow_coeffs_strided(base, exponent).tobytes()
+
+
+def test_cached_block_weights_are_read_only():
+    fps._pow_coeffs(np.linspace(1.0, 0.5, 100), 0.5)
+    weights = fps._weights(0.5, 65, 100)
+    assert weights.shape == (35, 35)
+    with pytest.raises(ValueError):
+        weights[0, 0] = 0.0
+
+
+def _taylor_shift_numpy_scalars(c, x0):
+    """Reference: synthetic division indexing the numpy vector element by element."""
+    b = c.copy()
+    n = b.size
+    for k in range(n - 1):
+        for j in range(n - 2, k - 1, -1):
+            b[j] += x0 * b[j + 1]
+    return b
+
+
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=2.0)),
+)
+@settings(max_examples=40, deadline=None)
+def test_taylor_shift_bitwise_matches_numpy_scalar_loop(n, seed, x0):
+    c = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    got = fps.taylor_shift(Series(c), np.float64(x0)).coeffs
+    assert got.tobytes() == _taylor_shift_numpy_scalars(c, np.float64(x0)).tobytes()
+
+
+small_series =st.lists(
     st.floats(min_value=-3.0, max_value=3.0, allow_nan=False), min_size=1, max_size=12
 ).map(lambda xs: Series(np.array(xs)))
 
