@@ -15,7 +15,9 @@ solves at tol = 0.5), and a SHA-256 sweep over ``montecarlo.simulate`` output
 (states, capped flags, event counts and table size) for every law pair, a
 13-chunk run, two few-lane tail runs, an immigration run at the default cap
 that its stragglers dominate, and two more immigration runs whose straggler
-blocks take several fixed-point passes.
+blocks take several fixed-point passes.  Last comes a sweep over the
+library's invariant measures at order 256 (M, V, pi, U and the invariance
+residual of U or pi), which the CLI sweep covers only at order 32.
 
 Run it once per tree and diff the outputs:
 
@@ -183,11 +185,40 @@ def simulate_sweep() -> None:
         print(f"{label} {sha(obs.states.tobytes() + obs.capped.tobytes() + counts)}")
 
 
+def measure_sweep() -> None:
+    """SHA-256 of the invariant measures of every law pair at order 256, and an invariance residual.
+
+    Each pair prints M and V; with immigration also pi, U (or the type name
+    of the error when the limit law does not apply) and the residual and
+    truncation flag of ``invariance_residual(measure, ..., 1.0, 64,
+    tol=1e-10)`` on U, or on pi where U does not apply.
+    """
+    asymptotics = cli.asymptotics
+    for k, (f, h) in enumerate(PAIRS):
+        f_law = cli.offspring_from_config(f)
+        line = (f"measures[{k}] M={sha(asymptotics.invariant_series(f_law, 256).coeffs.tobytes())} "
+                f"V={sha(asymptotics.relative_measure_series(f_law, 256).coeffs.tobytes())}")
+        if h:
+            h_law = cli.immigration_from_config(h)
+            measure = asymptotics.ratio_limit_series(f_law, h_law, 256)
+            line += f" pi={sha(measure.coeffs.tobytes())}"
+            ratio = cli.karamata.ratio_of(f_law.slowly_varying(), h_law.slowly_varying())
+            try:
+                measure = asymptotics.limit_gf_series(f_law, h_law, cli.classify(f_law, h_law), ratio, 256)
+                line += f" U={sha(measure.coeffs.tobytes())}"
+            except ValueError as exc:
+                line += f" U={type(exc).__name__}"
+            resid, flag = asymptotics.invariance_residual(measure, f_law, h_law, 1.0, 64, tol=1e-10)
+            line += f" residual={resid!r} truncation={flag}"
+        print(line)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         commands(Path(tmp))
     solver_sweep()
     simulate_sweep()
+    measure_sweep()
     return 0
 
 

@@ -40,7 +40,6 @@ from .laws import _POSITIVE, ImmigrationLaw, OffspringLaw, RegimeParams, _check
 from .series import Series
 
 __all__ = [
-    "InvariantMeasure",
     "RateReport",
     "EligibilityError",
     "invariant_gf",
@@ -84,26 +83,6 @@ def _quad(fn, a: float, b: float, bound, what: str) -> float:
         note = f" ({problem[0].splitlines()[0].strip()})" if problem else ""
         raise ValueError(f"{what}: value {val}, error {err}{note}")
     return val
-
-
-@dataclass(frozen=True)
-class InvariantMeasure:
-    """Truncated coefficient sequence of one invariant GF.
-
-    Tags: M (plain system), U (immigration limit), pi (ratio-limit
-    normalization, pi_0 = 1), V (relative local measure, a0 * M).  A
-    coefficient past the float range raises ValueError.
-    """
-
-    tag: str
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        if not np.isfinite(c).all():
-            raise ValueError(f"coefficients of {self.tag} leave the float range")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
 
 
 @dataclass(frozen=True)
@@ -153,11 +132,11 @@ def invariant_gf(f_law: OffspringLaw, s: float) -> float:
                  f"quadrature failure near s={s}")
 
 
-def invariant_series(f_law: OffspringLaw, N: int) -> InvariantMeasure:
+def invariant_series(f_law: OffspringLaw, N: int) -> Series:
     """Coefficients mu_j of M by integrating the reciprocal series of f."""
+    _check(order=N)
     recip = fps.reciprocal(f_law.as_series(N))
-    m = fps.integrate_series(recip).coeffs[: N + 1]
-    return InvariantMeasure(tag="M", coeffs=m)
+    return Series(fps.integrate_series(recip).coeffs[: N + 1])
 
 
 def stable_invariant_coeffs(nu: float, a0: float, N: int) -> np.ndarray:
@@ -306,20 +285,19 @@ def limit_gf_series(
     regime: RegimeParams,
     ratio: RatioSV,
     N: int,
-) -> InvariantMeasure:
+) -> Series:
     """Coefficients u_j of U.
 
     log U has derivative -h/f, so the series is the exponential of the
     integrated quotient series anchored at log U(0) = 1 + B(0), with B(0) the
     tail-gap integral at x = 1.
     """
+    _check(order=N)
     g = _require_transient_limit(regime, ratio)
     b0 = _tail_gap_integral(ratio, g, 1.0)
-    quot = fps.mul(h_law.as_series(N), fps.reciprocal(f_law.as_series(N)))
-    log_u = fps.integrate_series(-quot).coeffs[: N + 1].copy()
+    log_u = _log_series(f_law, h_law, N).copy()
     log_u[0] = 1.0 + b0
-    u = fps.exp_series(Series(log_u))
-    return InvariantMeasure(tag="U", coeffs=u.coeffs)
+    return fps.exp_series(Series(log_u))
 
 
 def scaled_gf_convergence(
@@ -370,12 +348,16 @@ def ratio_limit_gf(f_law: OffspringLaw, h_law: ImmigrationLaw, s: float) -> floa
     return math.exp(-val)
 
 
-def ratio_limit_series(f_law: OffspringLaw, h_law: ImmigrationLaw, N: int) -> InvariantMeasure:
-    """Coefficients pi_j with pi_0 = 1 exactly."""
+def _log_series(f_law: OffspringLaw, h_law: ImmigrationLaw, N: int) -> np.ndarray:
+    """Coefficients 0..N of -integral_0^s h(y)/f(y) dy: log pi, and log U up to its constant."""
     quot = fps.mul(h_law.as_series(N), fps.reciprocal(f_law.as_series(N)))
-    log_pi = fps.integrate_series(-quot).coeffs[: N + 1]
-    pi = fps.exp_series(Series(log_pi))
-    return InvariantMeasure(tag="pi", coeffs=pi.coeffs)
+    return fps.integrate_series(-quot).coeffs[: N + 1]
+
+
+def ratio_limit_series(f_law: OffspringLaw, h_law: ImmigrationLaw, N: int) -> Series:
+    """Coefficients pi_j with pi_0 = 1 exactly."""
+    _check(order=N)
+    return fps.exp_series(Series(_log_series(f_law, h_law, N)))
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +392,10 @@ def conditioned_gf(f_law: OffspringLaw, t: float, s: float) -> ConditionedResult
     return ConditionedResult(value=value, slack=slack, error=error)
 
 
-def relative_measure_series(f_law: OffspringLaw, N: int) -> InvariantMeasure:
+def relative_measure_series(f_law: OffspringLaw, N: int) -> Series:
     """Coefficients v_j = a0 mu_j of the relative local measure."""
     m = invariant_series(f_law, N)
-    return InvariantMeasure(tag="V", coeffs=f_law.a0 * m.coeffs)
+    return Series(f_law.a0 * m.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +403,14 @@ def relative_measure_series(f_law: OffspringLaw, N: int) -> InvariantMeasure:
 
 
 def invariance_residual(
-    measure: InvariantMeasure,
+    measure: Series,
     f_law: OffspringLaw,
     h_law: ImmigrationLaw,
     t: float,
     N: int,
     tol: float = 1e-9,
 ) -> tuple[float, bool]:
-    """Coefficient-level residual of u_j = sum_i u_i p_ij(t) over j <= N.
+    """Coefficient-level residual of u_j = sum_i u_i p_ij(t) over j <= N, for U or pi.
 
     Computes the series of U(F(t;s)) exp(G(t;s)) at the measure's full
     truncation order and compares the window j <= N.  Coefficient j of the
@@ -439,14 +421,13 @@ def invariance_residual(
     truncation-dominated: within a factor ten of the residual floor observed
     at the top orders, where truncation always dominates.
     """
-    if measure.tag not in ("U", "pi"):
-        raise ValueError("invariance check applies to tags U and pi")
-    order = measure.coeffs.size - 1
+    _check(order=N)
+    order = measure.order
     if order < N:
         raise ValueError("measure truncation shorter than the comparison window")
     sol = immigration_gf_series(f_law, h_law, 0, t, order, tol)
     u = measure.coeffs
-    composed = fps.mul(fps.compose(Series(u.copy()), sol.F), sol.P)
+    composed = fps.mul(fps.compose(measure, sol.F), sol.P)
     rel = np.abs(composed.coeffs - u) / np.maximum(u, 1.0)
     resid = float(np.max(rel[: N + 1]))
     tail_floor = float(np.max(rel[-max(1, order // 8) :]))

@@ -246,7 +246,7 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-@np.errstate(over="ignore", invalid="ignore")  # InvariantMeasure rejects coefficients past the float range
+@np.errstate(over="ignore", invalid="ignore")  # Series rejects coefficients past the float range
 def _measure(tag: str, offspring, immigration, N: int):
     if tag == "M":
         return asymptotics.invariant_series(offspring, N)

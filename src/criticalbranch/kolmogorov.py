@@ -68,8 +68,6 @@ class TransitionSolution:
     point at t = 0 or s = 1).
     """
 
-    t: float
-    s: float | None
     F: float | Series
     R: float | Series
     G: float | Series | None = None
@@ -218,18 +216,18 @@ def solve_gf(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) 
     _check(t=t, s=s, tol=tol)
     r0 = 1.0 - s
     if r0 == 0.0 or t == 0.0:
-        return TransitionSolution(t=t, s=s, F=s, R=r0)
+        return TransitionSolution(F=s, R=r0)
     r, _, counts = _advance(lambda r: (-f_law.from_gap(r), None), r0, t, tol, 0.0)
-    return TransitionSolution(t=t, s=s, F=1.0 - r, R=r, **counts)
+    return TransitionSolution(F=1.0 - r, R=r, **counts)
 
 
 def closed_form_gf(nu: float, a0: float, t: float, s: float) -> TransitionSolution:
     """Exact gap R(t;s) = [(1-s)^(-nu) + a0 nu t]^(-1/nu) of the stable family."""
     _check(nu=nu, a0=a0, t=t, s=s)
     if s == 1.0:
-        return TransitionSolution(t=t, s=s, F=1.0, R=0.0)
+        return TransitionSolution(F=1.0, R=0.0)
     r = ((1.0 - s) ** (-nu) + a0 * nu * t) ** (-1.0 / nu)
-    return TransitionSolution(t=t, s=s, F=1.0 - r, R=r)
+    return TransitionSolution(F=1.0 - r, R=r)
 
 
 def gf_derivative(f_law: OffspringLaw, t: float, s: float) -> float:
@@ -261,12 +259,12 @@ def immigration_gf(
     _check(i=i, t=t, s=s, tol=tol)
     r0 = 1.0 - s
     if t == 0.0 or r0 == 0.0:
-        return TransitionSolution(t=t, s=s, F=s, R=r0, G=0.0, P=s ** i if i else 1.0)
+        return TransitionSolution(F=s, R=r0, G=0.0, P=s ** i if i else 1.0)
 
     rhs = lambda r: (-f_law.from_gap(r), h_law.from_gap(r))
     r, g, counts = _advance(rhs, r0, t, tol, 0.0, 0.0, min(tol * 1e-2, SCALAR_ATOL))
     f = 1.0 - r
-    return TransitionSolution(t=t, s=s, F=f, R=r, G=g, P=(f ** i) * math.exp(g), **counts)
+    return TransitionSolution(F=f, R=r, G=g, P=(f ** i) * math.exp(g), **counts)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +283,7 @@ def _gap_to_solution(t, r, g=None, i=0, counts=None) -> TransitionSolution:
     f = -r.copy()
     f[0] = 1.0 - r[0]
     F = Series(f)
-    sol_kwargs = dict(t=t, s=None, F=F, R=Series(r), **(counts or {}))
+    sol_kwargs = dict(F=F, R=Series(r), **(counts or {}))
     if g is not None:
         eg = _exp_coeffs(g)
         if i == 0:

@@ -151,7 +151,6 @@ class PathObservations:
     sampler table built, in entries.
     """
 
-    grid: tuple[float, ...]
     states: np.ndarray
     capped: np.ndarray
     events: int
@@ -474,7 +473,6 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
         out[:, gi] = n
         t_prev = g
     return PathObservations(
-        grid=cfg.grid,
         states=out,
         capped=capped,
         events=events + straggler_events,

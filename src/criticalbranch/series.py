@@ -1,9 +1,11 @@
 """Truncated power-series arithmetic over float64 coefficients.
 
 A :class:`Series` holds the coefficients ``c[0]..c[N]`` of a degree-N
-truncation.  Binary operations truncate to the shorter operand; coefficients
+truncation: a transition row p_ij(t) as well as an invariant measure (M, V,
+pi, U).  Binary operations truncate to the shorter operand; coefficients
 beyond the stored order are undefined, never implicitly zero.  Series values
-are immutable and every operation is pure.
+are immutable, always finite, and every operation is pure; an operation whose
+result leaves the float range raises ValueError.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ class Series:
         c = np.array(self.coeffs, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must form a non-empty 1-d vector")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients leave the float range")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 

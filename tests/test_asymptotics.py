@@ -331,14 +331,27 @@ class TestInvarianceResidual:
         resid, _ = asy.invariance_residual(measure, HALF, IMM, 1.0, 32)
         assert resid <= 1e-6
 
-    def test_rejects_wrong_tag(self):
-        with pytest.raises(ValueError):
-            asy.invariance_residual(asy.invariant_series(HALF, 16), HALF, IMM, 1.0, 8)
-
     def test_window_must_fit(self):
         measure = asy.ratio_limit_series(HALF, IMM, 16)
         with pytest.raises(ValueError):
             asy.invariance_residual(measure, HALF, IMM, 1.0, 32)
+
+
+MEASURE_BUILDERS = {
+    "M": lambda N: asy.invariant_series(HALF, N),
+    "V": lambda N: asy.relative_measure_series(HALF, N),
+    "pi": lambda N: asy.ratio_limit_series(HALF, IMM, N),
+    "U": lambda N: asy.limit_gf_series(HALF, IMM, REGIME, RATIO, N),
+    "residual": lambda N: asy.invariance_residual(asy.ratio_limit_series(HALF, IMM, 16), HALF, IMM, 1.0, N),
+}
+
+
+@pytest.mark.parametrize("N", [-1, 1.5, True, 1025])
+@pytest.mark.parametrize("build", MEASURE_BUILDERS.values(), ids=MEASURE_BUILDERS.keys())
+def test_measure_builders_check_their_order(build, N):
+    # the same check as the series solvers make
+    with pytest.raises(ValueError, match="order must be"):
+        build(N)
 
 
 class TestPartialSums:

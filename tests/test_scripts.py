@@ -6,6 +6,7 @@ exit code and the shape of the output are asserted, not the statistics.
 """
 
 import csv
+import importlib.util
 import os
 import subprocess
 import sys
@@ -35,3 +36,15 @@ def test_mc_vs_exact_prints_three_rows():
     header, *rows = result.stdout.splitlines()
     assert header.split() == ["experiment", "estimate", "stderr", "reference", "z"]
     assert len(rows) == 3, result.stdout
+
+
+def test_contract_digest_measure_sweep_prints_one_line_per_pair(capsys):
+    spec = importlib.util.spec_from_file_location("contract_digest", ROOT / "scripts" / "contract_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    digest.measure_sweep()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [f"measures[{k}]" for k in range(len(digest.PAIRS))]
+    for line, (_, h) in zip(lines, digest.PAIRS):
+        keys = [field.split("=")[0] for field in line.split()[1:]]
+        assert keys == (["M", "V", "pi", "U", "residual", "truncation"] if h else ["M", "V"]), line

@@ -93,6 +93,18 @@ def test_exp_series_overflow_guard():
         fps.exp_series(Series(np.array([701.0, 0.0, 0.0, 0.0, 0.0])))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_series_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="coefficients leave the float range"):
+        Series(np.array([1.0, bad, 0.0]))
+
+
+def test_overflowing_operation_raises():
+    # the constant term becomes 1e308 + 10 * 1e308
+    with pytest.raises(ValueError, match="coefficients leave the float range"):
+        fps.taylor_shift(Series(np.array([1e308, 1e308])), 10.0)
+
+
 def test_integrate_differentiate():
     g = Series(np.array([1.0, 1.0, 1.0]))
     assert np.allclose(polyder(fps.integrate_series(g).coeffs), g.coeffs)
