@@ -15,9 +15,12 @@ solves at tol = 0.5), and a SHA-256 sweep over ``montecarlo.simulate`` output
 (states, capped flags, event counts and table size) for every law pair, a
 13-chunk run, two few-lane tail runs, an immigration run at the default cap
 that its stragglers dominate, and two more immigration runs whose straggler
-blocks take several fixed-point passes.  Last comes a sweep over the
+blocks take several fixed-point passes.  Then comes a sweep over the
 library's invariant measures at order 256 (M, V, pi, U and the invariance
-residual of U or pi), which the CLI sweep covers only at order 32.
+residual of U or pi), which the CLI sweep covers only at order 32, on every
+law pair and on one pair with a0 = 2, where V = a0 M differs from M.  Last
+comes a SHA-256 of the uniformization oracle's full P(t) and leaked mass,
+with its halvings and terms, at the configurations of ``verify``'s A3 and A6.
 
 Run it once per tree and diff the outputs:
 
@@ -36,7 +39,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from criticalbranch import cli
+from criticalbranch import cli, oracle
 
 OFFSPRING = (
     {"kind": "canonical", "nu": 0.5, "a0": 1.0},
@@ -50,6 +53,8 @@ IMMIGRATION = (
     {"kind": "finite", "rates": [-1.0, 1.0]},
 )
 PAIRS = [(f, h) for f in OFFSPRING for h in IMMIGRATION]
+# every pair above has a0 = 1, where V = a0 M and M hash the same; c = 0.2 keeps c / a0 = nu - delta, so U applies
+SCALED_PAIR = ({"kind": "canonical", "nu": 0.5, "a0": 2.0}, {"kind": "canonical", "delta": 0.4, "c": 0.2})
 
 
 def sha(data: bytes) -> str:
@@ -185,18 +190,22 @@ def simulate_sweep() -> None:
         print(f"{label} {sha(obs.states.tobytes() + obs.capped.tobytes() + counts)}")
 
 
-def measure_sweep() -> None:
-    """SHA-256 of the invariant measures of every law pair at order 256, and an invariance residual.
+def measure_sweep(pairs=None) -> None:
+    """SHA-256 of the invariant measures of each law pair at order 256, and an invariance residual.
 
-    Each pair prints M and V; with immigration also pi, U (or the type name
-    of the error when the limit law does not apply) and the residual and
-    truncation flag of ``invariance_residual(measure, ..., 1.0, 64,
-    tol=1e-10)`` on U, or on pi where U does not apply.
+    ``pairs`` is a list of (label, offspring config, immigration config or
+    None); by default ``measures[k]`` for the k-th of PAIRS.  Each pair
+    prints M and V; with immigration also pi, U (or the type name of the
+    error when the limit law does not apply) and the residual and truncation
+    flag of ``invariance_residual(measure, ..., 1.0, 64, tol=1e-10)`` on U,
+    or on pi where U does not apply.
     """
     asymptotics = cli.asymptotics
-    for k, (f, h) in enumerate(PAIRS):
+    if pairs is None:
+        pairs = [(f"measures[{k}]", f, h) for k, (f, h) in enumerate(PAIRS)]
+    for label, f, h in pairs:
         f_law = cli.offspring_from_config(f)
-        line = (f"measures[{k}] M={sha(asymptotics.invariant_series(f_law, 256).coeffs.tobytes())} "
+        line = (f"{label} M={sha(asymptotics.invariant_series(f_law, 256).coeffs.tobytes())} "
                 f"V={sha(asymptotics.relative_measure_series(f_law, 256).coeffs.tobytes())}")
         if h:
             h_law = cli.immigration_from_config(h)
@@ -213,12 +222,32 @@ def measure_sweep() -> None:
         print(line)
 
 
+def oracle_sweep() -> None:
+    """SHA-256 of ``oracle.uniformize``'s full P and leaked mass, with halvings and terms.
+
+    The configurations are those of ``verify``: A3's binary law with unit
+    arrivals and the canonical pair at n_max = 200 and t = 0.5, 1 and 2, and
+    A6's canonical pair at n_max = 512 and t = 50.
+    """
+    canonical = [cli.offspring_from_config(OFFSPRING[0]), cli.immigration_from_config(IMMIGRATION[1])]
+    binary = [cli.offspring_from_config(OFFSPRING[2]), cli.immigration_from_config(IMMIGRATION[3])]
+    runs = [(label, laws, 200, t) for label, laws in (("binary", binary), ("canonical", canonical))
+            for t in (0.5, 1.0, 2.0)]
+    runs.append(("canonical", canonical, 512, 50.0))
+    for label, laws, n_max, t in runs:
+        result = oracle.uniformize(oracle.build_generator(*laws, n_max), t)
+        print(f"oracle[{label},n_max={n_max},t={t}] {sha(result.P.tobytes() + result.leaked.tobytes())} "
+              f"halvings={result.halvings} terms={result.terms}")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         commands(Path(tmp))
     solver_sweep()
     simulate_sweep()
     measure_sweep()
+    measure_sweep([("measures[a0=2]", *SCALED_PAIR)])
+    oracle_sweep()
     return 0
 
 

@@ -97,7 +97,7 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _advance(rhs, r, t_end, rtol, atol, g=None, gatol=0.0):
     """Integrate the gap r and an optional quadrature g from 0 to t_end; returns (r, g, counts).
 
@@ -111,7 +111,9 @@ def _advance(rhs, r, t_end, rtol, atol, g=None, gatol=0.0):
     rejected and retried at half the step size.  StepUnderflowError ends the
     solve on a step below ``_MIN_STEP``, after ``_MAX_TRIES`` attempts short
     of t_end, and at once on a non-finite error estimate or vector state (the
-    solve left the float range; that check replaces numpy's overflow warnings).
+    solve left the float range; that check replaces numpy's overflow and
+    division warnings).  A gap so small that its error scale rounds to zero
+    gives an infinite error estimate.
 
     ``counts`` holds the keyword arguments ``steps`` (accepted steps),
     ``rejected`` (steps failing the error test), ``gap_rejected`` (steps
@@ -181,7 +183,10 @@ def _advance(rhs, r, t_end, rtol, atol, g=None, gatol=0.0):
             continue
         a7, b7 = rhs(rnew)
         # the error ratio is the larger of the gap's and g's; a NaN ratio makes it inf
-        q = abs(h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * a7)) / (atol + rtol * abs(rnew))
+        try:
+            q = abs(h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * a7)) / (atol + rtol * abs(rnew))
+        except ZeroDivisionError:  # a float gap so far below 1 that rtol * |rnew| rounds to 0
+            q = math.inf
         q = q.max() if vec else q
         err = q if q == q else math.inf
         gnew = g

@@ -12,8 +12,20 @@ nonnegative matrix, raised to the power 2^h by exact time halving.  The
 number of halvings h and the series length K are chosen together so that
 the count of matrix products, (K - 1) + h, is smallest (the trade-off of
 Al-Mohy & Higham, SIMAX 31, 2009).  The tolerance EPS = 1e-10 bounds the
-truncation error only, through a proven Poisson tail bound; rounding is
-not part of it.
+truncation error in the max row-sum norm; rounding is not part of it.  It
+has two halves:
+- the Poisson tail, at most EPS / 2 by a proven tail bound;
+- the flush: before each squaring, entries below
+  theta = min(2^-511, EPS 2^-(h+2) / (n_max + 1)) are set to zero, so at
+  most EPS / 2 in all.
+
+The flush keeps the squarings off the CPU's slow path for subnormal
+operands.  Entries far from the diagonal shrink through the subnormal range
+as t is halved.  With every entry 0 or at least 2^-511, each product of two
+entries and each partial sum of such products is 0 or at least 2^-1022, the
+smallest normal double.  At the configurations of ``verify`` the flush
+changes no entry of P.  Like the clipped jumps and the Poisson tail, the
+flushed mass shows in ``Uniformization.leaked``, 1 minus each row sum.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ __all__ = ["TruncatedGenerator", "Uniformization", "build_generator", "uniformiz
 EPS = 1e-10  # bound on the truncation error of P(t) in the max row-sum norm
 _X_MAX = 64.0  # the split search starts at the first h with q t / 2^h <= _X_MAX
 _LN2 = math.log(2.0)
+_FLUSH = 2.0**-511  # the squarings' flush threshold: its square is the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -51,7 +64,8 @@ class Uniformization:
 
     ``halvings`` is h and ``terms`` is K, the last power of the Poisson
     series; they cost (K - 1) + h matrix products.  ``leaked`` is 1 minus
-    each row sum: mass clipped at the boundary plus the truncation error.
+    each row sum: mass clipped at the boundary plus the truncation error,
+    which includes the mass the squarings flushed.
     """
 
     P: np.ndarray
@@ -142,10 +156,19 @@ def uniformize(gen: TruncatedGenerator, t: float) -> Uniformization:
     nonnegative, q the largest exit rate and x = q t / 2^h.  The split (h, K)
     is the one with the fewest matrix products, (K - 1) + h, over h from the
     first with x <= 64 on; K is the shortest series whose Poisson tail is
-    provably at most EPS / 2^(h+1).  EPS bounds the truncation error in the
-    max row-sum norm; rounding is not part of it.  Entries are nonnegative
-    and truncation only removes mass, so rows sum to at most one.  t is
-    checked against the ``laws`` leaf that configs use.
+    provably at most EPS / 2^(h+1), so the h squarings carry at most EPS / 2
+    of it into P(t).  Before each squaring, entries below theta = min(2^-511,
+    EPS 2^-(h+2) / size) are set to zero.  Since theta^2 >= 2^-1022, the
+    squarings see no subnormal operand and make no subnormal product.  Each
+    flush removes less than size * theta from a row, and a squaring at most
+    doubles a row-sum error, so the h flushes remove at most
+    2^(h+1) size theta <= EPS / 2.  EPS bounds the truncation error, tail and
+    flush together, in the max row-sum norm; rounding is not part of it.
+    theta is 2^-511 up to h of about 470; past that the EPS bound sets it,
+    and subnormal products may occur again.  Entries are nonnegative and both
+    truncations only remove mass, so rows sum to at most one and ``leaked``
+    counts the flushed mass too.  t is checked against the ``laws`` leaf
+    that configs use.
     """
     _check(t=t)
     size = gen.n_max + 1
@@ -170,7 +193,11 @@ def uniformize(gen: TruncatedGenerator, t: float) -> Uniformization:
         buf[diag] += 1.0
         P, buf = buf, P
     P *= math.exp(-x)
+    theta = min(_FLUSH, math.ldexp(EPS, -(h + 2)) / size)
+    keep = np.empty(P.shape, dtype=bool)
     for _ in range(h):
+        np.greater_equal(P, theta, out=keep)
+        np.multiply(P, keep, out=P)
         np.matmul(P, P, out=buf)
         P, buf = buf, P
     return Uniformization(P=P, halvings=h, terms=k_max, leaked=1.0 - P.sum(axis=1))

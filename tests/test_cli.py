@@ -482,6 +482,22 @@ class TestInputErrors:
         assert_one_line_error(code, capsys, "no progress")
         assert not (tmp_path / "solve.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "offspring,t",
+        [
+            # the gap R ~ (nu t)^(-1/nu) goes subnormal; it used to end in a ZeroDivisionError traceback
+            ({"kind": "canonical", "nu": 0.01, "a0": 1.0}, 1e6),
+            # the same underflow in numpy floats used to print numpy's RuntimeWarning before the error
+            ({"kind": "finite", "rates": [1.0, -1.5, 0.5]}, 2000.0),
+        ],
+    )
+    def test_gap_underflow_fails_in_one_line(self, tmp_path, capsys, offspring, t):
+        payload = {"offspring": offspring, "t": [t], "s": [0.5]}
+        code = run_cli("solve", "--config", write_config(tmp_path, payload), "--out", str(tmp_path))
+        assert_one_line_error(code, capsys, "non-finite stage value", "$.t[0]")
+        assert not (tmp_path / "solve.csv").exists()
+
     @pytest.mark.parametrize(
         "law,path",
         [({"nu": 0.001, "a0": 1.0}, "$.nu"), ({"nu": 0.01, "a0": 1e-300}, "$.a0"), ({"nu": 1e-200, "a0": 1.0}, "$.nu")],

@@ -13,6 +13,7 @@ from criticalbranch import (
 )
 from criticalbranch.kolmogorov import immigration_gf_series
 from criticalbranch.oracle import _split, build_generator, uniformize, uniformized_transition
+from criticalbranch.oracle import EPS
 
 BINARY = make_finite_offspring([1.0, -2.0, 1.0])
 ARRIVALS = make_finite_immigration([-1.0, 1.0])
@@ -176,3 +177,70 @@ class TestUniformize:
 def test_generator_requires_positive_truncation():
     with pytest.raises(ValueError):
         build_generator(BINARY, None, 0)
+
+
+# ---------------------------------------------------------------------------
+# The squarings flush entries below 2^-511; parity with the loop without the flush.
+
+_TINY = 2.0**-1022  # the smallest normal double
+_CANONICAL = (make_stable_offspring(0.5, 1.0), make_stable_immigration(0.4, 0.1))
+_FLUSH_CONFIGS = [
+    *((pair, 200, t) for pair in ("bin", "can") for t in (0.5, 1.0, 2.0)),  # A3
+    ("can", 512, 50.0),  # A6
+    ("can", 512, 0.01),
+    ("bin", 512, 0.01),
+]
+_FLUSH_PAIRS = {"can": _CANONICAL, "bin": (BINARY, ARRIVALS)}
+
+
+def _unflushed_uniformize(gen, t):
+    """``uniformize`` with squarings that keep every entry, however small."""
+    size = gen.n_max + 1
+    q = float(np.max(-np.diag(gen.Q)))
+    h, k_max = _split(q * t, EPS)
+    x = math.ldexp(q * t, -h)
+    diag = np.diag_indices(size)
+    M = gen.Q / q
+    M[diag] += 1.0
+    P = M * (x / k_max) if k_max else np.zeros_like(M)
+    P[diag] += 1.0
+    buf = np.empty_like(P)
+    for k in range(k_max - 1, 0, -1):
+        np.matmul(M, P, out=buf)
+        buf *= x / k
+        buf[diag] += 1.0
+        P, buf = buf, P
+    P *= math.exp(-x)
+    for _ in range(h):
+        np.matmul(P, P, out=buf)
+        P, buf = buf, P
+    return P, 1.0 - P.sum(axis=1)
+
+
+@pytest.mark.parametrize("pair,n_max,t", _FLUSH_CONFIGS)
+def test_flush_moves_only_far_tiny_entries(pair, n_max, t):
+    # the flush removes at most EPS / 2 from a row; in these configurations it
+    # changes no entry of 1e-140 or more, and no leaked mass at all
+    gen = build_generator(*_FLUSH_PAIRS[pair], n_max)
+    result = uniformize(gen, t)
+    P, leaked = _unflushed_uniformize(gen, t)
+    assert np.array_equal(result.leaked, leaked)
+    large = (result.P >= 1e-140) | (P >= 1e-140)
+    assert np.array_equal(result.P[large], P[large])
+    assert np.max(np.abs(result.P.sum(axis=1) - P.sum(axis=1))) <= EPS / 2
+
+
+def test_squarings_see_no_subnormal_operand(monkeypatch):
+    # A6's middle squarings held thousands of subnormal entries before the flush
+    squared = []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        if a is b:
+            squared.append(int(np.count_nonzero((a > 0.0) & (a < _TINY))))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    result = uniformize(build_generator(*_CANONICAL, 512), 50.0)
+    assert len(squared) == result.halvings == 18
+    assert squared == [0] * 18

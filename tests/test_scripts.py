@@ -48,3 +48,29 @@ def test_contract_digest_measure_sweep_prints_one_line_per_pair(capsys):
     for line, (_, h) in zip(lines, digest.PAIRS):
         keys = [field.split("=")[0] for field in line.split()[1:]]
         assert keys == (["M", "V", "pi", "U", "residual", "truncation"] if h else ["M", "V"]), line
+
+
+def _load_digest():
+    spec = importlib.util.spec_from_file_location("contract_digest", ROOT / "scripts" / "contract_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    return digest
+
+
+def test_contract_digest_oracle_sweep_prints_the_a3_and_a6_calls(capsys):
+    _load_digest().oracle_sweep()
+    lines = capsys.readouterr().out.splitlines()
+    labels = [f"oracle[{pair},n_max=200,t={t}]" for pair in ("binary", "canonical") for t in (0.5, 1.0, 2.0)]
+    assert [line.split()[0] for line in lines] == labels + ["oracle[canonical,n_max=512,t=50.0]"]
+    for line in lines:
+        assert [field.split("=")[0] for field in line.split()[2:]] == ["halvings", "terms"], line
+    assert lines[-1].endswith(" halvings=18 terms=10")
+
+
+def test_contract_digest_scaled_pair_tells_v_from_m(capsys):
+    digest = _load_digest()
+    digest.measure_sweep([("measures[a0=2]", *digest.SCALED_PAIR)])
+    (line,) = capsys.readouterr().out.splitlines()
+    fields = dict(field.split("=", 1) for field in line.split()[1:])
+    assert list(fields) == ["M", "V", "pi", "U", "residual", "truncation"], line
+    assert fields["M"] != fields["V"]
