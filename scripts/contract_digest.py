@@ -22,22 +22,40 @@ law pair and on one pair with a0 = 2, where V = a0 M differs from M.  Last
 comes a SHA-256 of the uniformization oracle's full P(t) and leaked mass,
 with its halvings and terms, at the configurations of ``verify``'s A3 and A6.
 
-Run it once per tree and diff the outputs:
+The output opens with ``# field: value`` lines naming the platform (Python,
+numpy, scipy, their BLAS, the machine, numpy's SIMD targets and glibc), and
+each section opens with a ``## name`` line.  ``contract_digest.txt`` next to
+this script holds the output at the current tree; ``--check FILE`` recomputes
+the digest (only the ``--sections`` named, if given), prints a unified diff
+against FILE and exits 1 on any difference.  A change that moves an output
+on purpose regenerates the file.
+
+    PYTHONPATH=src python scripts/contract_digest.py > scripts/contract_digest.txt
+    PYTHONPATH=src python scripts/contract_digest.py --check scripts/contract_digest.txt
+    PYTHONPATH=src python scripts/contract_digest.py --check scripts/contract_digest.txt --sections commands
+
+To compare two trees, run it once per tree and diff the outputs:
 
     PYTHONPATH=old/src python scripts/contract_digest.py > old.txt
     PYTHONPATH=new/src python scripts/contract_digest.py > new.txt
     diff old.txt new.txt
 """
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
+import platform
 import re
 import struct
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from criticalbranch import cli, oracle
 
@@ -53,6 +71,9 @@ IMMIGRATION = (
     {"kind": "finite", "rates": [-1.0, 1.0]},
 )
 PAIRS = [(f, h) for f in OFFSPRING for h in IMMIGRATION]
+# finite laws of three centered terms each, which the rates sum in a loop
+THREE_TERM_PAIR = ({"kind": "finite", "rates": [1.0, -1.65, 0.4, 0.15, 0.1]},
+                   {"kind": "finite", "rates": [-1.0, 0.5, 0.25, 0.25]})
 # every pair above has a0 = 1, where V = a0 M and M hash the same; c = 0.2 keeps c / a0 = nu - delta, so U applies
 SCALED_PAIR = ({"kind": "canonical", "nu": 0.5, "a0": 2.0}, {"kind": "canonical", "delta": 0.4, "c": 0.2})
 
@@ -118,7 +139,7 @@ def solution(sol) -> bytes:
 
 
 def solver_sweep() -> None:
-    """SHA-256 of the scalar and series transition solves of every law pair.
+    """SHA-256 of the scalar and series transition solves of every law pair and THREE_TERM_PAIR.
 
     Each solve adds F, R, G, P and its four stepper counters (accepted,
     rejected, gap-rejected steps and RHS evaluations); the scalar grid adds
@@ -126,7 +147,8 @@ def solver_sweep() -> None:
     where some steps stop at a non-positive gap stage.
     """
     kolmogorov = sys.modules[cli.solve_gf.__module__]
-    for k, (f, h) in enumerate(PAIRS):
+    pairs = [(f"solves[{k}]", f, h) for k, (f, h) in enumerate(PAIRS)]
+    for label, f, h in pairs + [("solves[finite,3 terms]", *THREE_TERM_PAIR)]:
         f_law = cli.offspring_from_config(f)
         h_law = cli.immigration_from_config(h) if h else None
         digest = hashlib.sha256()
@@ -146,7 +168,7 @@ def solver_sweep() -> None:
         else:
             sol = kolmogorov.solve_gf(f_law, 100.0, 0.0, tol=0.5)
         digest.update(solution(sol))
-        print(f"solves[{k}] {digest.hexdigest()[:16]} tol=0.5 gap_rejected={sol.gap_rejected}")
+        print(f"{label} {digest.hexdigest()[:16]} tol=0.5 gap_rejected={sol.gap_rejected}")
 
 
 def simulate_sweep() -> None:
@@ -240,14 +262,87 @@ def oracle_sweep() -> None:
               f"halvings={result.halvings} terms={result.terms}")
 
 
-def main() -> int:
+def platform_fields() -> dict[str, str]:
+    """What the digest's floats may depend on besides the source: the header's fields."""
+    def blas(show_config):
+        dep = show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+        return f"{dep.get('name', 'unknown')} {dep.get('version', '')}".strip()
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    found = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"numpy {blas(np.show_config)}; scipy {blas(scipy.show_config)}",
+        "machine": platform.machine(),
+        "simd": f"baseline {' '.join(umath.__cpu_baseline__)}; dispatch {' '.join(found)}",
+        "glibc": platform.libc_ver()[1] or "unknown",
+    }
+
+
+def _commands() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         commands(Path(tmp))
-    solver_sweep()
-    simulate_sweep()
+
+
+def _measures() -> None:
     measure_sweep()
     measure_sweep([("measures[a0=2]", *SCALED_PAIR)])
-    oracle_sweep()
+
+
+SECTIONS = {"commands": _commands, "solver_sweep": solver_sweep, "simulate_sweep": simulate_sweep,
+            "measure_sweep": _measures, "oracle_sweep": oracle_sweep}
+
+
+def digest(sections=tuple(SECTIONS)) -> list[str]:
+    """The header lines, then each named section's heading and lines."""
+    lines = [f"# {key}: {value}" for key, value in platform_fields().items()]
+    for name in sections:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            SECTIONS[name]()
+        lines += [f"## {name}", *out.getvalue().splitlines()]
+    return lines
+
+
+def read_digest(path: Path) -> tuple[dict[str, str], dict[str, list[str]]]:
+    """A digest file's header fields and its lines by section."""
+    fields, sections, current = {}, {}, None
+    for line in path.read_text().splitlines():
+        if line.startswith("## "):
+            current = sections.setdefault(line[3:], [])
+        elif current is None and line.startswith("# "):
+            key, _, value = line[2:].partition(": ")
+            fields[key] = value
+        elif current is not None:
+            current.append(line)
+    return fields, sections
+
+
+def check(path: Path, sections=tuple(SECTIONS)) -> int:
+    """Print a unified diff of the named sections (and the header) against ``path``; 1 if any line differs."""
+    fields, recorded = read_digest(path)
+    expected = [f"# {key}: {value}" for key, value in fields.items()]
+    for name in sections:
+        expected += [f"## {name}", *recorded.get(name, [])]
+    diff = list(difflib.unified_diff(expected, digest(sections), str(path), "this tree", lineterm=""))
+    print("\n".join(diff))
+    return 1 if diff else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", type=Path, metavar="FILE",
+                        help="diff against a recorded digest; exit 1 on any difference")
+    parser.add_argument("--sections", nargs="+", choices=list(SECTIONS), default=list(SECTIONS))
+    args = parser.parse_args(argv)
+    if args.check:
+        return check(args.check, args.sections)
+    print("\n".join(digest(args.sections)))
     return 0
 
 

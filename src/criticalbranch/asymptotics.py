@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import series as fps
 from .karamata import RatioSV
@@ -78,6 +77,8 @@ class EligibilityError(ValueError):
 def _quad(fn, a: float, b: float, bound, what: str) -> float:
     """integral_a^b fn; a non-finite value, an error past bound(value) or a
     convergence warning from scipy raises ValueError naming ``what``."""
+    from scipy.integrate import quad  # here, not at the top: most commands never integrate, and it loads in ~0.2 s
+
     val, err, _, *problem = quad(fn, a, b, epsabs=1e-12, epsrel=1e-12, limit=200, full_output=1)
     if problem or not (math.isfinite(val) and err <= bound(val)):
         note = f" ({problem[0].splitlines()[0].strip()})" if problem else ""

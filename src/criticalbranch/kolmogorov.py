@@ -11,8 +11,11 @@ integrate the whole coefficient vector of R (and G) at once; the coefficient
 recurrences for fractional powers keep the right-hand side exact at the stored
 truncation order.  One Dormand-Prince 5(4) stepper serves both modes: its state
 is the gap plus an optional quadrature (G, or log dF/ds), both floats in a
-scalar solve and coefficient vectors in a series solve.  A quadrature's rate
-reads the gap alone, so the stages are formed for the gap only.
+scalar solve and coefficient vectors in a series solve.  It takes the gap's
+rate and the quadrature's as two functions of the gap: a quadrature's rate
+reads the gap alone, so the stages are formed for the gap only.  A scalar
+solve reads each rate once from its law (``OffspringLaw.gap_rate``,
+``from_gap``, ``fprime_from_gap``), which builds it over the law's terms.
 
 Solvers are pure functions of (law, t, s, tol); grid sweeps can run
 concurrently without shared state.  ``gf_derivative`` and ``solve_gf_series``
@@ -98,114 +101,131 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _advance(rhs, r, t_end, rtol, atol, g=None, gatol=0.0):
+def _advance(rate, quad, r, t_end, rtol, atol, g=None, gatol=0.0):
     """Integrate the gap r and an optional quadrature g from 0 to t_end; returns (r, g, counts).
 
-    r and g are both floats or both coefficient vectors.  ``rhs(r)`` returns
-    the rates (dr, dg), dg None when g is None: a quadrature's rate reads the
-    gap alone, so the stages are formed for the gap only and g enters the
-    step's update and its error estimate.  The gap (for a vector, its
-    constant term) is strictly positive along the flow, so ``atol`` can be
-    zero for pure relative control; a quadrature that starts at zero needs a
-    positive ``gatol``.  A step with a non-positive gap at any stage is
-    rejected and retried at half the step size.  StepUnderflowError ends the
-    solve on a step below ``_MIN_STEP``, after ``_MAX_TRIES`` attempts short
-    of t_end, and at once on a non-finite error estimate or vector state (the
-    solve left the float range; that check replaces numpy's overflow and
-    division warnings).  A gap so small that its error scale rounds to zero
-    gives an infinite error estimate.
+    r and g are both floats or both coefficient vectors.  ``rate(r)`` is the
+    gap's rate and ``quad(r)`` the quadrature's (``quad`` is None when g is
+    None): a quadrature's rate reads the gap alone, so the stages are formed
+    for the gap only, and g enters the step's update and its error estimate.
+    The second stage's quadrature rate has weight zero in both and is not
+    computed.  The gap (for a vector, its constant term) is strictly positive
+    along the flow, so ``atol`` can be zero for pure relative control; a
+    quadrature that starts at zero needs a positive ``gatol``.  A step with a
+    non-positive gap at any stage is rejected and retried at half the step
+    size.  StepUnderflowError ends the solve on a step below ``_MIN_STEP``,
+    after ``_MAX_TRIES`` attempts short of t_end, and at once on a non-finite
+    error estimate or vector state, or a rate whose Python-float power
+    overflows (the solve left the float range; that check replaces numpy's
+    overflow and division warnings).  A gap so small that its error scale
+    rounds to zero gives an infinite error estimate.
 
     ``counts`` holds the keyword arguments ``steps`` (accepted steps),
     ``rejected`` (steps failing the error test), ``gap_rejected`` (steps
-    stopped at a non-positive gap stage) and ``rhs_evals`` of a
-    TransitionSolution.  An attempt that reaches the error test costs six RHS
-    evaluations; one stopped at a gap stage costs the stages computed before
-    it, which its rejection branch adds to ``gap_evals``.
+    stopped at a non-positive gap stage) and ``rhs_evals`` (calls of
+    ``rate``) of a TransitionSolution.  An attempt that reaches the error test
+    costs six gap-rate calls and five quadrature-rate calls; one stopped at a
+    gap stage costs the stages computed before it, which its rejection branch
+    adds to ``gap_evals``.
     """
     t = 0.0
     if t_end == 0.0:
         return r, g, dict(steps=0, rejected=0, gap_rejected=0, rhs_evals=0)
     vec = r.__class__ is np.ndarray
-    quad = g is not None
-    a1, b1 = rhs(r)  # a_k: the gap's stage rates; b_k: the quadrature's
-    peak = lambda v: abs(v).max() if vec else abs(v)
-    scale = (max(peak(r), peak(g)) if quad else peak(r)) + 1.0
-    dscale = (max(peak(a1), peak(b1)) if quad else peak(a1)) + 1e-30
-    h = min(0.1 * scale / dscale, 1.0)
-    steps = rejected = gap_rejected = gap_evals = 0
-    for _ in range(_MAX_TRIES):
-        if not t < t_end:
-            break
-        # the step is tested before it is cut to the horizon: a horizon below _MIN_STEP is no underflow
-        if h < _MIN_STEP:
-            raise StepUnderflowError(t)
-        h = min(h, t_end - t)
-        # a stage with a non-positive gap rejects the step before rhs sees it
-        r2 = r + h * _A21 * a1
-        if not (r2[0] if vec else r2) > 0.0:
-            h *= 0.5
-            gap_rejected += 1
-            continue
-        a2, _ = rhs(r2)
-        r3 = r + h * (_A31 * a1 + _A32 * a2)
-        if not (r3[0] if vec else r3) > 0.0:
-            h *= 0.5
-            gap_rejected += 1
-            gap_evals += 1
-            continue
-        a3, b3 = rhs(r3)
-        r4 = r + h * (_A41 * a1 + _A42 * a2 + _A43 * a3)
-        if not (r4[0] if vec else r4) > 0.0:
-            h *= 0.5
-            gap_rejected += 1
-            gap_evals += 2
-            continue
-        a4, b4 = rhs(r4)
-        r5 = r + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
-        if not (r5[0] if vec else r5) > 0.0:
-            h *= 0.5
-            gap_rejected += 1
-            gap_evals += 3
-            continue
-        a5, b5 = rhs(r5)
-        r6 = r + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
-        if not (r6[0] if vec else r6) > 0.0:
-            h *= 0.5
-            gap_rejected += 1
-            gap_evals += 4
-            continue
-        a6, b6 = rhs(r6)
-        rnew = r + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
-        if not (rnew[0] if vec else rnew) > 0.0:
-            h *= 0.5
-            gap_rejected += 1
-            gap_evals += 5
-            continue
-        a7, b7 = rhs(rnew)
-        # the error ratio is the larger of the gap's and g's; a NaN ratio makes it inf
-        try:
-            q = abs(h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * a7)) / (atol + rtol * abs(rnew))
-        except ZeroDivisionError:  # a float gap so far below 1 that rtol * |rnew| rounds to 0
-            q = math.inf
-        q = q.max() if vec else q
-        err = q if q == q else math.inf
-        gnew = g
-        if quad:
-            gnew = g + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6)
-            q = abs(h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6 + _E7 * b7)) / (gatol + rtol * abs(gnew))
+    h = None  # no step size before the first rates
+    try:
+        # a_k: the gap's stage rates; b_k: the quadrature's
+        a1 = rate(r)
+        b1 = quad(r) if quad else None
+        peak = lambda v: abs(v).max() if vec else abs(v)
+        scale = (max(peak(r), peak(g)) if quad else peak(r)) + 1.0
+        dscale = (max(peak(a1), peak(b1)) if quad else peak(a1)) + 1e-30
+        h = min(0.1 * scale / dscale, 1.0)
+        steps = rejected = gap_rejected = gap_evals = 0
+        for _ in range(_MAX_TRIES):
+            if not t < t_end:
+                break
+            # the step is tested before it is cut to the horizon: a horizon below _MIN_STEP is no underflow
+            if h < _MIN_STEP:
+                raise StepUnderflowError(t)
+            if t_end - t < h:
+                h = t_end - t
+            # a stage with a non-positive gap rejects the step before a rate sees it
+            r2 = r + h * _A21 * a1
+            if not (r2[0] if vec else r2) > 0.0:
+                h *= 0.5
+                gap_rejected += 1
+                continue
+            a2 = rate(r2)
+            r3 = r + h * (_A31 * a1 + _A32 * a2)
+            if not (r3[0] if vec else r3) > 0.0:
+                h *= 0.5
+                gap_rejected += 1
+                gap_evals += 1
+                continue
+            a3 = rate(r3)
+            b3 = quad(r3) if quad else None
+            r4 = r + h * (_A41 * a1 + _A42 * a2 + _A43 * a3)
+            if not (r4[0] if vec else r4) > 0.0:
+                h *= 0.5
+                gap_rejected += 1
+                gap_evals += 2
+                continue
+            a4 = rate(r4)
+            b4 = quad(r4) if quad else None
+            r5 = r + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
+            if not (r5[0] if vec else r5) > 0.0:
+                h *= 0.5
+                gap_rejected += 1
+                gap_evals += 3
+                continue
+            a5 = rate(r5)
+            b5 = quad(r5) if quad else None
+            r6 = r + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
+            if not (r6[0] if vec else r6) > 0.0:
+                h *= 0.5
+                gap_rejected += 1
+                gap_evals += 4
+                continue
+            a6 = rate(r6)
+            b6 = quad(r6) if quad else None
+            rnew = r + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
+            if not (rnew[0] if vec else rnew) > 0.0:
+                h *= 0.5
+                gap_rejected += 1
+                gap_evals += 5
+                continue
+            a7 = rate(rnew)
+            b7 = quad(rnew) if quad else None
+            # the error ratio is the larger of the gap's and g's; a NaN ratio makes it inf
+            try:
+                q = (abs(h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * a7))
+                     / (atol + rtol * abs(rnew)))
+            except ZeroDivisionError:  # a float gap so far below 1 that rtol * |rnew| rounds to 0
+                q = math.inf
             q = q.max() if vec else q
-            if not q <= err:
-                err = q if q == q else math.inf
-        if err == math.inf or vec and not (np.isfinite(rnew).all() and (not quad or np.isfinite(gnew).all())):
-            raise StepUnderflowError(t, f"non-finite stage value at step size {float(h)!r}")
-        if err <= 1.0:
-            t += h
-            r, g, a1, b1 = rnew, gnew, a7, b7
-            steps += 1
-        else:
-            rejected += 1
-        factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
+            err = q if q == q else math.inf
+            gnew = g
+            if quad:
+                gnew = g + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6)
+                q = (abs(h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6 + _E7 * b7))
+                     / (gatol + rtol * abs(gnew)))
+                q = q.max() if vec else q
+                if not q <= err:
+                    err = q if q == q else math.inf
+            if err == math.inf or vec and not (np.isfinite(rnew).all() and (not quad or np.isfinite(gnew).all())):
+                raise StepUnderflowError(t, f"non-finite stage value at step size {float(h)!r}")
+            if err <= 1.0:
+                t += h
+                r, g, a1, b1 = rnew, gnew, a7, b7
+                steps += 1
+            else:
+                rejected += 1
+            factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
+            h *= 5.0 if factor > 5.0 else 0.2 if factor < 0.2 else factor
+    except OverflowError:  # numpy would give inf here; a non-finite stage, as above
+        at = "" if h is None else f" at step size {float(h)!r}"
+        raise StepUnderflowError(t, "non-finite stage value" + at) from None
     if t < t_end:
         raise StepUnderflowError(t, f"no progress in {_MAX_TRIES} step attempts")
     rhs_evals = 1 + 6 * (steps + rejected) + gap_evals
@@ -222,7 +242,7 @@ def solve_gf(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) 
     r0 = 1.0 - s
     if r0 == 0.0 or t == 0.0:
         return TransitionSolution(F=s, R=r0)
-    r, _, counts = _advance(lambda r: (-f_law.from_gap(r), None), r0, t, tol, 0.0)
+    r, _, counts = _advance(f_law.gap_rate, None, r0, t, tol, 0.0)
     return TransitionSolution(F=1.0 - r, R=r, **counts)
 
 
@@ -242,9 +262,8 @@ def gf_derivative(f_law: OffspringLaw, t: float, s: float) -> float:
         raise ValueError("derivative is evaluated on [0, 1)")
     if t == 0.0:
         return 1.0
-
-    rhs = lambda r: (-f_law.from_gap(r), f_law.fprime_from_gap(r))
-    _, u, _ = _advance(rhs, 1.0 - s, t, SCALAR_RTOL, 0.0, 0.0, min(SCALAR_RTOL * 1e-2, SCALAR_ATOL))
+    _, u, _ = _advance(f_law.gap_rate, f_law.fprime_from_gap, 1.0 - s, t, SCALAR_RTOL, 0.0, 0.0,
+                       min(SCALAR_RTOL * 1e-2, SCALAR_ATOL))
     return math.exp(u)
 
 
@@ -265,9 +284,7 @@ def immigration_gf(
     r0 = 1.0 - s
     if t == 0.0 or r0 == 0.0:
         return TransitionSolution(F=s, R=r0, G=0.0, P=s ** i if i else 1.0)
-
-    rhs = lambda r: (-f_law.from_gap(r), h_law.from_gap(r))
-    r, g, counts = _advance(rhs, r0, t, tol, 0.0, 0.0, min(tol * 1e-2, SCALAR_ATOL))
+    r, g, counts = _advance(f_law.gap_rate, h_law.from_gap, r0, t, tol, 0.0, 0.0, min(tol * 1e-2, SCALAR_ATOL))
     f = 1.0 - r
     return TransitionSolution(F=f, R=r, G=g, P=(f ** i) * math.exp(g), **counts)
 
@@ -307,8 +324,8 @@ def solve_gf_series(f_law: OffspringLaw, t: float, N: int) -> TransitionSolution
     r0 = _series_init(N)
     if t == 0.0:
         return _gap_to_solution(0.0, r0)
-    rhs = lambda r: (-f_law.from_gap_coeffs(r), None)
-    r, _, counts = _advance(rhs, r0, t, SERIES_RTOL, min(SERIES_RTOL * 1e-2, SERIES_ATOL))
+    r, _, counts = _advance(lambda r: -f_law.from_gap_coeffs(r), None, r0, t, SERIES_RTOL,
+                            min(SERIES_RTOL * 1e-2, SERIES_ATOL))
     return _gap_to_solution(t, r, counts=counts)
 
 
@@ -325,9 +342,7 @@ def immigration_gf_series(
     r0, g0 = _series_init(N), np.zeros(N + 1)
     if t == 0.0:
         return _gap_to_solution(0.0, r0, g0, i=i)
-
-    rhs = lambda r: (-f_law.from_gap_coeffs(r), h_law.from_gap_coeffs(r))
     atol = min(tol * 1e-2, SERIES_ATOL)
-    r, g, counts = _advance(rhs, r0, t, tol, atol, g0, atol)
+    r, g, counts = _advance(lambda r: -f_law.from_gap_coeffs(r), h_law.from_gap_coeffs, r0, t, tol, atol, g0, atol)
     return _gap_to_solution(t, r, g, i=i, counts=counts)
 

@@ -63,13 +63,42 @@ def _terms_rates(terms: tuple[tuple[float, float], ...], J: int) -> np.ndarray:
     return out
 
 
+def _power_sum(terms: tuple[tuple[float, float], ...], negate: bool = False):
+    """The function r -> sum_m c_m r**b_m over ``terms``, negated when ``negate``.
+
+    The sum runs left to right from the integer 0, as sum() did up to Python
+    3.11 (3.12 replaced it by a compensated sum of floats), so a -0.0 term
+    adds as +0.0.  A solver calls its rates six times an attempt: one and two
+    terms are written out, and the sign is folded in.  On Python floats a
+    power past the float range raises OverflowError.
+    """
+    if len(terms) == 1:
+        ((c, b),) = terms
+        if negate:
+            return lambda r: -(0 + c * r ** b)
+        return lambda r: 0 + c * r ** b
+    if len(terms) == 2:
+        (c, b), (c2, b2) = terms
+        if negate:
+            return lambda r: -(0 + c * r ** b + c2 * r ** b2)
+        return lambda r: 0 + c * r ** b + c2 * r ** b2
+
+    def loop(r):
+        total = 0
+        for c, b in terms:
+            total += c * r ** b
+        return -total if negate else total
+
+    return loop
+
+
 def _finite_terms(rates: np.ndarray) -> tuple[tuple[float, float], ...]:
     """Centered terms of the polynomial sum_j rates_j s^j; the constant term is zero."""
     terms = []
     for m in range(1, rates.size):
         g = (-1.0) ** m * sum(rates[j] * math.comb(j, m) for j in range(m, rates.size))
         if abs(g) > 1e-15:
-            terms.append((g, float(m)))
+            terms.append((float(g), float(m)))  # Python floats: numpy scalars would slow every solve
     return tuple(terms)
 
 
@@ -87,14 +116,13 @@ class CenteredLaw:
     def value(self, s: float) -> float:
         return self.from_gap(1.0 - s)
 
-    def from_gap(self, r):
-        """The generating function at 1 - r; stable for r near 0."""
-        # a left-to-right loop from 0: sum()'s arithmetic up to Python 3.11,
-        # which 3.12 replaced by a compensated sum of floats
-        total = 0
-        for c, b in self.terms:
-            total += c * r ** b
-        return total
+    @property
+    def from_gap(self):
+        """The generating function at 1 - r, as a function of r; stable for r near 0.
+
+        Each read builds the function anew (``_power_sum``), so a solve reads it once.
+        """
+        return _power_sum(self.terms)
 
     def from_gap_coeffs(self, r: np.ndarray) -> np.ndarray:
         """Series coefficients of the generating function at 1 - R(s), given those of R."""
@@ -119,11 +147,16 @@ class OffspringLaw(CenteredLaw):
     a0: float
     a1: float
 
-    def fprime_from_gap(self, r):
-        total = 0  # summed as in from_gap
-        for c, b in self.terms:
-            total += c * b * r ** (b - 1.0)
-        return -total
+    @property
+    def gap_rate(self):
+        """The rate -f(1 - r) of the extinction gap r = 1 - F, as a function of r."""
+        return _power_sum(self.terms, negate=True)
+
+    @property
+    def fprime_from_gap(self):
+        """f'(1 - r) as a function of r: the rate of log dF/ds."""
+        # (c b) r^(b - 1) is the product c * b * r ** (b - 1.0), so the pairs are exact
+        return _power_sum(tuple((c * b, b - 1.0) for c, b in self.terms), negate=True)
 
     def slowly_varying(self) -> karamata.SlowlyVarying:
         """The factor L with f(s) = (1-s)^(1+nu) L(1/(1-s)).

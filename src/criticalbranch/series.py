@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrsv
 
 __all__ = [
     "Series",
@@ -165,6 +164,7 @@ def _pow_coeffs(w: np.ndarray, alpha: float) -> np.ndarray:
     u = np.zeros(2 * _BLOCK - 1)
     u[_BLOCK - 1 : _BLOCK - 1 + min(n, _BLOCK)] = w[:_BLOCK]
     upper = u[_LAG]  # upper[j, k] = w_{k-j}, zero below the diagonal
+    dtrsv = _dtrsv()
     for m in range(1, n, _BLOCK):
         e = min(m + _BLOCK, n)
         km = k[m:e]
@@ -175,6 +175,15 @@ def _pow_coeffs(w: np.ndarray, alpha: float) -> np.ndarray:
         tri = upper[: e - m, : e - m] * _weights(alpha, m, e)
         p[m:e] = dtrsv(tri.T, rhs, lower=1)
     return p
+
+
+@functools.cache
+def _dtrsv():
+    """scipy's BLAS triangular solve, imported on first use: only series solves
+    need it, and scipy.linalg takes about 0.3 s to load."""
+    from scipy.linalg.blas import dtrsv
+
+    return dtrsv
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -594,3 +598,26 @@ class TestInputErrors:
         code = run_cli(command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path))
         assert_one_line_error(code, capsys, path)
         assert not (tmp_path / f"{command}.csv").exists()
+
+
+class TestColdStart:
+    def test_solve_and_simulate_load_neither_scipy_linalg_nor_integrate(self, tmp_path):
+        # only series solves need scipy.linalg and only quadrature scipy.integrate; together they
+        # were about 0.5 s of every command's start
+        solve = {"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0},
+                 "immigration": {"kind": "canonical", "delta": 0.4, "c": 0.1}, "t": [1.0, 10.0], "s": [0.0, 0.5]}
+        simulate = {"offspring": {"kind": "finite", "rates": [1.0, -2.0, 1.0]}, "grid": [0.0, 2.0], "replicas": 200,
+                    "seed": 7, "estimators": [{"kind": "survival", "t": 2.0}]}
+        argv = [[command, "--config", write_config(tmp_path, payload, f"{command}.json"), "--out", str(tmp_path)]
+                for command, payload in (("solve", solve), ("simulate", simulate))]
+        probe = (
+            "import json, sys, criticalbranch.cli as cli\n"
+            "loaded = lambda: [m for m in ('scipy.linalg', 'scipy.integrate') if m in sys.modules]\n"
+            f"seen = [loaded()] + [[cli.main(a)] + loaded() for a in {argv!r}]\n"
+            "print(json.dumps(seen))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [[], [0], [0]]

@@ -222,12 +222,13 @@ class TestStepper:
         # a NaN in any component is never accepted: the first attempt ends the solve
         calls = []
 
-        def rhs(r):
+        def rate(r):
             calls.append(1)
-            return (-r, np.full(3, math.nan))
+            return -r
 
+        quad = lambda r: np.full(3, math.nan)
         with pytest.raises(StepUnderflowError, match="non-finite stage value .* at t=0.0$"):
-            kolmogorov._advance(rhs, np.ones(3), 1.0, 1e-9, 1e-11, np.zeros(3), 1e-11)
+            kolmogorov._advance(rate, quad, np.ones(3), 1.0, 1e-9, 1e-11, np.zeros(3), 1e-11)
         assert len(calls) == 7  # k1 and the six stages of one attempt
 
     def test_horizon_below_min_step(self):
@@ -258,11 +259,11 @@ class TestStepper:
         # zero to five of their six RHS calls
         calls = []
 
-        def rhs(r):
+        def rate(r):
             calls.append(1)
-            return (-HALF.from_gap(r), None)
+            return -HALF.from_gap(r)
 
-        _, _, counts = kolmogorov._advance(rhs, 1.0, 100.0, 0.5, 0.0)
+        _, _, counts = kolmogorov._advance(rate, None, 1.0, 100.0, 0.5, 0.0)
         sol = solve_gf(HALF, 100.0, 0.0, tol=0.5)
         assert counts == dict(steps=sol.steps, rejected=sol.rejected, gap_rejected=sol.gap_rejected,
                               rhs_evals=sol.rhs_evals)
@@ -280,21 +281,59 @@ class TestStepper:
         spikes = {1: -1e9, 3: -1e9, 6: 1e9, 10: 1e9, 15: -1e9, 21: -1e3}
         calls = []
 
-        def rhs(r):
+        def rate(r):
             calls.append(1)
-            return (spikes.get(len(calls) - 1, -r), None)
+            return spikes.get(len(calls) - 1, -r)
 
-        r, _, counts = kolmogorov._advance(rhs, 1.0, 1.0, 1e-10, 0.0)
+        r, _, counts = kolmogorov._advance(rate, None, 1.0, 1.0, 1e-10, 0.0)
         assert counts["gap_rejected"] == 5 and counts["rejected"] >= 1
         assert counts["rhs_evals"] == len(calls) == 1 + 6 * (counts["steps"] + counts["rejected"]) + 15
         assert r == pytest.approx(math.exp(-1.0), rel=1e-9)
 
+    @pytest.mark.parametrize("solve", [
+        lambda: immigration_gf(HALF, _IMM, 2, 100.0, 0.3),
+        lambda: immigration_gf_series(HALF, _IMM, 0, 2.0, 16),
+    ], ids=["immigration_gf", "immigration_gf_series"])
+    def test_quadrature_rate_skips_the_second_stage(self, solve, monkeypatch):
+        # b2 has weight zero in the update and the error probe, so the quadrature
+        # rate is called at five of the six stages; rhs_evals counts gap-rate calls
+        calls = {"rate": 0, "quad": 0}
+        advance = kolmogorov._advance
+
+        def spy(name, fn):
+            def counted(r):
+                calls[name] += 1
+                return fn(r)
+            return counted
+
+        monkeypatch.setattr(kolmogorov, "_advance",
+                            lambda rate, quad, *args: advance(spy("rate", rate), spy("quad", quad), *args))
+        sol = solve()
+        attempts = sol.steps + sol.rejected
+        assert sol.gap_rejected == 0 and attempts > 0
+        assert calls == {"rate": 1 + 6 * attempts, "quad": 1 + 5 * attempts}
+        assert sol.rhs_evals == calls["rate"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rate, quad, r0, where", [
+        (lambda r: r ** 400.0, None, 10.0, "at t=0.0$"),
+        (lambda r: r ** 400.0, None, 1.0, "at step size .* at t=0.0$"),
+        (lambda r: r, lambda r: r ** 400.0, 1.0, "at step size .* at t=1.77"),
+    ], ids=["first-rate", "third-stage", "quadrature"])
+    def test_overflowing_power_is_a_non_finite_stage(self, rate, quad, r0, where):
+        # a power of Python floats past the float range raises OverflowError where
+        # numpy gives inf: r0 = 10 overflows r ** 400 at once; from r0 = 1 the
+        # third stage's gap passes 5.9; a gap growing as e^t passes it at t = 1.774
+        g = None if quad is None else 0.0
+        with pytest.raises(StepUnderflowError, match="^non-finite stage value " + where):
+            kolmogorov._advance(rate, quad, r0, 10.0, 1e-10, 0.0, g, 1e-12)
+
     def test_series_and_scalar_states_share_the_stepper(self):
         # a vector state of one coefficient advances exactly as the float state
-        rhs_f = lambda r: (-HALF.from_gap(r), _IMM.from_gap(r))
-        rhs_v = lambda r: tuple(np.array([v]) for v in rhs_f(r[0]))
-        r, g, steps = kolmogorov._advance(rhs_f, 0.5, 7.0, 1e-10, 0.0, 0.0, 1e-12)
-        rv, gv, steps_v = kolmogorov._advance(rhs_v, np.array([0.5]), 7.0, 1e-10, 0.0, np.zeros(1), 1e-12)
+        rate_f, quad_f = lambda r: -HALF.from_gap(r), _IMM.from_gap
+        rate_v, quad_v = (lambda r: np.array([rate_f(r[0])])), (lambda r: np.array([quad_f(r[0])]))
+        r, g, steps = kolmogorov._advance(rate_f, quad_f, 0.5, 7.0, 1e-10, 0.0, 0.0, 1e-12)
+        rv, gv, steps_v = kolmogorov._advance(rate_v, quad_v, np.array([0.5]), 7.0, 1e-10, 0.0, np.zeros(1), 1e-12)
         assert (rv[0], gv[0], steps_v) == (r, g, steps)
 
 
@@ -394,10 +433,11 @@ def _reference_advance(rhs, y0, t_end, rtol, atols):
     return y, dict(steps=steps, rejected=rejected, gap_rejected=gap_rejected, rhs_evals=rhs_evals)
 
 
-def _on_reference_stepper(rhs, r, t_end, rtol, atol, g=None, gatol=0.0):
+def _on_reference_stepper(rate, quad, r, t_end, rtol, atol, g=None, gatol=0.0):
     """``_advance``'s signature over ``_reference_advance``: the state list is (r,) or (r, g)."""
     y0, atols = ((r,), (atol,)) if g is None else ((r, g), (atol, gatol))
-    (r, *rest), counts = _reference_advance(lambda y: rhs(y[0])[: len(y0)], y0, t_end, rtol, atols)
+    rhs = (lambda y: (rate(y[0]),)) if quad is None else (lambda y: (rate(y[0]), quad(y[0])))
+    (r, *rest), counts = _reference_advance(rhs, y0, t_end, rtol, atols)
     return r, (rest[0] if rest else None), counts
 
 
@@ -405,6 +445,8 @@ _PARITY_LAWS = {
     "canonical": (HALF, make_stable_immigration(0.4, 0.1)),
     "perturbed": (make_perturbed_offspring(0.5, 1.0, 0.3, 0.5), make_stable_immigration(0.4, 0.1, 0.25)),
     "finite": (make_finite_offspring([1.0, -2.0, 1.0]), make_finite_immigration([-1.0, 1.0])),
+    # three centered terms each: the rates' loop form
+    "finite3": (make_finite_offspring([1.0, -1.65, 0.4, 0.15, 0.1]), make_finite_immigration([-1.0, 0.5, 0.25, 0.25])),
 }
 
 

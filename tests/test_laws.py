@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from criticalbranch import asymptotics as asy
@@ -151,6 +152,12 @@ class TestFiniteLaws:
         law = make_finite_immigration([-1.0, 1.0])
         assert law.slowly_varying().limit == pytest.approx(1.0)  # the constant h'(1)
         assert law.value(0.0) == pytest.approx(-1.0)
+
+    def test_terms_are_python_floats(self):
+        # numpy scalars would run every scalar solve of the law in numpy-scalar arithmetic
+        for law in (make_finite_offspring([1.0, -2.0, 1.0]), make_finite_offspring([1.0, -1.65, 0.4, 0.15, 0.1]),
+                    make_finite_immigration([-1.0, 1.0]), make_finite_immigration([-1.0, 0.5, 0.25, 0.25])):
+            assert [(type(c), type(b)) for c, b in law.terms] == [(float, float)] * len(law.terms)
 
 
 class TestClassify:
@@ -309,3 +316,74 @@ def test_library_guards_take_tuples_and_numpy_numbers():
     cfg = _sim(grid=(np.float64(1.0), 2), replicas=np.int64(10), cap=np.int64(100), start=np.int64(1),
                seed=np.uint32(7))
     assert cfg.grid == (1.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# The rates a solve builds over a law's terms, against the loops that defined
+# them before: from 0, left to right, with the sign outside the sum.
+
+
+def _loop_from_gap(terms, r):
+    total = 0
+    for c, b in terms:
+        total += c * r ** b
+    return total
+
+
+def _loop_fprime_from_gap(terms, r):
+    total = 0
+    for c, b in terms:
+        total += c * b * r ** (b - 1.0)
+    return -total
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+# one, two, three and four centered terms: the written-out rates and the loop
+_OFFSPRING_LAWS = {
+    "canonical": make_stable_offspring(0.5, 1.0),
+    "perturbed": make_perturbed_offspring(0.5, 1.0, 0.3, 0.5),
+    "finite, one term": make_finite_offspring([1.0, -2.0, 1.0]),
+    "finite, three terms": make_finite_offspring([1.0, -1.65, 0.4, 0.15, 0.1]),
+    "finite, four terms": make_finite_offspring([1.0, -2.0, 0.5, 0.25, 0.25]),
+}
+_IMMIGRATION_LAWS = {
+    "canonical": make_stable_immigration(0.4, 0.1),
+    "perturbed": make_stable_immigration(0.4, 0.1, 0.25),
+    "finite, one term": make_finite_immigration([-1.0, 1.0]),
+    "finite, three terms": make_finite_immigration([-1.0, 0.5, 0.25, 0.25]),
+}
+_TINY_TO_ONE = st.floats(min_value=5e-324, max_value=1.0, allow_subnormal=True)
+
+
+@given(law=st.sampled_from(sorted(_OFFSPRING_LAWS)), r=_TINY_TO_ONE)
+@example(law="finite, three terms", r=5e-324)  # the negative cubic term underflows to -0.0
+@settings(max_examples=200, deadline=None)
+def test_offspring_rates_match_the_loops_bit_for_bit(law, r):
+    f_law = _OFFSPRING_LAWS[law]
+    loop = _loop_from_gap(f_law.terms, r)
+    assert _bits(f_law.from_gap(r)) == _bits(loop)
+    assert _bits(f_law.gap_rate(r)) == _bits(-loop)
+    assert _bits(f_law.fprime_from_gap(r)) == _bits(_loop_fprime_from_gap(f_law.terms, r))
+
+
+@given(law=st.sampled_from(sorted(_IMMIGRATION_LAWS)), r=_TINY_TO_ONE)
+@settings(max_examples=200, deadline=None)
+def test_immigration_rates_match_the_loop_bit_for_bit(law, r):
+    h_law = _IMMIGRATION_LAWS[law]
+    assert _bits(h_law.from_gap(r)) == _bits(_loop_from_gap(h_law.terms, r))
+
+
+@given(
+    terms=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(1.0, 4.0)), min_size=1, max_size=4).map(tuple),
+    r=_TINY_TO_ONE,
+)
+@example(terms=((-1.0, 2.0),), r=5e-324)  # a lone -0.0 term sums to +0.0
+@example(terms=((-1.0, 2.0), (-3.0, 3.0)), r=1e-200)
+@settings(max_examples=300, deadline=None)
+def test_power_sums_match_the_loop_bit_for_bit(terms, r):
+    loop = _loop_from_gap(terms, r)
+    assert _bits(laws._power_sum(terms)(r)) == _bits(loop)
+    assert _bits(laws._power_sum(terms, negate=True)(r)) == _bits(-loop)

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -74,3 +76,16 @@ def test_contract_digest_scaled_pair_tells_v_from_m(capsys):
     fields = dict(field.split("=", 1) for field in line.split()[1:])
     assert list(fields) == ["M", "V", "pi", "U", "residual", "truncation"], line
     assert fields["M"] != fields["V"]
+
+
+def test_contract_digest_matches_the_committed_file():
+    # the CSV bytes of every command, the verify details and the solver sweep, pinned for one platform
+    digest = _load_digest()
+    committed = ROOT / "scripts" / "contract_digest.txt"
+    recorded, _ = digest.read_digest(committed)
+    here = digest.platform_fields()
+    differ = sorted(key for key in recorded.keys() | here.keys() if recorded.get(key) != here.get(key))
+    if differ:
+        pytest.skip(f"the committed digest was recorded on another platform: {', '.join(differ)} differ")
+    result = run_script("contract_digest.py", "--check", str(committed), "--sections", "commands", "solver_sweep")
+    assert result.returncode == 0, result.stdout + result.stderr
