@@ -46,7 +46,7 @@ def main() -> int:
         writer = csv.writer(fh)
         writer.writerow(["experiment", "t", "error", "fitted_slope", "target_slope"])
         for label, rep in reports:
-            for t, e in zip(rep.grid, rep.errors):
+            for t, e in zip(rep.grid, np.abs(rep.values)):
                 writer.writerow([label, f"{t:.6g}", f"{e:.17g}", f"{rep.slope}", f"{rep.target}"])
         for t, e in zip(grid, cond_errs):
             writer.writerow(["conditioned-gf", f"{t:.6g}", f"{e:.17g}", f"{slope}", "-1"])

@@ -21,7 +21,6 @@ from .asymptotics import FIGURE_NORMALIZERS, FIGURE_PRESETS, figure_rows, report
 from .kolmogorov import (
     closed_form_gf,
     gf_derivative,
-    immigration_gf,
     immigration_gf_series,
     solve_gf,
 )
@@ -106,14 +105,8 @@ def _check_a4() -> tuple[bool, str]:
     f_law, h_law = _canonical_pair()
     regime = classify(f_law, h_law)
     ratio = karamata.ratio_of(f_law.slowly_varying(), h_law.slowly_varying())
-    g = abs(regime.gamma)
-    worst_rel = 0.0
-    for s in (0.0, 0.5):
-        u = asymptotics.limit_gf(regime, ratio, s)
-        q = solve_gf(f_law, 1e4, 0.0).R
-        sol = immigration_gf(f_law, h_law, 0, 1e4, s)
-        rel = abs(math.expm1(q ** (-g) + sol.G - math.log(u)))
-        worst_rel = max(worst_rel, rel)
+    worst_rel = max(abs(asymptotics.scaled_gf_convergence(f_law, h_law, regime, ratio, (1e4,), s).values[0])
+                    for s in (0.0, 0.5))
     u0_err = abs(asymptotics.limit_gf(regime, ratio, 0.0) - math.e)
     ident_err = max(
         abs(

@@ -92,7 +92,6 @@ class RateReport:
 
     grid: np.ndarray
     values: np.ndarray
-    errors: np.ndarray
     slope: float | None
     target: float | None
     passes: bool
@@ -331,7 +330,7 @@ def scaled_gf_convergence(
     else:
         target = -regime.mu / regime.nu
         passes = slope is not None and abs(slope - target) <= 0.15 * abs(target)
-    return RateReport(grid=t, values=errs, errors=np.abs(errs), slope=slope, target=target, passes=passes)
+    return RateReport(grid=t, values=errs, slope=slope, target=target, passes=passes)
 
 
 # ---------------------------------------------------------------------------

@@ -353,14 +353,17 @@ class _ByKind(dict):
     """Object schemas keyed by the value of the object's ``kind``."""
 
 
+def _repr(value) -> str:
+    """``repr``, but an int past the float range by name: its repr runs to any length or raises past 4300 digits."""
+    return "an integer that overflows a float" if isinstance(value, int) and abs(value) > sys.float_info.max else repr(value)
+
+
 def _show(value) -> str:
     if isinstance(value, float):
         return json.dumps(value)  # NaN and Infinity as a config spells them
-    if isinstance(value, int) and not abs(value) <= sys.float_info.max:
-        return "an integer that overflows a float"
     if isinstance(value, str) and len(value) > 40:  # an integer literal kept as text may run to any length
         return f"{value[:20]!r}... ({len(value)} characters)"
-    return repr(value) if value is None or isinstance(value, (int, str)) else f"a {type(value).__name__}"
+    return _repr(value) if value is None or isinstance(value, (int, str)) else f"a {type(value).__name__}"
 
 
 def _validate(obj, spec, path="$"):
@@ -430,9 +433,9 @@ def _check(leaves=_PARAMS, /, **args) -> None:
             leaf, values = leaf[0], value
         for v in values:
             if not leaf.takes(v):
-                raise ValueError(f"{name} must be {_kind(leaf)} in {leaf.domain()}, got {v!r}")
+                raise ValueError(f"{name} must be {_kind(leaf)} in {leaf.domain()}, got {_repr(v)}")
             if not leaf.admits(v):
-                raise ValueError(f"{name} must be in {leaf.domain()}, got {v!r}")
+                raise ValueError(f"{name} must be in {leaf.domain()}, got {_repr(v)}")
 
 
 def _keys(*names: str) -> dict:

@@ -3,9 +3,9 @@
 A :class:`Series` holds the coefficients ``c[0]..c[N]`` of a degree-N
 truncation: a transition row p_ij(t) as well as an invariant measure (M, V,
 pi, U).  Binary operations truncate to the shorter operand; coefficients
-beyond the stored order are undefined, never implicitly zero.  Series values
-are immutable, always finite, and every operation is pure; an operation whose
-result leaves the float range raises ValueError.
+beyond the stored order are undefined (``compose`` composes ``outer``'s
+truncation as the polynomial it is).  Series values are immutable, always
+finite, and every operation is pure; one leaving the float range raises ValueError.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "integrate_series",
     "reciprocal",
     "power",
-    "taylor_shift",
 ]
 
 _BLOCK = 64
@@ -60,37 +59,16 @@ def mul(a: Series, b: Series) -> Series:
     return Series(np.convolve(a.coeffs[: n + 1], b.coeffs[: n + 1])[: n + 1])
 
 
-def taylor_shift(a: Series, x0: float) -> Series:
-    """Coefficients of ``a(x0 + s)`` by repeated synthetic division.
-
-    Loses roughly one decimal digit per 64 orders when coefficient signs mix.
-    """
-    if x0 == 0.0:
-        return Series(a.coeffs)
-    b = a.coeffs.tolist()
-    x0 = float(x0)
-    n = len(b)
-    for k in range(n - 1):
-        for j in range(n - 2, k - 1, -1):
-            b[j] += x0 * b[j + 1]
-    return Series(b)
-
-
 def compose(outer: Series, inner: Series) -> Series:
     """Coefficients of ``outer(inner(s))`` to the shorter operand's order.
 
-    A nonzero constant term of ``inner`` is handled by re-centering ``outer``
-    with a Taylor shift before the Horner pass.
+    One Horner pass over ``inner``, constant term included: truncated at order
+    N, ``outer`` is a degree-N polynomial, composed exactly up to rounding.  With a
+    nonzero constant in ``inner``, every result coefficient draws on all of ``outer``'s.
     """
     n = min(outer.order, inner.order)
-    oc = Series(outer.coeffs[: n + 1])
-    w = inner.coeffs[: n + 1].copy()
-    if w[0] != 0.0:
-        oc = taylor_shift(oc, w[0])
-        w[0] = 0.0
-    b = oc.coeffs
-    acc = np.zeros(n + 1)
-    acc[0] = b[n]
+    b, w = outer.coeffs, inner.coeffs[: n + 1]
+    acc = b[n : n + 1]
     for k in range(n - 1, -1, -1):
         acc = np.convolve(acc, w)[: n + 1]
         acc[0] += b[k]

@@ -288,6 +288,9 @@ _GUARDS = {
     "SimConfig(seed=-1)": (lambda: _sim(seed=-1), "seed", laws._PARAMS["seed"].domain()),
     "SimConfig(seed=1.5)": (lambda: _sim(seed=1.5), "seed", laws._PARAMS["seed"].domain()),
     "SimConfig(grid=(True, '2'))": (lambda: _sim(grid=(True, "2")), "grid", laws._PARAMS["grid"][0].domain()),
+    # an int past the float range is named, not printed: its repr raises beyond 4300 digits
+    "solve_gf(t=10**5000)": (lambda: kol.solve_gf(_HALF, 10**5000, 0.5), "t", laws._PARAMS["t"].domain()),
+    "SimConfig(replicas=10**5000)": (lambda: _sim(replicas=10**5000), "replicas", laws._PARAMS["replicas"].domain()),
     # a path started above the cap would count as uncapped until its first jump
     "SimConfig(start>cap)": (lambda: _sim(start=50, cap=10), "start", "not exceed cap=10"),
     # every leaf in its domain, but max(start, cap) * -a1 overflows: the branching share would be NaN

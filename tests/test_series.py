@@ -56,6 +56,24 @@ def test_compose_recenters_affine_inner():
     assert np.allclose(fps.compose(square, inner).coeffs, [1.0, 2.0, 1.0])
 
 
+def _cauchy_coeffs(fn, n, points=4096):
+    """Taylor coefficients 0..n of fn from its samples on the unit circle."""
+    z = np.exp(2j * np.pi * np.arange(points) / points)
+    return (np.fft.fft(fn(z)) / points)[: n + 1].real
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_compose_with_inner_constant_matches_cauchy_reference(n, seed):
+    # mixed-sign coefficients and a nonzero inner constant, the shape of F(t;s) composed into a measure
+    rng = np.random.default_rng(seed)
+    outer = rng.uniform(-1.0, 1.0, n + 1) * 0.7 ** np.arange(n + 1)
+    inner = np.r_[rng.uniform(0.0, 0.2), rng.uniform(-1.0, 1.0, n) * 0.5 ** np.arange(1, n + 1)]
+    want = _cauchy_coeffs(lambda z: polyval(polyval(z, inner), outer), n)
+    got = fps.compose(Series(outer), Series(inner)).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_compose_shift_identity_through_the_flow():
     # composing the invariant GF series with the time-2 transition series
     # shifts the constant term by 2 and leaves every other coefficient alone;
@@ -102,7 +120,7 @@ def test_series_rejects_non_finite_coefficients(bad):
 def test_overflowing_operation_raises():
     # the constant term becomes 1e308 + 10 * 1e308
     with pytest.raises(ValueError, match="coefficients leave the float range"):
-        fps.taylor_shift(Series(np.array([1e308, 1e308])), 10.0)
+        fps.compose(Series(np.array([1e308, 1e308])), Series(np.array([10.0, 0.0])))
 
 
 def test_integrate_differentiate():
@@ -239,28 +257,6 @@ def test_cached_block_weights_are_read_only():
     assert weights.shape == (35, 35)
     with pytest.raises(ValueError):
         weights[0, 0] = 0.0
-
-
-def _taylor_shift_numpy_scalars(c, x0):
-    """Reference: synthetic division indexing the numpy vector element by element."""
-    b = c.copy()
-    n = b.size
-    for k in range(n - 1):
-        for j in range(n - 2, k - 1, -1):
-            b[j] += x0 * b[j + 1]
-    return b
-
-
-@given(
-    st.integers(min_value=1, max_value=300),
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=2.0)),
-)
-@settings(max_examples=40, deadline=None)
-def test_taylor_shift_bitwise_matches_numpy_scalar_loop(n, seed, x0):
-    c = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
-    got = fps.taylor_shift(Series(c), np.float64(x0)).coeffs
-    assert got.tobytes() == _taylor_shift_numpy_scalars(c, np.float64(x0)).tobytes()
 
 
 small_series =st.lists(
