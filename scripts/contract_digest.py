@@ -3,6 +3,7 @@
 
 For every command that writes CSVs (``solve``, ``invariant`` with M, V, pi
 and U, ``simulate --seed 7`` on the twelve law pairs of ``docs/cli.md``,
+``solve`` and ``simulate`` on a pair of finite laws with rates of 1e-16,
 ``figure-data`` and ``report``) it prints the exit code, any error line, and
 for each CSV its SHA-256 next to the config hash and a SHA-256 of the
 effective config from the provenance sidecar, and the sidecar's
@@ -74,6 +75,8 @@ PAIRS = [(f, h) for f in OFFSPRING for h in IMMIGRATION]
 # finite laws of three centered terms each, which the rates sum in a loop
 THREE_TERM_PAIR = ({"kind": "finite", "rates": [1.0, -1.65, 0.4, 0.15, 0.1]},
                    {"kind": "finite", "rates": [-1.0, 0.5, 0.25, 0.25]})
+# rates whose centered terms sit far below 1e-15 in absolute value, but not relative to the rates
+SMALL_PAIR = ({"kind": "finite", "rates": [1e-16, -2e-16, 1e-16]}, {"kind": "finite", "rates": [-1e-16, 1e-16]})
 # every pair above has a0 = 1, where V = a0 M and M hash the same; c = 0.2 keeps c / a0 = nu - delta, so U applies
 SCALED_PAIR = ({"kind": "canonical", "nu": 0.5, "a0": 2.0}, {"kind": "canonical", "delta": 0.4, "c": 0.2})
 
@@ -118,6 +121,10 @@ def commands(work: Path) -> None:
         estimators = [{"kind": "survival", "t": 5.0}, {"kind": "mean", "t": 5.0}, {"kind": "p", "t": 1.0, "j": 1}]
         run(f"simulate[{k}]", work, ["simulate", "--seed", "7"],
             with_laws(f, h, grid=[0.0, 1.0, 5.0], replicas=2000, cap=1000, estimators=estimators))
+    f, h = SMALL_PAIR
+    run("solve[small rates]", work, ["solve"], with_laws(f, h, t=[1e15, 1e16], s=[0.0, 0.5]))
+    run("simulate[small rates]", work, ["simulate", "--seed", "7"],
+        with_laws(f, h, grid=[1e16], replicas=2000, estimators=[{"kind": "mean", "t": 1e16}]))
     f, h = PAIRS[1]
     run("solve[1]-again", work, ["solve"], with_laws(f, h, t=[10.0], s=[0.5]), into="solve[1]")
     run("figure-data", work, ["figure-data"])

@@ -42,7 +42,8 @@ __all__ = [
 ]
 
 _SCAN_HORIZON = 10_000
-_CLAMP = -1e-14
+# the nonnegativity scan passes rounding residue down to -_RESIDUE times the law's largest |rate|
+_RESIDUE = 1e-14
 
 
 def _binomial_stream(beta: float, J: int) -> np.ndarray:
@@ -96,8 +97,10 @@ def _finite_terms(rates: np.ndarray) -> tuple[tuple[float, float], ...]:
     """Centered terms of the polynomial sum_j rates_j s^j; the constant term is zero."""
     terms = []
     for m in range(1, rates.size):
-        g = (-1.0) ** m * sum(rates[j] * math.comb(j, m) for j in range(m, rates.size))
-        if abs(g) > 1e-15:
+        parts = [rates[j] * math.comb(j, m) for j in range(m, rates.size)]
+        g = (-1.0) ** m * sum(parts)
+        # drop only rounding residue of what g sums, so that scaling the rates drops no term
+        if abs(g) > 1e-15 * sum(map(abs, parts)):
             terms.append((float(g), float(m)))  # Python floats: numpy scalars would slow every solve
     return tuple(terms)
 
@@ -216,7 +219,7 @@ class RegimeParams:
 
 
 def _scan_nonnegative(rates: np.ndarray, first_index: int, what: str) -> None:
-    bad = np.nonzero(rates[first_index:] < _CLAMP)[0]
+    bad = np.nonzero(rates[first_index:] < -_RESIDUE * np.abs(rates).max())[0]
     if bad.size:
         k = int(bad[0]) + first_index
         raise ValueError(f"{what} coefficient at index {k} is negative: {rates[k]!r}")
@@ -275,7 +278,8 @@ def make_stable_immigration(delta: float, c: float, kappa: float = 0.0) -> Immig
     """Stable immigration h(s) = -c(1-s)^delta - kappa(1-s)^(2 delta).
 
     A positive kappa is accepted only if every series coefficient b_k stays
-    nonnegative over the scan horizon (values above -1e-14 clamp to zero).
+    nonnegative over the scan horizon, up to rounding residue of 1e-14 times
+    the largest |b_k|; ``rates_up_to`` returns such a residue as it is.
     """
     _check(delta=delta, c=c, kappa=kappa)
     if kappa == 0.0:

@@ -47,10 +47,12 @@ ordinary round.  R doubles while blocks run clean and halves on an early
 stop, with at most _BLOCK_SIZE rounds x lanes.  A block never grows a table,
 so the table sizes are those of the rounds it replaces.
 
-The jump samplers' tables grow on demand but never past cap + 2 entries: a
-larger jump caps the path whatever its exact size, so every uncapped path is
-sampled exactly with memory bounded by the cap.  Table entries do not depend
-on the table's length, so all chunks share one sampler per law.
+Each law's jump sampler returns population changes and alone decides when a
+lookup grows its table.  The tables grow on demand but never past cap + 2
+entries: a larger jump caps the path whatever its exact size, so every
+uncapped path is sampled exactly with memory bounded by the cap.  Table
+entries do not depend on the table's length, so all chunks share one sampler
+per law.
 
 Capped paths (population above the safety cap) are frozen, counted, and
 excluded by the estimators; the count is always reported, never dropped.
@@ -159,21 +161,32 @@ class PathObservations:
 
 
 class _Sampler:
-    """Inverse-CDF sampler over a jump-size pmf with a growing prefix table.
+    """Inverse-CDF sampler of a law's jumps as population changes, with a growing prefix table.
 
-    The table covers jump sizes 0..horizon and doubles on demand while the
-    horizon stays below ``limit``; a uniform falling beyond the table maps to
-    horizon + 1.  Table entries do not depend on the horizon, so every jump
-    within the table is exact.  Simulation sets limit = cap + 1 (at most the
-    memory bound): any jump past it caps the path, so an overflowing draw only
-    ever marks a path capped.
+    The table is the cumulative pmf of indices 0..horizon: the rates divided
+    by the total rate (not multiplied by its inverse, which overflows once a_1
+    is subnormal), with no mass at the index that changes nothing.  Offspring
+    index j changes the population by j - 1, immigration index k by k, and a
+    uniform beyond the table falls at index horizon + 1.  The table doubles
+    while the horizon stays below ``limit``, and the sampler alone decides
+    when: ``lookup`` reads the table as it is and flags the uniforms whose
+    draw would grow it, ``draw`` grows it to cover them first.  Table entries
+    do not depend on the horizon, so every jump within the table is exact.
+    Simulation sets limit = cap + 1 (at most the memory bound): any jump past
+    it caps the path, so an overflowing draw only ever marks a path capped.
     """
 
-    def __init__(self, pmf_up_to, limit: int = _CDF_BOUND):
-        self._pmf_up_to = pmf_up_to
-        self._limit = limit
-        self._horizon = min(_CDF_START, limit)
-        self._cdf = np.cumsum(pmf_up_to(self._horizon))
+    def __init__(self, law: OffspringLaw | ImmigrationLaw, limit: int = _CDF_BOUND):
+        # the index that changes nothing: one offspring, or no arrival
+        self._law, self._still = law, 1 if isinstance(law, OffspringLaw) else 0
+        self._rate = -law.a1 if self._still else -law.b0
+        self._limit, self._horizon = limit, min(_CDF_START, limit)
+        self._cdf = self._table()
+
+    def _table(self) -> np.ndarray:
+        p = self._law.rates_up_to(self._horizon) / self._rate
+        p[self._still] = 0.0
+        return np.cumsum(p)
 
     @property
     def table_size(self) -> int:
@@ -182,36 +195,20 @@ class _Sampler:
     def _extend_for(self, vmax: float) -> None:
         while self._cdf[-1] <= vmax and self._horizon < self._limit:
             self._horizon = min(2 * self._horizon, self._limit)
-            self._cdf = np.cumsum(self._pmf_up_to(self._horizon))
+            self._cdf = self._table()
+
+    def lookup(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Changes for the uniforms v from the table as it is, and where their draw would grow it."""
+        edge = self._cdf[-1] if self._horizon < self._limit else math.inf
+        return self._cdf.searchsorted(v, side="right") - self._still, v >= edge
 
     def draw(self, v: np.ndarray) -> np.ndarray:
-        """Jump sizes for a non-empty array of uniforms."""
+        """Changes for a non-empty array of uniforms, the table first grown to cover them."""
         vmax = v.max()
         if vmax >= self._cdf[-1]:
             self._extend_for(float(vmax))
-        return self._cdf.searchsorted(v, side="right")
-
-
-def _offspring_pmf(law: OffspringLaw):
-    rate = -law.a1  # divided by, not inverted: 1/rate overflows once a_1 is subnormal
-
-    def pmf(K: int) -> np.ndarray:
-        p = law.rates_up_to(K) / rate
-        p[1] = 0.0
-        return p
-
-    return pmf
-
-
-def _immigration_pmf(law: ImmigrationLaw):
-    total = -law.b0
-
-    def pmf(K: int) -> np.ndarray:
-        p = law.rates_up_to(K) / total
-        p[0] = 0.0
-        return p
-
-    return pmf
+        # lookup's changes without its growth mask, which no round reads: the mask costs a round 1-2 us
+        return self._cdf.searchsorted(v, side="right") - self._still
 
 
 class _Stream:
@@ -286,8 +283,8 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
     chunks = [_Stream(sq, c * CHUNK) for c, sq in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_chunks))]
     # table entries do not depend on the horizon, so the chunks share the samplers
     limit = min(cfg.cap + 1, _CDF_BOUND)
-    off = _Sampler(_offspring_pmf(cfg.offspring), limit)
-    imm = _Sampler(_immigration_pmf(cfg.immigration), limit) if cfg.immigration is not None else None
+    off = _Sampler(cfg.offspring, limit)
+    imm = _Sampler(cfg.immigration, limit) if cfg.immigration is not None else None
     rb = -cfg.offspring.a1
     ri = -cfg.immigration.b0 if cfg.immigration is not None else 0.0
     cap = cfg.cap
@@ -296,9 +293,6 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
     capped = np.zeros(cfg.replicas, dtype=bool)
     out = np.empty((cfg.replicas, len(cfg.grid)), dtype=np.int64)
     log1p = math.log1p
-
-    # the least value whose lookup grows a sampler's table; none once the table is at its limit
-    edge = lambda sampler: sampler._cdf[-1] if sampler._horizon < sampler._limit else math.inf
 
     # guessed rows past a stop can hold n <= 0, where the branching share is 0 / 0
     @np.errstate(divide="ignore", invalid="ignore")
@@ -327,13 +321,11 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                 # the loop's draws at pb (one float on the first pass) from the tables as they are
                 bi = u2 < pb
                 v = u2 / pb
-                jumps = off._cdf.searchsorted(v, side="right") - 1
-                grow = v >= edge(off)
+                jumps, grow = off.lookup(v)
                 if not bi.all():
                     ii = ~bi
                     v[ii] = ((u2 - pb) / (1.0 - pb))[ii]
-                    jumps[ii] = imm._cdf.searchsorted(v[ii], side="right")
-                    grow[ii] = v[ii] >= edge(imm)
+                    jumps[ii], grow[ii] = imm.lookup(v[ii])
                 n_after, t_after = _walk_rows(ni, ti, -logs, jumps, rb, ri)
                 # n <= 0 is the loop's stop without immigration; with it the next block goes on from 0
                 stop = (t_after >= horizon) | (n_after <= 0) | (n_after > cap) | grow
@@ -393,11 +385,13 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                     # slice of each stream and every lane walks as in advance_walk.
                     R = min(rows, _BLOCK_SIZE // m)
                     u = _cat([c.peek(2 * s * R).reshape(R, 2, s) for c, s in zip(group, sizes)], axis=2)
-                    jump, cdf = u[:, 1], off._cdf
                     # np.log1p as in a round, whose t - log1p(-u) / rate is t + (-log1p(-u)) / rate
-                    # exactly; a jump past the table stops the block, which never grows it
-                    nb, tb = _walk_rows(nw, tw, -np.log1p(-u[:, 0]), cdf.searchsorted(jump, side="right") - 1, rb, 0.0)
-                    hit = ((nb <= 0) | (nb > cap) | ~(tb <= g) | (jump >= cdf[-1])).any(axis=1)
+                    # exactly.  A jump that would grow the table stops the block, which never
+                    # grows it; past a table at its limit the change is limit = min(cap + 1,
+                    # _CDF_BOUND) >= cap, so on a lane with n >= 1 nb > cap stops that row.
+                    jumps, grow = off.lookup(u[:, 1])
+                    nb, tb = _walk_rows(nw, tw, -np.log1p(-u[:, 0]), jumps, rb, 0.0)
+                    hit = ((nb <= 0) | (nb > cap) | ~(tb <= g) | grow).any(axis=1)
                     r = int(hit.argmax())
                     if not hit[r]:
                         r = R
@@ -426,13 +420,13 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                     break
                 nw, tw = nw[fired], t_next[fired]
                 if pure:
-                    nw += off.draw(u2) - 1
+                    nw += off.draw(u2)
                 else:
                     pb = nw * rb / rate[fired]
                     bi = u2 < pb
                     ii = ~bi
                     if bi.any():
-                        nw[bi] += off.draw(u2[bi] / pb[bi]) - 1
+                        nw[bi] += off.draw(u2[bi] / pb[bi])
                     if ii.any():
                         nw[ii] += imm.draw((u2[ii] - pb[ii]) / (1.0 - pb[ii]))
                 n[lanes] = nw

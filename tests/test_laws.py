@@ -103,9 +103,13 @@ class TestStableImmigration:
         assert law.b0 == pytest.approx(-0.35)
 
     def test_perturbed_positivity_scan_rejects(self):
-        # 2*delta > 1 flips signs in the second series for k >= 2
-        with pytest.raises(ValueError, match="index"):
-            make_stable_immigration(0.9, 0.01, kappa=1.0)
+        # 2*delta > 1 flips signs in the second series for k >= 2; the scan's
+        # bound scales with the law, so a power-of-two scale never changes acceptance
+        for scale in (1.0, 2.0**-60):
+            with pytest.raises(ValueError, match="index"):
+                make_stable_immigration(0.9, 0.01 * scale, kappa=1.0 * scale)
+            with pytest.raises(ValueError, match="offspring coefficient at index 3 is negative"):
+                make_perturbed_offspring(0.5, scale, 5.0, 0.9)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -129,9 +133,17 @@ class TestFiniteLaws:
             make_finite_offspring([1.0, -2.0, 0.5])
 
     def test_binary_critical_centered_form(self):
-        law = make_finite_offspring([1.0, -2.0, 1.0])
-        assert law.nu == 1.0
-        assert law.from_gap(0.25) == pytest.approx(0.25**2)
+        for scale in (1.0, 2.0**-60):
+            law = make_finite_offspring([scale, -2.0 * scale, scale])
+            assert law.nu == 1.0
+            assert law.from_gap(0.25) / scale == pytest.approx(0.25**2)  # dividing by a power of two is exact
+
+    def test_small_rates_keep_their_terms(self):
+        # an absolute cut at 1e-15 dropped every centered term of these laws,
+        # so F stayed at s and b_0 read 0
+        law = make_finite_offspring([1e-20, -2e-20, 1e-20])
+        assert abs(kol.solve_gf(law, 1e20, 0.5).F - 2.0 / 3.0) <= 1e-8
+        assert make_finite_immigration([-1e-16, 1e-16]).b0 == -1e-16
 
     def test_immigration_balance_required(self):
         with pytest.raises(ValueError):

@@ -42,7 +42,7 @@ def loop_draw(sampler):
 
 
 def draw_offspring(law, u):
-    return loop_draw(mc._Sampler(mc._offspring_pmf(law)))(u)
+    return loop_draw(mc._Sampler(law))(u)
 
 
 class TestSampleOffspring:
@@ -59,13 +59,13 @@ class TestSampleOffspring:
 
     def test_pmf_of_subnormal_rate_law(self):
         # 1/(-a_1) overflows here; inverting it first filled the table with inf * 0 = NaN
-        pmf = mc._offspring_pmf(make_stable_offspring(0.5, 5e-324))(8)
-        assert np.isfinite(pmf).all() and 0.0 < pmf.sum() <= 1.0
+        cdf = mc._Sampler(make_stable_offspring(0.5, 5e-324), 8)._cdf
+        assert np.isfinite(cdf).all() and 0.0 < cdf[-1] <= 1.0
 
     def test_empirical_pmf_matches_rates(self):
         rng = np.random.default_rng(7)
-        sampler = mc._Sampler(mc._offspring_pmf(HALF))
-        draws = sampler.draw(rng.random(1_000_000))
+        sampler = mc._Sampler(HALF)
+        draws = sampler.draw(rng.random(1_000_000)) + 1  # offspring counts from population changes
         lam = 1.0 / -HALF.a1  # lifetime mean
         pmf = lam * HALF.rates_up_to(10)
         pmf[1] = 0.0
@@ -74,6 +74,38 @@ class TestSampleOffspring:
             observed = np.mean(draws == k)
             se = math.sqrt(max(pmf[k] * (1.0 - pmf[k]), 1e-12) / n)
             assert abs(observed - pmf[k]) <= 4.0 * se
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([HALF, BINARY, FINITE, HEAVY_IMM, KAPPA_IMM, FINITE_IMM]),
+    st.sampled_from([51, mc._CDF_START, 5000]),
+    # the tails of HALF and HEAVY_IMM reach past a table of 5001 entries above about 0.99
+    st.lists(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.99, 1.0, exclude_max=True)),
+             min_size=1, max_size=20),
+)
+def test_sampler_lookup_and_draw(law, limit, uniforms):
+    # lookup reads the table as it is and flags exactly the uniforms whose draw
+    # grows it; draw's changes are the per-event loop's index minus 1 for
+    # offspring and the index itself for immigration
+    sampler = mc._Sampler(law, limit)
+    # the table's last entry, the least uniform whose draw can grow it, unless it is 1
+    v = np.array(uniforms + [x for x in sampler._cdf[-1:].tolist() if x < 1.0])
+    size = sampler.table_size
+    changes, grow = sampler.lookup(v)
+    for x, flagged in zip(v, grow):
+        alone = mc._Sampler(law, limit)
+        alone.draw(np.array([x]))
+        assert (alone.table_size > size) == flagged
+    drawn = sampler.draw(v)
+    assert np.array_equal(changes[~grow], drawn[~grow])
+    still = 1 if law in (HALF, BINARY, FINITE) else 0
+    loop = loop_draw(mc._Sampler(law, limit))
+    assert drawn.tolist() == [loop(x) - still for x in v.tolist()]
+    # once the table is at its limit, no uniform grows it
+    sampler.draw(np.array([np.nextafter(1.0, 0.0)]))
+    if sampler.table_size == limit + 1:
+        assert not sampler.lookup(v)[1].any()
 
 
 # a read is ("peek", size, moved): peek at size uniforms, then move the cursor
@@ -130,6 +162,20 @@ class TestSimulate:
         assert np.array_equal(a.states, b.states) and np.array_equal(a.capped, b.capped)
         assert np.array_equal(a.states, c.states) and np.array_equal(a.capped, c.capped)
 
+    def test_power_of_two_rate_scale_changes_no_path(self):
+        # rates x 2^-60 and times x 2^60 are exact, so the scaled run makes the
+        # same paths, counters and tables bit for bit
+        k = 2.0**-60
+        plain = mc.simulate(mc.SimConfig(BINARY, ARRIVALS, (1.0, 3.0), 20_000, 11))
+        laws = make_finite_offspring([k, -2.0 * k, k]), make_finite_immigration([-k, k])
+        scaled = mc.simulate(mc.SimConfig(*laws, (1.0 / k, 3.0 / k), 20_000, 11))
+        assert np.array_equal(plain.states, scaled.states) and np.array_equal(plain.capped, scaled.capped)
+        assert (plain.events, plain.straggler_events, plain.table_size) == (
+            scaled.events,
+            scaled.straggler_events,
+            scaled.table_size,
+        )
+
     def test_capped_fraction_small_for_critical_paths(self):
         cfg = mc.SimConfig(offspring=HALF, immigration=None, grid=(100.0,), replicas=10_000, seed=5, cap=10**6)
         obs = mc.simulate(cfg)
@@ -158,8 +204,8 @@ def _reference_chunk(cfg, seed_seq, n_paths):
     """
     rng = np.random.default_rng(seed_seq)
     limit = min(16 * (cfg.cap + 1), mc._CDF_BOUND)
-    off = mc._Sampler(mc._offspring_pmf(cfg.offspring), limit)
-    imm = mc._Sampler(mc._immigration_pmf(cfg.immigration), limit) if cfg.immigration is not None else None
+    off = mc._Sampler(cfg.offspring, limit)
+    imm = mc._Sampler(cfg.immigration, limit) if cfg.immigration is not None else None
     draw_off, draw_imm = loop_draw(off), loop_draw(imm) if imm is not None else None
     rb = -cfg.offspring.a1
     ri = -cfg.immigration.b0 if cfg.immigration is not None else 0.0
@@ -205,7 +251,7 @@ def _reference_chunk(cfg, seed_seq, n_paths):
                 pb = n[fi] * rb / rate_w[fired]
                 branch = u2 < pb
                 if branch.any():
-                    n[fi[branch]] += off.draw(u2[branch] / pb[branch]) - 1
+                    n[fi[branch]] += off.draw(u2[branch] / pb[branch])
                 if (~branch).any():
                     n[fi[~branch]] += imm.draw((u2[~branch] - pb[~branch]) / (1.0 - pb[~branch]))
                 capped[fi[n[fi] > cfg.cap]] = True
@@ -358,8 +404,7 @@ class TestStreamExact:
     def test_bounded_table_agrees_below_its_bound(self):
         rng = np.random.default_rng(27)
         u = np.concatenate([rng.random(100_000), 1.0 - rng.random(1000) * 1e-4])
-        pmf = mc._immigration_pmf(HEAVY_IMM)
-        wide, bounded = mc._Sampler(pmf, 1 << 16).draw(u), mc._Sampler(pmf, 201).draw(u)
+        wide, bounded = mc._Sampler(HEAVY_IMM, 1 << 16).draw(u), mc._Sampler(HEAVY_IMM, 201).draw(u)
         inside = wide <= 201
         assert np.array_equal(bounded[inside], wide[inside])
         assert np.all(bounded[~inside] == 202) and (~inside).any()
