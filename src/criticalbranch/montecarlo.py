@@ -207,8 +207,7 @@ class _Sampler:
         vmax = v.max()
         if vmax >= self._cdf[-1]:
             self._extend_for(float(vmax))
-        # lookup's changes without its growth mask, which no round reads: the mask costs a round 1-2 us
-        return self._cdf.searchsorted(v, side="right") - self._still
+        return self.lookup(v)[0]
 
 
 class _Stream:
