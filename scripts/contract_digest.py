@@ -194,6 +194,7 @@ def simulate_sweep() -> None:
     inside the walk, and finite offspring [2, -3, 0.5, 0.5] with finite batch
     immigration [-1, 0.5, 0.25, 0.25] at the default cap (2000 replicas to
     t = 10) covers finite tables.
+    The canonical pair from 0 at cap 200 (10,000 replicas to t = 50) caps paths in joint rounds.
     """
     montecarlo = cli.montecarlo
     default = montecarlo.DEFAULT_CAP
@@ -210,6 +211,8 @@ def simulate_sweep() -> None:
                  200, 7, 3))
     runs.append(("simulate_sweep[finite+finite batches]", {"kind": "finite", "rates": [2.0, -3.0, 0.5, 0.5]},
                  {"kind": "finite", "rates": [-1.0, 0.5, 0.25, 0.25]}, (2.0, 10.0), default, 2000, 7, None))
+    runs.append(("simulate_sweep[canonical pair,t=50,cap=200]", OFFSPRING[0], IMMIGRATION[1], (50.0,), 200, 10_000, 7,
+                 0))
     for label, f, h, grid, cap, replicas, seed, start in runs:
         cfg = montecarlo.SimConfig(offspring=cli.offspring_from_config(f),
                                    immigration=cli.immigration_from_config(h) if h else None,

@@ -222,7 +222,7 @@ def _scan_nonnegative(rates: np.ndarray, first_index: int, what: str) -> None:
     bad = np.nonzero(rates[first_index:] < -_RESIDUE * np.abs(rates).max())[0]
     if bad.size:
         k = int(bad[0]) + first_index
-        raise ValueError(f"{what} coefficient at index {k} is negative: {rates[k]!r}")
+        raise ValueError(f"{what} coefficient at index {k} is negative: {float(rates[k])!r}")
 
 
 def make_stable_offspring(nu: float, a0: float) -> OffspringLaw:

@@ -29,12 +29,15 @@ calls.  One chunk is the joint phase with one segment.
 Once a chunk is down to a handful of straggler paths the engine advances them
 one at a time, which keeps rare high-population excursions from stalling the
 vectorized rounds.
-A straggler advances in numpy blocks of events that consume the stream exactly
-as the per-event loop would: same uniforms, same order, same arithmetic, hence
-the same paths.  An event's jump reads the population only through the
-branching share n rb / (n rb + ri), so a block is the fixed point of redrawing
-its jumps from the path they make (without immigration the share is 1 and the
-first pass is the fixed point: the jump chain is a random walk stopped at 0).
+A straggler advances in numpy blocks of events that read exactly the per-event
+loop's uniforms, in its order, with its jump arithmetic.  Its clocks come from
+np.log1p, as a round's do, which can differ from the loop's math.log1p in the
+last ulp: an event time can move by an ulp or so, which changes a path only if
+the event lands that close to a grid time.  An event's jump reads the
+population only through the branching share n rb / (n rb + ri), so a block is
+the fixed point of redrawing its jumps from the path they make (without
+immigration the share is 1 and the first pass is the fixed point: the jump
+chain is a random walk stopped at 0).
 
 The same walk replays whole rounds without immigration.  A round in which
 every lane fires and stays reads m clock uniforms and then m jump uniforms,
@@ -197,17 +200,20 @@ class _Sampler:
             self._horizon = min(2 * self._horizon, self._limit)
             self._cdf = self._table()
 
+    def _changes(self, v: np.ndarray) -> np.ndarray:
+        return self._cdf.searchsorted(v, side="right") - self._still
+
     def lookup(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Changes for the uniforms v from the table as it is, and where their draw would grow it."""
         edge = self._cdf[-1] if self._horizon < self._limit else math.inf
-        return self._cdf.searchsorted(v, side="right") - self._still, v >= edge
+        return self._changes(v), v >= edge
 
     def draw(self, v: np.ndarray) -> np.ndarray:
         """Changes for a non-empty array of uniforms, the table first grown to cover them."""
         vmax = v.max()
         if vmax >= self._cdf[-1]:
             self._extend_for(float(vmax))
-        return self.lookup(v)[0]
+        return self._changes(v)
 
 
 class _Stream:
@@ -244,10 +250,10 @@ def _walk_rows(n0, t0, clock: np.ndarray, jumps: np.ndarray, rb: float, ri: floa
     """Populations and times after each row of events, the rows taken in order.
 
     Row k moves every column by n += jumps[k] and t += clock[k] / (n rb + ri),
-    n before it, one event per column.  The cumsums add row after row, so each
-    sum is the one the per-event loop or a round makes, bit for bit.  A rate
-    <= 0 is taken as infinite, which keeps division by zero out of the rows
-    past a column's stop.  Clobbers clock.
+    n before it, one event per column.  The cumsums add row after row, so from
+    the same clocks each sum is the one the per-event loop or a round makes,
+    bit for bit.  A rate <= 0 is taken as infinite, which keeps division by
+    zero out of the rows past a column's stop.  Clobbers clock.
     """
     n_after = n0 + np.cumsum(jumps, axis=0)
     rate = (n_after - jumps) * rb + ri
@@ -291,7 +297,6 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
     n = np.full(cfg.replicas, cfg.start, dtype=np.int64)
     capped = np.zeros(cfg.replicas, dtype=bool)
     out = np.empty((cfg.replicas, len(cfg.grid)), dtype=np.int64)
-    log1p = math.log1p
 
     # guessed rows past a stop can hold n <= 0, where the branching share is 0 / 0
     @np.errstate(divide="ignore", invalid="ignore")
@@ -299,7 +304,8 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
         """Advance one straggler to the horizon as the per-event loop would, a block of events per numpy pass.
 
         While the rate n rb + ri is positive and t is short of the horizon, the
-        loop moves t by -log1p(-u1) / rate, stops past the horizon, draws the
+        loop moves t by -log1p(-u1) / rate (the block's np.log1p can differ from
+        the loop's math.log1p in the last ulp), stops past the horizon, draws the
         jump from u2 and pb = n rb / rate (growing a table to cover it) and
         stops above cap.  A block peeks at the uniforms in that order and
         solves for its jumps by fixed-point passes: the first guesses n = ni
@@ -312,8 +318,8 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
         events, size = 0, _WALK_START
         while ni <= cap and ni * rb + ri > 0.0 and ti < horizon:
             u = c.peek(2 * size)
-            # math.log1p as in the loop: np.log1p differs from it in the last ulp
-            logs, u2 = np.fromiter(map(log1p, (-u[0::2]).tolist()), float, size), u[1::2]
+            # np.log1p as in a round; the loop's math.log1p can differ from it in the last ulp
+            logs, u2 = np.log1p(-u[0::2]), u[1::2]
             x = ni * rb
             pb = x / (x + ri)
             while True:
@@ -406,37 +412,42 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                         continue
                     rows = max(R // 2, 2)
                 u1 = _cat([c.take(s) for c, s in zip(group, sizes)])
-                rate = nw * rb if pure else nw * rb + ri
-                t_next = tw - np.log1p(-u1) / rate
-                fired = t_next <= g
-                lanes = lanes[fired]
+                x = nw * rb
+                tw = tw - np.log1p(-u1) / (x if pure else x + ri)
+                fired = tw <= g
+                if not fired.all():
+                    lanes, nw, tw, x = lanes[fired], nw[fired], tw[fired], x[fired]
+                    sizes = _segment_sizes(lanes, starts)
                 k = lanes.size
                 events += k
-                sizes = _segment_sizes(lanes, starts)
                 u2 = _cat([c.take(s) for c, s in zip(group, sizes)])
                 if not k:
-                    nw, tw = nw[:0], tw[:0]
                     break
-                nw, tw = nw[fired], t_next[fired]
+                # in place: nw is this round's array, a block's row or (_cat returns a lone
+                # part uncopied) its chunk's c.nw, which nothing reads before it is replaced
                 if pure:
                     nw += off.draw(u2)
                 else:
-                    pb = nw * rb / rate[fired]
+                    pb = x / (x + ri)
                     bi = u2 < pb
-                    ii = ~bi
-                    if bi.any():
-                        nw[bi] += off.draw(u2[bi] / pb[bi])
-                    if ii.any():
+                    if bi.all():
+                        nw += off.draw(u2 / pb)
+                    else:
+                        ii = ~bi
+                        if bi.any():
+                            nw[bi] += off.draw(u2[bi] / pb[bi])
                         nw[ii] += imm.draw((u2[ii] - pb[ii]) / (1.0 - pb[ii]))
                 n[lanes] = nw
                 over = nw > cap
                 if over.any():
                     capped[lanes[over]] = True
                 # n = 0 is absorbing without immigration; with it the rate stays positive
-                keep = ~over & (nw > 0) if pure else ~over
-                lanes, nw, tw = lanes[keep], nw[keep], tw[keep]
+                gone = over | (nw <= 0) if pure else over
+                if gone.any():
+                    keep = ~gone
+                    lanes, nw, tw = lanes[keep], nw[keep], tw[keep]
+                    sizes = _segment_sizes(lanes, starts)
                 steady = lanes.size == m
-                sizes = _segment_sizes(lanes, starts)
                 if min(sizes) <= leave_at:
                     break
             lo, stay = 0, []

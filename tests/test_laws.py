@@ -111,6 +111,11 @@ class TestStableImmigration:
             with pytest.raises(ValueError, match="offspring coefficient at index 3 is negative"):
                 make_perturbed_offspring(0.5, scale, 5.0, 0.9)
 
+    def test_negative_coefficient_message_prints_a_plain_float(self):
+        with pytest.raises(ValueError) as err:
+            make_perturbed_offspring(0.5, 1.0, 5.0, 0.9)
+        assert str(err.value) == "offspring coefficient at index 3 is negative: -1.0574999999999997"
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             make_stable_immigration(0.0, 1.0)

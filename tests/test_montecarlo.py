@@ -1,4 +1,5 @@
 import math
+import types
 from bisect import bisect_right
 
 import numpy as np
@@ -315,10 +316,30 @@ class TestStreamExact:
             pytest.param(mc.SimConfig(HALF, KAPPA_IMM, (5.0, 20.0), 200, 50, start=3, cap=5000), 1,
                          id="kappa-start3-cap5000"),
             pytest.param(mc.SimConfig(FINITE, FINITE_IMM, (2.0, 10.0), 2000, 51), 1, id="finite-pair"),
+            # the mc-tail ratio shape: two chunks run joint immigration rounds, in which about 40% of the paths cap
+            pytest.param(mc.SimConfig(HALF, HEAVY_IMM, (50.0,), 10_000, 54, cap=200), 1, id="ratio-cap200"),
         ],
     )
     def test_matches_per_event_loop(self, cfg, threads):
         assert_matches_reference(cfg, mc.simulate(cfg, threads=threads))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param(IMM_STRAGGLERS, id="immigration-stragglers"),
+            pytest.param(mc.SimConfig(HALF, None, (100.0,), 10_000, 44, cap=10**4), id="tail-cap1e4"),
+        ],
+    )
+    def test_walks_take_no_math_log1p(self, cfg, monkeypatch):
+        # a straggler's clocks come from np.log1p in blocks: math.log1p costs
+        # about ten times as much per event
+        def refuse(x):
+            raise AssertionError("math.log1p called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mc, "math", types.SimpleNamespace(**(vars(math) | {"log1p": refuse})))
+            obs = mc.simulate(cfg)
+        assert_matches_reference(cfg, obs)
 
     def test_dead_chunk_has_no_live_lane(self):
         # the "dead-chunk" case above covers a grid time at which one chunk has no live lane
