@@ -430,12 +430,10 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                 else:
                     pb = x / (x + ri)
                     bi = u2 < pb
-                    if bi.all():
-                        nw += off.draw(u2 / pb)
-                    else:
-                        ii = ~bi
-                        if bi.any():
-                            nw[bi] += off.draw(u2[bi] / pb[bi])
+                    ii = ~bi
+                    if bi.any():
+                        nw[bi] += off.draw(u2[bi] / pb[bi])
+                    if ii.any():
                         nw[ii] += imm.draw((u2[ii] - pb[ii]) / (1.0 - pb[ii]))
                 n[lanes] = nw
                 over = nw > cap

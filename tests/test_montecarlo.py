@@ -320,25 +320,15 @@ class TestStreamExact:
             pytest.param(mc.SimConfig(HALF, HEAVY_IMM, (50.0,), 10_000, 54, cap=200), 1, id="ratio-cap200"),
         ],
     )
-    def test_matches_per_event_loop(self, cfg, threads):
-        assert_matches_reference(cfg, mc.simulate(cfg, threads=threads))
-
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            pytest.param(IMM_STRAGGLERS, id="immigration-stragglers"),
-            pytest.param(mc.SimConfig(HALF, None, (100.0,), 10_000, 44, cap=10**4), id="tail-cap1e4"),
-        ],
-    )
-    def test_walks_take_no_math_log1p(self, cfg, monkeypatch):
-        # a straggler's clocks come from np.log1p in blocks: math.log1p costs
-        # about ten times as much per event
+    def test_matches_per_event_loop(self, cfg, threads, monkeypatch):
+        # the engine never calls math.log1p: a straggler's clocks come from
+        # np.log1p in blocks, and math.log1p costs about ten times as much per event
         def refuse(x):
             raise AssertionError("math.log1p called")
 
         with monkeypatch.context() as patch:
             patch.setattr(mc, "math", types.SimpleNamespace(**(vars(math) | {"log1p": refuse})))
-            obs = mc.simulate(cfg)
+            obs = mc.simulate(cfg, threads=threads)
         assert_matches_reference(cfg, obs)
 
     def test_dead_chunk_has_no_live_lane(self):
