@@ -3,8 +3,10 @@
 Every path is simulated event by event: a single exponential clock with the
 total rate picks the next event time and a second uniform selects the event
 (offspring count or immigration batch) by exact inverse-CDF lookup, so the
-jump-chain law is sampled without any tail approximation.  No leaping of any
-kind is applied; bias would contaminate the asymptotic-rate checks downstream.
+jump-chain law is sampled without any tail approximation.  A guide table finds
+most indices with one gather and every index as a binary search would.  No
+leaping of any kind is applied; bias would contaminate the asymptotic-rate
+checks downstream.
 
 Paths are advanced in vectorized rounds across fixed-size chunks.  Each chunk
 draws from its own stream spawned from (seed, chunk index) and reads it exactly
@@ -83,6 +85,8 @@ CHUNK = 8192
 DEFAULT_CAP = 10**6
 _SCALAR_SWITCH = 4
 _CDF_START = 1024
+# buckets of a sampler's guide; a power of two, so v * _GUIDE and the edges b / _GUIDE are exact
+_GUIDE = 4096
 # a straggler walk draws blocks of this many events, doubling up to the max
 _WALK_START = 32
 _WALK_MAX = 4096
@@ -177,6 +181,19 @@ class _Sampler:
     do not depend on the horizon, so every jump within the table is exact.
     Simulation sets limit = cap + 1 (at most the memory bound): any jump past
     it caps the path, so an overflowing draw only ever marks a path capped.
+
+    Each table has a guide of K = _GUIDE buckets (indexed search: Chen & Asau,
+    AIIE Trans. 6, 1974; Devroye, Non-Uniform Random Variate Generation, 1986,
+    III.2.4).  Bucket b holds the uniforms in [b / K, (b + 1) / K), the last one
+    also every value from 1 up.  It is settled when no table entry lies inside
+    it, #(cdf <= b / K) = #(cdf < (b + 1) / K), and then that count is the
+    searchsorted index of each of its uniforms.  A uniform v reads the bucket
+    that the cast truncates v * K to (exact, K being a power of two), clipped
+    to the guide; only those in unsettled buckets go on to searchsorted.  So
+    the index is searchsorted's for every float64: a value that the cast or
+    the clip moves out of its bucket (a negative, -0.0, NaN, an infinity, or a
+    value whose cast overflows) lands in bucket 0, which is never settled, or
+    in the last bucket, whose upper edge is inf.
     """
 
     def __init__(self, law: OffspringLaw | ImmigrationLaw, limit: int = _CDF_BOUND):
@@ -184,12 +201,21 @@ class _Sampler:
         self._law, self._still = law, 1 if isinstance(law, OffspringLaw) else 0
         self._rate = -law.a1 if self._still else -law.b0
         self._limit, self._horizon = limit, min(_CDF_START, limit)
-        self._cdf = self._table()
+        self._cdf, self._guide = self._table()
 
-    def _table(self) -> np.ndarray:
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table at the current horizon and its guide."""
         p = self._law.rates_up_to(self._horizon) / self._rate
         p[self._still] = 0.0
-        return np.cumsum(p)
+        cdf = np.cumsum(p)
+        edges = np.arange(_GUIDE + 1) / _GUIDE
+        edges[-1] = math.inf
+        lo, hi = cdf.searchsorted(edges[:-1], side="right"), cdf.searchsorted(edges[1:], side="left")
+        # a settled change is at least -1, so -2 marks an unsettled bucket
+        guide = np.where(lo == hi, lo - self._still, -2)
+        # bucket 0 stays unsettled: negatives, NaN and -inf land there and fall back
+        guide[0] = -2
+        return cdf, guide
 
     @property
     def table_size(self) -> int:
@@ -198,10 +224,15 @@ class _Sampler:
     def _extend_for(self, vmax: float) -> None:
         while self._cdf[-1] <= vmax and self._horizon < self._limit:
             self._horizon = min(2 * self._horizon, self._limit)
-            self._cdf = self._table()
+            self._cdf, self._guide = self._table()
 
     def _changes(self, v: np.ndarray) -> np.ndarray:
-        return self._cdf.searchsorted(v, side="right") - self._still
+        # the cast truncates v * _GUIDE to v's bucket, and the clip keeps it on the guide
+        changes = self._guide.take((v * _GUIDE).astype(np.intp), mode="clip")
+        fall = changes < -1
+        if np.count_nonzero(fall):
+            changes[fall] = self._cdf.searchsorted(v[fall], side="right") - self._still
+        return changes
 
     def lookup(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Changes for the uniforms v from the table as it is, and where their draw would grow it."""
@@ -436,12 +467,15 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                     if ii.any():
                         nw[ii] += imm.draw((u2[ii] - pb[ii]) / (1.0 - pb[ii]))
                 n[lanes] = nw
-                over = nw > cap
-                if over.any():
-                    capped[lanes[over]] = True
+                gone = nw > cap
+                leave = gone.any()
+                if leave:
+                    capped[lanes[gone]] = True
                 # n = 0 is absorbing without immigration; with it the rate stays positive
-                gone = over | (nw <= 0) if pure else over
-                if gone.any():
+                if pure:
+                    gone |= nw <= 0
+                    leave = gone.any()
+                if leave:
                     keep = ~gone
                     lanes, nw, tw = lanes[keep], nw[keep], tw[keep]
                     sizes = _segment_sizes(lanes, starts)

@@ -109,6 +109,74 @@ def test_sampler_lookup_and_draw(law, limit, uniforms):
         assert not sampler.lookup(v)[1].any()
 
 
+# the six laws of test_sampler_lookup_and_draw
+SAMPLER_LAWS = [pytest.param(law, id=name) for law, name in [
+    (HALF, "half"), (BINARY, "binary"), (FINITE, "finite"),
+    (HEAVY_IMM, "heavy-imm"), (KAPPA_IMM, "kappa-imm"), (FINITE_IMM, "finite-imm"),
+]]
+# the largest limit's tables grow past 1 - 1e-9, to more entries than the guide has buckets
+GUIDE_LIMITS = [51, mc._CDF_START, 5000, 10**6 + 1]
+
+
+def grown_sampler(law, limit):
+    sampler = mc._Sampler(law, limit)
+    if limit > 5000:
+        sampler.draw(np.array([1.0 - 1e-9]))
+    return sampler
+
+
+@pytest.mark.parametrize("limit", GUIDE_LIMITS)
+@pytest.mark.parametrize("law", SAMPLER_LAWS)
+def test_guide_lookup_is_searchsorted(law, limit):
+    # the guide gives cdf.searchsorted(v, "right") - still for every float64 v
+    sampler = grown_sampler(law, limit)
+    cdf, still = sampler._cdf, 1 if law in (HALF, BINARY, FINITE) else 0
+    edges = np.arange(mc._GUIDE + 1) / mc._GUIDE
+    finite = np.concatenate([
+        edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+        cdf, np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0), [0.0, 1.0],
+    ])
+    finite = finite[(finite >= 0.0) & (finite <= 1.0)]
+    # past 1, NaN and infinities, and negatives arrive only in a straggler walk's rows past its stop
+    wild = np.array([np.nextafter(1.0, 2.0), 1.5, 2.0, 2.0**51 - 1.0, 2.0**51, 2.0**52, 2.0**63, 2.0**70,
+                     np.nan, np.inf, -np.inf, -0.0, -5e-324, -1e-300, -0.5 / mc._GUIDE, -0.5, -1.0, -(2.0**70)])
+    m = 64  # the lanes of a round block, whose jump uniforms are the (R, m) slice u[:, 1] of an (R, 2, m) block
+    block = np.zeros((finite.size // m, 2, m))
+    block[:, 1] = finite[: block.shape[0] * m].reshape(-1, m)
+    with np.errstate(all="raise"):
+        for v in (finite, block[:, 1]):
+            want = np.searchsorted(cdf, v, side="right") - still
+            assert np.array_equal(sampler._changes(v), want)
+            assert np.array_equal(sampler.lookup(v)[0], want)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        want = np.searchsorted(cdf, wild, side="right") - still
+        assert np.array_equal(sampler._changes(wild), want)
+        assert np.array_equal(sampler.lookup(wild)[0], want)
+
+
+class _CountingTable(np.ndarray):
+    """A table that counts the uniforms looked up in it by searchsorted."""
+
+    def searchsorted(self, v, side="left", sorter=None):
+        self.searched = getattr(self, "searched", 0) + np.size(v)
+        return super().searchsorted(v, side, sorter)
+
+
+@pytest.mark.parametrize("limit", GUIDE_LIMITS)
+@pytest.mark.parametrize("law", SAMPLER_LAWS)
+def test_guide_settles_every_bucket_without_a_table_entry(law, limit):
+    # only bucket 0 and the buckets that hold a table entry send their uniforms
+    # to searchsorted; one uniform per bucket counts them
+    sampler = grown_sampler(law, limit)
+    held = np.unique(np.minimum((sampler._cdf * mc._GUIDE).astype(np.intp), mc._GUIDE - 1)).size
+    sampler._cdf = sampler._cdf.view(_CountingTable)
+    sampler._changes((np.arange(mc._GUIDE) + 0.5) / mc._GUIDE)
+    assert getattr(sampler._cdf, "searched", 0) <= 1 + held
+    if law is BINARY:
+        # the table is 0.5, 0.5, 1.0, ...: bucket 0 and the last bucket
+        assert sampler._cdf.searched == 2
+
+
 # a read is ("peek", size, moved): peek at size uniforms, then move the cursor
 # past moved <= size of them, as a block or a straggler does; or ("take", size)
 _READS = st.one_of(
