@@ -183,15 +183,15 @@ def simulate_sweep() -> None:
 
     Every law pair runs 20,000 replicas (three chunks, the last one partial)
     over a grid with a repeated time at cap 1000; one canonical pure-branching
-    run to t = 10 at the default cap covers the straggler walk and a grown table,
+    run to t = 10 at the default cap covers the stragglers' rounds and a grown table,
     and the same run with 100,000 replicas (13 chunks) covers many chunks
     running their last rounds together.  Two canonical runs to t = 100 at cap
     1e4 (10,000 replicas, seeds 1 and 2) cover long blocks of rounds with few
     lanes.  A perturbed offspring law with canonical immigration from 0 to t = 10
-    at the default cap (100 replicas) spends most of its events in the
-    immigration straggler walk.  Canonical offspring with perturbed (kappa =
+    at the default cap (100 replicas) spends most of its events in
+    immigration stragglers.  Canonical offspring with perturbed (kappa =
     0.25) immigration from 3 at cap 5000 (200 replicas to t = 20) grows a table
-    inside the walk, and finite offspring [2, -3, 0.5, 0.5] with finite batch
+    in a straggler's rounds, and finite offspring [2, -3, 0.5, 0.5] with finite batch
     immigration [-1, 0.5, 0.25, 0.25] at the default cap (2000 replicas to
     t = 10) covers finite tables.
     The canonical pair from 0 at cap 200 (10,000 replicas to t = 50) caps paths in joint rounds.

@@ -14,13 +14,16 @@ as it would alone, so results are bit-for-bit reproducible for a given
 (config, seed) and no chunk's paths depend on the others.  A round works on a
 compact working set (lane ids with their populations and times) that one mask
 shrinks each round; populations are written back for the paths that fired.
-Every reader of a chunk's stream (a round, a block of rounds, a straggler)
-goes through one cursor over a buffered block of its uniforms, so the chunk
-consumes them in one sequence, as successive random() calls would return
-them.  A round takes one uniform for every lane's clock followed by one for
-each fired lane's jump; a block of rounds or a straggler peeks ahead and
-moves the cursor just past the uniforms it uses.  Without immigration every
-event is a branching, so a round looks each jump up from its uniform directly.
+Every reader of a chunk's stream (a round or a block of rounds) goes through
+one cursor over a buffered block of its uniforms, so the chunk consumes them
+in one sequence, as successive random() calls would return them.  A round
+takes one uniform for every lane's clock followed by one for each fired
+lane's jump; a block of rounds peeks ahead and moves the cursor just past the
+uniforms it uses.  Without immigration every event is a branching, so a round
+looks each jump up from its uniform directly.  Clocks come from np.log1p,
+which can differ from the per-event loop's math.log1p in the last ulp: an
+event time can move by an ulp or so, which changes a path only if the event
+lands that close to a grid time.
 At each grid time the rounds run in two phases of one round routine.  In the
 first phase each chunk runs alone until it has at most _JOIN live lanes, so
 only one chunk's full working set is held at a time.  In the joint phase the
@@ -28,29 +31,34 @@ chunks still in the rounds run together: their working sets are concatenated
 in lane order and each chunk's segment is found by searching for its first
 lane, so the many rounds with few lanes that end every chunk share their numpy
 calls.  One chunk is the joint phase with one segment.
-Once a chunk is down to a handful of straggler paths the engine advances them
-one at a time, which keeps rare high-population excursions from stalling the
-vectorized rounds.
-A straggler advances in numpy blocks of events that read exactly the per-event
-loop's uniforms, in its order, with its jump arithmetic.  Its clocks come from
-np.log1p, as a round's do, which can differ from the loop's math.log1p in the
-last ulp: an event time can move by an ulp or so, which changes a path only if
-the event lands that close to a grid time.  An event's jump reads the
-population only through the branching share n rb / (n rb + ri), so a block is
-the fixed point of redrawing its jumps from the path they make (without
-immigration the share is 1 and the first pass is the fixed point: the jump
-chain is a random walk stopped at 0).
 
-The same walk replays whole rounds without immigration.  A round in which
-every lane fires and stays reads m clock uniforms and then m jump uniforms,
-so R such rounds read an (R, 2, m) slice of the stream.  Once a working set
-is down to _BLOCK_LANES lanes and its last round kept every lane, its rounds
-run in blocks of R: each lane walks through the block, the rounds before the
-first one in which some lane would stop (die, cap, pass the grid time or
-need a larger table) are committed at once, and that round runs as an
-ordinary round.  R doubles while blocks run clean and halves on an early
-stop, with at most _BLOCK_SIZE rounds x lanes.  A block never grows a table,
-so the table sizes are those of the rounds it replaces.
+Once a chunk is down to a handful of straggler paths, each of them runs its
+rounds alone, in lane order, as a working set of one lane, which keeps rare
+high-population excursions from stalling the vectorized rounds.  Few-lane
+rounds run in blocks.  A round in which every lane fires and stays reads m
+clock uniforms and then m jump uniforms, so R such rounds read an (R, 2, m)
+slice of the stream.  Once a working set is down to _BLOCK_LANES lanes
+without immigration, or to one lane with it, and no lane left it in its last
+round (or it has just been formed), its rounds run in blocks of R: each lane
+moves through the block, the rounds before the first one in which some lane
+would stop (die without immigration, cap, pass the grid time or need a larger
+table) are committed at once, and that round runs as an ordinary round, which
+grows the table or lets the lane leave.  So a block never grows a table, and the table sizes are
+those of the rounds it replaces.  R doubles while blocks run clean and halves
+on an early stop, with at most _BLOCK_SIZE rounds x lanes.  An event's jump
+reads the population only through the branching share n rb / (n rb + ri), so
+a block is the fixed point of redrawing its jumps from the path they make:
+the first pass guesses each lane's first n on every row, each later pass
+redraws from the path the last one made, and the passes stop when the share
+agrees through the first stop.  Without immigration the share is 1 and the
+first pass is the fixed point.  With immigration the passes pay off on a long
+straggler but not on every few-lane round: blocks at every immigration round
+of up to _BLOCK_LANES lanes made a run of the canonical pair at cap 200, which
+spends its events in such rounds, slower in 10 of 11 alternating runs.
+A straggler is a round like any other, so an event that lands exactly on the
+grid time keeps its lane, which reads one more clock uniform before it leaves;
+the per-event loop stops there without that read.  Only an exact float tie
+makes the two differ.
 
 Each law's jump sampler returns population changes and alone decides when a
 lookup grows its table.  The tables grow on demand but never past cap + 2
@@ -66,6 +74,7 @@ excluded by the estimators; the count is always reported, never dropped.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,15 +96,12 @@ _SCALAR_SWITCH = 4
 _CDF_START = 1024
 # buckets of a sampler's guide; a power of two, so v * _GUIDE and the edges b / _GUIDE are exact
 _GUIDE = 4096
-# a straggler walk draws blocks of this many events, doubling up to the max
-_WALK_START = 32
-_WALK_MAX = 4096
 # a uniform block that runs short is refilled with twice the uniforms asked for plus this many
 _ROUND_BLOCK = 1024
 # a chunk runs its rounds alone until it has this many live lanes or fewer
 _JOIN = 512
-# without immigration, rounds with this many lanes or fewer run in blocks of
-# whole rounds, at most _BLOCK_SIZE rounds x lanes, starting at _BLOCK_START rounds
+# without immigration, rounds with this many lanes or fewer (with it, one lane) run in
+# blocks of whole rounds, at most _BLOCK_SIZE rounds x lanes, starting at _BLOCK_START rounds
 _BLOCK_LANES = 512
 _BLOCK_SIZE = 4096
 _BLOCK_START = 8
@@ -155,9 +161,9 @@ class Estimate:
 class PathObservations:
     """Recorded populations, one row per path, one column per grid time.
 
-    ``events`` counts every jump, ``straggler_events`` those made after a
-    chunk left its vectorized rounds, and ``table_size`` is the largest
-    sampler table built, in entries.
+    ``events`` counts every jump, ``straggler_events`` those made by the
+    one-lane rounds a chunk runs after its vectorized rounds, and
+    ``table_size`` is the largest sampler table built, in entries.
     """
 
     states: np.ndarray
@@ -253,8 +259,8 @@ class _Stream:
     ``buf[pos:]`` are the stream's next uniforms: a refill appends a block drawn
     from the generator, so every reader sees the uniforms in the order that
     ``random()`` calls would return them.  A round ``take``s u1 for every lane,
-    then u2 for each lane that fired; a block of rounds or a straggler ``peek``s
-    ahead and moves ``pos`` past the uniforms it uses.  ``lo`` is the chunk's
+    then u2 for each lane that fired; a block of rounds ``peek``s ahead and
+    moves ``pos`` past the uniforms it uses.  ``lo`` is the chunk's
     first lane.
     """
 
@@ -312,7 +318,8 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
     Chunk c (replicas c*CHUNK onwards) draws from ``SeedSequence(seed).spawn(n)[c]``
     and reads it exactly as it would alone.  At each grid time every chunk
     runs its rounds alone down to _JOIN live lanes, the chunks still in the
-    rounds then run theirs together, and each chunk's stragglers go last.
+    rounds then run theirs together, and each chunk's stragglers go last, one
+    lane at a time.
     ``threads`` is accepted and ignored.
     """
     n_chunks = (cfg.replicas + CHUNK - 1) // CHUNK
@@ -329,72 +336,11 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
     capped = np.zeros(cfg.replicas, dtype=bool)
     out = np.empty((cfg.replicas, len(cfg.grid)), dtype=np.int64)
 
-    # guessed rows past a stop can hold n <= 0, where the branching share is 0 / 0
-    @np.errstate(divide="ignore", invalid="ignore")
-    def advance_walk(c: _Stream, lane: int, ti: float, horizon: float) -> int:
-        """Advance one straggler to the horizon as the per-event loop would, a block of events per numpy pass.
-
-        While the rate n rb + ri is positive and t is short of the horizon, the
-        loop moves t by -log1p(-u1) / rate (the block's np.log1p can differ from
-        the loop's math.log1p in the last ulp), stops past the horizon, draws the
-        jump from u2 and pb = n rb / rate (growing a table to cover it) and
-        stops above cap.  A block peeks at the uniforms in that order and
-        solves for its jumps by fixed-point passes: the first guesses n = ni
-        on every row, each next one redraws from the path the last one made,
-        until pb agrees up to the first stop.  A pass right on the first i rows
-        is right on i + 1 after it.  At a jump that would grow a table the
-        table grows, as in the loop, and the block goes on from there.
-        """
-        ni = int(n[lane])
-        events, size = 0, _WALK_START
-        while ni <= cap and ni * rb + ri > 0.0 and ti < horizon:
-            u = c.peek(2 * size)
-            # np.log1p as in a round; the loop's math.log1p can differ from it in the last ulp
-            logs, u2 = np.log1p(-u[0::2]), u[1::2]
-            x = ni * rb
-            pb = x / (x + ri)
-            while True:
-                # the loop's draws at pb (one float on the first pass) from the tables as they are
-                bi = u2 < pb
-                v = u2 / pb
-                jumps, grow = off.lookup(v)
-                if not bi.all():
-                    ii = ~bi
-                    v[ii] = ((u2 - pb) / (1.0 - pb))[ii]
-                    jumps[ii], grow[ii] = imm.lookup(v[ii])
-                n_after, t_after = _walk_rows(ni, ti, -logs, jumps, rb, ri)
-                # n <= 0 is the loop's stop without immigration; with it the next block goes on from 0
-                stop = (t_after >= horizon) | (n_after <= 0) | (n_after > cap) | grow
-                k = int(stop.argmax())
-                m = k + 1 if stop[k] else stop.size
-                if ri == 0.0:
-                    break  # pb = x / x = 1 on every row up to the stop: the first pass is the fixed point
-                x = (n_after - jumps) * rb
-                guess, pb = pb, x / (x + ri)
-                if (pb == guess)[:m].all():
-                    break
-                logs, u2, pb = logs[:m], u2[:m], pb[:m]
-            # the events the loop makes: through the stop, or before it if it
-            # reads event k's clock and stops, or grows a table before its jump
-            j = k if t_after[k] > horizon or grow[k] else m
-            if j:
-                ni, ti = int(n_after[j - 1]), float(t_after[j - 1])
-            c.pos += 2 * j
-            events += j
-            if t_after[k] > horizon:
-                c.pos += 1
-                break
-            if grow[k]:
-                (off if bi[k] else imm)._extend_for(float(v[k]))
-            elif not stop[k]:
-                size = min(2 * size, _WALK_MAX)
-        capped[lane] = ni > cap
-        n[lane] = ni
-        return events
-
     # Without immigration every event is a branching: the rate x + 0.0 is x and
     # the branching share x / (x + 0.0) is exactly 1, so those rounds skip both.
     pure = ri == 0.0
+    # a block stops at a row below this n: death without immigration; with it n = 0 goes on
+    lowest = 1 if pure else 0
 
     def rounds(group: list, g: float, leave_at: int) -> int:
         """Vectorized rounds to grid time g over the chunks of group, run together.
@@ -412,25 +358,52 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
             lanes, nw, tw = (_cat(w) for w in zip(*((c.lanes, c.nw, c.tw) for c in group)))
             starts = np.array([c.lo for c in group[1:]], dtype=np.int64)
             sizes = [c.lanes.size for c in group]
-            rows, steady = _BLOCK_START, False
+            rows, steady = _BLOCK_START, True
             while True:
                 m = lanes.size
-                if pure and steady and m <= _BLOCK_LANES:
+                if steady and m <= (_BLOCK_LANES if pure else 1):
                     # A block of R rounds.  While no lane leaves, a round reads m clock
                     # uniforms and then m jump uniforms, so R of them read an (R, 2, m)
-                    # slice of each stream and every lane walks as in advance_walk.
+                    # slice of each stream.  np.log1p as in a round, whose
+                    # t - log1p(-u) / rate is t + (-log1p(-u)) / rate exactly.
                     R = min(rows, _BLOCK_SIZE // m)
                     u = _cat([c.peek(2 * s * R).reshape(R, 2, s) for c, s in zip(group, sizes)], axis=2)
-                    # np.log1p as in a round, whose t - log1p(-u) / rate is t + (-log1p(-u)) / rate
-                    # exactly.  A jump that would grow the table stops the block, which never
-                    # grows it; past a table at its limit the change is limit = min(cap + 1,
-                    # _CDF_BOUND) >= cap, so on a lane with n >= 1 nb > cap stops that row.
-                    jumps, grow = off.lookup(u[:, 1])
-                    nb, tb = _walk_rows(nw, tw, -np.log1p(-u[:, 0]), jumps, rb, 0.0)
-                    hit = ((nb <= 0) | (nb > cap) | ~(tb <= g) | grow).any(axis=1)
-                    r = int(hit.argmax())
-                    if not hit[r]:
-                        r = R
+                    logs, u2 = np.log1p(-u[:, 0]), u[:, 1]
+                    # with immigration u2 / pb divides by zero at n = 0, and guessed rows past a
+                    # stop can hold n < 0; without it a block draws no pb and divides by no zero
+                    with nullcontext() if pure else np.errstate(divide="ignore", invalid="ignore"):
+                        if not pure:
+                            x = nw * rb
+                            pb = x / (x + ri)
+                        while True:
+                            # the round's draws at pb (the first n on every row on the first
+                            # pass) from the tables as they are; a jump that would grow a
+                            # table stops the block, which never grows one; past a table at
+                            # its limit the change is limit = min(cap + 1, _CDF_BOUND) >= cap,
+                            # so nb > cap stops that row
+                            if pure:
+                                jumps, grow = off.lookup(u2)
+                            else:
+                                bi = u2 < pb
+                                v = u2 / pb
+                                jumps, grow = off.lookup(v)
+                                if np.count_nonzero(bi) < bi.size:
+                                    ii = ~bi
+                                    v[ii] = ((u2 - pb) / (1.0 - pb))[ii]
+                                    jumps[ii], grow[ii] = imm.lookup(v[ii])
+                            nb, tb = _walk_rows(nw, tw, -logs, jumps, rb, ri)
+                            hit = ((nb < lowest) | (nb > cap) | ~(tb <= g) | grow).any(axis=1)
+                            r = int(hit.argmax())
+                            if not hit[r]:
+                                r = hit.size
+                            if pure:
+                                break  # every event branches (pb = 1): the first pass is the fixed point
+                            # redraw from the path this pass made until pb agrees through the stop
+                            x = (nb - jumps) * rb
+                            guess, pb = pb, x / (x + ri)
+                            if (pb == guess)[: r + 1].all():
+                                break
+                            logs, u2, pb = logs[: r + 1], u2[: r + 1], pb[: r + 1]
                     if r:
                         # commit the rounds before the first one where a lane stops
                         events += r * m
@@ -446,7 +419,7 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                 x = nw * rb
                 tw = tw - np.log1p(-u1) / (x if pure else x + ri)
                 fired = tw <= g
-                if not fired.all():
+                if np.count_nonzero(fired) < m:
                     lanes, nw, tw, x = lanes[fired], nw[fired], tw[fired], x[fired]
                     sizes = _segment_sizes(lanes, starts)
                 k = lanes.size
@@ -461,20 +434,21 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                 else:
                     pb = x / (x + ri)
                     bi = u2 < pb
-                    ii = ~bi
-                    if bi.any():
+                    branched = np.count_nonzero(bi)
+                    if branched:
                         nw[bi] += off.draw(u2[bi] / pb[bi])
-                    if ii.any():
+                    if branched < k:
+                        ii = ~bi
                         nw[ii] += imm.draw((u2[ii] - pb[ii]) / (1.0 - pb[ii]))
                 n[lanes] = nw
                 gone = nw > cap
-                leave = gone.any()
+                leave = np.count_nonzero(gone)
                 if leave:
                     capped[lanes[gone]] = True
                 # n = 0 is absorbing without immigration; with it the rate stays positive
                 if pure:
                     gone |= nw <= 0
-                    leave = gone.any()
+                    leave = np.count_nonzero(gone)
                 if leave:
                     keep = ~gone
                     lanes, nw, tw = lanes[keep], nw[keep], tw[keep]
@@ -504,8 +478,11 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
             events += rounds([c], g, _JOIN)
         events += rounds(chunks, g, _SCALAR_SWITCH)
         for c in chunks:
-            for lane, ti in zip(c.lanes.tolist(), c.tw.tolist()):
-                straggler_events += advance_walk(c, lane, ti, g)
+            # each straggler in lane order, as a working set of one lane
+            lanes, nw, tw = c.lanes, c.nw, c.tw
+            for i in range(lanes.size):
+                c.lanes, c.nw, c.tw = lanes[i : i + 1], nw[i : i + 1], tw[i : i + 1]
+                straggler_events += rounds([c], g, 0)
         out[:, gi] = n
         t_prev = g
     return PathObservations(

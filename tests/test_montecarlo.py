@@ -25,7 +25,7 @@ HEAVY_IMM = make_stable_immigration(0.4, 0.1)
 KAPPA_IMM = make_stable_immigration(0.4, 0.1, 0.25)
 FINITE = make_finite_offspring([2.0, -3.0, 0.5, 0.5])
 FINITE_IMM = make_finite_immigration([-1.0, 0.5, 0.25, 0.25])
-# from 0 at the default cap, the immigration straggler walk makes most of the events
+# from 0 at the default cap, the immigration stragglers make most of the events
 IMM_STRAGGLERS = mc.SimConfig(make_perturbed_offspring(0.5, 1.0, 0.3, 0.5), HEAVY_IMM, (10.0,), 100, 48)
 
 
@@ -137,7 +137,7 @@ def test_guide_lookup_is_searchsorted(law, limit):
         cdf, np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0), [0.0, 1.0],
     ])
     finite = finite[(finite >= 0.0) & (finite <= 1.0)]
-    # past 1, NaN and infinities, and negatives arrive only in a straggler walk's rows past its stop
+    # past 1, NaN and infinities, and negatives arrive only in a round block's rows past its stop
     wild = np.array([np.nextafter(1.0, 2.0), 1.5, 2.0, 2.0**51 - 1.0, 2.0**51, 2.0**52, 2.0**63, 2.0**70,
                      np.nan, np.inf, -np.inf, -0.0, -5e-324, -1e-300, -0.5 / mc._GUIDE, -0.5, -1.0, -(2.0**70)])
     m = 64  # the lanes of a round block, whose jump uniforms are the (R, m) slice u[:, 1] of an (R, 2, m) block
@@ -380,12 +380,17 @@ class TestStreamExact:
             # the mc-tail shape: a few long-lived lanes run most of their rounds in blocks
             pytest.param(mc.SimConfig(HALF, None, (100.0,), 10_000, 44, cap=10**4), 1, id="tail-cap1e4"),
             pytest.param(IMM_STRAGGLERS, 1, id="immigration-stragglers"),
-            # blocks take several fixed-point passes and grow tables mid-walk
+            # blocks take several fixed-point passes, and stragglers grow tables in their rounds
             pytest.param(mc.SimConfig(HALF, KAPPA_IMM, (5.0, 20.0), 200, 50, start=3, cap=5000), 1,
                          id="kappa-start3-cap5000"),
             pytest.param(mc.SimConfig(FINITE, FINITE_IMM, (2.0, 10.0), 2000, 51), 1, id="finite-pair"),
             # the mc-tail ratio shape: two chunks run joint immigration rounds, in which about 40% of the paths cap
             pytest.param(mc.SimConfig(HALF, HEAVY_IMM, (50.0,), 10_000, 54, cap=200), 1, id="ratio-cap200"),
+            # about 40 grid times: the stragglers enter the rounds anew at every one of them
+            pytest.param(mc.SimConfig(HALF, None, tuple(0.5 * k for k in range(1, 41)), 3000, 62), 1,
+                         id="fine-grid"),
+            pytest.param(mc.SimConfig(BINARY, ARRIVALS, tuple(0.25 * k for k in range(1, 41)), 2000, 63, start=0,
+                                      cap=500), 1, id="fine-grid-arrivals"),
         ],
     )
     def test_matches_per_event_loop(self, cfg, threads, monkeypatch):
@@ -406,9 +411,9 @@ class TestStreamExact:
         assert live[0] > mc._SCALAR_SWITCH and live[1] == 0
 
     def test_immigration_stragglers_read_past_a_refill(self):
-        # the "immigration-stragglers" case above: its straggler walks read more
+        # the "immigration-stragglers" case above: its stragglers read more
         # uniforms than one refill of the stream holds
-        assert mc.simulate(IMM_STRAGGLERS).straggler_events > 4 * mc._WALK_MAX
+        assert mc.simulate(IMM_STRAGGLERS).straggler_events > 4 * mc._BLOCK_SIZE
 
     @pytest.mark.parametrize(
         "offspring,immigration,cap",
@@ -469,8 +474,8 @@ class TestStreamExact:
         starts, walk_rows = [], mc._walk_rows
 
         def spy(n0, t0, clock, jumps, rb, ri):
-            if clock.ndim == 1:
-                starts.append((n0, t0))
+            if clock.shape[1:] == (1,):
+                starts.append((n0.tolist(), t0.tolist()))
             return walk_rows(n0, t0, clock, jumps, rb, ri)
 
         monkeypatch.setattr(mc, "_walk_rows", spy)
@@ -478,6 +483,37 @@ class TestStreamExact:
         repeats = sum(a == b for a, b in zip(starts, starts[1:]))
         assert len(starts) > 10
         assert (repeats > 0) == immigration
+        assert_matches_reference(cfg, obs)
+
+    def test_immigration_straggler_crosses_zero_in_one_block(self, monkeypatch):
+        # with immigration n = 0 does not stop a block: some straggler block
+        # commits the event that empties the population and the next one from 0,
+        # so no block starts at that zero (a block that stopped there would)
+        cfg = mc.SimConfig(HALF, ARRIVALS, (20.0,), 4, 60, cap=200)
+        calls, walk_rows = [], mc._walk_rows
+
+        def spy(n0, t0, clock, jumps, rb, ri):
+            nb, tb = walk_rows(n0, t0, clock, jumps, rb, ri)
+            if clock.shape[1:] == (1,):
+                calls.append((n0.tolist(), t0.tolist(), nb[:, 0].copy(), tb[:, 0].copy()))
+            return nb, tb
+
+        monkeypatch.setattr(mc, "_walk_rows", spy)
+        obs = mc.simulate(cfg)
+        starts = {(n0[0], t0[0]) for n0, t0, _, _ in calls}
+        # a block's last pass is the one before a call from another (n, t); tables
+        # born at their limit (cap < 1024) never grow, so the stops are n < 0, cap and g
+        crossed = 0
+        for call, after in zip(calls, calls[1:] + [None]):
+            if after is not None and after[:2] == call[:2]:
+                continue
+            nb, tb = call[2], call[3]
+            zero = np.flatnonzero(nb == 0)
+            if zero.size and zero[0] + 2 <= nb.size:
+                kept = slice(0, zero[0] + 2)
+                clean = ((nb[kept] >= 0) & (nb[kept] <= cfg.cap) & (tb[kept] <= cfg.grid[-1])).all()
+                crossed += clean and (0, float(tb[zero[0]])) not in starts
+        assert crossed > 0
         assert_matches_reference(cfg, obs)
 
     def test_bounded_table_agrees_below_its_bound(self):
