@@ -20,10 +20,13 @@ in one sequence, as successive random() calls would return them.  A round
 takes one uniform for every lane's clock followed by one for each fired
 lane's jump; a block of rounds peeks ahead and moves the cursor just past the
 uniforms it uses.  Without immigration every event is a branching, so a round
-looks each jump up from its uniform directly.  Clocks come from np.log1p,
-which can differ from the per-event loop's math.log1p in the last ulp: an
-event time can move by an ulp or so, which changes a path only if the event
-lands that close to a grid time.
+looks each jump up from its uniform directly.  With immigration a lane
+branches when its uniform u falls below the branching share pb and then reads
+u / pb in the offspring table, else (u - pb) / (1 - pb) in the immigration
+table, and one read of a guide over both tables looks up every lane's jump.
+Clocks come from np.log1p, which can differ from the per-event loop's
+math.log1p in the last ulp: an event time can move by an ulp or so, which
+changes a path only if the event lands that close to a grid time.
 At each grid time the rounds run in two phases of one round routine.  In the
 first phase each chunk runs alone until it has at most _JOIN live lanes, so
 only one chunk's full working set is held at a time.  In the joint phase the
@@ -60,12 +63,14 @@ grid time keeps its lane, which reads one more clock uniform before it leaves;
 the per-event loop stops there without that read.  Only an exact float tie
 makes the two differ.
 
-Each law's jump sampler returns population changes and alone decides when a
-lookup grows its table.  The tables grow on demand but never past cap + 2
-entries: a larger jump caps the path whatever its exact size, so every
-uncapped path is sampled exactly with memory bounded by the cap.  Table
-entries do not depend on the table's length, so all chunks share one sampler
-per law.
+Each law's jump sampler returns population changes, and a table grows only to
+cover the largest uniform drawn from it, whether that law's sampler reads it
+alone (rounds without immigration) or the two-law read does (rounds with it),
+so the tables grow where the per-event loop grows them.  The tables grow on
+demand but never past cap + 2 entries: a larger jump caps the path whatever
+its exact size, so every uncapped path is sampled exactly with memory bounded
+by the cap.  Table entries do not depend on the table's length, so all chunks
+share one sampler per law.
 
 Capped paths (population above the safety cap) are frozen, counted, and
 excluded by the estimators; the count is always reported, never dropped.
@@ -181,9 +186,11 @@ class _Sampler:
     is subnormal), with no mass at the index that changes nothing.  Offspring
     index j changes the population by j - 1, immigration index k by k, and a
     uniform beyond the table falls at index horizon + 1.  The table doubles
-    while the horizon stays below ``limit``, and the sampler alone decides
-    when: ``lookup`` reads the table as it is and flags the uniforms whose
-    draw would grow it, ``draw`` grows it to cover them first.  Table entries
+    while the horizon stays below ``limit``, and only to cover the largest
+    uniform drawn from it: ``lookup`` reads the table as it is and flags the
+    uniforms whose draw would grow it, ``draw`` grows it to cover them first.
+    Immigration rounds read both laws' tables at once through
+    ``_PairSampler``, which grows each one by that same rule.  Table entries
     do not depend on the horizon, so every jump within the table is exact.
     Simulation sets limit = cap + 1 (at most the memory bound): any jump past
     it caps the path, so an overflowing draw only ever marks a path capped.
@@ -251,6 +258,73 @@ class _Sampler:
         if vmax >= self._cdf[-1]:
             self._extend_for(float(vmax))
         return self._changes(v)
+
+
+class _PairSampler:
+    """The offspring and immigration samplers of one system, read through one guide.
+
+    Each lane's uniform is already its own law's: u / pb for a branching,
+    (u - pb) / (1 - pb) for an immigration.
+
+    The guide holds the offspring guide's K = _GUIDE buckets, its last bucket
+    once more at K (where an offspring uniform of exactly 1.0 lands), and then
+    the immigration guide's K buckets, so a lane that immigrates reads its
+    bucket at the offset K + 1 and its 1.0 clips to its own last bucket.  In a
+    table that can still grow, the buckets from the one that holds its last
+    entry up are unsettled in this guide, so every uniform whose draw would
+    grow a table falls back.  The fallback searches each law's uniforms in its
+    own table; ``draw`` first grows each table to cover the largest of them,
+    which is the largest of all its law's uniforms whenever the table grows,
+    so each table grows exactly where its own sampler's ``draw`` would grow
+    it.  The guide is rebuilt after either table has grown.
+    """
+
+    def __init__(self, off: _Sampler, imm: _Sampler):
+        self._laws, self._tables = (off, imm), (None, None)
+
+    def _read(self, v: np.ndarray, ii: np.ndarray, grow: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Changes for the 1-D uniforms v, the lanes ii immigrating, and the lanes whose draw grows a table.
+
+        With grow, each table first grows to cover its law's uniforms.
+        """
+        off, imm = self._laws
+        if self._tables[0] is not off._cdf or self._tables[1] is not imm._cdf:
+            self._tables = off._cdf, imm._cdf
+            self._guide = np.concatenate((off._guide, off._guide[-1:], imm._guide))
+            for s, lo, hi in ((off, 0, _GUIDE + 1), (imm, _GUIDE + 1, self._guide.size)):
+                if s._horizon < s._limit:
+                    self._guide[lo + min(int(s._cdf[-1] * _GUIDE), _GUIDE - 1) : hi] = -2
+            # the least uniform whose draw grows each table: immigration's, then offspring's
+            self._edges = [s._cdf[-1] if s._horizon < s._limit else math.inf for s in (imm, off)]
+        # each uniform's bucket, moved to the immigration buckets for the lanes ii
+        at = (v * _GUIDE).astype(np.intp)
+        if ii.size:
+            at[ii] += _GUIDE + 1
+        changes = self._guide.take(at, mode="clip")
+        fall = (changes < -1).nonzero()[0]
+        if not fall.size:
+            return changes, fall
+        # the uniforms in unsettled buckets, each searched in its own law's table
+        vf, moved = v.take(fall), at.take(fall) > _GUIDE
+        wide = vf >= np.where(moved, *self._edges)
+        if grow and wide.any():
+            for s, lanes in ((off, ~moved), (imm, moved)):
+                s._extend_for(float(vf.max(where=lanes, initial=-math.inf)))
+        changes[fall] = np.where(
+            moved, imm._cdf.searchsorted(vf, side="right"), off._cdf.searchsorted(vf, side="right") - 1
+        )
+        return changes, fall[wide]
+
+    def lookup(self, v: np.ndarray, ii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Changes for the uniforms v, the flat lanes ii immigrating, and where a draw would grow a table."""
+        changes, wide = self._read(v.ravel(), ii, False)
+        grow = np.zeros(v.shape, dtype=bool)
+        grow.put(wide, True)
+        return changes.reshape(v.shape), grow
+
+    def draw(self, v: np.ndarray, ii: np.ndarray) -> np.ndarray:
+        """Changes for the 1-D uniforms v, the lanes ii immigrating, the tables first grown to cover them."""
+        return self._read(v, ii, True)[0]
 
 
 class _Stream:
@@ -339,6 +413,7 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
     # Without immigration every event is a branching: the rate x + 0.0 is x and
     # the branching share x / (x + 0.0) is exactly 1, so those rounds skip both.
     pure = ri == 0.0
+    pair = None if pure else _PairSampler(off, imm)
     # a block stops at a row below this n: death without immigration; with it n = 0 goes on
     lowest = 1 if pure else 0
 
@@ -368,7 +443,8 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                     # t - log1p(-u) / rate is t + (-log1p(-u)) / rate exactly.
                     R = min(rows, _BLOCK_SIZE // m)
                     u = _cat([c.peek(2 * s * R).reshape(R, 2, s) for c, s in zip(group, sizes)], axis=2)
-                    logs, u2 = np.log1p(-u[:, 0]), u[:, 1]
+                    # one contiguous copy of the jump uniforms, which every pass reads
+                    logs, u2 = np.log1p(-u[:, 0]), u[:, 1].copy()
                     # with immigration u2 / pb divides by zero at n = 0, and guessed rows past a
                     # stop can hold n < 0; without it a block draws no pb and divides by no zero
                     with nullcontext() if pure else np.errstate(divide="ignore", invalid="ignore"):
@@ -384,13 +460,11 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                             if pure:
                                 jumps, grow = off.lookup(u2)
                             else:
-                                bi = u2 < pb
+                                ii = (u2 >= pb).ravel().nonzero()[0]
                                 v = u2 / pb
-                                jumps, grow = off.lookup(v)
-                                if np.count_nonzero(bi) < bi.size:
-                                    ii = ~bi
-                                    v[ii] = ((u2 - pb) / (1.0 - pb))[ii]
-                                    jumps[ii], grow[ii] = imm.lookup(v[ii])
+                                if ii.size:
+                                    v.put(ii, ((u2 - pb) / (1.0 - pb)).take(ii))
+                                jumps, grow = pair.lookup(v, ii)
                             nb, tb = _walk_rows(nw, tw, -logs, jumps, rb, ri)
                             hit = ((nb < lowest) | (nb > cap) | ~(tb <= g) | grow).any(axis=1)
                             r = int(hit.argmax())
@@ -433,13 +507,14 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                     nw += off.draw(u2)
                 else:
                     pb = x / (x + ri)
-                    bi = u2 < pb
-                    branched = np.count_nonzero(bi)
-                    if branched:
-                        nw[bi] += off.draw(u2[bi] / pb[bi])
-                    if branched < k:
-                        ii = ~bi
-                        nw[ii] += imm.draw((u2[ii] - pb[ii]) / (1.0 - pb[ii]))
+                    # lanes at n = 0 have pb = 0 and immigrate, so their v is overwritten
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        v = u2 / pb
+                    ii = (u2 >= pb).nonzero()[0]
+                    if ii.size:
+                        p = pb[ii]
+                        v[ii] = (u2[ii] - p) / (1.0 - p)
+                    nw += pair.draw(v, ii)
                 n[lanes] = nw
                 gone = nw > cap
                 leave = np.count_nonzero(gone)

@@ -109,6 +109,43 @@ def test_sampler_lookup_and_draw(law, limit, uniforms):
         assert not sampler.lookup(v)[1].any()
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([HALF, BINARY, FINITE]),
+    st.sampled_from([HEAVY_IMM, KAPPA_IMM, FINITE_IMM, ARRIVALS]),
+    st.sampled_from([51, mc._CDF_START, 5000]),
+    st.sampled_from(["mixed", "offspring", "immigration"]),
+    st.data(),
+)
+def test_pair_read_agrees_with_each_laws_draw(offspring, immigration, limit, lanes, data):
+    # one guide for both laws: each lane's change and grow flag are its own
+    # law's, and each table grows exactly where that law's draw grows it; the
+    # second read comes after any growth, from a rebuilt guide
+    off, imm = mc._Sampler(offspring, limit), mc._Sampler(immigration, limit)
+    # bucket edges, both tables' last entries and 1.0, each with its float neighbours
+    special = np.concatenate([np.arange(mc._GUIDE + 1) / mc._GUIDE, [off._cdf[-1], imm._cdf[-1], 1.0]])
+    special = np.concatenate([special, np.nextafter(special, -1.0), np.nextafter(special, 2.0)])
+    special = special[(special >= 0.0) & (special <= 1.0)].tolist()
+    uniform = st.one_of(st.floats(0.0, 1.0), st.floats(0.99, 1.0), st.sampled_from(special))
+    moves = {"mixed": st.booleans(), "offspring": st.just(False), "immigration": st.just(True)}[lanes]
+    rows = data.draw(st.lists(st.tuples(moves, uniform), min_size=1, max_size=24))
+    moved, v = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    ii = np.flatnonzero(moved)
+    pair, alone = mc._PairSampler(off, imm), [mc._Sampler(offspring, limit), mc._Sampler(immigration, limit)]
+    with np.errstate(all="raise"):
+        for _ in range(2):
+            changes, grow = pair.lookup(v, ii)
+            for sampler, law in zip(alone, (~moved, moved)):
+                if law.any():
+                    want, flagged = sampler.lookup(v[law])
+                    assert changes[law].tolist() == want.tolist() and grow[law].tolist() == flagged.tolist()
+            drawn = pair.draw(v, ii)
+            for sampler, law in zip(alone, (~moved, moved)):
+                if law.any():
+                    assert drawn[law].tolist() == sampler.draw(v[law]).tolist()
+            assert (off.table_size, imm.table_size) == (alone[0].table_size, alone[1].table_size)
+
+
 # the six laws of test_sampler_lookup_and_draw
 SAMPLER_LAWS = [pytest.param(law, id=name) for law, name in [
     (HALF, "half"), (BINARY, "binary"), (FINITE, "finite"),
@@ -414,6 +451,25 @@ class TestStreamExact:
         # the "immigration-stragglers" case above: its stragglers read more
         # uniforms than one refill of the stream holds
         assert mc.simulate(IMM_STRAGGLERS).straggler_events > 4 * mc._BLOCK_SIZE
+
+    def test_table_grows_inside_a_many_lane_immigration_round(self, monkeypatch):
+        # the "kappa-start3-cap5000" case above: an ordinary immigration round of
+        # many lanes grows a table through the two-law read and still matches the loop
+        cfg = mc.SimConfig(HALF, KAPPA_IMM, (5.0, 20.0), 200, 50, start=3, cap=5000)
+        grown, draw = [], mc._PairSampler.draw
+
+        def spy(pair, v, ii):
+            before = [s.table_size for s in pair._laws]
+            changes = draw(pair, v, ii)
+            after = [s.table_size for s in pair._laws]
+            if v.size > 1 and after != before:
+                grown.append((v.size, before, after))
+            return changes
+
+        monkeypatch.setattr(mc._PairSampler, "draw", spy)
+        obs = mc.simulate(cfg)
+        assert any(a > b for _, before, after in grown for a, b in zip(after, before))
+        assert_matches_reference(cfg, obs)
 
     @pytest.mark.parametrize(
         "offspring,immigration,cap",
