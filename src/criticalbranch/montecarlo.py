@@ -20,10 +20,11 @@ in one sequence, as successive random() calls would return them.  A round
 takes one uniform for every lane's clock followed by one for each fired
 lane's jump; a block of rounds peeks ahead and moves the cursor just past the
 uniforms it uses.  Without immigration every event is a branching, so a round
-looks each jump up from its uniform directly.  With immigration a lane
-branches when its uniform u falls below the branching share pb and then reads
-u / pb in the offspring table, else (u - pb) / (1 - pb) in the immigration
-table, and one read of a guide over both tables looks up every lane's jump.
+looks each jump up from its uniform directly.  With immigration one routine,
+_split, serves rounds and blocks alike: a lane branches when its uniform u
+falls below the branching share pb and then reads u / pb in the offspring
+table, else (u - pb) / (1 - pb) in the immigration table, and one read of a
+guide over both tables looks up every lane's jump.
 Clocks come from np.log1p, which can differ from the per-event loop's
 math.log1p in the last ulp: an event time can move by an ulp or so, which
 changes a path only if the event lands that close to a grid time.
@@ -52,8 +53,8 @@ on an early stop, with at most _BLOCK_SIZE rounds x lanes.  An event's jump
 reads the population only through the branching share n rb / (n rb + ri), so
 a block is the fixed point of redrawing its jumps from the path they make:
 the first pass guesses each lane's first n on every row, each later pass
-redraws from the path the last one made, and the passes stop when the share
-agrees through the first stop.  Without immigration the share is 1 and the
+redraws from the path the last one made up to its first stop, and the passes
+stop when the share agrees there.  Without immigration the share is 1 and the
 first pass is the fixed point.  With immigration the passes pay off on a long
 straggler but not on every few-lane round: blocks at every immigration round
 of up to _BLOCK_LANES lanes made a run of the canonical pair at cap 200, which
@@ -66,7 +67,9 @@ makes the two differ.
 Each law's jump sampler returns population changes, and a table grows only to
 cover the largest uniform drawn from it, whether that law's sampler reads it
 alone (rounds without immigration) or the two-law read does (rounds with it),
-so the tables grow where the per-event loop grows them.  The tables grow on
+so the tables grow where the per-event loop grows them.  Each sampler holds
+its grow edge, the least uniform whose draw grows its table, and both reads
+test against it.  The tables grow on
 demand but never past cap + 2 entries: a larger jump caps the path whatever
 its exact size, so every uncapped path is sampled exactly with memory bounded
 by the cap.  Table entries do not depend on the table's length, so all chunks
@@ -79,7 +82,6 @@ excluded by the estimators; the count is always reported, never dropped.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,10 +216,10 @@ class _Sampler:
         self._law, self._still = law, 1 if isinstance(law, OffspringLaw) else 0
         self._rate = -law.a1 if self._still else -law.b0
         self._limit, self._horizon = limit, min(_CDF_START, limit)
-        self._cdf, self._guide = self._table()
+        self._table()
 
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The table at the current horizon and its guide."""
+    def _table(self) -> None:
+        """The table at the current horizon, its guide, and its grow edge: the last entry, inf at the limit."""
         p = self._law.rates_up_to(self._horizon) / self._rate
         p[self._still] = 0.0
         cdf = np.cumsum(p)
@@ -228,16 +230,18 @@ class _Sampler:
         guide = np.where(lo == hi, lo - self._still, -2)
         # bucket 0 stays unsettled: negatives, NaN and -inf land there and fall back
         guide[0] = -2
-        return cdf, guide
+        self._cdf, self._guide = cdf, guide
+        self._edge = cdf[-1] if self._horizon < self._limit else math.inf
 
     @property
     def table_size(self) -> int:
         return self._cdf.size
 
     def _extend_for(self, vmax: float) -> None:
-        while self._cdf[-1] <= vmax and self._horizon < self._limit:
+        # the horizon test stops an infinite vmax, which reaches the inf edge at the limit
+        while self._edge <= vmax and self._horizon < self._limit:
             self._horizon = min(2 * self._horizon, self._limit)
-            self._cdf, self._guide = self._table()
+            self._table()
 
     def _changes(self, v: np.ndarray) -> np.ndarray:
         # the cast truncates v * _GUIDE to v's bucket, and the clip keeps it on the guide
@@ -249,13 +253,12 @@ class _Sampler:
 
     def lookup(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Changes for the uniforms v from the table as it is, and where their draw would grow it."""
-        edge = self._cdf[-1] if self._horizon < self._limit else math.inf
-        return self._changes(v), v >= edge
+        return self._changes(v), v >= self._edge
 
     def draw(self, v: np.ndarray) -> np.ndarray:
         """Changes for a non-empty array of uniforms, the table first grown to cover them."""
         vmax = v.max()
-        if vmax >= self._cdf[-1]:
+        if vmax >= self._edge:
             self._extend_for(float(vmax))
         return self._changes(v)
 
@@ -263,20 +266,19 @@ class _Sampler:
 class _PairSampler:
     """The offspring and immigration samplers of one system, read through one guide.
 
-    Each lane's uniform is already its own law's: u / pb for a branching,
-    (u - pb) / (1 - pb) for an immigration.
+    Each lane's uniform is already its own law's, as ``_split`` makes it.
 
     The guide holds the offspring guide's K = _GUIDE buckets, its last bucket
     once more at K (where an offspring uniform of exactly 1.0 lands), and then
     the immigration guide's K buckets, so a lane that immigrates reads its
     bucket at the offset K + 1 and its 1.0 clips to its own last bucket.  In a
-    table that can still grow, the buckets from the one that holds its last
-    entry up are unsettled in this guide, so every uniform whose draw would
-    grow a table falls back.  The fallback searches each law's uniforms in its
-    own table; ``draw`` first grows each table to cover the largest of them,
-    which is the largest of all its law's uniforms whenever the table grows,
-    so each table grows exactly where its own sampler's ``draw`` would grow
-    it.  The guide is rebuilt after either table has grown.
+    table that can still grow, the buckets from the one that holds its
+    sampler's grow edge up are unsettled in this guide, so every uniform whose
+    draw would grow a table falls back.  The fallback searches each law's
+    uniforms in its own table; ``draw`` first grows each table to cover the
+    largest of them, which is the largest of all its law's uniforms whenever
+    the table grows, so each table grows exactly where its own sampler's
+    ``draw`` would grow it.  The guide is rebuilt after either table has grown.
     """
 
     def __init__(self, off: _Sampler, imm: _Sampler):
@@ -292,10 +294,8 @@ class _PairSampler:
             self._tables = off._cdf, imm._cdf
             self._guide = np.concatenate((off._guide, off._guide[-1:], imm._guide))
             for s, lo, hi in ((off, 0, _GUIDE + 1), (imm, _GUIDE + 1, self._guide.size)):
-                if s._horizon < s._limit:
-                    self._guide[lo + min(int(s._cdf[-1] * _GUIDE), _GUIDE - 1) : hi] = -2
-            # the least uniform whose draw grows each table: immigration's, then offspring's
-            self._edges = [s._cdf[-1] if s._horizon < s._limit else math.inf for s in (imm, off)]
+                if s._edge < math.inf:
+                    self._guide[lo + min(int(s._edge * _GUIDE), _GUIDE - 1) : hi] = -2
         # each uniform's bucket, moved to the immigration buckets for the lanes ii
         at = (v * _GUIDE).astype(np.intp)
         if ii.size:
@@ -306,7 +306,7 @@ class _PairSampler:
             return changes, fall
         # the uniforms in unsettled buckets, each searched in its own law's table
         vf, moved = v.take(fall), at.take(fall) > _GUIDE
-        wide = vf >= np.where(moved, *self._edges)
+        wide = vf >= np.where(moved, imm._edge, off._edge)
         if grow and wide.any():
             for s, lanes in ((off, ~moved), (imm, moved)):
                 s._extend_for(float(vf.max(where=lanes, initial=-math.inf)))
@@ -371,6 +371,26 @@ def _walk_rows(n0, t0, clock: np.ndarray, jumps: np.ndarray, rb: float, ri: floa
     clock /= np.where(rate > 0.0, rate, math.inf)
     clock[0] += t0
     return n_after, np.cumsum(clock, axis=0, out=clock)
+
+
+def _split(u2: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each fired lane's uniform in its own law's table, and the flat indices of the lanes that immigrate.
+
+    A lane branches when u2 < pb and reads u2 / pb, else it immigrates and
+    reads (u2 - pb) / (1 - pb), as in the per-event loop; pb has u2's shape
+    or broadcasts down a block's rows.  The u2 / pb of a lane that immigrates
+    is never read, so its division by zero (pb = 0 at n = 0) or overflow (a
+    tiny pb) is ignored.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = u2 / pb
+    ii = (u2 >= pb).ravel().nonzero()[0]
+    if ii.size:
+        # a flat index's column is its remainder when pb broadcasts down the rows; v is
+        # a new contiguous array, so its ravel is a view
+        p = pb.take(ii if pb.size == v.size else ii % pb.size)
+        v.ravel()[ii] = (u2.take(ii) - p) / (1.0 - p)
+    return v, ii
 
 
 def _segment_sizes(lanes: np.ndarray, starts: np.ndarray) -> list:
@@ -445,39 +465,30 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                     u = _cat([c.peek(2 * s * R).reshape(R, 2, s) for c, s in zip(group, sizes)], axis=2)
                     # one contiguous copy of the jump uniforms, which every pass reads
                     logs, u2 = np.log1p(-u[:, 0]), u[:, 1].copy()
-                    # with immigration u2 / pb divides by zero at n = 0, and guessed rows past a
-                    # stop can hold n < 0; without it a block draws no pb and divides by no zero
-                    with nullcontext() if pure else np.errstate(divide="ignore", invalid="ignore"):
-                        if not pure:
-                            x = nw * rb
-                            pb = x / (x + ri)
-                        while True:
-                            # the round's draws at pb (the first n on every row on the first
-                            # pass) from the tables as they are; a jump that would grow a
-                            # table stops the block, which never grows one; past a table at
-                            # its limit the change is limit = min(cap + 1, _CDF_BOUND) >= cap,
-                            # so nb > cap stops that row
-                            if pure:
-                                jumps, grow = off.lookup(u2)
-                            else:
-                                ii = (u2 >= pb).ravel().nonzero()[0]
-                                v = u2 / pb
-                                if ii.size:
-                                    v.put(ii, ((u2 - pb) / (1.0 - pb)).take(ii))
-                                jumps, grow = pair.lookup(v, ii)
-                            nb, tb = _walk_rows(nw, tw, -logs, jumps, rb, ri)
-                            hit = ((nb < lowest) | (nb > cap) | ~(tb <= g) | grow).any(axis=1)
-                            r = int(hit.argmax())
-                            if not hit[r]:
-                                r = hit.size
-                            if pure:
-                                break  # every event branches (pb = 1): the first pass is the fixed point
-                            # redraw from the path this pass made until pb agrees through the stop
-                            x = (nb - jumps) * rb
-                            guess, pb = pb, x / (x + ri)
-                            if (pb == guess)[: r + 1].all():
-                                break
-                            logs, u2, pb = logs[: r + 1], u2[: r + 1], pb[: r + 1]
+                    if not pure:
+                        # the first pass reads each lane's first n: one row, broadcast down the block
+                        x = nw * rb
+                        pb = (x / (x + ri))[None]
+                    while True:
+                        # the round's draws at pb from the tables as they are; a jump that
+                        # would grow a table stops the block, which never grows one; past a
+                        # table at its limit the change is limit = min(cap + 1, _CDF_BOUND)
+                        # >= cap, so nb > cap stops that row
+                        jumps, grow = off.lookup(u2) if pure else pair.lookup(*_split(u2, pb))
+                        nb, tb = _walk_rows(nw, tw, -logs, jumps, rb, ri)
+                        hit = ((nb < lowest) | (nb > cap) | ~(tb <= g) | grow).any(axis=1)
+                        r = int(hit.argmax())
+                        if not hit[r]:
+                            r = hit.size
+                        if pure:
+                            break  # every event branches (pb = 1): the first pass is the fixed point
+                        # redraw from the path this pass made until pb agrees through the stop;
+                        # each of those rows starts from n >= 0, so x + ri > 0
+                        x = (nb[: r + 1] - jumps[: r + 1]) * rb
+                        guess, pb = pb[: r + 1], x / (x + ri)
+                        if (pb == guess).all():
+                            break
+                        logs, u2 = logs[: r + 1], u2[: r + 1]
                     if r:
                         # commit the rounds before the first one where a lane stops
                         events += r * m
@@ -503,18 +514,7 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                     break
                 # in place: nw is this round's array, a block's row or (_cat returns a lone
                 # part uncopied) its chunk's c.nw, which nothing reads before it is replaced
-                if pure:
-                    nw += off.draw(u2)
-                else:
-                    pb = x / (x + ri)
-                    # lanes at n = 0 have pb = 0 and immigrate, so their v is overwritten
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        v = u2 / pb
-                    ii = (u2 >= pb).nonzero()[0]
-                    if ii.size:
-                        p = pb[ii]
-                        v[ii] = (u2[ii] - p) / (1.0 - p)
-                    nw += pair.draw(v, ii)
+                nw += off.draw(u2) if pure else pair.draw(*_split(u2, x / (x + ri)))
                 n[lanes] = nw
                 gone = nw > cap
                 leave = np.count_nonzero(gone)

@@ -99,9 +99,7 @@ def _members(cls):
 
 
 # members nothing reads yet, each with the reason it stays
-MEMBER_EXEMPTIONS = {
-    "Uniformization.halvings": "the planned `verify --json` output reports it (ROADMAP item 4)",
-}
+MEMBER_EXEMPTIONS = {}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -42,6 +42,11 @@ def loop_draw(sampler):
     return draw
 
 
+def loop_split(u2, pb):
+    """The per-event loop's law for one event, and its uniform in that law's table: (branches, v)."""
+    return (True, u2 / pb) if u2 < pb else (False, (u2 - pb) / (1.0 - pb))
+
+
 def draw_offspring(law, u):
     return loop_draw(mc._Sampler(law))(u)
 
@@ -144,6 +149,40 @@ def test_pair_read_agrees_with_each_laws_draw(offspring, immigration, limit, lan
                 if law.any():
                     assert drawn[law].tolist() == sampler.draw(v[law]).tolist()
             assert (off.table_size, imm.table_size) == (alone[0].table_size, alone[1].table_size)
+
+
+# a branching share: at n = 0, anywhere, or near 1, where n rb is far above ri
+SHARES = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0 - 1e-12, 1.0))
+
+
+def jump_uniform(pb):
+    """A jump uniform in [0, 1): one the generator can return (a multiple of 2**-53), or pb and its neighbours."""
+    near = [x for x in (pb, float(np.nextafter(pb, 0.0)), float(np.nextafter(pb, 1.0))) if x < 1.0]
+    return st.one_of(st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53), st.sampled_from(near))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["round", "block", "first-pass", "later-pass"]), st.data())
+def test_split_is_the_per_event_loops(case, data):
+    # a round's 1-D split, a block's (R, m) split with an (m,) pb broadcast down
+    # its rows (or a (1, m) pb, as a block's first pass holds it) and a later
+    # pass's with one pb per entry: each lane's law and uniform are the per-event
+    # loop's, bit for bit, and the split raises nothing of its own at pb = 0
+    rows = 1 if case == "round" else data.draw(st.integers(1, 5))
+    lanes = data.draw(st.integers(1, 8))
+    pb = np.array([[data.draw(SHARES) for _ in range(lanes)] for _ in range(rows if case == "later-pass" else 1)])
+    full = np.broadcast_to(pb, (rows, lanes))
+    u2 = np.array([[data.draw(jump_uniform(p)) for p in row] for row in full.tolist()])
+    if case == "round":
+        u2, pb = u2[0], pb[0]
+    elif case == "block":
+        pb = pb[0]
+    with np.errstate(all="raise"):
+        v, ii = mc._split(u2, pb)
+    want = [loop_split(x, p) for x, p in zip(u2.ravel().tolist(), full.ravel().tolist())]
+    assert ii.tolist() == [i for i, (branch, _) in enumerate(want) if not branch]
+    assert v.shape == u2.shape
+    assert v.ravel().view(np.int64).tolist() == np.array([w for _, w in want]).view(np.int64).tolist()
 
 
 # the six laws of test_sampler_lookup_and_draw
@@ -333,11 +372,8 @@ def _reference_chunk(cfg, seed_seq, n_paths):
                 break
             u2 = rng.random()
             events[1] += 1
-            pb = ni * rb / rate
-            if u2 < pb:
-                ni += draw_off(u2 / pb) - 1
-            else:
-                ni += draw_imm((u2 - pb) / (1.0 - pb))
+            branch, v = loop_split(u2, ni * rb / rate)
+            ni += draw_off(v) - 1 if branch else draw_imm(v)
             if ni > cfg.cap:
                 capped[lane] = True
                 break
