@@ -30,11 +30,13 @@ math.log1p in the last ulp: an event time can move by an ulp or so, which
 changes a path only if the event lands that close to a grid time.
 At each grid time the rounds run in two phases of one round routine.  In the
 first phase each chunk runs alone until it has at most _JOIN live lanes, so
-only one chunk's full working set is held at a time.  In the joint phase the
-chunks still in the rounds run together: their working sets are concatenated
-in lane order and each chunk's segment is found by searching for its first
-lane, so the many rounds with few lanes that end every chunk share their numpy
-calls.  One chunk is the joint phase with one segment.
+only one chunk's full working set is held at a time and the joint phase starts
+from at most _JOIN lanes per chunk.  In the joint phase the chunks still in the
+rounds run together: their working sets are concatenated in lane order and
+each chunk's segment is found by searching for its first lane, so the many
+rounds with few lanes that end every chunk share their numpy calls; the
+earlier the chunks join, the fewer rounds each one pays for alone.  One chunk
+is the joint phase with one segment.
 
 Once a chunk is down to a handful of straggler paths, each of them runs its
 rounds alone, in lane order, as a working set of one lane, which keeps rare
@@ -47,18 +49,22 @@ round (or it has just been formed), its rounds run in blocks of R: each lane
 moves through the block, the rounds before the first one in which some lane
 would stop (die without immigration, cap, pass the grid time or need a larger
 table) are committed at once, and that round runs as an ordinary round, which
-grows the table or lets the lane leave.  So a block never grows a table, and the table sizes are
-those of the rounds it replaces.  R doubles while blocks run clean and halves
-on an early stop, with at most _BLOCK_SIZE rounds x lanes.  An event's jump
-reads the population only through the branching share n rb / (n rb + ri), so
-a block is the fixed point of redrawing its jumps from the path they make:
-the first pass guesses each lane's first n on every row, each later pass
-redraws from the path the last one made up to its first stop, and the passes
-stop when the share agrees there.  Without immigration the share is 1 and the
-first pass is the fixed point.  With immigration the passes pay off on a long
-straggler but not on every few-lane round: blocks at every immigration round
-of up to _BLOCK_LANES lanes made a run of the canonical pair at cap 200, which
-spends its events in such rounds, slower in 10 of 11 alternating runs.
+grows the table or lets the lane leave.  So a block never grows a table, and
+the table sizes are those of the rounds it replaces.  R doubles while blocks
+run clean and halves on an early stop, with at most _BLOCK_SIZE rounds x
+lanes.  It starts at _BLOCK_START for a working set of many lanes, and for a
+straggler where the last straggler's blocks ended (at least _BLOCK_START), so
+a long straggler need not climb from _BLOCK_START again.  No block length
+changes a path.  An event's jump reads the population only through the
+branching share n rb / (n rb + ri), so a block is the fixed point of redrawing
+its jumps from the path they make: the first pass guesses each lane's first n
+on every row, each later pass redraws from the path the last one made up to
+its first stop, and the passes stop when the share agrees there.  Without
+immigration the share is 1 and the first pass is the fixed point.  With
+immigration the passes pay off on a long straggler but not on every few-lane
+round: blocks at every immigration round of up to _BLOCK_LANES lanes made a
+run of the canonical pair at cap 200, which spends its events in such rounds,
+slower in 10 of 11 alternating runs.
 A straggler is a round like any other, so an event that lands exactly on the
 grid time keeps its lane, which reads one more clock uniform before it leaves;
 the per-event loop stops there without that read.  Only an exact float tie
@@ -105,10 +111,12 @@ _CDF_START = 1024
 _GUIDE = 4096
 # a uniform block that runs short is refilled with twice the uniforms asked for plus this many
 _ROUND_BLOCK = 1024
-# a chunk runs its rounds alone until it has this many live lanes or fewer
-_JOIN = 512
+# a chunk runs its rounds alone until it has this many live lanes or fewer; 1024-4096 ran
+# faster than 512, and at 2048 runs of 10^6 paths peaked at most about 20 MB above 512
+_JOIN = 2048
 # without immigration, rounds with this many lanes or fewer (with it, one lane) run in
-# blocks of whole rounds, at most _BLOCK_SIZE rounds x lanes, starting at _BLOCK_START rounds
+# blocks of whole rounds, at most _BLOCK_SIZE rounds x lanes; a working set of many lanes
+# starts at _BLOCK_START rounds, and a straggler where the last one's blocks ended (_carried)
 _BLOCK_LANES = 512
 _BLOCK_SIZE = 4096
 _BLOCK_START = 8
@@ -278,7 +286,10 @@ class _PairSampler:
     uniforms in its own table; ``draw`` first grows each table to cover the
     largest of them, which is the largest of all its law's uniforms whenever
     the table grows, so each table grows exactly where its own sampler's
-    ``draw`` would grow it.  The guide is rebuilt after either table has grown.
+    ``draw`` would grow it.  Once both tables are at their limit no uniform
+    grows one, so the fallback skips that test, and when no immigrating lane
+    falls back it searches the offspring table alone.  The guide is rebuilt
+    after either table has grown.
     """
 
     def __init__(self, off: _Sampler, imm: _Sampler):
@@ -306,14 +317,21 @@ class _PairSampler:
             return changes, fall
         # the uniforms in unsettled buckets, each searched in its own law's table
         vf, moved = v.take(fall), at.take(fall) > _GUIDE
-        wide = vf >= np.where(moved, imm._edge, off._edge)
-        if grow and wide.any():
-            for s, lanes in ((off, ~moved), (imm, moved)):
-                s._extend_for(float(vf.max(where=lanes, initial=-math.inf)))
-        changes[fall] = np.where(
-            moved, imm._cdf.searchsorted(vf, side="right"), off._cdf.searchsorted(vf, side="right") - 1
-        )
-        return changes, fall[wide]
+        if off._edge == imm._edge == math.inf:
+            # both tables at their limit: no draw grows one
+            wide = fall[:0]
+        else:
+            wide = fall[vf >= np.where(moved, imm._edge, off._edge)]
+            if grow and wide.size:
+                for s, lanes in ((off, ~moved), (imm, moved)):
+                    s._extend_for(float(vf.max(where=lanes, initial=-math.inf)))
+        if ii.size and moved.any():
+            changes[fall] = np.where(
+                moved, imm._cdf.searchsorted(vf, side="right"), off._cdf.searchsorted(vf, side="right") - 1
+            )
+        else:
+            changes[fall] = off._cdf.searchsorted(vf, side="right") - 1
+        return changes, wide
 
     def lookup(self, v: np.ndarray, ii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Changes for the uniforms v, the flat lanes ii immigrating, and where a draw would grow a table."""
@@ -399,6 +417,16 @@ def _segment_sizes(lanes: np.ndarray, starts: np.ndarray) -> list:
     return [hi - lo for lo, hi in zip([0] + b, b + [lanes.size])]
 
 
+def _carried(rows: int) -> int:
+    """The block length the next straggler starts at, once a straggler's blocks reached rows.
+
+    Never below _BLOCK_START: a straggler's last block stops early and halves
+    R, and short immigration stragglers that started at 2 or 4 rows ran more
+    blocks, each paying its fixed-point passes.
+    """
+    return max(rows, _BLOCK_START)
+
+
 def _cat(parts: list, axis: int = 0) -> np.ndarray:
     """``np.concatenate(parts, axis)``, but a lone part comes back as it is, uncopied."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
@@ -436,6 +464,8 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
     pair = None if pure else _PairSampler(off, imm)
     # a block stops at a row below this n: death without immigration; with it n = 0 goes on
     lowest = 1 if pure else 0
+    # where the next straggler's blocks start: the length the last one's reached
+    carry = _BLOCK_START
 
     def rounds(group: list, g: float, leave_at: int) -> int:
         """Vectorized rounds to grid time g over the chunks of group, run together.
@@ -443,9 +473,12 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
         Their working sets are concatenated in lane order.  A chunk leaves,
         keeping its working set, once it has leave_at lanes or fewer.  Each
         chunk reads only its own stream, in the order it would alone, so
-        running chunks together changes none of their paths.  Returns the
-        number of events.
+        running chunks together changes none of their paths.  A straggler's
+        call (leave_at = 0) starts its blocks at carry and leaves carry where
+        they ended; no block length changes a path.  Returns the number of
+        events.
         """
+        nonlocal carry
         events = 0
         group = [c for c in group if c.lanes.size > leave_at]
         while group:
@@ -453,7 +486,7 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
             lanes, nw, tw = (_cat(w) for w in zip(*((c.lanes, c.nw, c.tw) for c in group)))
             starts = np.array([c.lo for c in group[1:]], dtype=np.int64)
             sizes = [c.lanes.size for c in group]
-            rows, steady = _BLOCK_START, True
+            rows, steady = _BLOCK_START if leave_at else carry, True
             while True:
                 m = lanes.size
                 if steady and m <= (_BLOCK_LANES if pure else 1):
@@ -538,6 +571,8 @@ def simulate(cfg: SimConfig, threads: int = 1) -> PathObservations:
                 if m > leave_at:
                     stay.append(c)
             group = stay
+            if not leave_at:
+                carry = _carried(rows)
         return events
 
     events = straggler_events = 0

@@ -151,6 +151,43 @@ def test_pair_read_agrees_with_each_laws_draw(offspring, immigration, limit, lan
             assert (off.table_size, imm.table_size) == (alone[0].table_size, alone[1].table_size)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(HALF, imm, "offspring") for imm in (HEAVY_IMM, KAPPA_IMM, FINITE_IMM, ARRIVALS)]
+                    + [(off, imm, "immigration") for off in (HALF, BINARY, FINITE) for imm in (HEAVY_IMM, KAPPA_IMM)]),
+    st.data(),
+)
+def test_pair_read_with_one_table_at_its_limit(laws, data):
+    # the limits of test_pair_read_agrees_with_each_laws_draw leave both tables
+    # at their limit or neither; here one is, and the other still flags and
+    # grows exactly where its own law's draw does
+    offspring, immigration, full = laws
+    limit = 5000
+    off, imm = mc._Sampler(offspring, limit), mc._Sampler(immigration, limit)
+    alone = [mc._Sampler(offspring, limit), mc._Sampler(immigration, limit)]
+    for sampler in (off, alone[0]) if full == "offspring" else (imm, alone[1]):
+        sampler.draw(np.array([np.nextafter(1.0, 0.0)]))
+        assert sampler._edge == math.inf
+    growing = imm if full == "offspring" else off
+    edge = float(growing._edge)
+    uniform = st.one_of(st.floats(0.0, 1.0), st.floats(0.99, 1.0),
+                        st.sampled_from([edge, float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, 2.0))]))
+    rows = data.draw(st.lists(st.tuples(st.booleans(), uniform), min_size=1, max_size=24))
+    moved, v = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    ii = np.flatnonzero(moved)
+    pair = mc._PairSampler(off, imm)
+    with np.errstate(all="raise"):
+        for _ in range(2):
+            changes, grow = pair.lookup(v, ii)
+            drawn = pair.draw(v, ii)
+            for sampler, law in zip(alone, (~moved, moved)):
+                if law.any():
+                    want, flagged = sampler.lookup(v[law])
+                    assert changes[law].tolist() == want.tolist() and grow[law].tolist() == flagged.tolist()
+                    assert drawn[law].tolist() == sampler.draw(v[law]).tolist()
+            assert (off.table_size, imm.table_size) == (alone[0].table_size, alone[1].table_size)
+
+
 # a branching share: at n = 0, anywhere, or near 1, where n rb is far above ri
 SHARES = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0 - 1e-12, 1.0))
 
@@ -550,6 +587,51 @@ class TestStreamExact:
             plain.straggler_events,
             plain.table_size,
         )
+
+    @pytest.mark.parametrize("join", [mc._SCALAR_SWITCH, 512, mc.CHUNK], ids=["no-joint", "join512", "no-solo"])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # the three configs of test_matches_per_event_loop with these ids
+            pytest.param(mc.SimConfig(HALF, None, (10.0,), 3 * mc.CHUNK, 31), id="three-chunks"),
+            pytest.param(mc.SimConfig(BINARY, ARRIVALS, (5.0, 10.0), 2 * mc.CHUNK + 1000, 34, start=0, cap=40),
+                         id="arrivals-cap40-three-chunks"),
+            pytest.param(mc.SimConfig(HALF, HEAVY_IMM, (50.0,), 10_000, 54, cap=200), id="ratio-cap200"),
+        ],
+    )
+    def test_schedule_changes_nothing(self, cfg, join, monkeypatch):
+        # where the chunks join and where each straggler's blocks start change
+        # no path, counter or table; the spy sees each straggler's first block
+        # start where the last one's blocks ended
+        def observe(obs):
+            return obs.states.tolist(), obs.capped.tolist(), obs.events, obs.straggler_events, obs.table_size
+
+        want = observe(mc.simulate(cfg))
+        log, walk_rows, carried = [], mc._walk_rows, mc._carried
+
+        def walk_spy(n0, t0, clock, jumps, rb, ri):
+            # one-lane blocks are the stragglers'; a block's first pass has its full R rows
+            if clock.shape[1:] == (1,):
+                log.append(("rows", clock.shape[0]))
+            return walk_rows(n0, t0, clock, jumps, rb, ri)
+
+        def carry_spy(rows):
+            # carried on, or reset to _BLOCK_START after every straggler
+            log.append(("carry", carried(rows) if carry else mc._BLOCK_START))
+            return log[-1][1]
+
+        monkeypatch.setattr(mc, "_walk_rows", walk_spy)
+        monkeypatch.setattr(mc, "_carried", carry_spy)
+        monkeypatch.setattr(mc, "_JOIN", join)
+        for carry in (True, False):
+            log.clear()
+            assert observe(mc.simulate(cfg)) == want
+            # every straggler runs a block first: the first one at _BLOCK_START, each
+            # later one at the length the last one left
+            firsts = [(c, log[i + 1]) for i, (kind, c) in enumerate(log[:-1]) if kind == "carry"]
+            assert log[0] == ("rows", mc._BLOCK_START) and firsts
+            assert all(first == ("rows", c) for c, first in firsts)
+            assert any(c != mc._BLOCK_START for c, _ in firsts) == carry
 
     @pytest.mark.parametrize(
         "cfg,immigration",
