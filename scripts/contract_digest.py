@@ -153,7 +153,7 @@ def solver_sweep() -> None:
     ``gf_derivative`` at each point, and each pair adds solves at tol = 0.5,
     where some steps stop at a non-positive gap stage.
     """
-    kolmogorov = sys.modules[cli.solve_gf.__module__]
+    kolmogorov = cli.kolmogorov
     pairs = [(f"solves[{k}]", f, h) for k, (f, h) in enumerate(PAIRS)]
     for label, f, h in pairs + [("solves[finite,3 terms]", *THREE_TERM_PAIR)]:
         f_law = cli.offspring_from_config(f)

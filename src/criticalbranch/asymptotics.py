@@ -30,8 +30,9 @@ import numpy as np
 from . import series as fps
 from .karamata import RatioSV
 from .kolmogorov import (
+    SCALAR_RTOL,
+    _March,
     gf_derivative,
-    immigration_gf,
     immigration_gf_series,
     solve_gf,
 )
@@ -319,10 +320,11 @@ def scaled_gf_convergence(
     t = np.asarray(sorted(t_grid), dtype=float)
     log_u = math.log(limit_gf(regime, ratio, s))
     errs = np.empty(t.size)
+    # two marches through the grid: the gap at s = 0 and the immigration solve at s
+    gap, immigration = _March(f_law, None, 0, 0.0, SCALAR_RTOL, t), _March(f_law, h_law, 0, s, SCALAR_RTOL, t)
     for k, tk in enumerate(t):
-        q = solve_gf(f_law, tk, 0.0).R
-        sol = immigration_gf(f_law, h_law, 0, tk, s)
-        errs[k] = math.expm1(q ** (-g) + sol.G - log_u)
+        q = gap(tk).R
+        errs[k] = math.expm1(q ** (-g) + immigration(tk).G - log_u)
     slope = _fit_loglog(t, errs)
     if _ratio_is_flat(ratio):
         target = None

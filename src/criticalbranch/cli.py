@@ -24,8 +24,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, acceptance, asymptotics, karamata, montecarlo
-from .kolmogorov import SCALAR_RTOL, immigration_gf, solve_gf
+from . import __version__, acceptance, asymptotics, karamata, kolmogorov, montecarlo
 from .laws import (_COUNT, _LAWS, _NUM, _PARAMS, _POSITIVE, _Leaf, _validate, classify, immigration_from_config,
                    offspring_from_config)
 
@@ -227,18 +226,16 @@ def _cmd_solve(args) -> int:
     cfg = _load_config(args, "solve")
     started = time.perf_counter()
     offspring, immigration = _laws(cfg)
-    tol = cfg.get("tol", SCALAR_RTOL)
+    tol = cfg.get("tol", kolmogorov.SCALAR_RTOL)
+    ts = [float(t) for t in cfg["t"]]
+    # one march per s through the t list; the points come out in row-major order, as solo solves would
+    marches = [kolmogorov._March(offspring, immigration, 0, float(s), tol, ts) for s in cfg["s"]]
     rows = []
     totals = dict.fromkeys(_SOLVE_COUNTERS, 0)
     for i, t in enumerate(cfg["t"]):
         for k, s in enumerate(cfg["s"]):
-            point = f"$.t[{i}] and $.s[{k}]"
-            if immigration is None:
-                sol = _at(point, solve_gf, offspring, float(t), float(s), tol)
-                rows.append((t, s, sol.F, sol.R, "", ""))
-            else:
-                sol = _at(point, immigration_gf, offspring, immigration, 0, float(t), float(s), tol)
-                rows.append((t, s, sol.F, sol.R, sol.G, sol.P))
+            sol = _at(f"$.t[{i}] and $.s[{k}]", marches[k], ts[i])
+            rows.append((t, s, sol.F, sol.R, "", "") if immigration is None else (t, s, sol.F, sol.R, sol.G, sol.P))
             for key in _SOLVE_COUNTERS:
                 totals[key] += getattr(sol, key)
     _write_outputs(args, "solve", "solve", cfg, args.seed, ("t", "s", "F", "R", "G", "P0"), rows, started,

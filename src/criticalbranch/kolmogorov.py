@@ -17,8 +17,14 @@ reads the gap alone, so the stages are formed for the gap only.  A scalar
 solve reads each rate once from its law (``OffspringLaw.gap_rate``,
 ``from_gap``, ``fprime_from_gap``), which builds it over the law's terms.
 
-Solvers are pure functions of (law, t, s, tol); grid sweeps can run
-concurrently without shared state.  ``gf_derivative`` and ``solve_gf_series``
+Solvers are pure functions of (law, t, s, tol).  Solo solves to two
+horizons make the very same attempts until one attempt would be cut to the
+nearer horizon, so a sweep over t at one (law, s) shares them: ``_March``
+runs one march toward the largest horizon asked for and hands each nearer
+horizon its last steps from the attempt that would have been cut, with the
+bytes, counters and errors of the solo solves.  ``cli solve`` and
+``asymptotics.scaled_gf_convergence`` sweep this way; a march holds state,
+so each sweep builds its own.  ``gf_derivative`` and ``solve_gf_series``
 run at the fixed tolerances SCALAR_RTOL and SERIES_RTOL.  Each solver checks
 its arguments before any work against the ``laws`` leaves that configs use:
 t, s, tol, the series order N (leaf ``order``) and the initial state i.
@@ -127,28 +133,64 @@ def _advance(rate, quad, r, t_end, rtol, atol, g=None, gatol=0.0):
     costs six gap-rate calls and five quadrature-rate calls; one stopped at a
     gap stage costs the stages computed before it, which its rejection branch
     adds to ``gap_evals``.
+
+    A solve is one ``_run`` of the attempt loop, from the state that
+    ``_start`` makes.  ``_March`` runs the same loop toward several horizons:
+    where an attempt would be cut to a nearer pending horizon, the loop hands
+    back that attempt's state uncut, and a one-horizon run from it finishes
+    that horizon while the march goes on from it.
     """
-    t = 0.0
     if t_end == 0.0:
         return r, g, dict(steps=0, rejected=0, gap_rejected=0, rhs_evals=0)
+    return _run(rate, quad, rtol, atol, gatol, _start(rate, quad, r, g), t_end)[0]
+
+
+def _start(rate, quad, r, g):
+    """The stepper's state at t = 0: the first rates, the first step size, zero counters and every attempt.
+
+    A state is (t, r, g, a1, b1, h, steps, rejected, gap_rejected, gap_evals,
+    tries): a1 and b1 are the gap's and the quadrature's rates at r, h the
+    next attempt's step size before any cut to a horizon, and tries the
+    attempts left of ``_MAX_TRIES``.
+    """
     vec = r.__class__ is np.ndarray
-    h = None  # no step size before the first rates
     try:
         # a_k: the gap's stage rates; b_k: the quadrature's
         a1 = rate(r)
         b1 = quad(r) if quad else None
-        peak = lambda v: abs(v).max() if vec else abs(v)
-        scale = (max(peak(r), peak(g)) if quad else peak(r)) + 1.0
-        dscale = (max(peak(a1), peak(b1)) if quad else peak(a1)) + 1e-30
-        h = min(0.1 * scale / dscale, 1.0)
-        steps = rejected = gap_rejected = gap_evals = 0
-        for _ in range(_MAX_TRIES):
+    except OverflowError:  # numpy would give inf here; a non-finite stage, as in _run
+        raise StepUnderflowError(0.0, "non-finite stage value") from None
+    peak = lambda v: abs(v).max() if vec else abs(v)
+    scale = (max(peak(r), peak(g)) if quad else peak(r)) + 1.0
+    dscale = (max(peak(a1), peak(b1)) if quad else peak(a1)) + 1e-30
+    return 0.0, r, g, a1, b1, min(0.1 * scale / dscale, 1.0), 0, 0, 0, 0, _MAX_TRIES
+
+
+def _run(rate, quad, rtol, atol, gatol, state, t_end, last=True):
+    """DP5(4) attempts from ``state`` toward t_end; returns ((r, g, counts) or None, state).
+
+    With ``last`` the attempt that would pass t_end is cut to it, as
+    ``_advance`` does, and the first item is the solve's (r, g, counts) at
+    t_end; the state is where the steps stopped.  Without it t_end is a
+    horizon that a march toward a later one passes: where an attempt would be
+    cut to t_end, the run returns None and the state of that attempt before
+    its cut, from which a run with ``last`` reaches t_end and a run toward a
+    later horizon goes on, both as a solo solve from t = 0 would.  Reaching
+    t_end without a cut returns its (r, g, counts) either way.  Raises
+    StepUnderflowError as ``_advance`` does.
+    """
+    t, r, g, a1, b1, h, steps, rejected, gap_rejected, gap_evals, tries = state
+    vec = r.__class__ is np.ndarray
+    try:
+        for k in range(tries):
             if not t < t_end:
                 break
             # the step is tested before it is cut to the horizon: a horizon below _MIN_STEP is no underflow
             if h < _MIN_STEP:
                 raise StepUnderflowError(t)
             if t_end - t < h:
+                if not last:
+                    return None, (t, r, g, a1, b1, h, steps, rejected, gap_rejected, gap_evals, tries - k)
                 h = t_end - t
             # a stage with a non-positive gap rejects the step before a rate sees it
             r2 = r + h * _A21 * a1
@@ -223,13 +265,15 @@ def _advance(rate, quad, r, t_end, rtol, atol, g=None, gatol=0.0):
                 rejected += 1
             factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
             h *= 5.0 if factor > 5.0 else 0.2 if factor < 0.2 else factor
+        else:
+            k = tries
     except OverflowError:  # numpy would give inf here; a non-finite stage, as above
-        at = "" if h is None else f" at step size {float(h)!r}"
-        raise StepUnderflowError(t, "non-finite stage value" + at) from None
+        raise StepUnderflowError(t, f"non-finite stage value at step size {float(h)!r}") from None
     if t < t_end:
         raise StepUnderflowError(t, f"no progress in {_MAX_TRIES} step attempts")
     rhs_evals = 1 + 6 * (steps + rejected) + gap_evals
-    return r, g, dict(steps=steps, rejected=rejected, gap_rejected=gap_rejected, rhs_evals=rhs_evals)
+    counts = dict(steps=steps, rejected=rejected, gap_rejected=gap_rejected, rhs_evals=rhs_evals)
+    return (r, g, counts), (t, r, g, a1, b1, h, steps, rejected, gap_rejected, gap_evals, tries - k)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +287,7 @@ def solve_gf(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) 
     if r0 == 0.0 or t == 0.0:
         return TransitionSolution(F=s, R=r0)
     r, _, counts = _advance(f_law.gap_rate, None, r0, t, tol, 0.0)
-    return TransitionSolution(F=1.0 - r, R=r, **counts)
+    return _scalar_solution(r, None, 0, counts)
 
 
 def closed_form_gf(nu: float, a0: float, t: float, s: float) -> TransitionSolution:
@@ -285,8 +329,79 @@ def immigration_gf(
     if t == 0.0 or r0 == 0.0:
         return TransitionSolution(F=s, R=r0, G=0.0, P=s ** i if i else 1.0)
     r, g, counts = _advance(f_law.gap_rate, h_law.from_gap, r0, t, tol, 0.0, 0.0, min(tol * 1e-2, SCALAR_ATOL))
+    return _scalar_solution(r, g, i, counts)
+
+
+def _scalar_solution(r, g, i, counts) -> TransitionSolution:
+    """The solution of a scalar solve that ended at gap r: with G and P = F^i exp(G) when g is not None."""
+    if g is None:
+        return TransitionSolution(F=1.0 - r, R=r, **counts)
     f = 1.0 - r
     return TransitionSolution(F=f, R=r, G=g, P=(f ** i) * math.exp(g), **counts)
+
+
+class _March:
+    """``solve_gf(f_law, t, s, tol)`` at each t of a grid, or ``immigration_gf(f_law, h_law, i, t, s, tol)``.
+
+    Calling it at a t of ``ts`` returns that solve's TransitionSolution, or
+    raises its error, with the same bytes, counters and message.  The solves
+    to the positive t share one march from t = 0.  Solo solves to two
+    horizons make the very same attempts until one attempt would be cut to
+    the nearer horizon (``_run``).  There the march keeps that attempt's
+    state, from which the nearer horizon's last steps run when that horizon
+    is asked for, and goes on toward the next one.  A horizon that a step
+    reaches without a cut keeps the state there, with no step left to run.
+    A failed march fails every horizon that it has not passed with the same
+    error, as their solo solves would.  The march runs only as far as the
+    horizons asked for so far need, so a caller that stops at its first
+    failing point makes no attempt that a loop of solo solves in the same
+    order would not make.
+    """
+
+    def __init__(self, f_law: OffspringLaw, h_law: ImmigrationLaw | None, i: int, s: float, tol: float, ts):
+        self.solve, self.laws = (solve_gf, (f_law,)) if h_law is None else (immigration_gf, (f_law, h_law, i))
+        self.i, self.s, self.tol = i, s, tol
+        self.rate, self.quad = f_law.gap_rate, None if h_law is None else h_law.from_gap
+        self.g0, self.gatol = (None, 0.0) if h_law is None else (0.0, min(tol * 1e-2, SCALAR_ATOL))
+        self.horizons = sorted({t for t in ts if t > 0.0})
+        self.passed = 0  # the march has passed horizons[:passed]
+        self.state = None  # where the march stands, once it has started
+        self.starts = {}  # horizon -> where its last steps start, until it is asked for
+        self.done = {}  # horizon -> (r, g, counts), or the StepUnderflowError of its solve
+
+    def __call__(self, t: float) -> TransitionSolution:
+        if self.quad is None:
+            _check(t=t, s=self.s, tol=self.tol)
+        else:
+            _check(i=self.i, t=t, s=self.s, tol=self.tol)
+        if t == 0.0 or 1.0 - self.s == 0.0:  # no step: the solo solve returns at once
+            return self.solve(*self.laws, t, self.s, self.tol)
+        got = self._outcome(t)
+        if isinstance(got, StepUnderflowError):
+            raise got.with_traceback(None)
+        r, g, counts = got
+        return _scalar_solution(r, g, self.i, counts)
+
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    def _outcome(self, t):
+        step = (self.rate, self.quad, self.tol, 0.0, self.gatol)
+        while t not in self.done and t not in self.starts:
+            x = self.horizons[self.passed]
+            self.passed += 1
+            try:
+                if self.state is None:
+                    self.state = _start(self.rate, self.quad, 1.0 - self.s, self.g0)
+                # the attempt that would be cut to x, or the state where a step reached x
+                self.starts[x] = self.state = _run(*step, self.state, x, last=False)[1]
+            except StepUnderflowError as exc:  # so would every solo solve to x or beyond
+                self.done.update(dict.fromkeys(self.horizons[self.passed - 1:], exc))
+                self.passed = len(self.horizons)
+        if t in self.starts:
+            try:
+                self.done[t] = _run(*step, self.starts.pop(t), t)[0]
+            except StepUnderflowError as exc:
+                self.done[t] = exc
+        return self.done[t]
 
 
 # ---------------------------------------------------------------------------

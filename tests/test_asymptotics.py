@@ -207,6 +207,18 @@ class TestScaledGfConvergence:
         assert report.passes
         assert abs(report.slope - report.target) <= 0.15 * abs(report.target)
 
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_marches_give_the_per_point_values(self, s):
+        # the gap at s = 0 and the immigration solve at s each march once through the
+        # sorted grid; the values keep the bytes of one solo solve per point
+        grid = [1e4, 100.0, 562.34, 100.0, 3.0]
+        report = asy.scaled_gf_convergence(HALF, IMM_PERTURBED, REGIME, RATIO_PERTURBED, grid, s)
+        g = abs(REGIME.gamma)
+        log_u = math.log(asy.limit_gf(REGIME, RATIO_PERTURBED, s))
+        want = [math.expm1(solve_gf(HALF, t, 0.0).R ** (-g) + immigration_gf(HALF, IMM_PERTURBED, 0, t, s).G - log_u)
+                for t in sorted(grid)]
+        assert report.values.tobytes() == np.array(want).tobytes()
+
 
 class TestRatioLimit:
     def test_normalization(self):

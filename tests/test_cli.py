@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from criticalbranch import asymptotics, cli
-from criticalbranch.kolmogorov import immigration_gf
+from criticalbranch import asymptotics, cli, kolmogorov, laws
+from criticalbranch.kolmogorov import immigration_gf, solve_gf
 from criticalbranch.laws import immigration_from_config, offspring_from_config
 
 
@@ -20,6 +20,31 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def per_point(f_law, h_law, i, s, tol, ts):
+    """A stand-in for ``kolmogorov._March`` that runs one solo solve per point."""
+    if h_law is None:
+        return lambda t: solve_gf(f_law, t, s, tol)
+    return lambda t: immigration_gf(f_law, h_law, i, t, s, tol)
+
+
+def count_rate_calls(monkeypatch):
+    """Counts every call of a gap rate that an offspring law builds from now on."""
+    calls = [0]
+    build = laws.OffspringLaw.gap_rate.fget
+
+    def counted(law):
+        rate = build(law)
+
+        def spy(r):
+            calls[0] += 1
+            return rate(r)
+
+        return spy
+
+    monkeypatch.setattr(laws.OffspringLaw, "gap_rate", property(counted))
+    return calls
 
 
 class TestFigureData:
@@ -140,6 +165,52 @@ class TestSolve:
         keys = ("steps", "rejected", "gap_rejected", "rhs_evals")
         assert diagnostics == dict({key: sum(getattr(sol, key) for sol in sols) for key in keys}, points=4)
         assert diagnostics["gap_rejected"] > 0
+
+    @pytest.mark.parametrize("tol", [None, 0.5])
+    @pytest.mark.parametrize("immigration", [None, {"kind": "canonical", "delta": 0.4, "c": 0.1}])
+    def test_marches_write_the_per_point_bytes(self, tmp_path, monkeypatch, immigration, tol):
+        # each s is one march through an unsorted t list with a repeat, a zero and a
+        # t below the stepper's smallest step; the sidecar counters stay per-point totals
+        payload = {"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0},
+                   "t": [50.0, 0.0, 1.0, 50.0, 1e-13, 7.5], "s": [0.9, 0.0, 0.3]}
+        if immigration is not None:
+            payload["immigration"] = immigration
+        if tol is not None:
+            payload["tol"] = tol
+        config = write_config(tmp_path, payload)
+
+        def outputs(out):
+            assert run_cli("solve", "--config", config, "--out", str(out)) == 0
+            sidecar = json.loads((out / "solve.provenance.json").read_text())
+            return (out / "solve.csv").read_bytes(), sidecar["diagnostics"]
+
+        marched = outputs(tmp_path / "march")
+        monkeypatch.setattr(kolmogorov, "_March", per_point)
+        assert marched == outputs(tmp_path / "per-point")
+        assert marched[1]["points"] == 18 and marched[1]["steps"] > 0
+
+    def test_failing_grid_costs_no_more_than_the_per_point_loop(self, tmp_path, capsys, monkeypatch):
+        # the first failing point in row-major order is (1e300, 0.5); the t = 1 row and
+        # the s = 0 march past t = 100 are never needed
+        payload = {"offspring": {"kind": "canonical", "nu": 0.5, "a0": 1.0},
+                   "immigration": {"kind": "canonical", "delta": 0.4, "c": 0.1},
+                   "t": [100.0, 1e300, 1.0], "s": [0.5, 0.0]}
+        config = write_config(tmp_path, payload)
+        monkeypatch.setattr(kolmogorov, "_MAX_TRIES", 3000)
+        calls = count_rate_calls(monkeypatch)
+
+        def run():
+            calls[0] = 0
+            code = run_cli("solve", "--config", config, "--out", str(tmp_path))
+            return code, capsys.readouterr().err, calls[0]
+
+        code, err, marched = run()
+        monkeypatch.setattr(kolmogorov, "_March", per_point)
+        assert (code, err) == run()[:2]
+        assert err.startswith("error: no progress in 3000 step attempts at t=")
+        assert err.endswith(" at $.t[1] and $.s[0]\n")
+        assert 0 < marched <= calls[0]
+        assert not (tmp_path / "solve.csv").exists()
 
 
 class TestOutputs:

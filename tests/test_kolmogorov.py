@@ -499,6 +499,70 @@ def test_reference_parity_through_gap_rejections(law):
     _assert_parity(law, 100.0, 0.0, 0.5)
 
 
+# ---------------------------------------------------------------------------
+# A march through a grid of horizons against the solo solve at each one.
+
+_MARCH_LAWS = {
+    **_PARITY_LAWS,
+    # a stiff supercritical law
+    "stiff": (make_finite_offspring([25.976, -96.001, 18.446, 48.793, 2.786]), make_finite_immigration([-1.0, 1.0])),
+}
+
+
+def _scalar_outcome(solve, t):
+    """F, R, G and P (those present) and the four counters of solve(t) as bytes, or its error."""
+    try:
+        sol = solve(t)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    values = [sol.F, sol.R] + ([sol.G, sol.P] if sol.G is not None else [])
+    return struct.pack(f"<{len(values)}d4q", *values, sol.steps, sol.rejected, sol.gap_rejected, sol.rhs_evals)
+
+
+def _assert_march_is_solo(law, ts, order, s, tol, i, tries):
+    """Each t of ``order`` asked of one march over ``ts`` gives its solo solve's outcome; returns the outcomes."""
+    f_law, h_law = _MARCH_LAWS[law]
+    h_law = None if i is None else h_law
+    if h_law is None:
+        solo = lambda t: solve_gf(f_law, t, s, tol)
+    else:
+        solo = lambda t: immigration_gf(f_law, h_law, i, t, s, tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kolmogorov, "_MAX_TRIES", tries)
+        march = kolmogorov._March(f_law, h_law, i or 0, s, tol, ts)
+        got = [_scalar_outcome(march, t) for t in order]
+        assert got == [_scalar_outcome(solo, t) for t in order]
+    return got
+
+
+@given(
+    law=st.sampled_from(sorted(_MARCH_LAWS)),
+    ts=st.lists(st.one_of(st.sampled_from([0.0, 1e-13]), st.floats(min_value=0.0, max_value=20.0)),
+                min_size=1, max_size=5),
+    s=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.999)),
+    tol=st.sampled_from([1e-10, 1e-6, 0.5]),
+    i=st.sampled_from([None, 0, 2]),
+    tries=st.sampled_from([10, 30, 200, kolmogorov._MAX_TRIES]),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_march_is_the_solo_solve(law, ts, s, tol, i, tries, data):
+    # unsorted horizons with a repeat, 0 and one below _MIN_STEP, asked for in any order
+    ts = ts + [ts[0], 1e-13, 0.0]
+    _assert_march_is_solo(law, ts, data.draw(st.permutations(ts)), s, tol, i, tries)
+
+
+@pytest.mark.parametrize("tries, fails", [(10, [True, True, True]), (30, [True, False, True])],
+                         ids=["failing-prefix", "failing-continuation"])
+def test_march_fails_where_the_solo_solves_fail(tries, fails):
+    # HALF at s = 0.5 reaches t = 1 in 24 attempts: within 10 the march fails before
+    # its first horizon, within 30 it fails after it
+    got = _assert_march_is_solo("canonical", [5.0, 1.0, 20.0], [20.0, 1.0, 5.0], 0.5, 1e-10, None, tries)
+    failed = [g for g in got if isinstance(g, str)]
+    assert [isinstance(g, str) for g in got] == fails
+    assert all(g.startswith(f"StepUnderflowError: no progress in {tries} step attempts") for g in failed)
+
+
 def immigration_mean(f_law, h_law, t, eps=1e-7):
     """Mean population from the empty state: dG/ds at s = 1 by a one-sided difference."""
     return -immigration_gf(f_law, h_law, 0, t, 1.0 - eps, tol=1e-12).G / eps
