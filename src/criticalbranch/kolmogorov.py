@@ -17,17 +17,19 @@ reads the gap alone, so the stages are formed for the gap only.  A scalar
 solve reads each rate once from its law (``OffspringLaw.gap_rate``,
 ``from_gap``, ``fprime_from_gap``), which builds it over the law's terms.
 
-Solvers are pure functions of (law, t, s, tol).  Solo solves to two
-horizons make the very same attempts until one attempt would be cut to the
-nearer horizon, so a sweep over t at one (law, s) shares them: ``_March``
-runs one march toward the largest horizon asked for and hands each nearer
-horizon its last steps from the attempt that would have been cut, with the
-bytes, counters and errors of the solo solves.  ``cli solve`` and
-``asymptotics.scaled_gf_convergence`` sweep this way; a march holds state,
-so each sweep builds its own.  ``gf_derivative`` and ``solve_gf_series``
-run at the fixed tolerances SCALAR_RTOL and SERIES_RTOL.  Each solver checks
-its arguments before any work against the ``laws`` leaves that configs use:
-t, s, tol, the series order N (leaf ``order``) and the initial state i.
+Solvers are pure functions of (law, t, s, tol).  Every solve runs on one
+driver, ``_Stepper``: a march from t = 0 toward the largest of its horizons,
+read at each one, so a solve to one t is a march with one horizon.  Marches
+to two horizons make the very same attempts until one attempt would be cut
+to the nearer horizon, so a sweep over t at one (law, s) shares them.
+``_March`` is the one scalar path: ``solve_gf`` or ``immigration_gf`` at
+each t of a grid, which both solvers call with their one t.  ``cli solve``
+and ``asymptotics.scaled_gf_convergence`` sweep this way; a march holds
+state, so each sweep builds its own.  ``gf_derivative`` and
+``solve_gf_series`` run at the fixed tolerances SCALAR_RTOL and
+SERIES_RTOL.  Each solver checks its arguments before any work against the
+``laws`` leaves that configs use: t, s, tol, the series order N (leaf
+``order``) and the initial state i.
 """
 
 from __future__ import annotations
@@ -106,9 +108,8 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _advance(rate, quad, r, t_end, rtol, atol, g=None, gatol=0.0):
-    """Integrate the gap r and an optional quadrature g from 0 to t_end; returns (r, g, counts).
+class _Stepper:
+    """DP5(4) on the gap r and an optional quadrature g from t = 0; called at a horizon, returns (r, g, counts) there.
 
     r and g are both floats or both coefficient vectors.  ``rate(r)`` is the
     gap's rate and ``quad(r)`` the quadrature's (``quad`` is None when g is
@@ -119,12 +120,12 @@ def _advance(rate, quad, r, t_end, rtol, atol, g=None, gatol=0.0):
     along the flow, so ``atol`` can be zero for pure relative control; a
     quadrature that starts at zero needs a positive ``gatol``.  A step with a
     non-positive gap at any stage is rejected and retried at half the step
-    size.  StepUnderflowError ends the solve on a step below ``_MIN_STEP``,
-    after ``_MAX_TRIES`` attempts short of t_end, and at once on a non-finite
-    error estimate or vector state, or a rate whose Python-float power
-    overflows (the solve left the float range; that check replaces numpy's
-    overflow and division warnings).  A gap so small that its error scale
-    rounds to zero gives an infinite error estimate.
+    size.  A horizon's call raises StepUnderflowError on a step below
+    ``_MIN_STEP``, after ``_MAX_TRIES`` attempts short of it, and at once on
+    a non-finite error estimate or vector state, or a rate whose Python-float
+    power overflows (the solve left the float range; that check replaces
+    numpy's overflow and division warnings).  A gap so small that its error
+    scale rounds to zero gives an infinite error estimate.
 
     ``counts`` holds the keyword arguments ``steps`` (accepted steps),
     ``rejected`` (steps failing the error test), ``gap_rejected`` (steps
@@ -134,15 +135,52 @@ def _advance(rate, quad, r, t_end, rtol, atol, g=None, gatol=0.0):
     gap stage costs the stages computed before it, which its rejection branch
     adds to ``gap_evals``.
 
-    A solve is one ``_run`` of the attempt loop, from the state that
-    ``_start`` makes.  ``_March`` runs the same loop toward several horizons:
-    where an attempt would be cut to a nearer pending horizon, the loop hands
-    back that attempt's state uncut, and a one-horizon run from it finishes
-    that horizon while the march goes on from it.
+    The horizons are positive, and a solve to one t is the march with the
+    one horizon t.  Marches to two horizons make the very same attempts
+    until one attempt would be cut to the nearer horizon (``_run``).  There
+    the march keeps that attempt's state, from which the nearer horizon's
+    last steps run when that horizon is asked for, and goes on toward the
+    next one.  A horizon that a step reaches without a cut keeps the state
+    there, with no step left to run.  So each horizon gets the bytes,
+    counters and error of its one-horizon march.  A failed march fails every
+    horizon that it has not passed with the same error, as their one-horizon
+    marches would.  The march runs only as far as the horizons asked for so
+    far need, so a caller that stops at its first failing horizon makes no
+    attempt that one-horizon marches in the same order would not make.
     """
-    if t_end == 0.0:
-        return r, g, dict(steps=0, rejected=0, gap_rejected=0, rhs_evals=0)
-    return _run(rate, quad, rtol, atol, gatol, _start(rate, quad, r, g), t_end)[0]
+
+    def __init__(self, rate, quad, r, g, rtol, atol, gatol, horizons):
+        self.step = (rate, quad, rtol, atol, gatol)
+        self.r, self.g = r, g
+        self.horizons = sorted(set(horizons))
+        self.passed = 0  # the march has passed horizons[:passed]
+        self.state = None  # where the march stands, once it has started
+        self.starts = {}  # horizon -> where its last steps start, until it is asked for
+        self.done = {}  # horizon -> (r, g, counts), or its StepUnderflowError
+
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    def __call__(self, t):
+        step = self.step
+        while t not in self.done and t not in self.starts:
+            x = self.horizons[self.passed]
+            self.passed += 1
+            try:
+                if self.state is None:
+                    self.state = _start(step[0], step[1], self.r, self.g)
+                # the attempt that would be cut to x, or the state where a step reached x
+                self.starts[x] = self.state = _run(*step, self.state, x, last=False)[1]
+            except StepUnderflowError as exc:  # so would every march to x or beyond
+                self.done.update(dict.fromkeys(self.horizons[self.passed - 1:], exc))
+                self.passed = len(self.horizons)
+        if t in self.starts:
+            try:
+                self.done[t] = _run(*step, self.starts.pop(t), t)[0]
+            except StepUnderflowError as exc:
+                self.done[t] = exc
+        got = self.done[t]
+        if isinstance(got, StepUnderflowError):
+            raise got.with_traceback(None)
+        return got
 
 
 def _start(rate, quad, r, g):
@@ -169,15 +207,15 @@ def _start(rate, quad, r, g):
 def _run(rate, quad, rtol, atol, gatol, state, t_end, last=True):
     """DP5(4) attempts from ``state`` toward t_end; returns ((r, g, counts) or None, state).
 
-    With ``last`` the attempt that would pass t_end is cut to it, as
-    ``_advance`` does, and the first item is the solve's (r, g, counts) at
-    t_end; the state is where the steps stopped.  Without it t_end is a
-    horizon that a march toward a later one passes: where an attempt would be
-    cut to t_end, the run returns None and the state of that attempt before
-    its cut, from which a run with ``last`` reaches t_end and a run toward a
-    later horizon goes on, both as a solo solve from t = 0 would.  Reaching
-    t_end without a cut returns its (r, g, counts) either way.  Raises
-    StepUnderflowError as ``_advance`` does.
+    With ``last`` the attempt that would pass t_end is cut to it, and the
+    first item is the (r, g, counts) at t_end; the state is where the steps
+    stopped.  Without it t_end is a horizon that a march toward a later one
+    passes: where an attempt would be cut to t_end, the run returns None and
+    the state of that attempt before its cut, from which a run with ``last``
+    reaches t_end and a run toward a later horizon goes on, both as a march
+    with the one horizon would.  Reaching t_end without a cut returns its
+    (r, g, counts) either way.  Raises StepUnderflowError as ``_Stepper``
+    says.
     """
     t, r, g, a1, b1, h, steps, rejected, gap_rejected, gap_evals, tries = state
     vec = r.__class__ is np.ndarray
@@ -282,12 +320,7 @@ def _run(rate, quad, rtol, atol, gatol, state, t_end, last=True):
 
 def solve_gf(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) -> TransitionSolution:
     """F(t;s) by the embedded pair on dR/dt = -f(1-R), R(0) = 1-s."""
-    _check(t=t, s=s, tol=tol)
-    r0 = 1.0 - s
-    if r0 == 0.0 or t == 0.0:
-        return TransitionSolution(F=s, R=r0)
-    r, _, counts = _advance(f_law.gap_rate, None, r0, t, tol, 0.0)
-    return _scalar_solution(r, None, 0, counts)
+    return _March(f_law, None, 0, s, tol, (t,))(t)
 
 
 def closed_form_gf(nu: float, a0: float, t: float, s: float) -> TransitionSolution:
@@ -306,8 +339,8 @@ def gf_derivative(f_law: OffspringLaw, t: float, s: float) -> float:
         raise ValueError("derivative is evaluated on [0, 1)")
     if t == 0.0:
         return 1.0
-    _, u, _ = _advance(f_law.gap_rate, f_law.fprime_from_gap, 1.0 - s, t, SCALAR_RTOL, 0.0, 0.0,
-                       min(SCALAR_RTOL * 1e-2, SCALAR_ATOL))
+    _, u, _ = _Stepper(f_law.gap_rate, f_law.fprime_from_gap, 1.0 - s, 0.0, SCALAR_RTOL, 0.0,
+                       min(SCALAR_RTOL * 1e-2, SCALAR_ATOL), (t,))(t)
     return math.exp(u)
 
 
@@ -324,84 +357,45 @@ def immigration_gf(
     G accumulates h(F) jointly with the gap equation so both share one error
     budget.
     """
-    _check(i=i, t=t, s=s, tol=tol)
-    r0 = 1.0 - s
-    if t == 0.0 or r0 == 0.0:
-        return TransitionSolution(F=s, R=r0, G=0.0, P=s ** i if i else 1.0)
-    r, g, counts = _advance(f_law.gap_rate, h_law.from_gap, r0, t, tol, 0.0, 0.0, min(tol * 1e-2, SCALAR_ATOL))
-    return _scalar_solution(r, g, i, counts)
-
-
-def _scalar_solution(r, g, i, counts) -> TransitionSolution:
-    """The solution of a scalar solve that ended at gap r: with G and P = F^i exp(G) when g is not None."""
-    if g is None:
-        return TransitionSolution(F=1.0 - r, R=r, **counts)
-    f = 1.0 - r
-    return TransitionSolution(F=f, R=r, G=g, P=(f ** i) * math.exp(g), **counts)
+    return _March(f_law, h_law, i, s, tol, (t,))(t)
 
 
 class _March:
-    """``solve_gf(f_law, t, s, tol)`` at each t of a grid, or ``immigration_gf(f_law, h_law, i, t, s, tol)``.
+    """``solve_gf(f_law, t, s, tol)`` at each t of ``ts``, or ``immigration_gf(f_law, h_law, i, t, s, tol)``.
 
-    Calling it at a t of ``ts`` returns that solve's TransitionSolution, or
-    raises its error, with the same bytes, counters and message.  The solves
-    to the positive t share one march from t = 0.  Solo solves to two
-    horizons make the very same attempts until one attempt would be cut to
-    the nearer horizon (``_run``).  There the march keeps that attempt's
-    state, from which the nearer horizon's last steps run when that horizon
-    is asked for, and goes on toward the next one.  A horizon that a step
-    reaches without a cut keeps the state there, with no step left to run.
-    A failed march fails every horizon that it has not passed with the same
-    error, as their solo solves would.  The march runs only as far as the
-    horizons asked for so far need, so a caller that stops at its first
-    failing point makes no attempt that a loop of solo solves in the same
-    order would not make.
+    Calling it at a t of ``ts`` checks the arguments, returns the exact
+    point at t = 0 or s = 1, and reads any other t from one ``_Stepper``
+    over the positive t of ``ts``.  The stepper is built at the first call
+    that needs a step, after that call's checks, so a bad t gets its message
+    before any horizon is sorted.  ``solve_gf`` and ``immigration_gf`` are
+    the march over their one t, and every t of a grid gets the bytes,
+    counters and error of that solve.
     """
 
     def __init__(self, f_law: OffspringLaw, h_law: ImmigrationLaw | None, i: int, s: float, tol: float, ts):
-        self.solve, self.laws = (solve_gf, (f_law,)) if h_law is None else (immigration_gf, (f_law, h_law, i))
-        self.i, self.s, self.tol = i, s, tol
-        self.rate, self.quad = f_law.gap_rate, None if h_law is None else h_law.from_gap
-        self.g0, self.gatol = (None, 0.0) if h_law is None else (0.0, min(tol * 1e-2, SCALAR_ATOL))
-        self.horizons = sorted({t for t in ts if t > 0.0})
-        self.passed = 0  # the march has passed horizons[:passed]
-        self.state = None  # where the march stands, once it has started
-        self.starts = {}  # horizon -> where its last steps start, until it is asked for
-        self.done = {}  # horizon -> (r, g, counts), or the StepUnderflowError of its solve
+        self.f_law, self.h_law, self.i, self.s, self.tol, self.ts = f_law, h_law, i, s, tol, ts
+        self.stepper = None
 
     def __call__(self, t: float) -> TransitionSolution:
-        if self.quad is None:
-            _check(t=t, s=self.s, tol=self.tol)
+        h_law, i, s, tol = self.h_law, self.i, self.s, self.tol
+        if h_law is None:
+            _check(t=t, s=s, tol=tol)
         else:
-            _check(i=self.i, t=t, s=self.s, tol=self.tol)
-        if t == 0.0 or 1.0 - self.s == 0.0:  # no step: the solo solve returns at once
-            return self.solve(*self.laws, t, self.s, self.tol)
-        got = self._outcome(t)
-        if isinstance(got, StepUnderflowError):
-            raise got.with_traceback(None)
-        r, g, counts = got
-        return _scalar_solution(r, g, self.i, counts)
-
-    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-    def _outcome(self, t):
-        step = (self.rate, self.quad, self.tol, 0.0, self.gatol)
-        while t not in self.done and t not in self.starts:
-            x = self.horizons[self.passed]
-            self.passed += 1
-            try:
-                if self.state is None:
-                    self.state = _start(self.rate, self.quad, 1.0 - self.s, self.g0)
-                # the attempt that would be cut to x, or the state where a step reached x
-                self.starts[x] = self.state = _run(*step, self.state, x, last=False)[1]
-            except StepUnderflowError as exc:  # so would every solo solve to x or beyond
-                self.done.update(dict.fromkeys(self.horizons[self.passed - 1:], exc))
-                self.passed = len(self.horizons)
-        if t in self.starts:
-            try:
-                self.done[t] = _run(*step, self.starts.pop(t), t)[0]
-            except StepUnderflowError as exc:
-                self.done[t] = exc
-        return self.done[t]
+            _check(i=i, t=t, s=s, tol=tol)
+        r0 = 1.0 - s
+        if t == 0.0 or r0 == 0.0:  # an exact point: no step
+            if h_law is None:
+                return TransitionSolution(F=s, R=r0)
+            return TransitionSolution(F=s, R=r0, G=0.0, P=s ** i if i else 1.0)
+        if self.stepper is None:
+            quad, g0, gatol = (None, None, 0.0) if h_law is None else (h_law.from_gap, 0.0, min(tol * 1e-2, SCALAR_ATOL))
+            horizons = [x for x in self.ts if x > 0.0]
+            self.stepper = _Stepper(self.f_law.gap_rate, quad, r0, g0, tol, 0.0, gatol, horizons)
+        r, g, counts = self.stepper(t)
+        f = 1.0 - r
+        if g is None:
+            return TransitionSolution(F=f, R=r, **counts)
+        return TransitionSolution(F=f, R=r, G=g, P=(f ** i) * math.exp(g), **counts)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +433,8 @@ def solve_gf_series(f_law: OffspringLaw, t: float, N: int) -> TransitionSolution
     r0 = _series_init(N)
     if t == 0.0:
         return _gap_to_solution(0.0, r0)
-    r, _, counts = _advance(lambda r: -f_law.from_gap_coeffs(r), None, r0, t, SERIES_RTOL,
-                            min(SERIES_RTOL * 1e-2, SERIES_ATOL))
+    r, _, counts = _Stepper(lambda r: -f_law.from_gap_coeffs(r), None, r0, None, SERIES_RTOL,
+                            min(SERIES_RTOL * 1e-2, SERIES_ATOL), 0.0, (t,))(t)
     return _gap_to_solution(t, r, counts=counts)
 
 
@@ -458,6 +452,6 @@ def immigration_gf_series(
     if t == 0.0:
         return _gap_to_solution(0.0, r0, g0, i=i)
     atol = min(tol * 1e-2, SERIES_ATOL)
-    r, g, counts = _advance(lambda r: -f_law.from_gap_coeffs(r), h_law.from_gap_coeffs, r0, t, tol, atol, g0, atol)
+    r, g, counts = _Stepper(lambda r: -f_law.from_gap_coeffs(r), h_law.from_gap_coeffs, r0, g0, tol, atol, atol, (t,))(t)
     return _gap_to_solution(t, r, g, i=i, counts=counts)
 

@@ -11,7 +11,9 @@ from criticalbranch import (
     make_stable_immigration,
     make_stable_offspring,
 )
+from criticalbranch import kolmogorov
 from criticalbranch.kolmogorov import closed_form_gf, gf_derivative, immigration_gf, solve_gf
+from reference_stepper import reference_stepper
 
 HALF = make_stable_offspring(0.5, 1.0)
 BINARY = make_stable_offspring(1.0, 1.0)
@@ -208,16 +210,27 @@ class TestScaledGfConvergence:
         assert abs(report.slope - report.target) <= 0.15 * abs(report.target)
 
     @pytest.mark.parametrize("s", [0.0, 0.5])
-    def test_marches_give_the_per_point_values(self, s):
+    def test_marches_give_the_per_point_values(self, s, monkeypatch):
         # the gap at s = 0 and the immigration solve at s each march once through the
-        # sorted grid; the values keep the bytes of one solo solve per point
+        # sorted grid; the values keep the bytes of one solo solve per point, run on
+        # the reference stepper
         grid = [1e4, 100.0, 562.34, 100.0, 3.0]
         report = asy.scaled_gf_convergence(HALF, IMM_PERTURBED, REGIME, RATIO_PERTURBED, grid, s)
         g = abs(REGIME.gamma)
         log_u = math.log(asy.limit_gf(REGIME, RATIO_PERTURBED, s))
+        monkeypatch.setattr(kolmogorov, "_Stepper", reference_stepper)
         want = [math.expm1(solve_gf(HALF, t, 0.0).R ** (-g) + immigration_gf(HALF, IMM_PERTURBED, 0, t, s).G - log_u)
                 for t in sorted(grid)]
         assert report.values.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("pair", ["matched", "kappa=0.25"])
+    def test_marches_give_the_reference_stepper_values(self, pair, monkeypatch):
+        # the marches stay, and the reference stepper runs each of their horizons alone
+        h_law, ratio = (IMM, RATIO) if pair == "matched" else (IMM_PERTURBED, RATIO_PERTURBED)
+        grid = [1e4, 100.0, 562.34, 100.0, 3.0]
+        marched = asy.scaled_gf_convergence(HALF, h_law, REGIME, ratio, grid, 0.5).values
+        monkeypatch.setattr(kolmogorov, "_Stepper", reference_stepper)
+        assert asy.scaled_gf_convergence(HALF, h_law, REGIME, ratio, grid, 0.5).values.tobytes() == marched.tobytes()
 
 
 class TestRatioLimit:

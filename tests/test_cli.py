@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from criticalbranch import asymptotics, cli, kolmogorov, laws
-from criticalbranch.kolmogorov import immigration_gf, solve_gf
+from criticalbranch.kolmogorov import immigration_gf
 from criticalbranch.laws import immigration_from_config, offspring_from_config
+from reference_stepper import reference_stepper
 
 
 def run_cli(*argv):
@@ -22,11 +23,15 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+_MARCH = kolmogorov._March
+
+
 def per_point(f_law, h_law, i, s, tol, ts):
-    """A stand-in for ``kolmogorov._March`` that runs one solo solve per point."""
-    if h_law is None:
-        return lambda t: solve_gf(f_law, t, s, tol)
-    return lambda t: immigration_gf(f_law, h_law, i, t, s, tol)
+    """A stand-in for ``kolmogorov._March`` that runs one solo solve (a one-horizon march) per point.
+
+    It builds each march from the class itself: ``solve_gf`` would call this stand-in again.
+    """
+    return lambda t: _MARCH(f_law, h_law, i, s, tol, (t,))(t)
 
 
 def count_rate_calls(monkeypatch):
@@ -185,6 +190,10 @@ class TestSolve:
             return (out / "solve.csv").read_bytes(), sidecar["diagnostics"]
 
         marched = outputs(tmp_path / "march")
+        # the same marches, with the reference stepper running each of their horizons alone
+        monkeypatch.setattr(kolmogorov, "_Stepper", reference_stepper)
+        assert marched == outputs(tmp_path / "reference")
+        # a loop of solo solves on the reference stepper
         monkeypatch.setattr(kolmogorov, "_March", per_point)
         assert marched == outputs(tmp_path / "per-point")
         assert marched[1]["points"] == 18 and marched[1]["steps"] > 0
@@ -205,7 +214,9 @@ class TestSolve:
             return code, capsys.readouterr().err, calls[0]
 
         code, err, marched = run()
+        # a loop of solo solves on the reference stepper
         monkeypatch.setattr(kolmogorov, "_March", per_point)
+        monkeypatch.setattr(kolmogorov, "_Stepper", reference_stepper)
         assert (code, err) == run()[:2]
         assert err.startswith("error: no progress in 3000 step attempts at t=")
         assert err.endswith(" at $.t[1] and $.s[0]\n")

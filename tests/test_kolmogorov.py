@@ -1,7 +1,9 @@
+import ast
 import functools
 import math
 import struct
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from criticalbranch.kolmogorov import (
     solve_gf,
     solve_gf_series,
 )
+from reference_stepper import reference_stepper
 
 
 HALF = make_stable_offspring(0.5, 1.0)
@@ -228,7 +231,7 @@ class TestStepper:
 
         quad = lambda r: np.full(3, math.nan)
         with pytest.raises(StepUnderflowError, match="non-finite stage value .* at t=0.0$"):
-            kolmogorov._advance(rate, quad, np.ones(3), 1.0, 1e-9, 1e-11, np.zeros(3), 1e-11)
+            kolmogorov._Stepper(rate, quad, np.ones(3), np.zeros(3), 1e-9, 1e-11, 1e-11, (1.0,))(1.0)
         assert len(calls) == 7  # k1 and the six stages of one attempt
 
     def test_horizon_below_min_step(self):
@@ -263,7 +266,7 @@ class TestStepper:
             calls.append(1)
             return -HALF.from_gap(r)
 
-        _, _, counts = kolmogorov._advance(rate, None, 1.0, 100.0, 0.5, 0.0)
+        _, _, counts = kolmogorov._Stepper(rate, None, 1.0, None, 0.5, 0.0, 0.0, (100.0,))(100.0)
         sol = solve_gf(HALF, 100.0, 0.0, tol=0.5)
         assert counts == dict(steps=sol.steps, rejected=sol.rejected, gap_rejected=sol.gap_rejected,
                               rhs_evals=sol.rhs_evals)
@@ -285,7 +288,7 @@ class TestStepper:
             calls.append(1)
             return spikes.get(len(calls) - 1, -r)
 
-        r, _, counts = kolmogorov._advance(rate, None, 1.0, 1.0, 1e-10, 0.0)
+        r, _, counts = kolmogorov._Stepper(rate, None, 1.0, None, 1e-10, 0.0, 0.0, (1.0,))(1.0)
         assert counts["gap_rejected"] == 5 and counts["rejected"] >= 1
         assert counts["rhs_evals"] == len(calls) == 1 + 6 * (counts["steps"] + counts["rejected"]) + 15
         assert r == pytest.approx(math.exp(-1.0), rel=1e-9)
@@ -298,7 +301,7 @@ class TestStepper:
         # b2 has weight zero in the update and the error probe, so the quadrature
         # rate is called at five of the six stages; rhs_evals counts gap-rate calls
         calls = {"rate": 0, "quad": 0}
-        advance = kolmogorov._advance
+        stepper = kolmogorov._Stepper
 
         def spy(name, fn):
             def counted(r):
@@ -306,8 +309,8 @@ class TestStepper:
                 return fn(r)
             return counted
 
-        monkeypatch.setattr(kolmogorov, "_advance",
-                            lambda rate, quad, *args: advance(spy("rate", rate), spy("quad", quad), *args))
+        monkeypatch.setattr(kolmogorov, "_Stepper",
+                            lambda rate, quad, *args: stepper(spy("rate", rate), spy("quad", quad), *args))
         sol = solve()
         attempts = sol.steps + sol.rejected
         assert sol.gap_rejected == 0 and attempts > 0
@@ -326,119 +329,20 @@ class TestStepper:
         # third stage's gap passes 5.9; a gap growing as e^t passes it at t = 1.774
         g = None if quad is None else 0.0
         with pytest.raises(StepUnderflowError, match="^non-finite stage value " + where):
-            kolmogorov._advance(rate, quad, r0, 10.0, 1e-10, 0.0, g, 1e-12)
+            kolmogorov._Stepper(rate, quad, r0, g, 1e-10, 0.0, 1e-12, (10.0,))(10.0)
 
     def test_series_and_scalar_states_share_the_stepper(self):
         # a vector state of one coefficient advances exactly as the float state
         rate_f, quad_f = lambda r: -HALF.from_gap(r), _IMM.from_gap
         rate_v, quad_v = (lambda r: np.array([rate_f(r[0])])), (lambda r: np.array([quad_f(r[0])]))
-        r, g, steps = kolmogorov._advance(rate_f, quad_f, 0.5, 7.0, 1e-10, 0.0, 0.0, 1e-12)
-        rv, gv, steps_v = kolmogorov._advance(rate_v, quad_v, np.array([0.5]), 7.0, 1e-10, 0.0, np.zeros(1), 1e-12)
+        r, g, steps = kolmogorov._Stepper(rate_f, quad_f, 0.5, 0.0, 1e-10, 0.0, 1e-12, (7.0,))(7.0)
+        rv, gv, steps_v = kolmogorov._Stepper(rate_v, quad_v, np.array([0.5]), np.zeros(1), 1e-10, 0.0, 1e-12, (7.0,))(7.0)
         assert (rv[0], gv[0], steps_v) == (r, g, steps)
 
 
 
 # ---------------------------------------------------------------------------
-# Parity with a reference stepper that forms every stage for every component,
-# through per-component list comprehensions over a state list.
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _reference_advance(rhs, y0, t_end, rtol, atols):
-    y = list(y0)
-    t = 0.0
-    if t_end == 0.0:
-        return y, dict(steps=0, rejected=0, gap_rejected=0, rhs_evals=0)
-    vec = y[0].__class__ is np.ndarray
-    k1 = rhs(y)
-    scale = max(abs(v).max() if vec else abs(v) for v in y) + 1.0
-    dscale = max(abs(v).max() if vec else abs(v) for v in k1) + 1e-30
-    h = min(0.1 * scale / dscale, 1.0)
-    steps = rejected = gap_rejected = gap_evals = 0
-    K = kolmogorov
-    for _ in range(K._MAX_TRIES):
-        if not t < t_end:
-            break
-        if h < K._MIN_STEP:
-            raise StepUnderflowError(t)
-        h = min(h, t_end - t)
-        y2 = [v + h * K._A21 * a for v, a in zip(y, k1)]
-        if not (y2[0][0] if vec else y2[0]) > 0.0:
-            h *= 0.5
-            gap_rejected += 1
-            continue
-        k2 = rhs(y2)
-        y3 = [v + h * (K._A31 * a + K._A32 * b) for v, a, b in zip(y, k1, k2)]
-        if not (y3[0][0] if vec else y3[0]) > 0.0:
-            h *= 0.5
-            gap_rejected += 1
-            gap_evals += 1
-            continue
-        k3 = rhs(y3)
-        y4 = [v + h * (K._A41 * a + K._A42 * b + K._A43 * c) for v, a, b, c in zip(y, k1, k2, k3)]
-        if not (y4[0][0] if vec else y4[0]) > 0.0:
-            h *= 0.5
-            gap_rejected += 1
-            gap_evals += 2
-            continue
-        k4 = rhs(y4)
-        y5 = [v + h * (K._A51 * a + K._A52 * b + K._A53 * c + K._A54 * d) for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
-        if not (y5[0][0] if vec else y5[0]) > 0.0:
-            h *= 0.5
-            gap_rejected += 1
-            gap_evals += 3
-            continue
-        k5 = rhs(y5)
-        y6 = [
-            v + h * (K._A61 * a + K._A62 * b + K._A63 * c + K._A64 * d + K._A65 * e)
-            for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-        ]
-        if not (y6[0][0] if vec else y6[0]) > 0.0:
-            h *= 0.5
-            gap_rejected += 1
-            gap_evals += 4
-            continue
-        k6 = rhs(y6)
-        ynew = [
-            v + h * (K._B1 * a + K._B3 * c + K._B4 * d + K._B5 * e + K._B6 * f)
-            for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)
-        ]
-        if not (ynew[0][0] if vec else ynew[0]) > 0.0:
-            h *= 0.5
-            gap_rejected += 1
-            gap_evals += 5
-            continue
-        k7 = rhs(ynew)
-        err = 0.0
-        for v, w, a, c, d, e, f, g in zip(ynew, atols, k1, k3, k4, k5, k6, k7):
-            e_i = h * (K._E1 * a + K._E3 * c + K._E4 * d + K._E5 * e + K._E6 * f + K._E7 * g)
-            q = abs(e_i) / (w + rtol * abs(v))
-            q = q.max() if vec else q
-            if not q <= err:
-                err = q if q == q else math.inf
-        if err == math.inf or vec and not all(np.isfinite(v).all() for v in ynew):
-            raise StepUnderflowError(t, f"non-finite stage value at step size {float(h)!r}")
-        if err <= 1.0:
-            t += h
-            y = ynew
-            k1 = k7
-            steps += 1
-        else:
-            rejected += 1
-        factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-    if t < t_end:
-        raise StepUnderflowError(t, f"no progress in {K._MAX_TRIES} step attempts")
-    rhs_evals = 1 + 6 * (steps + rejected) + gap_evals
-    return y, dict(steps=steps, rejected=rejected, gap_rejected=gap_rejected, rhs_evals=rhs_evals)
-
-
-def _on_reference_stepper(rate, quad, r, t_end, rtol, atol, g=None, gatol=0.0):
-    """``_advance``'s signature over ``_reference_advance``: the state list is (r,) or (r, g)."""
-    y0, atols = ((r,), (atol,)) if g is None else ((r, g), (atol, gatol))
-    rhs = (lambda y: (rate(y[0]),)) if quad is None else (lambda y: (rate(y[0]), quad(y[0])))
-    (r, *rest), counts = _reference_advance(rhs, y0, t_end, rtol, atols)
-    return r, (rest[0] if rest else None), counts
+# Parity with the reference stepper of ``reference_stepper``, run to each horizon alone.
 
 
 _PARITY_LAWS = {
@@ -476,7 +380,7 @@ def _assert_parity(law, t, s, tol):
     f_law, h_law = _PARITY_LAWS[law]
     solves = _parity_solves(f_law, h_law, t, s, tol)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kolmogorov, "_advance", _on_reference_stepper)
+        patch.setattr(kolmogorov, "_Stepper", reference_stepper)
         assert _parity_solves(f_law, h_law, t, s, tol) == solves
 
 
@@ -500,7 +404,8 @@ def test_reference_parity_through_gap_rejections(law):
 
 
 # ---------------------------------------------------------------------------
-# A march through a grid of horizons against the solo solve at each one.
+# A march through a grid of horizons against the solo solve at each one, on the
+# reference stepper: each horizon run alone from t = 0.
 
 _MARCH_LAWS = {
     **_PARITY_LAWS,
@@ -520,7 +425,10 @@ def _scalar_outcome(solve, t):
 
 
 def _assert_march_is_solo(law, ts, order, s, tol, i, tries):
-    """Each t of ``order`` asked of one march over ``ts`` gives its solo solve's outcome; returns the outcomes."""
+    """Each t of ``order`` asked of one march over ``ts`` gives its solo solve's outcome; returns the outcomes.
+
+    The solo solves run on the reference stepper, to each t alone.
+    """
     f_law, h_law = _MARCH_LAWS[law]
     h_law = None if i is None else h_law
     if h_law is None:
@@ -531,6 +439,7 @@ def _assert_march_is_solo(law, ts, order, s, tol, i, tries):
         patch.setattr(kolmogorov, "_MAX_TRIES", tries)
         march = kolmogorov._March(f_law, h_law, i or 0, s, tol, ts)
         got = [_scalar_outcome(march, t) for t in order]
+        patch.setattr(kolmogorov, "_Stepper", reference_stepper)
         assert got == [_scalar_outcome(solo, t) for t in order]
     return got
 
@@ -561,6 +470,18 @@ def test_march_fails_where_the_solo_solves_fail(tries, fails):
     failed = [g for g in got if isinstance(g, str)]
     assert [isinstance(g, str) for g in got] == fails
     assert all(g.startswith(f"StepUnderflowError: no progress in {tries} step attempts") for g in failed)
+
+
+def test_one_driver_runs_the_stepper():
+    # _start and _run are called from the one driver only, and the two scalar solvers
+    # are one-horizon marches: a second way to run the stepper fails here
+    calls = {}
+    for top in ast.parse(Path(kolmogorov.__file__).read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                calls.setdefault(node.func.id, set()).add(getattr(top, "name", None))
+    assert (calls["_start"], calls["_run"]) == ({"_Stepper"}, {"_Stepper"})
+    assert {"solve_gf", "immigration_gf"} <= calls["_March"]
 
 
 def immigration_mean(f_law, h_law, t, eps=1e-7):

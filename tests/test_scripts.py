@@ -90,3 +90,16 @@ def test_contract_digest_matches_the_committed_file():
         pytest.skip(f"the committed digest was recorded on another platform: {', '.join(differ)} differ")
     result = run_script("contract_digest.py", "--check", str(committed))
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_source_lines_counts_every_module():
+    result = run_script("source_lines.py")
+    assert result.returncode == 0, result.stderr
+    header, *rows, total = [line.split() for line in result.stdout.splitlines()]
+    assert header == ["module", "lines", "code"]
+    modules = sorted((ROOT / "src" / "criticalbranch").glob("*.py"))
+    assert [row[0] for row in rows] == [path.stem for path in modules]
+    for (_, lines, code), path in zip(rows, modules):
+        assert int(lines) == len(path.read_text().splitlines())
+        assert 0 < int(code) <= int(lines)
+    assert total == ["total", str(sum(int(row[1]) for row in rows)), str(sum(int(row[2]) for row in rows))]
