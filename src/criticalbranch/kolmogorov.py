@@ -410,6 +410,16 @@ def _series_init(N: int) -> np.ndarray:
     return r
 
 
+def _series_gap_rate(f_law: OffspringLaw):
+    """The rate -f(1 - R) of the gap's coefficients, negated in the law's fresh output."""
+
+    def rate(r):
+        out = f_law.from_gap_coeffs(r)
+        return np.negative(out, out=out)
+
+    return rate
+
+
 def _gap_to_solution(t, r, g=None, i=0, counts=None) -> TransitionSolution:
     f = -r.copy()
     f[0] = 1.0 - r[0]
@@ -433,7 +443,7 @@ def solve_gf_series(f_law: OffspringLaw, t: float, N: int) -> TransitionSolution
     r0 = _series_init(N)
     if t == 0.0:
         return _gap_to_solution(0.0, r0)
-    r, _, counts = _Stepper(lambda r: -f_law.from_gap_coeffs(r), None, r0, None, SERIES_RTOL,
+    r, _, counts = _Stepper(_series_gap_rate(f_law), None, r0, None, SERIES_RTOL,
                             min(SERIES_RTOL * 1e-2, SERIES_ATOL), 0.0, (t,))(t)
     return _gap_to_solution(t, r, counts=counts)
 
@@ -452,6 +462,6 @@ def immigration_gf_series(
     if t == 0.0:
         return _gap_to_solution(0.0, r0, g0, i=i)
     atol = min(tol * 1e-2, SERIES_ATOL)
-    r, g, counts = _Stepper(lambda r: -f_law.from_gap_coeffs(r), h_law.from_gap_coeffs, r0, g0, tol, atol, atol, (t,))(t)
+    r, g, counts = _Stepper(_series_gap_rate(f_law), h_law.from_gap_coeffs, r0, g0, tol, atol, atol, (t,))(t)
     return _gap_to_solution(t, r, g, i=i, counts=counts)
 

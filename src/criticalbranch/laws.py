@@ -128,10 +128,21 @@ class CenteredLaw:
         return _power_sum(self.terms)
 
     def from_gap_coeffs(self, r: np.ndarray) -> np.ndarray:
-        """Series coefficients of the generating function at 1 - R(s), given those of R."""
-        out = np.zeros_like(r)
-        for c, b in self.terms:
-            out += c * series._pow_coeffs(r, b)
+        """Series coefficients of the generating function at 1 - R(s), given those of R.
+
+        The sum 0.0 + sum_m c_m R**beta_m is accumulated in the kernel's fresh
+        output, in place; the first term adds 0.0 so that a -0.0 comes out
+        +0.0, as it would from zeros.  The kernel is read from ``series`` at
+        each call, so that a wrapper set on ``series._pow_coeffs`` sees it.
+        """
+        (c, b), *rest = self.terms
+        out = series._pow_coeffs(r, b)
+        out *= c
+        out += 0.0
+        for c, b in rest:
+            p = series._pow_coeffs(r, b)
+            p *= c
+            out += p
         return out
 
     def rates_up_to(self, J: int) -> np.ndarray:

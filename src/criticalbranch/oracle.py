@@ -3,9 +3,11 @@
 The generator is assembled directly from the jump rules (one individual
 replaced by j offspring at rate n a_j, batches of k immigrants at rate b_k),
 with no generating-function machinery involved, so transition matrices from
-this module serve as an independent oracle.  Jumps that would leave the
-truncated state space are dropped and logged per row; row sums of the
-resulting transition matrix fall short of one by exactly the leaked mass.
+this module serve as an independent oracle.  A jump's rate depends on the
+state only through the factor n, so Q is assembled whole-matrix: n times a
+banded Toeplitz matrix of the a_j, plus one of the b_k.  Jumps that would
+leave the truncated state space are dropped and logged per row; row sums of
+the resulting transition matrix fall short of one by exactly the leaked mass.
 
 P(t) comes from Jensen's uniformization, a Poisson mixture of powers of a
 nonnegative matrix, raised to the power 2^h by exact time halving.  The
@@ -79,37 +81,49 @@ def build_generator(
 ) -> TruncatedGenerator:
     """Generator of the truncated chain; clipped jump rates are logged, not
     renormalized (renormalizing would bias the mean offspring count).  n_max
-    is checked against its ``laws`` leaf, [1, inf)."""
+    is checked against its ``laws`` leaf, [1, inf).
+
+    Q is assembled from the rate vectors whole-matrix, with no
+    generating-function machinery: entry (n, m) is (0 + n a_{m-n+1}) + b_{m-n},
+    the diagonal (0 + n a_1) + b_0, as accumulating row by row into zeros
+    gives, with no size**2 temporary beyond Q.  Each row's clipped rate sums
+    its kept rates as one ``sum`` of a slice, so its bits follow numpy's
+    pairwise summation of that slice.
+    """
     _check(n_max=n_max)
     size = n_max + 1
-    Q = np.zeros((size, size))
-    clipped = np.zeros(size)
+    n = np.arange(size, dtype=float)
 
+    # Adding 0.0 turns the -0.0 of row 0's 0 * a_1 (and of any -0.0 rate) into
+    # the +0.0 that accumulating into zeros gives.
     a = f_law.rates_up_to(n_max + 1)
-    total_branch = -f_law.a1
-    for n in range(1, size):
-        j_max = n_max - n + 1
-        Q[n, n - 1] += n * a[0]
-        included = a[0]
-        if j_max >= 2:
-            js = np.arange(2, j_max + 1)
-            Q[n, n - 1 + js] += n * a[js]
-            included += a[2 : j_max + 1].sum()
-        Q[n, n] += n * f_law.a1
-        clipped[n] += n * max(0.0, total_branch - included)
+    Q = np.multiply(n[:, None], _bands(a, 1, f_law.a1, size))
+    Q += 0.0
+    # Row n keeps a_0 + sum_{2 <= j <= n_max - n + 1} a_j of its branching rate -a_1.
+    included = a[0] + np.array([a[2 : j + 1].sum() for j in range(n_max, 0, -1)])
+    clipped = np.zeros(size)
+    clipped[1:] = n[1:] * np.maximum(0.0, -f_law.a1 - included)
 
     if h_law is not None:
         b = h_law.rates_up_to(n_max)
-        total_imm = -h_law.b0
-        for n in range(size):
-            k_max = n_max - n
-            if k_max >= 1:
-                ks = np.arange(1, k_max + 1)
-                Q[n, n + ks] += b[ks]
-            Q[n, n] += h_law.b0
-            clipped[n] += max(0.0, total_imm - b[1 : k_max + 1].sum())
+        Q += _bands(b, 0, h_law.b0, size)
+        arrived = np.array([b[1 : k + 1].sum() for k in range(n_max, -1, -1)])
+        clipped += np.maximum(0.0, -h_law.b0 - arrived)
 
     return TruncatedGenerator(n_max=n_max, Q=Q, clipped_rate=clipped)
+
+
+def _bands(rates: np.ndarray, lead: int, diagonal: float, size: int) -> np.ndarray:
+    """Read-only size x size view whose entry (n, m) is ``rates[m - n + lead]``,
+    ``diagonal`` where m = n, and 0.0 where m - n + lead < 0.
+
+    The banded Toeplitz matrix is a strided window over one padded vector of
+    2 size - 1 floats, so it allocates no size**2 array.
+    """
+    pad = np.zeros(2 * size - 1)
+    pad[size - 1 - lead :] = rates[: size + lead]
+    pad[size - 1] = diagonal
+    return np.lib.stride_tricks.sliding_window_view(pad, size)[::-1]
 
 
 def _series_terms(x: float, log_tol: float) -> int:

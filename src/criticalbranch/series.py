@@ -129,29 +129,34 @@ def _pow_coeffs(w: np.ndarray, alpha: float) -> np.ndarray:
     ``_BLOCK`` unknowns: the solved prefix enters a block through two
     convolutions of w, against p_j and against j p_j, and the block's own
     triangle is one BLAS solve.  Same flops as row-by-row substitution, in
-    O(_BLOCK * N) memory plus the block weights, which depend on (alpha, m, e)
-    alone and are cached for the last 64 keys: at most 64 * _BLOCK**2 floats.
+    O(_BLOCK * N) memory plus the block weights (``_weights``), which depend
+    on (alpha, m, e) alone and are cached for the last 64 keys: at most
+    64 * (_BLOCK**2 + 2 _BLOCK) floats, 2.2 MB.  The prefix's j p_j are kept
+    block by block as the blocks are solved.
     """
     w0 = w[0]
     if w0 <= 0.0:
         raise ValueError("fractional power requires a positive constant term")
     n = w.size
     p = np.empty(n)
-    p[0] = w0 ** alpha
-    k = np.arange(n, dtype=float)
+    p[0] = p0 = w0 ** alpha
+    jp = np.empty(n)  # j p_j, which the later blocks' prefixes convolve
+    jp[0] = 0.0 * p0
     u = np.zeros(2 * _BLOCK - 1)
     u[_BLOCK - 1 : _BLOCK - 1 + min(n, _BLOCK)] = w[:_BLOCK]
-    upper = u[_LAG]  # upper[j, k] = w_{k-j}, zero below the diagonal
+    upper = u.take(_LAG)  # upper[j, k] = w_{k-j}, zero below the diagonal
     dtrsv = _dtrsv()
     for m in range(1, n, _BLOCK):
         e = min(m + _BLOCK, n)
-        km = k[m:e]
+        weights, alpha_k, k = _weights(alpha, m, e)
         prefix_p = np.convolve(w[1:e], p[:m], "valid")
-        prefix_jp = np.convolve(w[1:e], k[:m] * p[:m], "valid")
-        rhs = alpha * km * prefix_p - (1.0 + alpha) * prefix_jp
+        prefix_jp = np.convolve(w[1:e], jp[:m], "valid")
+        rhs = alpha_k * prefix_p - (1.0 + alpha) * prefix_jp
         # Built transposed so that tri.T is the Fortran-ordered lower triangle BLAS reads without a copy.
-        tri = upper[: e - m, : e - m] * _weights(alpha, m, e)
+        tri = upper[: e - m, : e - m] * weights
         p[m:e] = dtrsv(tri.T, rhs, lower=1)
+        if e < n:
+            np.multiply(k, p[m:e], out=jp[m:e])
     return p
 
 
@@ -165,11 +170,18 @@ def _dtrsv():
 
 
 @functools.lru_cache(maxsize=64)
-def _weights(alpha: float, m: int, e: int) -> np.ndarray:
-    """Read-only ``(1 + alpha) k_j - alpha k_k`` for j, k in [m, e)."""
-    km = np.arange(m, e, dtype=float)
-    out = (1.0 + alpha) * km[:, None] - alpha * km
-    out.setflags(write=False)
+def _weights(alpha: float, m: int, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(1 + alpha) k_j - alpha k_k`` for j, k in [m, e), with
+    ``alpha k`` and ``k`` for k in [m, e).
+
+    An entry holds at most _BLOCK**2 + 2 _BLOCK floats, so the cache holds
+    at most 64 * (_BLOCK**2 + 2 _BLOCK) floats: 2.2 MB.
+    """
+    k = np.arange(m, e, dtype=float)
+    alpha_k = alpha * k
+    out = ((1.0 + alpha) * k[:, None] - alpha_k, alpha_k, k)
+    for a in out:
+        a.setflags(write=False)
     return out
 
 

@@ -19,6 +19,7 @@ from criticalbranch import (
     make_stable_offspring,
 )
 from criticalbranch import kolmogorov
+from criticalbranch import series as fps
 from criticalbranch.kolmogorov import (
     StepUnderflowError,
     closed_form_gf,
@@ -256,6 +257,21 @@ class TestStepper:
         sol = _COUNTED[solver]()
         assert sol.gap_rejected == 0
         assert sol.rhs_evals == 1 + 6 * (sol.steps + sol.rejected)
+
+    def test_series_rate_reads_the_kernel_from_its_module(self, monkeypatch):
+        # perfbench wraps series._pow_coeffs by name: a one-term law's gap rate
+        # calls it once per RHS evaluation, and a binding made at import time
+        # would bypass the wrapper
+        calls = []
+        kernel = fps._pow_coeffs
+
+        def counted(w, alpha):
+            calls.append(alpha)
+            return kernel(w, alpha)
+
+        monkeypatch.setattr(fps, "_pow_coeffs", counted)
+        sol = solve_gf_series(HALF, 1.0, 32)
+        assert sol.rhs_evals > 0 and len(calls) == sol.rhs_evals
 
     def test_counters_match_rhs_calls_through_gap_rejections(self):
         # at tol=0.5 some attempts stop at a non-positive gap stage, after

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from criticalbranch import asymptotics as asy
 from criticalbranch import kolmogorov as kol
-from criticalbranch import laws, oracle
+from criticalbranch import laws, oracle, series
 from criticalbranch import montecarlo as mc
 from criticalbranch import (
     classify,
@@ -394,6 +394,25 @@ def test_offspring_rates_match_the_loops_bit_for_bit(law, r):
 def test_immigration_rates_match_the_loop_bit_for_bit(law, r):
     h_law = _IMMIGRATION_LAWS[law]
     assert _bits(h_law.from_gap(r)) == _bits(_loop_from_gap(h_law.terms, r))
+
+
+def test_from_gap_coeffs_matches_the_sum_from_zeros_bit_for_bit():
+    # gaps with exact zero coefficients: a negative c times a +0.0 power
+    # coefficient is -0.0, which the sum started from zeros turns into +0.0
+    initial = np.zeros(41)
+    initial[:2] = 1.0, -1.0
+    even = np.zeros(90)  # two kernel blocks; the odd coefficients are zero
+    even[::2] = 0.5 ** np.arange(45)
+    negative_zeros = 0
+    for law in (*_OFFSPRING_LAWS.values(), *_IMMIGRATION_LAWS.values()):
+        for r in (initial, even):
+            want = np.zeros_like(r)
+            for c, b in law.terms:
+                term = c * series._pow_coeffs(r, b)
+                negative_zeros += np.count_nonzero((term == 0.0) & np.signbit(term))
+                want += term
+            assert law.from_gap_coeffs(r).tobytes() == want.tobytes()
+    assert negative_zeros > 0
 
 
 @given(

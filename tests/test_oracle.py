@@ -17,6 +17,7 @@ from criticalbranch.oracle import EPS
 
 BINARY = make_finite_offspring([1.0, -2.0, 1.0])
 ARRIVALS = make_finite_immigration([-1.0, 1.0])
+_CANONICAL = (make_stable_offspring(0.5, 1.0), make_stable_immigration(0.4, 0.1))
 
 
 def _canonical_generator(n_max):
@@ -179,11 +180,65 @@ def test_generator_requires_positive_truncation():
         build_generator(BINARY, None, 0)
 
 
+def _row_loop_generator(f_law, h_law, n_max):
+    """Reference: the generator accumulated row by row into zeros, one fancy assignment per row."""
+    size = n_max + 1
+    Q = np.zeros((size, size))
+    clipped = np.zeros(size)
+    a = f_law.rates_up_to(n_max + 1)
+    total_branch = -f_law.a1
+    for n in range(1, size):
+        j_max = n_max - n + 1
+        Q[n, n - 1] += n * a[0]
+        included = a[0]
+        if j_max >= 2:
+            js = np.arange(2, j_max + 1)
+            Q[n, n - 1 + js] += n * a[js]
+            included += a[2 : j_max + 1].sum()
+        Q[n, n] += n * f_law.a1
+        clipped[n] += n * max(0.0, total_branch - included)
+    if h_law is not None:
+        b = h_law.rates_up_to(n_max)
+        total_imm = -h_law.b0
+        for n in range(size):
+            k_max = n_max - n
+            if k_max >= 1:
+                ks = np.arange(1, k_max + 1)
+                Q[n, n + ks] += b[ks]
+            Q[n, n] += h_law.b0
+            clipped[n] += max(0.0, total_imm - b[1 : k_max + 1].sum())
+    return Q, clipped
+
+
+_GENERATOR_LAWS = {
+    "canonical": _CANONICAL,
+    "binary-arrivals": (BINARY, ARRIVALS),
+    "canonical-no-immigration": (_CANONICAL[0], None),
+    "finite-batches": (make_finite_offspring([2.0, -3.0, 0.5, 0.5]),
+                       make_finite_immigration([-1.0, 0.5, 0.25, 0.25])),
+    "kappa": (_CANONICAL[0], make_stable_immigration(0.4, 0.1, kappa=0.25)),
+}
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 50, 200, 512])
+@pytest.mark.parametrize("pair", sorted(_GENERATOR_LAWS))
+def test_generator_matches_the_row_loop(pair, n_max):
+    # bytes, not values: row 0 must stay +0.0 without immigration, and the
+    # clipped rates keep each row's pairwise-summed slices
+    f_law, h_law = _GENERATOR_LAWS[pair]
+    gen = build_generator(f_law, h_law, n_max)
+    Q, clipped = _row_loop_generator(f_law, h_law, n_max)
+    assert gen.Q.flags.c_contiguous
+    assert gen.Q.tobytes() == Q.tobytes()
+    assert gen.clipped_rate.tobytes() == clipped.tobytes()
+    if h_law is None:
+        assert not np.signbit(gen.Q[0]).any()
+
+
 # ---------------------------------------------------------------------------
 # The squarings flush entries below 2^-511; parity with the loop without the flush.
 
 _TINY = 2.0**-1022  # the smallest normal double
-_CANONICAL = (make_stable_offspring(0.5, 1.0), make_stable_immigration(0.4, 0.1))
 _FLUSH_CONFIGS = [
     *((pair, 200, t) for pair in ("bin", "can") for t in (0.5, 1.0, 2.0)),  # A3
     ("can", 512, 50.0),  # A6

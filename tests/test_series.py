@@ -252,11 +252,13 @@ def test_pow_coeffs_bitwise_matches_strided_kernel(first, second, alpha, beta):
 
 
 def test_cached_block_weights_are_read_only():
+    # every array of a cache entry: the weights, alpha k and k
     fps._pow_coeffs(np.linspace(1.0, 0.5, 100), 0.5)
-    weights = fps._weights(0.5, 65, 100)
-    assert weights.shape == (35, 35)
-    with pytest.raises(ValueError):
-        weights[0, 0] = 0.0
+    cached = fps._weights(0.5, 65, 100)
+    assert [a.shape for a in cached] == [(35, 35), (35,), (35,)]
+    for a in cached:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 small_series =st.lists(
