@@ -36,7 +36,7 @@ def main() -> int:
         rep = asymptotics.scaled_gf_convergence(f_law, h_law, regime, ratio, grid, args.s)
         reports.append((f"scaled-gf-{label}", rep))
 
-    cond_errs = np.array([asymptotics.conditioned_gf(f_law, t, args.s).error for t in grid])
+    cond_errs = np.array([res.error for res in asymptotics.conditioned_gf(f_law, grid, args.s)])
     slope = np.polyfit(np.log(grid), np.log(np.abs(cond_errs)), 1)[0]
 
     out = Path(args.out)

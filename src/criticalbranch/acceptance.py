@@ -18,12 +18,7 @@ import numpy as np
 
 from . import asymptotics, karamata, montecarlo, oracle
 from .asymptotics import FIGURE_NORMALIZERS, FIGURE_PRESETS, figure_rows, report_rows
-from .kolmogorov import (
-    closed_form_gf,
-    gf_derivative,
-    immigration_gf_series,
-    solve_gf,
-)
+from .kolmogorov import _March, closed_form_gf, solve_gf
 from .laws import classify, make_finite_immigration, make_finite_offspring, make_stable_immigration, make_stable_offspring
 
 __all__ = ["CheckResult", "CHECK_IDS", "run", "run_one"]
@@ -92,9 +87,10 @@ def _check_a3() -> tuple[bool, str]:
     worst = 0.0
     for f_law, h_law in systems:
         gen = oracle.build_generator(f_law, h_law, 200)
+        series = _March("immigration_gf_series", f_law, (0.5, 1.0, 2.0), h_law, N=64)
         for t in (0.5, 1.0, 2.0):
             p_oracle = oracle.uniformize(gen, t).P[0, :21]
-            p_series = immigration_gf_series(f_law, h_law, 0, t, 64).P.coeffs[:21]
+            p_series = series(t).P.coeffs[:21]
             worst = max(worst, float(np.max(np.abs(p_oracle - p_series))))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-6 and elapsed < 60.0
@@ -163,7 +159,7 @@ def _check_a7() -> tuple[bool, str]:
     # measured local ratio decay, log-corrected 1/t
     law = make_stable_offspring(0.5, 1.0)
     grid = np.logspace(2, 5, 13)
-    errs = np.array([1.0 - 0.5 * t * asymptotics.local_ratio_measured(law, t) for t in grid])
+    errs = np.array([1.0 - 0.5 * t * ratio for t, ratio in zip(grid, asymptotics.local_ratio_measured(law, grid))])
     le = np.log(np.abs(errs))
     lx = np.log(grid)
     fit = np.polyfit(lx, le, 1)
@@ -173,7 +169,8 @@ def _check_a7() -> tuple[bool, str]:
 
     # slow variation of (nu t)^(1 + 1/nu) p_1(t) a0 over one doubling of t
     nu, a0 = law.nu, law.a0
-    v1, v2 = ((nu * t) ** (1.0 + 1.0 / nu) * gf_derivative(law, t, 0.0) * a0 for t in (1e3, 2e3))
+    derivative = _March("gf_derivative", law, (1e3, 2e3))
+    v1, v2 = ((nu * t) ** (1.0 + 1.0 / nu) * derivative(t) * a0 for t in (1e3, 2e3))
     doubling_err = abs(v2 / v1 - 1.0)
     ok = survival_ok and ratio_ok and doubling_err <= 0.01
     return ok, (
@@ -184,10 +181,11 @@ def _check_a7() -> tuple[bool, str]:
 
 def _check_a8() -> tuple[bool, str]:
     law = make_stable_offspring(0.5, 1.0)
-    slack_100 = asymptotics.conditioned_gf(law, 100.0, 0.5).slack
+    slacks = [res.slack for res in asymptotics.conditioned_gf(law, (1e2, 1e3, 1e4, 1e5), 0.5)]
+    slack_100 = slacks[0]
     value_ok = abs(slack_100 - 0.8024) <= 1e-4
     m_half = asymptotics.invariant_gf(law, 0.5)
-    gaps = [m_half - asymptotics.conditioned_gf(law, t, 0.5).slack for t in (1e2, 1e3, 1e4, 1e5)]
+    gaps = [m_half - slack for slack in slacks]
     monotone_ok = all(g > 0 for g in gaps) and all(a > b for a, b in zip(gaps, gaps[1:]))
     v = asymptotics.relative_measure_series(law, 32).coeffs[1:]
     mu = asymptotics.stable_invariant_coeffs(0.5, 1.0, 32)[1:]

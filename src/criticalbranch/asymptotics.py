@@ -29,13 +29,7 @@ import numpy as np
 
 from . import series as fps
 from .karamata import RatioSV
-from .kolmogorov import (
-    SCALAR_RTOL,
-    _March,
-    gf_derivative,
-    immigration_gf_series,
-    solve_gf,
-)
+from .kolmogorov import _March, immigration_gf_series
 from .laws import _POSITIVE, ImmigrationLaw, OffspringLaw, RegimeParams, _check
 from .series import Series
 
@@ -224,9 +218,16 @@ def report_rows():
     return rows
 
 
-def local_ratio_measured(f_law: OffspringLaw, t: float) -> float:
-    """Measured p_1(t)/q(t) from the variational and gap solves."""
-    return gf_derivative(f_law, t, 0.0) / solve_gf(f_law, t, 0.0).R
+def local_ratio_measured(f_law: OffspringLaw, t) -> float | list[float]:
+    """Measured p_1(t)/q(t) from the variational and gap solves.
+
+    ``t`` is a time, or a grid of times that gets a list of one ratio per
+    time from one march of each solve, as a loop over the grid would.
+    """
+    ts = list(t) if np.ndim(t) else [t]
+    derivative, gap = _March("gf_derivative", f_law, ts), _March("solve_gf", f_law, ts)
+    ratios = [derivative(tk) / gap(tk).R for tk in ts]
+    return ratios if np.ndim(t) else ratios[0]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +322,7 @@ def scaled_gf_convergence(
     log_u = math.log(limit_gf(regime, ratio, s))
     errs = np.empty(t.size)
     # two marches through the grid: the gap at s = 0 and the immigration solve at s
-    gap, immigration = _March(f_law, None, 0, 0.0, SCALAR_RTOL, t), _March(f_law, h_law, 0, s, SCALAR_RTOL, t)
+    gap, immigration = _March("solve_gf", f_law, t), _March("immigration_gf", f_law, t, h_law, s=s)
     for k, tk in enumerate(t):
         q = gap(tk).R
         errs[k] = math.expm1(q ** (-g) + immigration(tk).G - log_u)
@@ -375,23 +376,28 @@ class ConditionedResult:
     error: float
 
 
-def conditioned_gf(f_law: OffspringLaw, t: float, s: float) -> ConditionedResult:
+def conditioned_gf(f_law: OffspringLaw, t, s: float) -> ConditionedResult | list[ConditionedResult]:
     """GF of the population conditioned on survival: 1 - R(t;s)/q(t).
 
     ``slack`` is nu t times the value; it approaches M(s) from below with a
-    log-corrected 1/t gap, reported in ``error`` as slack/M(s) - 1.
+    log-corrected 1/t gap, reported in ``error`` as slack/M(s) - 1.  ``t``
+    is a time, or a grid of times that gets a list of one result per time
+    from one march at s = 0 and one at s, as a loop over the grid would.
     """
-    nu = _nu(f_law)
-    _check({"t": _POSITIVE}, t=t)
-    q = solve_gf(f_law, t, 0.0).R
-    if q <= 0.0:
-        raise ZeroDivisionError("survival probability underflowed")
-    r = solve_gf(f_law, t, s).R
-    value = 1.0 - r / q
-    slack = nu * t * value
-    m = invariant_gf(f_law, s)
-    error = slack / m - 1.0 if m != 0.0 else 0.0
-    return ConditionedResult(value=value, slack=slack, error=error)
+    ts = list(t) if np.ndim(t) else [t]
+    gap, gap_s = _March("solve_gf", f_law, ts), _March("solve_gf", f_law, ts, s=s)
+    results, m = [], None
+    for tk in ts:  # each point in the per-point call's order, so a bad or failing t raises that call's error
+        nu = _nu(f_law)
+        _check({"t": _POSITIVE}, t=tk)
+        q = gap(tk).R
+        if q <= 0.0:
+            raise ZeroDivisionError("survival probability underflowed")
+        value = 1.0 - gap_s(tk).R / q
+        slack = nu * tk * value
+        m = invariant_gf(f_law, s) if m is None else m
+        results.append(ConditionedResult(value=value, slack=slack, error=slack / m - 1.0 if m != 0.0 else 0.0))
+    return results if np.ndim(t) else results[0]
 
 
 def relative_measure_series(f_law: OffspringLaw, N: int) -> Series:

@@ -229,7 +229,8 @@ def _cmd_solve(args) -> int:
     tol = cfg.get("tol", kolmogorov.SCALAR_RTOL)
     ts = [float(t) for t in cfg["t"]]
     # one march per s through the t list; the points come out in row-major order, as solo solves would
-    marches = [kolmogorov._March(offspring, immigration, 0, float(s), tol, ts) for s in cfg["s"]]
+    solver = "solve_gf" if immigration is None else "immigration_gf"
+    marches = [kolmogorov._March(solver, offspring, ts, immigration, s=float(s), tol=tol) for s in cfg["s"]]
     rows = []
     totals = dict.fromkeys(_SOLVE_COUNTERS, 0)
     for i, t in enumerate(cfg["t"]):

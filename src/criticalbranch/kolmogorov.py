@@ -22,20 +22,23 @@ driver, ``_Stepper``: a march from t = 0 toward the largest of its horizons,
 read at each one, so a solve to one t is a march with one horizon.  Marches
 to two horizons make the very same attempts until one attempt would be cut
 to the nearer horizon, so a sweep over t at one (law, s) shares them.
-``_March`` is the one scalar path: ``solve_gf`` or ``immigration_gf`` at
-each t of a grid, which both solvers call with their one t.  ``cli solve``
-and ``asymptotics.scaled_gf_convergence`` sweep this way; a march holds
-state, so each sweep builds its own.  ``gf_derivative`` and
-``solve_gf_series`` run at the fixed tolerances SCALAR_RTOL and
-SERIES_RTOL.  Each solver checks its arguments before any work against the
-``laws`` leaves that configs use: t, s, tol, the series order N (leaf
-``order``) and the initial state i.
+``_March`` is the one way to the driver: any of the five solvers at each t
+of a grid, and each solver is the march over its one t.  It checks the
+arguments before any work against the ``laws`` leaves that configs use (t,
+s, tol, the series order N as leaf ``order``, and the initial state i),
+returns the exact points, picks the tolerances and builds the driver.
+``gf_derivative`` and ``solve_gf_series`` run at the fixed tolerances
+SCALAR_RTOL and SERIES_RTOL.  Grid callers march: ``cli solve``,
+``asymptotics.scaled_gf_convergence``, ``conditioned_gf`` and
+``local_ratio_measured`` over a grid, and the acceptance checks A3, A7 and
+A8.  A march holds state, so each sweep builds its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -140,11 +143,12 @@ class _Stepper:
     until one attempt would be cut to the nearer horizon (``_run``).  There
     the march keeps that attempt's state, from which the nearer horizon's
     last steps run when that horizon is asked for, and goes on toward the
-    next one.  A horizon that a step reaches without a cut keeps the state
-    there, with no step left to run.  So each horizon gets the bytes,
-    counters and error of its one-horizon march.  A failed march fails every
-    horizon that it has not passed with the same error, as their one-horizon
-    marches would.  The march runs only as far as the horizons asked for so
+    next one.  A horizon that a step reaches without a cut keeps its
+    outcome at once, and so does the last horizon: no march goes past it,
+    so its steps are cut to it in the same run.  So each horizon gets the
+    bytes, counters and error of its one-horizon march.  A failed march
+    fails every horizon that it has not passed with the same error, as
+    their one-horizon marches would.  The march runs only as far as the horizons asked for so
     far need, so a caller that stops at its first failing horizon makes no
     attempt that one-horizon marches in the same order would not make.
     """
@@ -156,23 +160,25 @@ class _Stepper:
         self.passed = 0  # the march has passed horizons[:passed]
         self.state = None  # where the march stands, once it has started
         self.starts = {}  # horizon -> where its last steps start, until it is asked for
-        self.done = {}  # horizon -> (r, g, counts), or its StepUnderflowError
+        self.done = {}  # horizon -> (r, g, counts), its StepUnderflowError, or None while its last steps wait
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def __call__(self, t):
         step = self.step
-        while t not in self.done and t not in self.starts:
+        while t not in self.done:
             x = self.horizons[self.passed]
             self.passed += 1
             try:
                 if self.state is None:
                     self.state = _start(step[0], step[1], self.r, self.g)
-                # the attempt that would be cut to x, or the state where a step reached x
-                self.starts[x] = self.state = _run(*step, self.state, x, last=False)[1]
+                # x's outcome, or None and the attempt that would be cut to x; no march goes past its last horizon
+                self.done[x], self.state = _run(*step, self.state, x, last=self.passed == len(self.horizons))
+                if self.done[x] is None:
+                    self.starts[x] = self.state
             except StepUnderflowError as exc:  # so would every march to x or beyond
                 self.done.update(dict.fromkeys(self.horizons[self.passed - 1:], exc))
                 self.passed = len(self.horizons)
-        if t in self.starts:
+        if self.done[t] is None:
             try:
                 self.done[t] = _run(*step, self.starts.pop(t), t)[0]
             except StepUnderflowError as exc:
@@ -315,12 +321,12 @@ def _run(rate, quad, rtol, atol, gatol, state, t_end, last=True):
 
 
 # ---------------------------------------------------------------------------
-# Scalar solves.
+# The solvers: each is the march with its one horizon.
 
 
 def solve_gf(f_law: OffspringLaw, t: float, s: float, tol: float = SCALAR_RTOL) -> TransitionSolution:
     """F(t;s) by the embedded pair on dR/dt = -f(1-R), R(0) = 1-s."""
-    return _March(f_law, None, 0, s, tol, (t,))(t)
+    return _March("solve_gf", f_law, (t,), s=s, tol=tol)(t)
 
 
 def closed_form_gf(nu: float, a0: float, t: float, s: float) -> TransitionSolution:
@@ -334,14 +340,7 @@ def closed_form_gf(nu: float, a0: float, t: float, s: float) -> TransitionSoluti
 
 def gf_derivative(f_law: OffspringLaw, t: float, s: float) -> float:
     """dF/ds = V for V' = f'(F) V, V(0) = 1, solved as u = log V so a subnormal V at far t stays in reach."""
-    _check(t=t, s=s)
-    if s == 1.0:
-        raise ValueError("derivative is evaluated on [0, 1)")
-    if t == 0.0:
-        return 1.0
-    _, u, _ = _Stepper(f_law.gap_rate, f_law.fprime_from_gap, 1.0 - s, 0.0, SCALAR_RTOL, 0.0,
-                       min(SCALAR_RTOL * 1e-2, SCALAR_ATOL), (t,))(t)
-    return math.exp(u)
+    return _March("gf_derivative", f_law, (t,), s=s)(t)
 
 
 def immigration_gf(
@@ -357,95 +356,12 @@ def immigration_gf(
     G accumulates h(F) jointly with the gap equation so both share one error
     budget.
     """
-    return _March(f_law, h_law, i, s, tol, (t,))(t)
-
-
-class _March:
-    """``solve_gf(f_law, t, s, tol)`` at each t of ``ts``, or ``immigration_gf(f_law, h_law, i, t, s, tol)``.
-
-    Calling it at a t of ``ts`` checks the arguments, returns the exact
-    point at t = 0 or s = 1, and reads any other t from one ``_Stepper``
-    over the positive t of ``ts``.  The stepper is built at the first call
-    that needs a step, after that call's checks, so a bad t gets its message
-    before any horizon is sorted.  ``solve_gf`` and ``immigration_gf`` are
-    the march over their one t, and every t of a grid gets the bytes,
-    counters and error of that solve.
-    """
-
-    def __init__(self, f_law: OffspringLaw, h_law: ImmigrationLaw | None, i: int, s: float, tol: float, ts):
-        self.f_law, self.h_law, self.i, self.s, self.tol, self.ts = f_law, h_law, i, s, tol, ts
-        self.stepper = None
-
-    def __call__(self, t: float) -> TransitionSolution:
-        h_law, i, s, tol = self.h_law, self.i, self.s, self.tol
-        if h_law is None:
-            _check(t=t, s=s, tol=tol)
-        else:
-            _check(i=i, t=t, s=s, tol=tol)
-        r0 = 1.0 - s
-        if t == 0.0 or r0 == 0.0:  # an exact point: no step
-            if h_law is None:
-                return TransitionSolution(F=s, R=r0)
-            return TransitionSolution(F=s, R=r0, G=0.0, P=s ** i if i else 1.0)
-        if self.stepper is None:
-            quad, g0, gatol = (None, None, 0.0) if h_law is None else (h_law.from_gap, 0.0, min(tol * 1e-2, SCALAR_ATOL))
-            horizons = [x for x in self.ts if x > 0.0]
-            self.stepper = _Stepper(self.f_law.gap_rate, quad, r0, g0, tol, 0.0, gatol, horizons)
-        r, g, counts = self.stepper(t)
-        f = 1.0 - r
-        if g is None:
-            return TransitionSolution(F=f, R=r, **counts)
-        return TransitionSolution(F=f, R=r, G=g, P=(f ** i) * math.exp(g), **counts)
-
-
-# ---------------------------------------------------------------------------
-# Series-mode solves.
-
-
-def _series_init(N: int) -> np.ndarray:
-    r = np.zeros(N + 1)
-    r[0] = 1.0
-    if N >= 1:
-        r[1] = -1.0
-    return r
-
-
-def _series_gap_rate(f_law: OffspringLaw):
-    """The rate -f(1 - R) of the gap's coefficients, negated in the law's fresh output."""
-
-    def rate(r):
-        out = f_law.from_gap_coeffs(r)
-        return np.negative(out, out=out)
-
-    return rate
-
-
-def _gap_to_solution(t, r, g=None, i=0, counts=None) -> TransitionSolution:
-    f = -r.copy()
-    f[0] = 1.0 - r[0]
-    F = Series(f)
-    sol_kwargs = dict(F=F, R=Series(r), **(counts or {}))
-    if g is not None:
-        eg = _exp_coeffs(g)
-        if i == 0:
-            p = eg
-        elif t == 0.0:
-            p = np.eye(1, f.size, i)[0]  # P = s^i exactly; F = s has no fractional power
-        else:
-            p = np.convolve(_pow_coeffs(f, float(i)), eg)[: f.size]
-        sol_kwargs.update(G=Series(g), P=Series(p))
-    return TransitionSolution(**sol_kwargs)
+    return _March("immigration_gf", f_law, (t,), h_law, i, s, tol=tol)(t)
 
 
 def solve_gf_series(f_law: OffspringLaw, t: float, N: int) -> TransitionSolution:
     """Coefficients p_j(t) of F(t;s) to order N, by the coefficient-space ODE."""
-    _check(order=N, t=t)
-    r0 = _series_init(N)
-    if t == 0.0:
-        return _gap_to_solution(0.0, r0)
-    r, _, counts = _Stepper(_series_gap_rate(f_law), None, r0, None, SERIES_RTOL,
-                            min(SERIES_RTOL * 1e-2, SERIES_ATOL), 0.0, (t,))(t)
-    return _gap_to_solution(t, r, counts=counts)
+    return _March("solve_gf_series", f_law, (t,), N=N)(t)
 
 
 def immigration_gf_series(
@@ -457,11 +373,92 @@ def immigration_gf_series(
     tol: float = SERIES_RTOL,
 ) -> TransitionSolution:
     """Coefficient vector of F^i exp(G) to order N; row i of the transition law."""
-    _check(order=N, t=t, tol=tol, i=i)
-    r0, g0 = _series_init(N), np.zeros(N + 1)
-    if t == 0.0:
-        return _gap_to_solution(0.0, r0, g0, i=i)
-    atol = min(tol * 1e-2, SERIES_ATOL)
-    r, g, counts = _Stepper(_series_gap_rate(f_law), h_law.from_gap_coeffs, r0, g0, tol, atol, atol, (t,))(t)
-    return _gap_to_solution(t, r, g, i=i, counts=counts)
+    return _March("immigration_gf_series", f_law, (t,), h_law, i, N=N, tol=tol)(t)
 
+
+# each solver's checked arguments, in its order: several bad values get the message of the first
+_CHECKS = dict(solve_gf=("t", "s", "tol"), immigration_gf=("i", "t", "s", "tol"), gf_derivative=("t", "s"),
+               solve_gf_series=("order", "t"), immigration_gf_series=("order", "t", "tol", "i"))
+
+
+class _March:
+    """The solver named ``solver`` at each t of ``ts``, its other arguments fixed.
+
+    ``h_law`` (the immigration solvers' alone), ``i``, ``s``, ``N`` and
+    ``tol`` are the solver's own; ``gf_derivative`` runs at SCALAR_RTOL and
+    ``solve_gf_series`` at SERIES_RTOL.  The first call checks every argument
+    in the solver's order (``_CHECKS``, against the ``laws`` leaves that
+    configs use; N is leaf ``order``).  Once a call has passed its checks, a
+    call checks its t alone.  An exact point (t = 0, or s = 1) takes no step.
+    Any other t is read from one ``_Stepper`` over the positive t of ``ts``,
+    built at the first call that needs a step, after that call's checks, so a
+    bad t gets its message before any horizon is sorted.  Every t of a grid
+    gets the bytes, counters and error of its one-horizon solve.
+    """
+
+    def __init__(self, solver: str, f_law: OffspringLaw, ts, h_law: ImmigrationLaw | None = None, i: int = 0,
+                 s: float = 0.0, N: int = 0, tol: float | None = None):
+        self.series = solver.endswith("_series")
+        if tol is None:
+            tol = SERIES_RTOL if self.series else SCALAR_RTOL
+        self.solver, self.f_law, self.h_law, self.i, self.s, self.N, self.tol, self.ts = solver, f_law, h_law, i, s, N, tol, ts
+        fixed = dict(i=i, t=0.0, s=s, tol=tol, order=N)
+        self.args = {name: fixed[name] for name in _CHECKS[solver]}  # None once a call has passed them
+        self.stepper = None
+
+    def __call__(self, t: float) -> TransitionSolution | float:
+        solver, s, i = self.solver, self.s, self.i
+        if self.args is None:
+            _check(t=t)
+        else:
+            self.args["t"] = t
+            _check(**self.args)
+            if solver == "gf_derivative" and s == 1.0:
+                raise ValueError("derivative is evaluated on [0, 1)")
+            self.args = None
+        if t == 0.0 or s == 1.0:  # an exact point: no step (a series march keeps s = 0)
+            if solver == "solve_gf":
+                return TransitionSolution(F=s, R=1.0 - s)
+            if solver == "immigration_gf":
+                return TransitionSolution(F=s, R=1.0 - s, G=0.0, P=s ** i if i else 1.0)
+            r, g, counts = *self._initial()[2:4], {}
+        else:
+            if self.stepper is None:
+                # numbers alone: any other entry fails its check before it is asked for
+                horizons = [x for x in self.ts if (isinstance(x, float) or isinstance(x, Real)) and x > 0.0]
+                self.stepper = _Stepper(*self._initial(), horizons)
+            r, g, counts = self.stepper(t)
+        if solver == "gf_derivative":
+            return math.exp(g)
+        if self.series:
+            f = -r.copy()
+            f[0] = 1.0 - r[0]
+            f, r, p = Series(f), Series(r), None
+            if g is not None:
+                p = _exp_coeffs(g)
+                if i and t == 0.0:
+                    p = np.eye(1, p.size, i)[0]  # P = s^i exactly; F = s has no fractional power
+                elif i:
+                    p = np.convolve(_pow_coeffs(f.coeffs, float(i)), p)[: p.size]
+                g, p = Series(g), Series(p)
+        else:
+            f = 1.0 - r
+            p = None if g is None else (f ** i) * math.exp(g)
+        return TransitionSolution(F=f, R=r, G=g, P=p, **counts)
+
+    def _initial(self):
+        """``_Stepper``'s arguments before the horizons: the rates, the state at t = 0 and the tolerances."""
+        f_law, h_law, tol = self.f_law, self.h_law, self.tol
+        if self.series:
+
+            def rate(r):  # -f(1 - R) on the coefficients, negated in the law's fresh output
+                out = f_law.from_gap_coeffs(r)
+                return np.negative(out, out=out)
+
+            r = np.zeros(self.N + 1)
+            r[:2] = [1.0, -1.0][: r.size]  # the coefficients of 1 - s
+            atol = min(tol * 1e-2, SERIES_ATOL)
+            quad, g = (None, None) if h_law is None else (h_law.from_gap_coeffs, np.zeros(r.size))
+            return rate, quad, r, g, tol, atol, atol
+        quad = f_law.fprime_from_gap if self.solver == "gf_derivative" else None if h_law is None else h_law.from_gap
+        return f_law.gap_rate, quad, 1.0 - self.s, None if quad is None else 0.0, tol, 0.0, min(tol * 1e-2, SCALAR_ATOL)

@@ -148,7 +148,7 @@ def _pow_coeffs(w: np.ndarray, alpha: float) -> np.ndarray:
     dtrsv = _dtrsv()
     for m in range(1, n, _BLOCK):
         e = min(m + _BLOCK, n)
-        weights, alpha_k, k = _weights(alpha, m, e)
+        weights, alpha_k, k = _weights(alpha, math.copysign(1.0, alpha), m, e)
         prefix_p = np.convolve(w[1:e], p[:m], "valid")
         prefix_jp = np.convolve(w[1:e], jp[:m], "valid")
         rhs = alpha_k * prefix_p - (1.0 + alpha) * prefix_jp
@@ -170,9 +170,12 @@ def _dtrsv():
 
 
 @functools.lru_cache(maxsize=64)
-def _weights(alpha: float, m: int, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _weights(alpha: float, sign: float, m: int, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only ``(1 + alpha) k_j - alpha k_k`` for j, k in [m, e), with
     ``alpha k`` and ``k`` for k in [m, e).
+
+    ``sign`` is alpha's sign (``math.copysign(1.0, alpha)``): it keys 0.0 and
+    -0.0 apart, which compare equal but give ``alpha k`` zeros of either sign.
 
     An entry holds at most _BLOCK**2 + 2 _BLOCK floats, so the cache holds
     at most 64 * (_BLOCK**2 + 2 _BLOCK) floats: 2.2 MB.

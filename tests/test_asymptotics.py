@@ -317,6 +317,46 @@ class TestConditionedGf:
         assert slope == pytest.approx(-1.0, abs=0.1)
 
 
+def _loop_and_grid(fn, grid):
+    """[fn(t) for t in grid] and fn(grid), each as the repr of its value (every float's bits) or its first error."""
+    def outcome(call):
+        try:
+            return repr(call())
+        except Exception as exc:  # whatever the error, its type and message
+            return f"{type(exc).__name__}: {exc}"
+
+    return outcome(lambda: [fn(t) for t in grid]), outcome(lambda: fn(grid))
+
+
+class TestGridCalls:
+    # a grid call marches once per (law, s) and gives each t the per-point call's result or error
+
+    @pytest.mark.parametrize("as_grid", [list, np.array])
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    @pytest.mark.parametrize("law", [HALF, make_perturbed_offspring(0.5, 1.0, 0.3, 0.5)], ids=["canonical", "perturbed"])
+    def test_entries_are_the_per_point_results(self, law, s, as_grid):
+        grid = as_grid([1e4, 100.0, 562.34, 100.0, 3.0])  # unsorted, with a repeat
+        for fn in (lambda t: asy.conditioned_gf(law, t, s), lambda t: asy.local_ratio_measured(law, t)):
+            loop, marched = _loop_and_grid(fn, grid)
+            assert marched == loop and "Error" not in loop
+
+    @pytest.mark.parametrize("grid, s", [
+        ([10.0, -1.0, 5.0], 0.5),
+        ([10.0, math.nan], 0.5),
+        ([2.0, "x", 1.0], 0.5),
+        ([5.0, 0.0], 0.5),  # conditioned_gf needs t > 0; local_ratio_measured takes it
+        ([5.0, 1e300, -1.0], 0.5),  # a failing solve before a bad t
+        ([5.0, 10.0], 1.0),  # the invariant GF fails after the solves
+        ([5.0, 10.0], 2.0),
+    ])
+    def test_a_bad_or_failing_t_raises_the_per_point_error(self, grid, s, monkeypatch):
+        monkeypatch.setattr(kolmogorov, "_MAX_TRIES", 3000)  # t = 1e300 makes no progress within it
+        for fn in (lambda t: asy.conditioned_gf(HALF, t, s), lambda t: asy.local_ratio_measured(HALF, t)):
+            loop, marched = _loop_and_grid(fn, grid)
+            assert marched == loop
+        assert "Error" in _loop_and_grid(lambda t: asy.conditioned_gf(HALF, t, s), grid)[0]
+
+
 def relative_local_gf(f_law, t, s):
     """(q(t)/p_1(t)) times the conditioned GF; converges to a0 M(s)."""
     return asy.conditioned_gf(f_law, t, s).value / asy.local_ratio_measured(f_law, t)

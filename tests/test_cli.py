@@ -26,12 +26,12 @@ def write_config(tmp_path, payload, name="config.json"):
 _MARCH = kolmogorov._March
 
 
-def per_point(f_law, h_law, i, s, tol, ts):
+def per_point(solver, f_law, ts, *args, **kwargs):
     """A stand-in for ``kolmogorov._March`` that runs one solo solve (a one-horizon march) per point.
 
     It builds each march from the class itself: ``solve_gf`` would call this stand-in again.
     """
-    return lambda t: _MARCH(f_law, h_law, i, s, tol, (t,))(t)
+    return lambda t: _MARCH(solver, f_law, (t,), *args, **kwargs)(t)
 
 
 def count_rate_calls(monkeypatch):

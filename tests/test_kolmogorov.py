@@ -1,6 +1,7 @@
 import ast
 import functools
 import math
+import re
 import struct
 import time
 from pathlib import Path
@@ -370,25 +371,27 @@ _PARITY_LAWS = {
 }
 
 
-def _parity_solves(f_law, h_law, t, s, tol):
-    """Every solver's outcome at (t, s): F, R, G, P or dF/ds and the four counters as bytes, or the error."""
-    def pack(solve, *args, **kwargs):
-        try:
-            sol = solve(f_law, *args, **kwargs)
-        except ValueError as exc:  # StepUnderflowError included: the message names the t reached
-            return f"{type(exc).__name__}: {exc}"
-        if solve is gf_derivative:
-            return struct.pack("<d", sol)
-        values = [sol.F, sol.R] + ([sol.G, sol.P] if sol.G is not None else [])
-        floats = b"".join(np.asarray(getattr(v, "coeffs", v), dtype=float).tobytes() for v in values)
-        return floats + struct.pack("<4q", sol.steps, sol.rejected, sol.gap_rejected, sol.rhs_evals)
+def _outcome(solve, *args, **kwargs):
+    """solve(*args, **kwargs) as bytes, F, R, G, P (those present) and the four counters or dF/ds, or its error."""
+    try:
+        sol = solve(*args, **kwargs)
+    except ValueError as exc:  # StepUnderflowError included: the message names the t reached
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(sol, float):
+        return struct.pack("<d", sol)
+    values = [sol.F, sol.R] + ([sol.G, sol.P] if sol.G is not None else [])
+    floats = b"".join(np.asarray(getattr(v, "coeffs", v), dtype=float).tobytes() for v in values)
+    return floats + struct.pack("<4q", sol.steps, sol.rejected, sol.gap_rejected, sol.rhs_evals)
 
+
+def _parity_solves(f_law, h_law, t, s, tol):
+    """Every solver's outcome at (t, s)."""
     return [
-        pack(solve_gf, t, s, tol=tol),
-        *(pack(immigration_gf, h_law, i, t, s, tol=tol) for i in (0, 2)),
-        pack(gf_derivative, t, s),
-        pack(solve_gf_series, t, 8),
-        pack(immigration_gf_series, h_law, 2, t, 8, tol=tol),
+        _outcome(solve_gf, f_law, t, s, tol=tol),
+        *(_outcome(immigration_gf, f_law, h_law, i, t, s, tol=tol) for i in (0, 2)),
+        _outcome(gf_derivative, f_law, t, s),
+        _outcome(solve_gf_series, f_law, t, 8),
+        _outcome(immigration_gf_series, f_law, h_law, 2, t, 8, tol=tol),
     ]
 
 
@@ -430,74 +433,125 @@ _MARCH_LAWS = {
 }
 
 
-def _scalar_outcome(solve, t):
-    """F, R, G and P (those present) and the four counters of solve(t) as bytes, or its error."""
-    try:
-        sol = solve(t)
-    except ValueError as exc:
-        return f"{type(exc).__name__}: {exc}"
-    values = [sol.F, sol.R] + ([sol.G, sol.P] if sol.G is not None else [])
-    return struct.pack(f"<{len(values)}d4q", *values, sol.steps, sol.rejected, sol.gap_rejected, sol.rhs_evals)
+# each solver at t, and its march arguments after f_law and ts, from (h_law, i, s, tol); series at N = 8
+_SOLO = {
+    "solve_gf": (lambda f, h, i, s, tol, t: solve_gf(f, t, s, tol), lambda h, i, s, tol: dict(s=s, tol=tol)),
+    "immigration_gf": (lambda f, h, i, s, tol, t: immigration_gf(f, h, i, t, s, tol),
+                       lambda h, i, s, tol: dict(h_law=h, i=i, s=s, tol=tol)),
+    "gf_derivative": (lambda f, h, i, s, tol, t: gf_derivative(f, t, s), lambda h, i, s, tol: dict(s=s)),
+    "solve_gf_series": (lambda f, h, i, s, tol, t: solve_gf_series(f, t, 8), lambda h, i, s, tol: dict(N=8)),
+    "immigration_gf_series": (lambda f, h, i, s, tol, t: immigration_gf_series(f, h, i, t, 8, tol),
+                              lambda h, i, s, tol: dict(h_law=h, i=i, N=8, tol=tol)),
+}
 
 
-def _assert_march_is_solo(law, ts, order, s, tol, i, tries):
-    """Each t of ``order`` asked of one march over ``ts`` gives its solo solve's outcome; returns the outcomes.
+def _assert_march_is_solo(solver, law, ts, order, s, tol, i, tries):
+    """Each t of ``order`` asked of one march of ``solver`` over ``ts`` gives its solo solve's outcome; returns the outcomes.
 
     The solo solves run on the reference stepper, to each t alone.
     """
     f_law, h_law = _MARCH_LAWS[law]
-    h_law = None if i is None else h_law
-    if h_law is None:
-        solo = lambda t: solve_gf(f_law, t, s, tol)
-    else:
-        solo = lambda t: immigration_gf(f_law, h_law, i, t, s, tol)
+    solo, march_args = _SOLO[solver]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kolmogorov, "_MAX_TRIES", tries)
-        march = kolmogorov._March(f_law, h_law, i or 0, s, tol, ts)
-        got = [_scalar_outcome(march, t) for t in order]
+        march = kolmogorov._March(solver, f_law, ts, **march_args(h_law, i, s, tol))
+        got = [_outcome(march, t) for t in order]
         patch.setattr(kolmogorov, "_Stepper", reference_stepper)
-        assert got == [_scalar_outcome(solo, t) for t in order]
+        assert got == [_outcome(solo, f_law, h_law, i, s, tol, t) for t in order]
     return got
 
 
 @given(
+    solver=st.sampled_from(sorted(_SOLO)),
     law=st.sampled_from(sorted(_MARCH_LAWS)),
     ts=st.lists(st.one_of(st.sampled_from([0.0, 1e-13]), st.floats(min_value=0.0, max_value=20.0)),
                 min_size=1, max_size=5),
     s=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.999)),
     tol=st.sampled_from([1e-10, 1e-6, 0.5]),
-    i=st.sampled_from([None, 0, 2]),
+    i=st.sampled_from([0, 2]),
     tries=st.sampled_from([10, 30, 200, kolmogorov._MAX_TRIES]),
     data=st.data(),
 )
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_march_is_the_solo_solve(law, ts, s, tol, i, tries, data):
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_march_is_the_solo_solve(solver, law, ts, s, tol, i, tries, data):
     # unsorted horizons with a repeat, 0 and one below _MIN_STEP, asked for in any order
     ts = ts + [ts[0], 1e-13, 0.0]
-    _assert_march_is_solo(law, ts, data.draw(st.permutations(ts)), s, tol, i, tries)
+    _assert_march_is_solo(solver, law, ts, data.draw(st.permutations(ts)), s, tol, i, tries)
 
 
-@pytest.mark.parametrize("tries, fails", [(10, [True, True, True]), (30, [True, False, True])],
+@pytest.mark.parametrize("tries, fails", [(10, [True, True, True]), (60, [True, False, True])],
                          ids=["failing-prefix", "failing-continuation"])
 def test_march_fails_where_the_solo_solves_fail(tries, fails):
-    # HALF at s = 0.5 reaches t = 1 in 24 attempts: within 10 the march fails before
-    # its first horizon, within 30 it fails after it
-    got = _assert_march_is_solo("canonical", [5.0, 1.0, 20.0], [20.0, 1.0, 5.0], 0.5, 1e-10, None, tries)
-    failed = [g for g in got if isinstance(g, str)]
-    assert [isinstance(g, str) for g in got] == fails
-    assert all(g.startswith(f"StepUnderflowError: no progress in {tries} step attempts") for g in failed)
+    # HALF at s = 0.5 (i = 2) reaches t = 1 in 24-59 attempts and t = 5 in 76-138, by
+    # solver: within 10 the march fails before its first horizon, within 60 after it
+    for solver in _SOLO:
+        got = _assert_march_is_solo(solver, "canonical", [5.0, 1.0, 20.0], [20.0, 1.0, 5.0], 0.5, 1e-10, 2, tries)
+        failed = [g for g in got if isinstance(g, str)]
+        assert [isinstance(g, str) for g in got] == fails
+        assert all(g.startswith(f"StepUnderflowError: no progress in {tries} step attempts") for g in failed)
 
 
 def test_one_driver_runs_the_stepper():
-    # _start and _run are called from the one driver only, and the two scalar solvers
-    # are one-horizon marches: a second way to run the stepper fails here
-    calls = {}
-    for top in ast.parse(Path(kolmogorov.__file__).read_text()).body:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                calls.setdefault(node.func.id, set()).add(getattr(top, "name", None))
-    assert (calls["_start"], calls["_run"]) == ({"_Stepper"}, {"_Stepper"})
-    assert {"solve_gf", "immigration_gf"} <= calls["_March"]
+    # _start and _run are called from the one driver only, only the march builds the driver,
+    # and each of the five solvers is the march of itself: a second way to run the stepper fails here
+    calls, marches = {}, {}
+    for path in Path(kolmogorov.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(callee, set()).add((path.stem, getattr(top, "name", None)))
+                    if callee == "_March" and path.stem == "kolmogorov":
+                        marches[top.name] = getattr(node.args[0], "value", None)
+    assert calls["_start"] == calls["_run"] == {("kolmogorov", "_Stepper")}
+    assert calls["_Stepper"] == {("kolmogorov", "_March")}
+    assert marches == {name: name for name in _SOLO}
+
+
+@pytest.mark.parametrize("solver", sorted(_SOLO))
+def test_a_march_checks_its_fixed_arguments_once(solver, monkeypatch):
+    # the first call checks every argument in the solver's order; once a call has passed
+    # them, a call checks t alone; a call that fails leaves the march checking everything
+    order = {"solve_gf": ("t", "s", "tol"), "immigration_gf": ("i", "t", "s", "tol"), "gf_derivative": ("t", "s"),
+             "solve_gf_series": ("order", "t"), "immigration_gf_series": ("order", "t", "tol", "i")}[solver]
+    seen, check = [], kolmogorov._check
+    monkeypatch.setattr(kolmogorov, "_check", lambda **args: seen.append(tuple(args)) or check(**args))
+    march = kolmogorov._March(solver, HALF, [1.0, 2.0], **_SOLO[solver][1](_IMM, 2, 0.5, 1e-10))
+    with pytest.raises(ValueError, match="^t must be"):
+        march(-1.0)
+    march(0.0)
+    march(2.0)
+    march(1.0)
+    with pytest.raises(ValueError, match="^t must be"):
+        march(math.inf)
+    assert seen == [order, order, ("t",), ("t",), ("t",)]
+
+
+@pytest.mark.parametrize("solve, message", [
+    (lambda: solve_gf(HALF, -1.0, 2.0, 0.0), "t must be in [0, inf), got -1.0"),
+    (lambda: immigration_gf(HALF, _IMM, -1, -1.0, 2.0, 0.0), "i must be in [0, inf), got -1"),
+    (lambda: immigration_gf(HALF, _IMM, 2, 1.0, 2.0, 0.0), "s must be in [0, 1], got 2.0"),
+    (lambda: gf_derivative(HALF, -1.0, 2.0), "t must be in [0, inf), got -1.0"),
+    (lambda: gf_derivative(HALF, 0.0, 2.0), "s must be in [0, 1], got 2.0"),
+    (lambda: gf_derivative(HALF, 0.0, 1.0), "derivative is evaluated on [0, 1)"),
+    (lambda: solve_gf_series(HALF, -1.0, -1), "order must be in [0, 1024], got -1"),
+    (lambda: immigration_gf_series(HALF, _IMM, -1, -1.0, 2000, 0.0), "order must be in [0, 1024], got 2000"),
+    (lambda: immigration_gf_series(HALF, _IMM, -1, 1.0, 8, 0.0), "tol must be in (0, inf), got 0.0"),
+], ids=["solve_gf", "immigration_gf", "immigration_gf-s", "gf_derivative", "gf_derivative-s", "gf_derivative-s=1",
+        "solve_gf_series", "immigration_gf_series", "immigration_gf_series-tol"])
+def test_several_bad_values_get_the_first_message(solve, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve()
+
+
+@pytest.mark.parametrize("solver", sorted(_SOLO))
+def test_a_one_horizon_solve_runs_once(solver, monkeypatch):
+    # the last horizon's steps are cut to it in the run that reaches it
+    runs, run = [], kolmogorov._run
+    monkeypatch.setattr(kolmogorov, "_run", lambda *args, **kwargs: runs.append(1) or run(*args, **kwargs))
+    solve = _SOLO[solver][0]
+    assert isinstance(_outcome(solve, HALF, _IMM, 2, 0.5, 1e-10, 1e-3), bytes)
+    assert len(runs) == 1
 
 
 def immigration_mean(f_law, h_law, t, eps=1e-7):

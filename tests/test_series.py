@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyder, polyval
@@ -242,6 +242,7 @@ exponents = st.one_of(
 
 
 @given(power_inputs(), power_inputs(), exponents, exponents)
+@example((np.array([1.0]), 1.0), (np.array([1.0, -0.23021329]), 1.0), 0, -0.0)  # 0 and -0.0 compare equal
 @settings(max_examples=150, deadline=None)
 def test_pow_coeffs_bitwise_matches_strided_kernel(first, second, alpha, beta):
     # two orders and two exponents interleaved, so cached block weights keyed on too little would be reused wrongly
@@ -254,7 +255,7 @@ def test_pow_coeffs_bitwise_matches_strided_kernel(first, second, alpha, beta):
 def test_cached_block_weights_are_read_only():
     # every array of a cache entry: the weights, alpha k and k
     fps._pow_coeffs(np.linspace(1.0, 0.5, 100), 0.5)
-    cached = fps._weights(0.5, 65, 100)
+    cached = fps._weights(0.5, 1.0, 65, 100)
     assert [a.shape for a in cached] == [(35, 35), (35,), (35,)]
     for a in cached:
         with pytest.raises(ValueError):
