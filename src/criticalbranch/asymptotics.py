@@ -58,6 +58,7 @@ __all__ = [
 
 ELIGIBILITY_TOL = 1e-6
 FIGURE_PRESETS = ((0.2, 0.9), (0.9, 0.2))
+MAX_FIGURE_ROWS = 10**5  # figure_rows holds every row in memory
 # the time normalizers N(nu, t) of the survival-probability figures, by preset name
 FIGURE_NORMALIZERS = {
     "half-log": lambda nu, t: 1.0 + 0.5 / math.log(t + 1.0),
@@ -161,23 +162,31 @@ def survival_expansion(nu: float, a0: float, normalizer: Callable[[float], float
     return n_t / (nu * t) ** (1.0 / nu) * (1.0 + math.log(a0 * nu * t) / (nu**3 * t))
 
 
-def figure_rows(nu: float, a0: float, normalizer: str, t_grid=None):
+def figure_rows(nu: float, a0: float, normalizer: str, t_start: float = 5.0, t_stop: float = 100.0,
+                t_step: float = 0.5):
     """Rows (t, q, p1) of the survival and local-probability expansions.
 
     These are exactly the plotted expressions, with the time normalizer
-    ``FIGURE_NORMALIZERS[normalizer]``; the default grid runs from 5 to 100
-    in steps of one half.
+    ``FIGURE_NORMALIZERS[normalizer]``, on the grid t_start, t_start + t_step,
+    ... up to t_stop; the default grid is the 191 points from 5 to 100.  The
+    grid's rules raise at the config paths ``figure-data`` reads them from.
     """
     if normalizer not in FIGURE_NORMALIZERS:
         raise ValueError(f"unknown normalizer preset {normalizer!r}")
+    _check({"t_start": _POSITIVE, "t_step": _POSITIVE}, t_start=t_start, t_step=t_step)
+    if t_stop < t_start:
+        raise ValueError(f"t_stop must not precede t_start at $.t_stop, got {t_stop} < {t_start}")
+    n = (t_stop - t_start) / t_step
+    if not n < MAX_FIGURE_ROWS:
+        raise ValueError(f"(t_stop - t_start)/t_step must stay below {MAX_FIGURE_ROWS} at $.t_step")
     preset = FIGURE_NORMALIZERS[normalizer]
     n_fn = lambda t: preset(nu, t)
-    if t_grid is None:
-        t_grid = [5.0 + 0.5 * k for k in range(191)]
     rows = []
-    for t in t_grid:
+    # whole steps up to t_stop; a step count a rounding error short of whole still reaches it
+    for k in range(math.floor(n * (1.0 + 1e-9)) + 1):
+        t = min(t_start + t_step * k, t_stop)
         x = a0 * nu * t
-        if t > 0.0 and not 0.0 < x < math.inf:
+        if not 0.0 < x < math.inf:
             raise ValueError(f"a0 nu t = {x} at t={t} leaves the float range at $.a0")
         try:
             q = survival_expansion(nu, a0, n_fn, t)

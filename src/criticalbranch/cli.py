@@ -30,14 +30,12 @@ from .laws import (_COUNT, _LAWS, _NUM, _PARAMS, _POSITIVE, _Leaf, _validate, cl
 
 __all__ = ["main"]
 
-MAX_FIGURE_ROWS = 10**5  # figure-data builds its whole t grid in memory
-
-
 # ---------------------------------------------------------------------------
 # Schema: the walk, the law fragments and the leaves the library checks too
-# live in ``laws``.  This table alone says what a valid config is; the
-# cross-field rules that it cannot state sit at the top of each handler, ahead
-# of any work.
+# live in ``laws``.  This table alone says what a valid config is; ``main``
+# checks every config against it before any handler runs.  The cross-field
+# rules that it cannot state sit at the top of each handler, or for
+# figure-data in ``asymptotics.figure_rows``, ahead of any work.
 
 _SCHEMAS = {
     "simulate": {
@@ -72,7 +70,7 @@ _SCHEMAS = {
         "t_stop": (False, _NUM),
         "t_step": (False, _POSITIVE),
     },
-    "verify": {"checks": (False, [_Leaf(str)])},
+    "verify": {"checks": (False, [_Leaf(str, choices=acceptance.CHECK_IDS)])},
     "report": {},
 }
 
@@ -140,11 +138,12 @@ def _int_or_text(text: str):
         return text
 
 
-def _load_config(args, command) -> dict:
+def _load_config(args) -> dict:
+    """The config of ``args.command``, read from --config and checked against its schema."""
     if args.config is None:
-        if command in ("verify", "report", "figure-data"):
+        if args.command in ("verify", "report", "figure-data"):
             return {}
-        raise ValueError(f"{command} requires --config")
+        raise ValueError(f"{args.command} requires --config")
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
@@ -158,7 +157,7 @@ def _load_config(args, command) -> dict:
                          parse_int=_int_or_text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc} at --config") from None
-    _validate(cfg, _SCHEMAS[command])
+    _validate(cfg, _SCHEMAS[args.command])
     return cfg
 
 
@@ -176,8 +175,7 @@ def _laws(cfg: dict):
     return offspring_from_config(cfg["offspring"]), immigration
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args, "simulate")
+def _cmd_simulate(args, cfg: dict, started: float) -> int:
     cap = cfg.get("cap", montecarlo.DEFAULT_CAP)
     grid = [float(t) for t in cfg["grid"]]
     if grid != sorted(grid):
@@ -189,7 +187,6 @@ def _cmd_simulate(args) -> int:
             raise ValueError(f"j must not exceed cap={cap} at $.estimators[{i}].j, got {spec['j']}")
         if "j" not in spec and spec["kind"] in ("p", "ratio"):
             raise ValueError(f"a {spec['kind']} estimator needs a level at $.estimators[{i}].j")
-    started = time.perf_counter()
     offspring, immigration = _laws(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     # the schema and the checks above leave only SimConfig's cross-field rules to
@@ -222,9 +219,7 @@ def _cmd_simulate(args) -> int:
 _SOLVE_COUNTERS = ("steps", "rejected", "gap_rejected", "rhs_evals")
 
 
-def _cmd_solve(args) -> int:
-    cfg = _load_config(args, "solve")
-    started = time.perf_counter()
+def _cmd_solve(args, cfg: dict, started: float) -> int:
     offspring, immigration = _laws(cfg)
     tol = cfg.get("tol", kolmogorov.SCALAR_RTOL)
     ts = [float(t) for t in cfg["t"]]
@@ -257,12 +252,10 @@ def _measure(tag: str, offspring, immigration, N: int):
     return asymptotics.limit_gf_series(offspring, immigration, regime, ratio, N)
 
 
-def _cmd_invariant(args) -> int:
-    cfg = _load_config(args, "invariant")
+def _cmd_invariant(args, cfg: dict, started: float) -> int:
     for i, tag in enumerate(cfg["measures"]):
         if tag in ("pi", "U") and "immigration" not in cfg:
             raise ValueError(f"measure {tag} needs an immigration law at $.measures[{i}]")
-    started = time.perf_counter()
     offspring, immigration = _laws(cfg)
     rows = []
     for i, tag in enumerate(cfg["measures"]):
@@ -272,32 +265,20 @@ def _cmd_invariant(args) -> int:
     return 0
 
 
-def _cmd_figure_data(args) -> int:
-    cfg = _load_config(args, "figure-data")
-    started = time.perf_counter()
+def _cmd_figure_data(args, cfg: dict, started: float) -> int:
     if cfg:
-        t_grid = None
-        if "t_start" in cfg or "t_stop" in cfg or "t_step" in cfg:
-            t0, t1, dt = cfg.get("t_start", 5.0), cfg.get("t_stop", 100.0), cfg.get("t_step", 0.5)
-            if t1 < t0:
-                raise ValueError(f"t_stop must not precede t_start at $.t_stop, got {t1} < {t0}")
-            n = (t1 - t0) / dt
-            if not n < MAX_FIGURE_ROWS:
-                raise ValueError(f"(t_stop - t_start)/t_step must stay below {MAX_FIGURE_ROWS} at $.t_step")
-            # whole steps up to t_stop; a step count a rounding error short of whole still reaches it
-            t_grid = [min(t0 + dt * k, t1) for k in range(math.floor(n * (1.0 + 1e-9)) + 1)]
-        jobs = [(cfg["nu"], cfg["a0"], cfg.get("normalizer", "half-log"), t_grid)]
+        grid = {key: cfg[key] for key in ("t_start", "t_stop", "t_step") if key in cfg}
+        jobs = [(cfg["nu"], cfg["a0"], cfg.get("normalizer", "half-log"), grid)]
     else:
-        jobs = [(nu, a0, nf, None) for nu, a0 in asymptotics.FIGURE_PRESETS for nf in asymptotics.FIGURE_NORMALIZERS]
-    for nu, a0, nf, t_grid in jobs:
-        rows = asymptotics.figure_rows(nu, a0, nf, t_grid)
+        jobs = [(nu, a0, nf, {}) for nu, a0 in asymptotics.FIGURE_PRESETS for nf in asymptotics.FIGURE_NORMALIZERS]
+    for nu, a0, nf, grid in jobs:
+        rows = asymptotics.figure_rows(nu, a0, nf, **grid)
         _write_outputs(args, f"figure_nu{nu}_a0{a0}_{nf}", "figure-data", {"nu": nu, "a0": a0, "normalizer": nf},
                        args.seed, ("t", "q", "p1"), rows, started)
     return 0
 
 
-def _cmd_report(args) -> int:
-    started = time.perf_counter()
+def _cmd_report(args, cfg: dict, started: float) -> int:
     rows = asymptotics.report_rows()
     _write_outputs(args, "report", "report", {"command": "report"}, args.seed, ("quantity", "expression", "spot_value"),
                    [(n, f'"{f}"', v) for n, f, v in rows], started)
@@ -307,9 +288,12 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    cfg = _load_config(args, "verify")
-    wanted = args.checks.split(",") if args.checks else cfg.get("checks")
+def _cmd_verify(args, cfg: dict, started: float) -> int:
+    wanted = cfg.get("checks")
+    if args.checks:
+        wanted = args.checks.split(",")
+        for ident in wanted:
+            _validate(ident, _SCHEMAS["verify"]["checks"][1][0], "--checks")
     results = acceptance.run(wanted)
     failed = 0
     for res in results:
@@ -346,7 +330,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None:
             _validate(args.seed, _SCHEMAS["simulate"]["seed"][1], "--seed")
-        return commands[args.command][0](args)
+        cfg = _load_config(args)
+        return commands[args.command][0](args, cfg, time.perf_counter())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

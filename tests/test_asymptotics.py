@@ -62,6 +62,29 @@ class TestFigureNormalizers:
             asy.figure_rows(0.2, 0.9, "log")
 
 
+class TestFigureRows:
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            # the two grid rules, at the config paths figure-data reads them from
+            ({"t_start": 10, "t_stop": 5}, r"t_stop must not precede t_start at \$\.t_stop, got 5 < 10"),
+            ({"t_stop": 4.0}, r"t_stop must not precede t_start at \$\.t_stop, got 4.0 < 5.0"),
+            ({"t_step": 5e-4}, r"\(t_stop - t_start\)/t_step must stay below 100000 at \$\.t_step"),
+            ({"t_stop": math.inf}, r"must stay below 100000 at \$\.t_step"),
+            ({"t_stop": math.nan}, r"must stay below 100000 at \$\.t_step"),
+            # the ranges the figure-data schema declares, for library callers
+            ({"t_step": -0.5}, r"t_step must be in \(0, inf\), got -0.5"),
+            ({"t_step": 0}, r"t_step must be in \(0, inf\), got 0"),
+            ({"t_start": 0.0}, r"t_start must be in \(0, inf\), got 0.0"),
+        ],
+        ids=["stop-before-start", "stop-before-default-start", "too-many-rows", "infinite-stop", "nan-stop",
+             "negative-step", "zero-step", "zero-start"],
+    )
+    def test_bad_grid_raises(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            asy.figure_rows(0.5, 1.0, "half-log", **grid)
+
+
 class TestSurvivalExpansion:
     def test_figure_point_value(self):
         n_fn = lambda t: asy.FIGURE_NORMALIZERS["half-log"](0.2, t)
@@ -141,7 +164,7 @@ class TestLocalRatio:
 
     def test_predicted_factor_at_figure_point(self):
         # the plotted p1/q is (1 + ln(a0 nu t)/(nu^2 t)) / (a0 nu t); at (0.2, 0.9, 50) the factor is 1 + ln(9)/2
-        ((_, q, p1),) = asy.figure_rows(0.2, 0.9, "half-log", [50.0])
+        ((_, q, p1),) = asy.figure_rows(0.2, 0.9, "half-log", t_start=50.0, t_stop=50.0)
         assert p1 / q * (0.9 * 0.2 * 50.0) == pytest.approx(1.0 + math.log(9.0) / 2.0, abs=1e-12)
 
     def test_large_time_agreement(self):

@@ -61,6 +61,7 @@ class TestFigureData:
         assert rows[0][0] == 5.0
         assert rows[-1][0] == 100.0
         assert len(rows) == 191
+        assert [t for t, _, _ in rows] == [5.0 + 0.5 * k for k in range(191)]
 
     def test_spot_value(self):
         rows = dict((t, q) for t, q, _ in asymptotics.figure_rows(0.2, 0.9, "half-log"))
@@ -365,6 +366,15 @@ class TestVerify:
     def test_unknown_check_rejected(self, tmp_path, capsys):
         assert run_cli("verify", "--checks", "A99") == 2
 
+    @pytest.mark.parametrize("source", ["config", "option"])
+    def test_unknown_check_named_at_its_source(self, tmp_path, capsys, monkeypatch, source):
+        monkeypatch.setattr(cli.acceptance, "run", lambda *args: pytest.fail("checks started"))
+        if source == "config":
+            code, path = run_cli("verify", "--config", write_config(tmp_path, {"checks": ["A1", "A99"]})), "$.checks[1]"
+        else:
+            code, path = run_cli("verify", "--checks", "A1,A99"), "--checks"
+        assert_one_line_error(code, capsys, f"got 'A99' at {path}")
+
 
 class TestFlags:
     def test_threads_env_var_default(self, tmp_path, monkeypatch):
@@ -421,6 +431,20 @@ class TestInputErrors:
         config = tmp_path / "missing.json" if where == "missing" else tmp_path
         assert_one_line_error(run_cli("solve", "--config", str(config), "--out", str(tmp_path)), capsys, "--config")
         assert not (tmp_path / "solve.csv").exists()
+
+    @pytest.mark.parametrize("command", sorted(cli._SCHEMAS))
+    def test_every_command_reads_its_config(self, tmp_path, capsys, command):
+        code = run_cli(command, "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.endswith(" at --config\n") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_report_config_is_an_empty_object(self, tmp_path, capsys):
+        code = run_cli("report", "--config", write_config(tmp_path, {"x": 1}), "--out", str(tmp_path))
+        assert_one_line_error(code, capsys, "unknown key at $.x")
+        assert not (tmp_path / "report.csv").exists()
+        assert run_cli("report", "--config", write_config(tmp_path, {}, "empty.json"), "--out", str(tmp_path)) == 0
+        assert (tmp_path / "report.csv").exists()
 
     def test_non_utf8_config(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -137,3 +137,12 @@ def test_nothing_imports_cli_and_cli_imports_at_module_level():
     nested = [node.lineno for fn in ast.walk(TREES[cli]) if isinstance(fn, ast.FunctionDef)
               for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+def test_only_main_loads_a_config_and_starts_the_clock():
+    # so every command, a new one too, gets its config checked by the one load
+    cli = TREES[(ROOT / "src" / "criticalbranch" / "cli.py").resolve()]
+    calls = {(fn.name, getattr(node.func, "id", getattr(node.func, "attr", None))) for fn in cli.body
+             if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    assert {fn for fn, callee in calls if callee == "_load_config"} == {"main"}
+    assert {fn for fn, callee in calls if callee == "perf_counter" and fn.startswith("_cmd_")} == set()
