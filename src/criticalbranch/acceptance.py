@@ -286,8 +286,13 @@ def run_one(ident: str) -> CheckResult:
 
 
 def run(idents=None, threads: int = 1) -> list[CheckResult]:
-    """Run the named checks (all by default) in order; ``threads`` is accepted and ignored."""
-    wanted = list(idents) if idents else list(CHECK_IDS)
+    """Run the named checks (all when ``idents`` is None) in order; ``threads`` is accepted and ignored.
+
+    An empty selection raises ValueError.
+    """
+    wanted = list(CHECK_IDS) if idents is None else list(idents)
+    if not wanted:
+        raise ValueError("no check selected")
     unknown = [w for w in wanted if w not in CHECK_IDS]
     if unknown:
         raise ValueError(f"unknown check ids: {unknown}")

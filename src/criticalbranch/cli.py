@@ -289,11 +289,13 @@ def _cmd_report(args, cfg: dict, started: float) -> int:
 
 
 def _cmd_verify(args, cfg: dict, started: float) -> int:
-    wanted = cfg.get("checks")
-    if args.checks:
-        wanted = args.checks.split(",")
+    wanted, where = cfg.get("checks"), "$.checks"
+    if args.checks is not None:
+        wanted, where = args.checks.split(",") if args.checks else [], "--checks"
         for ident in wanted:
-            _validate(ident, _SCHEMAS["verify"]["checks"][1][0], "--checks")
+            _validate(ident, _SCHEMAS["verify"]["checks"][1][0], where)
+    if wanted == []:  # no selection runs everything; an empty one is an error
+        raise ValueError(f"no check selected at {where}")
     results = acceptance.run(wanted)
     failed = 0
     for res in results:

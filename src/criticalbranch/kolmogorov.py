@@ -28,7 +28,11 @@ arguments before any work against the ``laws`` leaves that configs use (t,
 s, tol, the series order N as leaf ``order``, and the initial state i),
 returns the exact points, picks the tolerances and builds the driver.
 ``gf_derivative`` and ``solve_gf_series`` run at the fixed tolerances
-SCALAR_RTOL and SERIES_RTOL.  Grid callers march: ``cli solve``,
+SCALAR_RTOL and SERIES_RTOL.  Once checked, an ``np.float64`` t, s or tol
+(a float subclass) becomes the Python float of the same value, so a grid
+from ``np.logspace`` marches on Python floats: it gets the bytes, counters
+and errors of the same Python floats, and a bad value keeps its numpy repr
+in the message.  Grid callers march: ``cli solve``,
 ``asymptotics.scaled_gf_convergence``, ``conditioned_gf`` and
 ``local_ratio_measured`` over a grid, and the acceptance checks A3, A7 and
 A8.  A march holds state, so each sweep builds its own.
@@ -109,6 +113,8 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     22 / 525,
     -1 / 40,
 )
+_TABLEAU = (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
+            _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7)
 
 
 class _Stepper:
@@ -128,7 +134,11 @@ class _Stepper:
     a non-finite error estimate or vector state, or a rate whose Python-float
     power overflows (the solve left the float range; that check replaces
     numpy's overflow and division warnings).  A gap so small that its error
-    scale rounds to zero gives an infinite error estimate.
+    scale rounds to zero gives an infinite error estimate.  A march whose
+    gap and ``rtol`` are Python floats runs outside ``np.errstate``: its
+    arithmetic raises where numpy's would warn, so the context would do
+    nothing and cost about 2-3 µs a call.  Any other march (a vector state,
+    or numpy scalars) enters it once per horizon call.
 
     ``counts`` holds the keyword arguments ``steps`` (accepted steps),
     ``rejected`` (steps failing the error test), ``gap_rejected`` (steps
@@ -156,14 +166,25 @@ class _Stepper:
     def __init__(self, rate, quad, r, g, rtol, atol, gatol, horizons):
         self.step = (rate, quad, rtol, atol, gatol)
         self.r, self.g = r, g
+        self.floats = r.__class__ is float and rtol.__class__ is float  # a march on Python floats alone
         self.horizons = sorted(set(horizons))
         self.passed = 0  # the march has passed horizons[:passed]
         self.state = None  # where the march stands, once it has started
         self.starts = {}  # horizon -> where its last steps start, until it is asked for
         self.done = {}  # horizon -> (r, g, counts), its StepUnderflowError, or None while its last steps wait
 
-    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def __call__(self, t):
+        if self.floats:  # Python floats raise where numpy would warn: no errstate to enter
+            got = self._outcome(t)
+        else:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                got = self._outcome(t)
+        if isinstance(got, StepUnderflowError):
+            raise got.with_traceback(None)
+        return got
+
+    def _outcome(self, t):
+        """Horizon t's (r, g, counts) or StepUnderflowError, marching as far as it needs."""
         step = self.step
         while t not in self.done:
             x = self.horizons[self.passed]
@@ -183,10 +204,7 @@ class _Stepper:
                 self.done[t] = _run(*step, self.starts.pop(t), t)[0]
             except StepUnderflowError as exc:
                 self.done[t] = exc
-        got = self.done[t]
-        if isinstance(got, StepUnderflowError):
-            raise got.with_traceback(None)
-        return got
+        return self.done[t]
 
 
 def _start(rate, quad, r, g):
@@ -225,25 +243,29 @@ def _run(rate, quad, rtol, atol, gatol, state, t_end, last=True):
     """
     t, r, g, a1, b1, h, steps, rejected, gap_rejected, gap_evals, tries = state
     vec = r.__class__ is np.ndarray
+    # locals, not module globals: an attempt reads the tableau 26 times, 37 with a quadrature
+    (A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65,
+     B1, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7) = _TABLEAU
+    min_step, inf = _MIN_STEP, math.inf
     try:
         for k in range(tries):
             if not t < t_end:
                 break
             # the step is tested before it is cut to the horizon: a horizon below _MIN_STEP is no underflow
-            if h < _MIN_STEP:
+            if h < min_step:
                 raise StepUnderflowError(t)
             if t_end - t < h:
                 if not last:
                     return None, (t, r, g, a1, b1, h, steps, rejected, gap_rejected, gap_evals, tries - k)
                 h = t_end - t
             # a stage with a non-positive gap rejects the step before a rate sees it
-            r2 = r + h * _A21 * a1
+            r2 = r + h * A21 * a1
             if not (r2[0] if vec else r2) > 0.0:
                 h *= 0.5
                 gap_rejected += 1
                 continue
             a2 = rate(r2)
-            r3 = r + h * (_A31 * a1 + _A32 * a2)
+            r3 = r + h * (A31 * a1 + A32 * a2)
             if not (r3[0] if vec else r3) > 0.0:
                 h *= 0.5
                 gap_rejected += 1
@@ -251,7 +273,7 @@ def _run(rate, quad, rtol, atol, gatol, state, t_end, last=True):
                 continue
             a3 = rate(r3)
             b3 = quad(r3) if quad else None
-            r4 = r + h * (_A41 * a1 + _A42 * a2 + _A43 * a3)
+            r4 = r + h * (A41 * a1 + A42 * a2 + A43 * a3)
             if not (r4[0] if vec else r4) > 0.0:
                 h *= 0.5
                 gap_rejected += 1
@@ -259,7 +281,7 @@ def _run(rate, quad, rtol, atol, gatol, state, t_end, last=True):
                 continue
             a4 = rate(r4)
             b4 = quad(r4) if quad else None
-            r5 = r + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
+            r5 = r + h * (A51 * a1 + A52 * a2 + A53 * a3 + A54 * a4)
             if not (r5[0] if vec else r5) > 0.0:
                 h *= 0.5
                 gap_rejected += 1
@@ -267,7 +289,7 @@ def _run(rate, quad, rtol, atol, gatol, state, t_end, last=True):
                 continue
             a5 = rate(r5)
             b5 = quad(r5) if quad else None
-            r6 = r + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
+            r6 = r + h * (A61 * a1 + A62 * a2 + A63 * a3 + A64 * a4 + A65 * a5)
             if not (r6[0] if vec else r6) > 0.0:
                 h *= 0.5
                 gap_rejected += 1
@@ -275,7 +297,7 @@ def _run(rate, quad, rtol, atol, gatol, state, t_end, last=True):
                 continue
             a6 = rate(r6)
             b6 = quad(r6) if quad else None
-            rnew = r + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
+            rnew = r + h * (B1 * a1 + B3 * a3 + B4 * a4 + B5 * a5 + B6 * a6)
             if not (rnew[0] if vec else rnew) > 0.0:
                 h *= 0.5
                 gap_rejected += 1
@@ -285,21 +307,21 @@ def _run(rate, quad, rtol, atol, gatol, state, t_end, last=True):
             b7 = quad(rnew) if quad else None
             # the error ratio is the larger of the gap's and g's; a NaN ratio makes it inf
             try:
-                q = (abs(h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * a7))
+                q = (abs(h * (E1 * a1 + E3 * a3 + E4 * a4 + E5 * a5 + E6 * a6 + E7 * a7))
                      / (atol + rtol * abs(rnew)))
             except ZeroDivisionError:  # a float gap so far below 1 that rtol * |rnew| rounds to 0
-                q = math.inf
+                q = inf
             q = q.max() if vec else q
-            err = q if q == q else math.inf
+            err = q if q == q else inf
             gnew = g
             if quad:
-                gnew = g + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B5 * b5 + _B6 * b6)
-                q = (abs(h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6 + _E7 * b7))
+                gnew = g + h * (B1 * b1 + B3 * b3 + B4 * b4 + B5 * b5 + B6 * b6)
+                q = (abs(h * (E1 * b1 + E3 * b3 + E4 * b4 + E5 * b5 + E6 * b6 + E7 * b7))
                      / (gatol + rtol * abs(gnew)))
                 q = q.max() if vec else q
                 if not q <= err:
-                    err = q if q == q else math.inf
-            if err == math.inf or vec and not (np.isfinite(rnew).all() and (not quad or np.isfinite(gnew).all())):
+                    err = q if q == q else inf
+            if err == inf or vec and not (np.isfinite(rnew).all() and (not quad or np.isfinite(gnew).all())):
                 raise StepUnderflowError(t, f"non-finite stage value at step size {float(h)!r}")
             if err <= 1.0:
                 t += h
@@ -376,9 +398,23 @@ def immigration_gf_series(
     return _March("immigration_gf_series", f_law, (t,), h_law, i, N=N, tol=tol)(t)
 
 
-# each solver's checked arguments, in its order: several bad values get the message of the first
-_CHECKS = dict(solve_gf=("t", "s", "tol"), immigration_gf=("i", "t", "s", "tol"), gf_derivative=("t", "s"),
-               solve_gf_series=("order", "t"), immigration_gf_series=("order", "t", "tol", "i"))
+def _float(x):
+    """x as a Python float if it is an np.float64, else x itself.
+
+    The conversion is exact (np.float64 subclasses float), and a march on
+    Python floats skips numpy's scalar arithmetic in every attempt.
+    """
+    return float(x) if x.__class__ is np.float64 else x
+
+
+# each solver's check of march m's arguments at t, in its order: several bad values get the message of the first
+_CHECKS = dict(
+    solve_gf=lambda m, t: _check(t=t, s=m.s, tol=m.tol),
+    immigration_gf=lambda m, t: _check(i=m.i, t=t, s=m.s, tol=m.tol),
+    gf_derivative=lambda m, t: _check(t=t, s=m.s),
+    solve_gf_series=lambda m, t: _check(order=m.N, t=t),
+    immigration_gf_series=lambda m, t: _check(order=m.N, t=t, tol=m.tol, i=m.i),
+)
 
 
 class _March:
@@ -389,11 +425,13 @@ class _March:
     ``solve_gf_series`` at SERIES_RTOL.  The first call checks every argument
     in the solver's order (``_CHECKS``, against the ``laws`` leaves that
     configs use; N is leaf ``order``).  Once a call has passed its checks, a
-    call checks its t alone.  An exact point (t = 0, or s = 1) takes no step.
-    Any other t is read from one ``_Stepper`` over the positive t of ``ts``,
-    built at the first call that needs a step, after that call's checks, so a
-    bad t gets its message before any horizon is sorted.  Every t of a grid
-    gets the bytes, counters and error of its one-horizon solve.
+    call checks its t alone.  Each checked ``np.float64`` t, s, tol and
+    horizon is read as a Python float (``_float``).  An exact point (t = 0,
+    or s = 1) takes no step.  Any other t is read from one ``_Stepper`` over
+    the positive t of ``ts``, built at the first call that needs a step,
+    after that call's checks, so a bad t gets its message before any horizon
+    is sorted.  Every t of a grid gets the bytes, counters and error of its
+    one-horizon solve.
     """
 
     def __init__(self, solver: str, f_law: OffspringLaw, ts, h_law: ImmigrationLaw | None = None, i: int = 0,
@@ -402,20 +440,20 @@ class _March:
         if tol is None:
             tol = SERIES_RTOL if self.series else SCALAR_RTOL
         self.solver, self.f_law, self.h_law, self.i, self.s, self.N, self.tol, self.ts = solver, f_law, h_law, i, s, N, tol, ts
-        fixed = dict(i=i, t=0.0, s=s, tol=tol, order=N)
-        self.args = {name: fixed[name] for name in _CHECKS[solver]}  # None once a call has passed them
+        self.checked = False  # True once a call has passed the checks
         self.stepper = None
 
     def __call__(self, t: float) -> TransitionSolution | float:
-        solver, s, i = self.solver, self.s, self.i
-        if self.args is None:
+        solver = self.solver
+        if self.checked:
             _check(t=t)
         else:
-            self.args["t"] = t
-            _check(**self.args)
-            if solver == "gf_derivative" and s == 1.0:
+            _CHECKS[solver](self, t)
+            if solver == "gf_derivative" and self.s == 1.0:
                 raise ValueError("derivative is evaluated on [0, 1)")
-            self.args = None
+            self.checked = True
+            self.s, self.tol = _float(self.s), _float(self.tol)
+        t, s, i = _float(t), self.s, self.i
         if t == 0.0 or s == 1.0:  # an exact point: no step (a series march keeps s = 0)
             if solver == "solve_gf":
                 return TransitionSolution(F=s, R=1.0 - s)
@@ -425,7 +463,7 @@ class _March:
         else:
             if self.stepper is None:
                 # numbers alone: any other entry fails its check before it is asked for
-                horizons = [x for x in self.ts if (isinstance(x, float) or isinstance(x, Real)) and x > 0.0]
+                horizons = [_float(x) for x in self.ts if (isinstance(x, float) or isinstance(x, Real)) and x > 0.0]
                 self.stepper = _Stepper(*self._initial(), horizons)
             r, g, counts = self.stepper(t)
         if solver == "gf_derivative":

@@ -67,25 +67,27 @@ def _terms_rates(terms: tuple[tuple[float, float], ...], J: int) -> np.ndarray:
 def _power_sum(terms: tuple[tuple[float, float], ...], negate: bool = False):
     """The function r -> sum_m c_m r**b_m over ``terms``, negated when ``negate``.
 
-    The sum runs left to right from the integer 0, as sum() did up to Python
-    3.11 (3.12 replaced it by a compensated sum of floats), so a -0.0 term
-    adds as +0.0.  A solver calls its rates six times an attempt: one and two
-    terms are written out, and the sign is folded in.  On Python floats a
-    power past the float range raises OverflowError.
+    The sum runs left to right from 0.0, so a -0.0 term adds as +0.0.  Its
+    bits are those of the sum from the integer 0, as sum() ran up to Python
+    3.11 (3.12 replaced it by a compensated sum of floats): int + float
+    converts the int to 0.0 first, but takes a slower path.  A solver calls
+    its rates six to eleven times an attempt: one and two terms are written
+    out, and the sign is folded in.  On Python floats a power past the float
+    range raises OverflowError.
     """
     if len(terms) == 1:
         ((c, b),) = terms
         if negate:
-            return lambda r: -(0 + c * r ** b)
-        return lambda r: 0 + c * r ** b
+            return lambda r: -(0.0 + c * r ** b)
+        return lambda r: 0.0 + c * r ** b
     if len(terms) == 2:
         (c, b), (c2, b2) = terms
         if negate:
-            return lambda r: -(0 + c * r ** b + c2 * r ** b2)
-        return lambda r: 0 + c * r ** b + c2 * r ** b2
+            return lambda r: -(0.0 + c * r ** b + c2 * r ** b2)
+        return lambda r: 0.0 + c * r ** b + c2 * r ** b2
 
     def loop(r):
-        total = 0
+        total = 0.0
         for c, b in terms:
             total += c * r ** b
         return -total if negate else total
@@ -241,7 +243,7 @@ def make_stable_offspring(nu: float, a0: float) -> OffspringLaw:
     _check(nu=nu, a0=a0)
     return OffspringLaw(
         kind="canonical-stable",
-        terms=((float(a0), 1.0 + nu),),
+        terms=((float(a0), 1.0 + float(nu)),),  # Python floats: numpy scalars would slow every solve
         nu=float(nu),
         a0=float(a0),
         a1=-float(a0) * (1.0 + nu),
@@ -255,7 +257,7 @@ def make_perturbed_offspring(nu: float, a0: float, rho: float, p: float) -> Offs
     keeps the second term's series nonnegative on its own.
     """
     _check(nu=nu, a0=a0, rho=rho, p=p)
-    terms = ((float(a0), 1.0 + nu), (float(a0) * rho, 1.0 + nu + p))
+    terms = ((float(a0), 1.0 + float(nu)), (float(a0) * float(rho), 1.0 + float(nu) + float(p)))
     rates = _terms_rates(terms, _SCAN_HORIZON)
     _scan_nonnegative(rates, 2, "offspring")
     a1 = -(a0 * (1.0 + nu) + a0 * rho * (1.0 + nu + p))

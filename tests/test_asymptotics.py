@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -378,6 +379,16 @@ class TestGridCalls:
             loop, marched = _loop_and_grid(fn, grid)
             assert marched == loop
         assert "Error" in _loop_and_grid(lambda t: asy.conditioned_gf(HALF, t, s), grid)[0]
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_numpy_grid_gets_the_python_float_bits(self, s):
+        # an np.logspace grid and an np.float64 s get the bits of the same Python floats
+        grid = np.logspace(1, 4, 7)[::-1]
+        floats = [float(t) for t in grid]
+        bits = lambda values: struct.pack(f"<{len(values)}d", *values)
+        fields = lambda results: bits([x for r in results for x in (r.value, r.slack, r.error)])
+        assert fields(asy.conditioned_gf(HALF, grid, np.float64(s))) == fields(asy.conditioned_gf(HALF, floats, s))
+        assert bits(asy.local_ratio_measured(HALF, grid)) == bits(asy.local_ratio_measured(HALF, floats))
 
 
 def relative_local_gf(f_law, t, s):

@@ -375,6 +375,24 @@ class TestVerify:
             code, path = run_cli("verify", "--checks", "A1,A99"), "--checks"
         assert_one_line_error(code, capsys, f"got 'A99' at {path}")
 
+    @pytest.mark.parametrize("source", ["config", "option"])
+    def test_empty_selection_is_an_error(self, tmp_path, capsys, monkeypatch, source):
+        # no selection runs every check; an empty one runs none and says where it came from
+        monkeypatch.setattr(cli.acceptance, "run", lambda *args: pytest.fail("checks started"))
+        if source == "config":
+            code, path = run_cli("verify", "--config", write_config(tmp_path, {"checks": []})), "$.checks"
+        else:
+            code, path = run_cli("verify", "--checks", ""), "--checks"
+        assert_one_line_error(code, capsys, f"no check selected at {path}")
+
+    def test_library_run_of_no_checks_raises(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli.acceptance, "run_one", lambda ident: ran.append(ident) or ident)
+        with pytest.raises(ValueError, match="^no check selected$"):
+            cli.acceptance.run([])
+        assert cli.acceptance.run() == cli.acceptance.run(None) == list(cli.acceptance.CHECK_IDS)
+        assert ran == 2 * list(cli.acceptance.CHECK_IDS)
+
 
 class TestFlags:
     def test_threads_env_var_default(self, tmp_path, monkeypatch):

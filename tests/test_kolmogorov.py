@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import functools
 import math
 import re
@@ -552,6 +553,90 @@ def test_a_one_horizon_solve_runs_once(solver, monkeypatch):
     solve = _SOLO[solver][0]
     assert isinstance(_outcome(solve, HALF, _IMM, 2, 0.5, 1e-10, 1e-3), bytes)
     assert len(runs) == 1
+
+
+# ---------------------------------------------------------------------------
+# np.float64 arguments: a scalar march runs on the Python floats of the same values.
+
+_SCALAR = ("solve_gf", "immigration_gf", "gf_derivative")
+
+
+def _python_floats(sol):
+    """Whether every value of a scalar outcome is a Python float (not a numpy scalar)."""
+    if isinstance(sol, float):
+        return sol.__class__ is float
+    values = [sol.F, sol.R] + ([sol.G, sol.P] if sol.G is not None else [])
+    return all(v.__class__ is float for v in values)
+
+
+@pytest.mark.parametrize("tries", [30, kolmogorov._MAX_TRIES], ids=["failing", "solving"])
+@pytest.mark.parametrize("t, s", [(0.0, 0.5), (2.0, 1.0), (3.0, 0.0), (1e-13, 0.5), (20.0, 0.9), (50.0, 0.5)])
+@pytest.mark.parametrize("solver", _SCALAR)
+def test_numpy_floats_solve_as_python_floats(solver, t, s, tries, monkeypatch):
+    # the same bytes, counters or error, and Python floats out; within 30 attempts t = 50 fails
+    monkeypatch.setattr(kolmogorov, "_MAX_TRIES", tries)
+    solve = _SOLO[solver][0]
+    want = _outcome(solve, HALF, _IMM, 2, s, 1e-6, t)
+    if t == 50.0:
+        assert ("no progress in 30" in want) if tries == 30 else isinstance(want, bytes)
+    assert _outcome(solve, HALF, _IMM, 2, np.float64(s), np.float64(1e-6), np.float64(t)) == want
+    try:
+        sol = solve(HALF, _IMM, 2, np.float64(s), np.float64(1e-6), np.float64(t))
+    except ValueError:
+        assert isinstance(want, str)
+    else:
+        assert _python_floats(sol)
+
+
+@pytest.mark.parametrize("tries", [60, kolmogorov._MAX_TRIES], ids=["failing", "solving"])
+@pytest.mark.parametrize("solver", _SCALAR)
+def test_array_grid_marches_as_python_floats(solver, tries, monkeypatch):
+    # a march over an np.logspace grid, asked at its np.float64 entries in any order, is the
+    # march over the same Python floats; within 60 attempts the far horizons fail
+    monkeypatch.setattr(kolmogorov, "_MAX_TRIES", tries)
+    grid = np.logspace(-1, 3, 9)
+    order = [grid[4], grid[8], 0.0, grid[0], grid[4], grid[2]]
+    args = _SOLO[solver][1](_IMM, 2, 0.5, 1e-8)
+    numpy_args = {key: np.float64(value) if key in ("s", "tol") else value for key, value in args.items()}
+    numpy_march = kolmogorov._March(solver, HALF, grid, **numpy_args)
+    python_march = kolmogorov._March(solver, HALF, [float(x) for x in grid], **args)
+    got = [_outcome(numpy_march, t) for t in order]
+    assert got == [_outcome(python_march, float(t)) for t in order]
+    assert any(isinstance(g, bytes) for g in got)
+    assert any(isinstance(g, str) for g in got) == (tries == 60)
+    assert all(_python_floats(numpy_march(t)) for t, g in zip(order, got) if isinstance(g, bytes))
+
+
+@pytest.mark.parametrize("solve, message", [
+    (lambda: solve_gf(HALF, 1.0, np.float64(2.0)), "s must be in [0, 1], got np.float64(2.0)"),
+    (lambda: immigration_gf(HALF, _IMM, 0, 1.0, np.float64(-0.5)), "s must be in [0, 1], got np.float64(-0.5)"),
+    (lambda: gf_derivative(HALF, 1.0, np.float64(math.nan)), "s must be in [0, 1], got np.float64(nan)"),
+    (lambda: solve_gf(HALF, np.float64(-1.0), 0.5), "t must be in [0, inf), got np.float64(-1.0)"),
+    (lambda: solve_gf(HALF, 1.0, 0.5, np.float64(0.0)), "tol must be in (0, inf), got np.float64(0.0)"),
+], ids=["solve_gf", "immigration_gf", "gf_derivative", "t", "tol"])
+def test_a_bad_numpy_float_keeps_its_message(solve, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve()
+
+
+def test_errstate_only_around_numpy_marches(monkeypatch):
+    # a march on Python floats never enters np.errstate; a series march enters it once per
+    # horizon call (an exact point at t = 0 is no horizon call)
+    entered, errstate = [], np.errstate
+
+    @contextlib.contextmanager
+    def spy(**kwargs):
+        entered.append(kwargs)
+        with errstate(**kwargs):
+            yield
+
+    monkeypatch.setattr(np, "errstate", spy)
+    for solver in _SOLO:
+        march = kolmogorov._March(solver, HALF, [1.0, 2.0, 5.0], **_SOLO[solver][1](_IMM, 2, 0.5, 1e-10))
+        for t in (2.0, 0.0, 1.0, 5.0):
+            march(t)
+        assert len(entered) == (3 if solver.endswith("_series") else 0)
+        entered.clear()
 
 
 def immigration_mean(f_law, h_law, t, eps=1e-7):

@@ -329,6 +329,19 @@ def test_library_guard_names_argument_and_leaf_domain(case):
     assert message.startswith(f"{name} must ") and domain in message
 
 
+def test_numpy_parameters_build_python_float_terms():
+    # the terms feed every rate call of a solve, which numpy scalars would turn into numpy arithmetic
+    f64 = np.float64
+    built = [make_stable_offspring(f64(0.5), f64(1.0)), make_perturbed_offspring(f64(0.5), f64(1.0), f64(0.3), f64(0.5)),
+             make_stable_immigration(f64(0.4), f64(0.1), f64(0.25))]
+    plain = [make_stable_offspring(0.5, 1.0), make_perturbed_offspring(0.5, 1.0, 0.3, 0.5),
+             make_stable_immigration(0.4, 0.1, 0.25)]
+    for law, want in zip(built, plain):
+        assert all(x.__class__ is float for term in law.terms for x in term)
+        assert law.terms == want.terms
+    assert kol.solve_gf(built[1], 1e3, 0.5) == kol.solve_gf(plain[1], 1e3, 0.5)
+
+
 def test_library_guards_take_tuples_and_numpy_numbers():
     assert kol.solve_gf(_HALF, np.float64(1.0), np.float64(0.5), np.float64(1e-10)).F == kol.solve_gf(_HALF, 1.0, 0.5).F
     assert kol.solve_gf_series(_HALF, 1.0, np.int64(8)).F.coeffs.size == 9
@@ -426,3 +439,42 @@ def test_power_sums_match_the_loop_bit_for_bit(terms, r):
     loop = _loop_from_gap(terms, r)
     assert _bits(laws._power_sum(terms)(r)) == _bits(loop)
     assert _bits(laws._power_sum(terms, negate=True)(r)) == _bits(-loop)
+
+
+def _int_zero_sum(terms, r, negate):
+    """The bits of sum_m c_m r**b_m, left to right from the integer 0 and negated when ``negate``, or its error."""
+    try:
+        total = 0
+        for c, b in terms:
+            total = total + c * r ** b
+    except OverflowError as exc:
+        return f"OverflowError: {exc}"
+    return _bits(-total if negate else total)
+
+
+def _power_sum_outcome(terms, r, negate):
+    try:
+        return _bits(laws._power_sum(terms, negate=negate)(r))
+    except OverflowError as exc:
+        return f"OverflowError: {exc}"
+
+
+@given(
+    terms=st.lists(st.tuples(st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1e3, 1e3)), st.floats(0.5, 4.0)),
+                   min_size=1, max_size=5).map(tuple),
+    r=st.one_of(st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True),
+                st.sampled_from([0.0, 5e-324, 1e-310, 1e200, 1e300])),
+    negate=st.booleans(),
+)
+@example(terms=((-1.0, 2.0),), r=5e-324, negate=False)  # -1 * 0.0 is -0.0, which the sum makes +0.0
+@example(terms=((-0.0, 1.5), (-0.0, 2.5)), r=0.5, negate=False)
+@example(terms=((-0.0, 1.5), (-0.0, 2.0), (-0.0, 3.0)), r=0.5, negate=True)
+@example(terms=((1.0, 1.5), (-2.0, 2.0), (3.0, 3.0)), r=1e-310, negate=False)  # a subnormal gap
+@example(terms=((1.0, 2.0),), r=1e300, negate=True)  # r**2 overflows: OverflowError
+@example(terms=((1.0, 1.0), (1.0, 2.0)), r=1e300, negate=False)
+@example(terms=((1.0, 1.0), (1.0, 1.5), (1.0, 4.0)), r=1e200, negate=True)
+@settings(max_examples=400, deadline=None)
+def test_power_sum_closures_are_the_int_zero_sum(terms, r, negate):
+    # the sum from 0.0 has the bits, and raises the OverflowError, of the sum from the integer 0
+    # for one, two and more terms (written-out closures and the loop), with the sign folded in
+    assert _power_sum_outcome(terms, r, negate) == _int_zero_sum(terms, r, negate)
